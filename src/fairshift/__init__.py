@@ -14,10 +14,9 @@ the command-line front end.
 from .chain import (Abs, AbsRay, BackwardKernel, InfinitePreimages, Rel,
                     RelRay, SchemaError, TransitionRuleSet,
                     UnresolvableState, build_backward_kernel,
-                    check_irreducible, column_count)
+                    check_irreducible, strongly_connected_components)
 from .families import (CHAIN_FAMILIES, biased_walk, chain_by_name,
-                       closed_form_stationary, factorial_chain,
-                       factorial_stationary, five_three_chain,
+                       factorial_chain, factorial_stationary, five_three_chain,
                        five_three_profile, full_shift, full_shift_stationary,
                        origin_broadcast, origin_broadcast_stationary,
                        unbiased_walk)
@@ -47,6 +46,7 @@ from .recurrence import (Classification, ClassifyPolicy, ReturnEstimate,
 from .simulate import (BackwardPath, GeoMeanReport, PathStats,
                        equidistribution_report, equidistribution_test,
                        geo_mean_convergence, geo_mean_series,
-                       path_statistics, sample_backward, sample_paths)
+                       geo_mean_target, path_statistics, sample_backward,
+                       sample_paths)
 
 __version__ = "1.0.0"

@@ -22,17 +22,18 @@ residue class mod ``period``.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 __all__ = [
     "Rel", "Abs", "RelRay", "AbsRay", "Term",
     "TransitionRuleSet", "BackwardKernel",
     "UnresolvableState", "InfinitePreimages", "SchemaError",
-    "build_backward_kernel", "check_irreducible", "column_count",
+    "build_backward_kernel", "check_irreducible",
+    "strongly_connected_components",
 ]
 
 
@@ -246,6 +247,30 @@ class TransitionRuleSet:
         all_states = set(self.states(max(abs(self.lo), abs(self.hi))))
         return all(set(self.successors(i)) == all_states for i in all_states)
 
+    def same_matrix(self, other: TransitionRuleSet) -> bool:
+        """True when both rule sets describe the same matrix.
+
+        The domains, periods and tail rules must agree; below the larger
+        head the rows are compared as successor sets, clipped beyond every
+        anchor either row mentions so that rays compare by their starts.
+        """
+        if (self.lo, self.hi, self.period, self.tail) != \
+                (other.lo, other.hi, other.period, other.tail):
+            return False
+
+        def anchors(m: TransitionRuleSet, i: int) -> list[int]:
+            return [t.state if isinstance(t, Abs) else
+                    t.start if isinstance(t, AbsRay) else i + t.offset
+                    for t in m.row_terms(i)]
+
+        for i in self.states(max(self.head, other.head) - 1):
+            clip = max(abs(a) for a in anchors(self, i) + anchors(other, i))
+            if self.row_unbounded(i) != other.row_unbounded(i) or \
+                    self.successors(i, within=clip) != \
+                    other.successors(i, within=clip):
+                return False
+        return True
+
     # -- columns --------------------------------------------------------
 
     def divergent_witness(self) -> int | None:
@@ -367,10 +392,6 @@ class TransitionRuleSet:
         return tuple(sorted(offs))
 
 
-def column_count(m: TransitionRuleSet, j: int) -> int | float:
-    return m.column_count(j)
-
-
 @dataclass(frozen=True)
 class BackwardKernel:
     """Row-stochastic kernel Q with q_ji = m_ij / c_j.
@@ -379,6 +400,8 @@ class BackwardKernel:
     """
 
     base: TransitionRuleSet
+    _cumulative: dict[int, tuple[list[int], list[float]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def row(self, j: int) -> list[tuple[int, Fraction]]:
         preds = self.base.predecessors(j)
@@ -388,6 +411,19 @@ class BackwardKernel:
             return []
         w = Fraction(1, len(preds))
         return [(i, w) for i in preds]
+
+    def cumulative_row(self, j: int) -> tuple[list[int], list[float]]:
+        """Row j as (targets, cumulative float weights), cached for samplers."""
+        r = self._cumulative.get(j)
+        if r is None:
+            entries = self.row(j)
+            if not entries:
+                raise ValueError(f"state {j} has no predecessors; "
+                                 "backward walk is stuck")
+            r = self._cumulative[j] = (
+                [i for i, _ in entries],
+                list(accumulate(float(q) for _, q in entries)))
+        return r
 
     def step_offsets(self) -> tuple[int, ...] | None:
         """Backward step offsets when every Q row is the same offset law."""
@@ -430,40 +466,76 @@ def build_backward_kernel(m: TransitionRuleSet) -> BackwardKernel:
     return BackwardKernel(m)
 
 
+def strongly_connected_components(states: list[int],
+                                  succ: Mapping[int, list[int]]) -> list[list[int]]:
+    """Tarjan's strongly connected components, each sorted.
+
+    Depth-first searches start from ``states`` in order, and components
+    come out in the order they complete: first every component the search
+    from ``states[0]`` reaches, ending with the component of ``states[0]``.
+    """
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    for root in states:
+        if root in index:
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if w in on_stack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                pv = work[-1][0]
+                low[pv] = min(low[pv], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(sorted(comp))
+    return sccs
+
+
 def check_irreducible(m: TransitionRuleSet, window: int) -> tuple[bool, tuple[int, int] | None]:
     """Strong connectivity through the states with |i| <= window.
 
     Returns (True, None) or (False, (a, b)) where no directed path a -> b
-    exists inside the window.
+    exists inside the window: b is the least state the first window state
+    cannot reach, or else the least state that cannot reach it.
     """
     states = m.states(window)
     if not states:
         raise UnresolvableState("empty window")
     idx = set(states)
     succ = {i: [j for j in m.successors(i, within=window) if j in idx] for i in states}
-    pred: dict[int, list[int]] = {i: [] for i in states}
-    for i, js in succ.items():
-        for j in js:
-            pred[j].append(i)
-
-    def reach(start: int, adj: dict[int, list[int]]) -> set[int]:
-        seen = {start}
-        dq = deque([start])
-        while dq:
-            u = dq.popleft()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    dq.append(v)
-        return seen
-
+    sccs = strongly_connected_components(states, succ)
+    if len(sccs) == 1:
+        return True, None
+    # the components up to the root's own are exactly what the root reaches
     root = states[0]
-    fwd = reach(root, succ)
-    if len(fwd) != len(states):
-        missing = min(s for s in states if s not in fwd)
-        return False, (root, missing)
-    bwd = reach(root, pred)
-    if len(bwd) != len(states):
-        missing = min(s for s in states if s not in bwd)
-        return False, (missing, root)
-    return True, None
+    k = next(n for n, comp in enumerate(sccs) if root in comp)
+    rest = [s for comp in sccs[k + 1:] for s in comp]
+    if rest:
+        return False, (root, min(rest))
+    return False, (min(s for s in states if s not in sccs[k]), root)

@@ -13,29 +13,28 @@ bytes.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 
 from . import io as fio
-from .chain import (BackwardKernel, InfinitePreimages, SchemaError,
-                    TransitionRuleSet, UnresolvableState,
-                    build_backward_kernel, check_irreducible)
-from .families import (CHAIN_FAMILIES, chain_by_name, factorial_stationary,
-                       full_shift_stationary)
+from .chain import (Abs, InfinitePreimages, SchemaError, TransitionRuleSet,
+                    UnresolvableState, build_backward_kernel,
+                    check_irreducible, strongly_connected_components)
+from .families import (CHAIN_FAMILIES, chain_by_name, factorial_chain,
+                       factorial_stationary, full_shift_stationary)
 from .graph import (TameGraphMapSpec, cut_and_paste, dendrite_example,
                     refined_transition_matrix)
 from .interval import (MarkovIntervalMap, NotMarkov, check_lebesgue_fair,
                        lebesgue_fair_model, merged_segments, rohlin_entropy,
                        transition_matrix)
-from .measure import (NoSummableSolution, StationaryVector, WindowExhausted,
+from .measure import (StationaryVector, WindowExhausted,
                       check_fair_on_cylinders, entropy_tail_estimate,
                       fair_entropy, fair_measure_from,
                       find_atomic_fair_measures, integral_log_c,
                       solve_stationary, verify_stationary)
-from .recurrence import (ClassifyPolicy, WindowInsufficient, classify,
-                         series_test)
-from .simulate import equidistribution_report, geo_mean_series, sample_paths
+from .recurrence import ClassifyPolicy, WindowInsufficient, classify
+from .simulate import (equidistribution_report, geo_mean_series,
+                       geo_mean_target, sample_paths)
 
 __all__ = ["main"]
 
@@ -169,12 +168,31 @@ def _emit(args, name: str, report: dict, line: str) -> None:
     print(f"{line} -> {path}")
 
 
+def _solve(args, name: str, report: dict, kernel, no_solution, **kw):
+    """Stationary vector of the kernel, or the exit code of a finished run.
+
+    When the window budget runs out the report is emitted with verdict
+    ``Unknown`` (exit 2).  When no summable solution exists,
+    ``no_solution(sol)`` returns the command's own report fields, summary
+    line and exit code, and the report is emitted with those.
+    """
+    try:
+        pi = solve_stationary(kernel, tolerance=args.tolerance, **kw)
+    except WindowExhausted as exc:
+        report["verdict"] = "Unknown"
+        report["diagnostics"] = exc.diagnostics.as_dict()
+        _emit(args, name, report, "verdict Unknown")
+        return EXIT_UNKNOWN
+    if isinstance(pi, StationaryVector):
+        return pi
+    fields, line, code = no_solution(pi)
+    report.update(fields)
+    _emit(args, name, report, line)
+    return code
+
+
 # ---------------------------------------------------------------------------
 # analyze
-
-def _display_states(m: TransitionRuleSet, bound: int) -> list[int]:
-    return m.states(bound)
-
 
 def _forward_rows(mu, states) -> dict:
     rows = {}
@@ -185,53 +203,6 @@ def _forward_rows(mu, states) -> dict:
     return rows
 
 
-def _tarjan_sccs(states: list[int], succ: dict[int, list[int]]) -> list[list[int]]:
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = [0]
-    for root in states:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-    return sccs
-
-
 def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
     """Per-class entropies of a reducible finite chain, plus their supremum."""
     bound = max(abs(m.lo), abs(m.hi))
@@ -239,12 +210,11 @@ def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
     succ = {i: m.successors(i) for i in states}
     classes = []
     best = None
-    for comp in _tarjan_sccs(states, succ):
+    for comp in strongly_connected_components(states, succ):
         closed = all(j in comp for i in comp for j in succ[i])
         entry: dict = {"states": comp, "closed": closed}
         if closed:
             relabel = {s: k for k, s in enumerate(comp)}
-            from .chain import Abs
             sub = TransitionRuleSet(
                 lo=0, hi=len(comp) - 1, head=len(comp),
                 explicit={relabel[i]: tuple(Abs(relabel[j]) for j in succ[i])
@@ -299,24 +269,16 @@ def cmd_analyze(args) -> int:
     kernel = build_backward_kernel(m)
     report["atomic_orbits"] = [list(o.states) for o in
                                find_atomic_fair_measures(m, 6, min(window, 64))]
-    try:
-        pi = solve_stationary(kernel, tolerance=args.tolerance,
-                              max_window=max(window, 2 ** 14))
-    except WindowExhausted as exc:
-        report["verdict"] = "Unknown"
-        report["diagnostics"] = exc.diagnostics.as_dict()
-        _emit(args, "analyze.json", report, "verdict Unknown")
-        return EXIT_UNKNOWN
-
-    if isinstance(pi, NoSummableSolution):
-        report["verdict"] = "NoSummableSolution"
-        report["reason"] = pi.note
-        report["diagnostics"] = pi.diagnostics.as_dict()
-        report["note"] = ("no summable stationary vector, hence no fair "
-                          "probability measure; run `classify` for the "
-                          "null-recurrent / transient split")
-        _emit(args, "analyze.json", report, "verdict NoSummableSolution")
-        return EXIT_OK
+    pi = _solve(args, "analyze.json", report, kernel, lambda sol: (
+        {"verdict": "NoSummableSolution", "reason": sol.note,
+         "diagnostics": sol.diagnostics.as_dict(),
+         "note": ("no summable stationary vector, hence no fair "
+                  "probability measure; run `classify` for the "
+                  "null-recurrent / transient split")},
+        "verdict NoSummableSolution", EXIT_OK),
+        max_window=max(window, 2 ** 14))
+    if isinstance(pi, int):
+        return pi
 
     mu = fair_measure_from(pi, kernel, window=pi.window or window)
     h = fair_entropy(mu, window=window)
@@ -362,9 +324,8 @@ def cmd_classify(args) -> int:
     policy = ClassifyPolicy(**kw)
     verdict = classify(kernel, policy)
 
-    origin = verdict.evidence["policy"]["origin"]
-    n_max = verdict.evidence["series"]["n_max"]
-    series = series_test(kernel, n_max=n_max, origin=origin)
+    series = verdict.series
+    n_max = len(series.terms) - 1
     fio.write_csv(os.path.join(_outdir(args), "series.csv"),
                   ["n", "term", "partial_sum"],
                   [(n, float(t), float(s)) for n, (t, s) in
@@ -435,10 +396,7 @@ def cmd_simulate(args) -> int:
         mu = fair_measure_from(pi, kernel, window=pi.window or 64)
         report["equidistribution"] = equidistribution_report(
             paths, mu, depth=args.depth)
-        target = 0.0
-        for s in pi.support():
-            target += pi.entry(s) * math.log(len(kernel.base.predecessors(s)))
-        report["geo_mean_target"] = math.exp(target)
+        report["geo_mean_target"] = geo_mean_target(mu)
     else:
         report["equidistribution"] = None
         report["note"] = ("no summable stationary vector; discrepancies "
@@ -450,6 +408,20 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------------------
 # fairmodel
+
+def _closed_form(m: TransitionRuleSet, window: int | None):
+    """Exact stationary weights when the compiled rules have a closed form.
+
+    Full shifts and the factorial chain are recognised by their rules, not
+    by the map's name; exact weights make the emitted model and its
+    fairness check exact instead of float-close.
+    """
+    if m.rows_full() and m.lo == 0:
+        return full_shift_stationary(m.hi + 1)
+    if m.same_matrix(factorial_chain()):
+        return factorial_stationary(max(window or 0, 30))
+    return None
+
 
 def cmd_fairmodel(args) -> int:
     if (args.input is None) == (args.map_family is None):
@@ -476,30 +448,17 @@ def cmd_fairmodel(args) -> int:
     if window is None and not m.domain_finite():
         window = 30
 
-    # exact stationary weights exist for the builtin maps; using them makes
-    # the emitted model and its fairness check exact instead of float-close
-    closed = {
-        "staircase": lambda: factorial_stationary(max(window or 0, 30)),
-        "tent": lambda: full_shift_stationary(2),
-    }.get(imap.name)
-    if closed is not None:
-        pi = closed()
-    else:
-        try:
-            pi = solve_stationary(kernel, tolerance=args.tolerance)
-        except WindowExhausted as exc:
-            report["verdict"] = "Unknown"
-            report["diagnostics"] = exc.diagnostics.as_dict()
-            _emit(args, "fairmodel.json", report, "verdict Unknown")
-            return EXIT_UNKNOWN
-        if isinstance(pi, NoSummableSolution):
-            report["verdict"] = "NoFairModel"
-            report["reason"] = ("no summable stationary vector, so no fair "
-                                "probability measure and no Lebesgue fair "
-                                "model exists for this map")
-            report["diagnostics"] = pi.diagnostics.as_dict()
-            _emit(args, "fairmodel.json", report, "verdict NoFairModel")
-            return EXIT_OK
+    pi = _closed_form(m, window)
+    if pi is None:
+        pi = _solve(args, "fairmodel.json", report, kernel, lambda sol: (
+            {"verdict": "NoFairModel",
+             "diagnostics": sol.diagnostics.as_dict(),
+             "reason": ("no summable stationary vector, so no fair "
+                        "probability measure and no Lebesgue fair "
+                        "model exists for this map")},
+            "verdict NoFairModel", EXIT_OK))
+        if isinstance(pi, int):
+            return pi
 
     report["stationary_provenance"] = pi.provenance
     mu = fair_measure_from(pi, kernel, window=pi.window or 64)
@@ -572,24 +531,17 @@ def cmd_graph(args) -> int:
         "refined_states": len(m_refined.states(bound)),
         "pipelines_agree": agree,
     }
-    try:
-        pi = solve_stationary(build_backward_kernel(m_refined),
-                              tolerance=args.tolerance)
-    except WindowExhausted as exc:
-        report["verdict"] = "Unknown"
-        report["diagnostics"] = exc.diagnostics.as_dict()
-        _emit(args, "graph.json", report, "verdict Unknown")
-        return EXIT_UNKNOWN
-    if isinstance(pi, NoSummableSolution):
-        report["verdict"] = "NoSummableSolution"
-        report["diagnostics"] = pi.diagnostics.as_dict()
-        _emit(args, "graph.json", report, "verdict NoSummableSolution")
-        return EXIT_OK
+    kernel_r = build_backward_kernel(m_refined)
+    pi = _solve(args, "graph.json", report, kernel_r, lambda sol: (
+        {"verdict": "NoSummableSolution",
+         "diagnostics": sol.diagnostics.as_dict()},
+        "verdict NoSummableSolution", EXIT_OK))
+    if isinstance(pi, int):
+        return pi
 
     kernel_i = build_backward_kernel(m_interval)
     pi_i = solve_stationary(kernel_i, tolerance=args.tolerance)
-    mu_r = fair_measure_from(pi, build_backward_kernel(m_refined),
-                             window=pi.window or bound)
+    mu_r = fair_measure_from(pi, kernel_r, window=pi.window or bound)
     h_shift = fair_entropy(mu_r, window=bound)
     report["verdict"] = "PositiveRecurrent"
     report["fair_entropy_shift_side"] = h_shift
@@ -617,6 +569,9 @@ def cmd_verify(args) -> int:
     def check(name: str, ok: bool, value, bound) -> None:
         checks.append({"name": name, "pass": bool(ok), "value": value,
                        "bound": bound})
+        if not ok:
+            print(f"fairshift: verify: check {name} failed: value {value}, "
+                  f"bound {bound}", file=sys.stderr)
 
     probe = m.spiral(min(50, window * 2 + 1))
     sums_ok = True
@@ -637,26 +592,18 @@ def cmd_verify(args) -> int:
                    "window": window, "tolerance": args.tolerance,
                    "depth": args.depth},
         "chain": m.name,
+        "checks": checks,
     }
-    try:
-        pi = solve_stationary(kernel, tolerance=args.tolerance,
-                              max_window=max(window, 2 ** 14))
-    except WindowExhausted as exc:
-        report["checks"] = checks
-        report["verdict"] = "Unknown"
-        report["diagnostics"] = exc.diagnostics.as_dict()
-        _emit(args, "verify.json", report, "verdict Unknown")
-        return EXIT_UNKNOWN
-
-    if isinstance(pi, NoSummableSolution):
-        report["checks"] = checks
-        report["verdict"] = "NoSummableSolution"
-        report["note"] = ("no summable stationary vector; measure checks "
-                          "are not applicable")
-        ok = all(c["pass"] for c in checks)
-        _emit(args, "verify.json", report,
-              "pass" if ok else "FAIL (structure checks)")
-        return EXIT_OK if ok else EXIT_SPEC
+    structure_ok = all(c["pass"] for c in checks)
+    pi = _solve(args, "verify.json", report, kernel, lambda sol: (
+        {"verdict": "NoSummableSolution",
+         "note": ("no summable stationary vector; measure checks "
+                  "are not applicable")},
+        "pass" if structure_ok else "FAIL (structure checks)",
+        EXIT_OK if structure_ok else EXIT_SPEC),
+        max_window=max(window, 2 ** 14))
+    if isinstance(pi, int):
+        return pi
 
     wnd = pi.window or window
     residual = float(verify_stationary(pi, kernel, window=wnd))
@@ -685,7 +632,6 @@ def cmd_verify(args) -> int:
           abs(h - integral), tail)
 
     ok = all(c["pass"] for c in checks)
-    report["checks"] = checks
     report["verdict"] = "pass" if ok else "fail"
     report["fair_entropy"] = h
     _emit(args, "verify.json", report,

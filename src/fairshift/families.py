@@ -21,14 +21,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .chain import Abs, AbsRay, Rel, RelRay, TransitionRuleSet
+from .chain import AbsRay, Rel, RelRay, TransitionRuleSet
 from .measure import StationaryVector
 
 __all__ = [
     "unbiased_walk", "biased_walk", "origin_broadcast", "factorial_chain",
     "five_three_chain", "full_shift", "origin_broadcast_stationary",
     "factorial_stationary", "full_shift_stationary", "five_three_profile",
-    "chain_by_name", "closed_form_stationary", "CHAIN_FAMILIES",
+    "chain_by_name", "CHAIN_FAMILIES",
 ]
 
 
@@ -111,12 +111,3 @@ def chain_by_name(name: str, **params) -> TransitionRuleSet:
         raise KeyError(f"unknown family {name!r}; known: "
                        f"{sorted(CHAIN_FAMILIES)} or full-shift-<k>") from None
 
-
-def closed_form_stationary(name: str, window: int) -> StationaryVector | None:
-    if name == "origin-broadcast":
-        return origin_broadcast_stationary(window)
-    if name == "factorial-chain":
-        return factorial_stationary(window)
-    if name.startswith("full-shift-"):
-        return full_shift_stationary(int(name.rsplit("-", 1)[1]))
-    return None

@@ -20,11 +20,11 @@ irrational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .chain import Abs, AbsRay, Rel, RelRay, SchemaError, TransitionRuleSet
+from .chain import Abs, AbsRay, Rel, RelRay, TransitionRuleSet
 from .measure import FairMeasure
 
 __all__ = [

@@ -21,8 +21,8 @@ from .chain import Abs, AbsRay, Rel, RelRay, SchemaError, TransitionRuleSet
 from .families import chain_by_name
 from .graph import TameGraphMapSpec, dendrite_example
 from .interval import (Branch, FinitePartition, GeometricPartition,
-                       MarkovIntervalMap, five_three_map, staircase_map,
-                       tent_map)
+                       IntegerPartition, MarkovIntervalMap, five_three_map,
+                       staircase_map, tent_map)
 
 __all__ = [
     "SCHEMA_VERSION", "ParseError",
@@ -324,19 +324,20 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
 # interval-map documents
 
 def interval_map_to_dict(imap: MarkovIntervalMap) -> dict:
+    """Explicit partition and branches, or the builtin family with its ratio."""
     part = imap.partition
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "interval-map",
         "name": imap.name,
     }
-    if isinstance(part, FinitePartition):
-        doc["partition"] = {"points": [str(p) for p in part.points]}
-    elif isinstance(part, GeometricPartition):
-        doc["partition"] = {"type": "geometric", "ratio": str(part.ratio)}
-    else:
-        doc["partition"] = {"type": "integers"}
     if imap.table is not None and imap.rule is None:
+        if isinstance(part, FinitePartition):
+            doc["partition"] = {"points": [str(p) for p in part.points]}
+        elif isinstance(part, GeometricPartition):
+            doc["partition"] = {"type": "geometric", "ratio": str(part.ratio)}
+        else:
+            doc["partition"] = {"type": "integers"}
         doc["branches"] = [
             {"interval": i,
              "image": [str(br.img_lo), str(br.img_hi)],
@@ -345,6 +346,8 @@ def interval_map_to_dict(imap: MarkovIntervalMap) -> dict:
         ]
     elif imap.name in MAP_FAMILIES:
         doc["family"] = imap.name
+        if imap.name == "staircase":
+            doc["ratio"] = str(part.ratio)
     else:
         raise SchemaError(f"map {imap.name!r} has rule-generated branches "
                           "and no family name; cannot serialize losslessly")
@@ -371,9 +374,11 @@ def interval_map_from_dict(doc: Mapping) -> MarkovIntervalMap:
     elif part_doc.get("type") == "geometric":
         partition = GeometricPartition(_frac(part_doc.get("ratio", "1/2"),
                                              "partition.ratio"))
+    elif part_doc.get("type") == "integers":
+        partition = IntegerPartition()
     else:
-        raise ParseError("partition needs 'points' or type 'geometric'",
-                         field="partition")
+        raise ParseError("partition needs 'points' or type 'geometric' or "
+                         "'integers'", field="partition")
     branches = doc.get("branches")
     if not isinstance(branches, list) or not branches:
         raise ParseError("branches must be a nonempty array",

@@ -14,14 +14,14 @@ escaping mass plus recurrence signals.  Anything else stays unknown.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .chain import BackwardKernel
-from .measure import (NoSummableSolution, StationaryVector, WindowExhausted,
-                      solve_stationary)
+from .measure import StationaryVector, WindowExhausted, solve_stationary
 
 __all__ = [
     "SeriesResult", "series_test", "WindowInsufficient",
@@ -231,27 +231,13 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int, horizon: int,
         return ReturnEstimate(origin, trials, horizon, seed, returned,
                               escaped, returned / trials, lo, hi, mean_rt)
 
-    rows: dict[int, tuple[list[int], list[float]]] = {}
-
-    def row_of(j: int) -> tuple[list[int], list[float]]:
-        r = rows.get(j)
-        if r is None:
-            entries = kernel.row(j)
-            if not entries:
-                raise ValueError(f"state {j} has no predecessors; backward walk is stuck")
-            targets = [i for i, _ in entries]
-            cum = np.cumsum([float(q) for _, q in entries]).tolist()
-            r = rows[j] = (targets, cum)
-        return r
-
-    from bisect import bisect_left
     returned = 0
     escaped = 0
     time_sum = 0
     for _ in range(trials):
         s = origin
         for t in range(1, horizon + 1):
-            targets, cum = row_of(s)
+            targets, cum = kernel.cumulative_row(s)
             s = targets[bisect_left(cum, rng.random() * cum[-1])]
             if s == origin:
                 returned += 1
@@ -285,6 +271,7 @@ class ClassifyPolicy:
 class Classification:
     verdict: str                    # positive-recurrent | null-recurrent | transient | unknown
     evidence: dict = field(default_factory=dict)
+    series: SeriesResult | None = None      # the exact return series behind the evidence
 
     @property
     def has_fair_measure(self) -> bool | None:
@@ -347,9 +334,11 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
     mc_recurrent = top_estimate is not None and top_estimate.wilson_high >= policy.transient_upper
 
     if solver_out == "summable":
-        return Classification("positive-recurrent", evidence)
-    if mc_transient and series_converged:
-        return Classification("transient", evidence)
-    if solver_out == "escaping-mass" and mc_recurrent and not series_converged:
-        return Classification("null-recurrent", evidence)
-    return Classification("unknown", evidence)
+        verdict = "positive-recurrent"
+    elif mc_transient and series_converged:
+        verdict = "transient"
+    elif solver_out == "escaping-mass" and mc_recurrent and not series_converged:
+        verdict = "null-recurrent"
+    else:
+        verdict = "unknown"
+    return Classification(verdict, evidence, series)

@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import BackwardKernel
-from .measure import FairMeasure, cylinder_measure
+from .measure import FairMeasure, cylinder_measure, integral_log_c
 
 __all__ = [
     "BackwardPath", "sample_backward", "sample_paths", "path_statistics",
-    "PathStats", "geo_mean_series", "geo_mean_convergence", "GeoMeanReport",
-    "equidistribution_test", "equidistribution_report",
+    "PathStats", "geo_mean_series", "geo_mean_target", "geo_mean_convergence",
+    "GeoMeanReport", "equidistribution_test", "equidistribution_report",
 ]
 
 
@@ -44,9 +44,9 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
                     seed: int = 0) -> BackwardPath:
     """One backward trajectory of the given length from ``start``.
 
-    Offset kernels (uniform or residue-dependent laws) are drawn in one
-    vectorised pass; other chains fall back to a cached-row loop.  The
-    stream is a deterministic function of the seed.
+    Kernels with one offset law everywhere are drawn in one vectorised
+    pass; every other chain steps through the kernel's cached cumulative
+    rows.  The stream is a deterministic function of the seed.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
@@ -61,51 +61,12 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
         out[1:] += start
         return BackwardPath(out, start, seed, kernel.base.name)
 
-    law = kernel.residue_step_offsets()
-    if law is not None:
-        period, laws = law
-        steps = {r: np.asarray(o, dtype=np.int64) for r, o in laws.items()}
-        out = np.empty(length + 1, dtype=np.int64)
-        out[0] = start
-        pos = start
-        # vectorised in blocks: draw a block of uniforms per residue law and
-        # consume them state by state; cheaper than a full python loop on rows
-        block = 4096
-        t = 1
-        draws = {r: iter(()) for r in steps}
-        while t <= length:
-            st = steps[pos % period]
-            it = draws[pos % period]
-            nxt = next(it, None)
-            if nxt is None:
-                fresh = rng.integers(0, st.size, size=block)
-                it = iter(fresh.tolist())
-                draws[pos % period] = it
-                nxt = next(it)
-            pos += int(st[nxt])
-            out[t] = pos
-            t += 1
-        return BackwardPath(out, start, seed, kernel.base.name)
-
-    rows: dict[int, tuple[list[int], list[float]]] = {}
-
-    def row_of(j: int) -> tuple[list[int], list[float]]:
-        r = rows.get(j)
-        if r is None:
-            entries = kernel.row(j)
-            if not entries:
-                raise ValueError(f"state {j} has no predecessors; backward walk is stuck")
-            targets = [i for i, _ in entries]
-            cum = np.cumsum([float(q) for _, q in entries]).tolist()
-            r = rows[j] = (targets, cum)
-        return r
-
     out = np.empty(length + 1, dtype=np.int64)
     out[0] = start
     s = start
     uniforms = rng.random(length)
     for t in range(length):
-        targets, cum = row_of(s)
+        targets, cum = kernel.cumulative_row(s)
         s = targets[bisect_left(cum, uniforms[t] * cum[-1])]
         out[t + 1] = s
     return BackwardPath(out, start, seed, kernel.base.name)
@@ -201,24 +162,8 @@ def _admissible_words(mu: FairMeasure, depth: int) -> list[tuple[int, ...]]:
 
 def equidistribution_test(paths: list[BackwardPath], mu: FairMeasure,
                           depth: int = 1) -> float:
-    """Max discrepancy |empirical - mu| over admissible words up to depth.
-
-    Frequencies are pooled over the given paths; words the paths never
-    visit still contribute their measure, so a short or stuck sample
-    shows up as a large discrepancy rather than a silent pass.
-    """
-    pooled: dict[tuple[int, ...], int] = {}
-    windows = [0] * (depth + 1)
-    for p in paths:
-        for w, c in _word_counts(p.states, depth).items():
-            pooled[w] = pooled.get(w, 0) + c
-        for m in range(1, depth + 1):
-            windows[m] += p.states.size - m + 1
-    worst = 0.0
-    for w in _admissible_words(mu, depth):
-        emp = pooled.get(w, 0) / windows[len(w)]
-        worst = max(worst, abs(emp - float(cylinder_measure(mu, w))))
-    return worst
+    """Max discrepancy |empirical - mu| over admissible words up to depth."""
+    return equidistribution_report(paths, mu, depth)["max_discrepancy"]
 
 
 @dataclass(frozen=True)
@@ -230,25 +175,25 @@ class GeoMeanReport:
         return float(self.means[-1])
 
 
-def geo_mean_convergence(path: BackwardPath, mu: FairMeasure) -> GeoMeanReport:
-    """Running geometric means of c along the path plus their limit target.
+def geo_mean_target(mu: FairMeasure) -> float:
+    """Limit of the running geometric means: exp of the integral of log c."""
+    return math.exp(integral_log_c(mu, mu.base, window=math.inf))
 
-    The target is exp of the integral of log c under the fair measure.
-    """
-    base = mu.base
-    target = 0.0
-    for s in mu.pi.support():
-        target += float(mu.pi.entry(s)) * math.log(len(base.predecessors(s)))
-    kernel = BackwardKernel(base)
-    return GeoMeanReport(geo_mean_series(path, kernel), math.exp(target))
+
+def geo_mean_convergence(path: BackwardPath, mu: FairMeasure) -> GeoMeanReport:
+    """Running geometric means of c along the path plus their limit target."""
+    return GeoMeanReport(geo_mean_series(path, mu.kernel), geo_mean_target(mu))
 
 
 def equidistribution_report(paths: list[BackwardPath], mu: FairMeasure,
                             depth: int = 1) -> dict:
-    """Report form of the discrepancy test for already-sampled paths.
+    """Discrepancy between already-sampled paths and the fair measure.
 
-    Returns the worst absolute discrepancy over admissible words up to
-    the given depth, plus a small per-word table of the worst offenders.
+    Returns the worst absolute discrepancy |empirical - mu| over
+    admissible words up to the given depth, plus a small per-word table
+    of the worst offenders.  Frequencies are pooled over the paths; words
+    the paths never visit still contribute their measure, so a short or
+    stuck sample shows up as a large discrepancy rather than a silent pass.
     """
     pooled: dict[tuple[int, ...], int] = {}
     windows = [0] * (depth + 1)

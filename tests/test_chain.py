@@ -1,15 +1,18 @@
 """Rule resolution, row/column queries and the backward kernel."""
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Abs, AbsRay, InfinitePreimages, Rel, RelRay, SchemaError,
     TransitionRuleSet, biased_walk, build_backward_kernel, chain_by_name,
     check_irreducible, factorial_chain, five_three_chain, full_shift,
-    origin_broadcast, unbiased_walk,
+    origin_broadcast, staircase_map, strongly_connected_components,
+    tent_map, transition_matrix, unbiased_walk,
 )
 
 ALL_FAMILIES = [unbiased_walk(), biased_walk(), origin_broadcast(),
@@ -207,3 +210,81 @@ def test_chain_by_name_full_shift_parsing():
     assert m.states(99) == [0, 1, 2, 3, 4]
     with pytest.raises(KeyError):
         chain_by_name("no-such-chain")
+
+
+def test_same_matrix_compares_rules_not_names():
+    staircase = transition_matrix(staircase_map())
+    assert staircase.head != factorial_chain().head
+    assert staircase.same_matrix(factorial_chain())
+    assert transition_matrix(staircase_map(Fraction(1, 3))).same_matrix(
+        factorial_chain())
+    assert transition_matrix(tent_map()).same_matrix(full_shift(2))
+    assert not origin_broadcast().same_matrix(factorial_chain())
+    assert not full_shift(2).same_matrix(full_shift(3))
+    # a finite row is not a ray, however far it reaches
+    long_row = TransitionRuleSet(lo=1, head=3, explicit={
+        1: (AbsRay(1),), 2: tuple(Abs(j) for j in range(1, 40))},
+        tail={0: (RelRay(-1),)})
+    assert not long_row.same_matrix(factorial_chain())
+
+
+# -- irreducibility against a breadth-first reference -------------------------
+
+def _reach(start, adj):
+    seen = {start}
+    todo = deque([start])
+    while todo:
+        for v in adj[todo.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def _bfs_disconnected_pair(states, succ):
+    """(root, least unreached) else (least non-reaching, root) else None."""
+    pred = {i: [] for i in states}
+    for i, js in succ.items():
+        for j in js:
+            pred[j].append(i)
+    root = states[0]
+    for adj, flip in ((succ, False), (pred, True)):
+        seen = _reach(root, adj)
+        if len(seen) != len(states):
+            missing = min(s for s in states if s not in seen)
+            return (missing, root) if flip else (root, missing)
+    return None
+
+
+@st.composite
+def finite_chains(draw):
+    n = draw(st.integers(1, 9))
+    lo = draw(st.integers(-5, 5))
+    rows = draw(st.lists(st.sets(st.integers(lo, lo + n - 1), min_size=1),
+                         min_size=n, max_size=n))
+    head = max(abs(lo), abs(lo + n - 1)) + 1
+    m = TransitionRuleSet(lo=lo, hi=lo + n - 1, head=head, explicit={
+        lo + k: tuple(Abs(j) for j in sorted(r)) for k, r in enumerate(rows)})
+    nearest = 0 if lo <= 0 <= lo + n - 1 else min(abs(lo), abs(lo + n - 1))
+    return m, draw(st.integers(nearest, head))
+
+
+@settings(max_examples=400, deadline=None)
+@given(finite_chains())
+def test_irreducibility_matches_breadth_first_reference(chain_and_window):
+    m, window = chain_and_window
+    states = m.states(window)
+    succ = {i: [j for j in m.successors(i) if j in states] for i in states}
+    pair = _bfs_disconnected_pair(states, succ)
+    assert check_irreducible(m, window) == (pair is None, pair)
+    reach = {i: _reach(i, succ) for i in states}
+    if pair is not None:
+        a, b = pair
+        assert b not in reach[a]
+    sccs = strongly_connected_components(states, succ)
+    assert sorted(s for comp in sccs for s in comp) == states
+    comp_of = {s: k for k, comp in enumerate(sccs) for s in comp}
+    for a in states:
+        for b in states:
+            mutual = b in reach[a] and a in reach[b]
+            assert mutual == (comp_of[a] == comp_of[b])

@@ -177,6 +177,27 @@ def test_fairmodel_tent_reproduces_the_tent_map(tmp_path):
     assert rep["rohlin_entropy"] == pytest.approx(math.log(2), abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["tent", "full-three"])
+def test_fairmodel_closed_form_follows_the_rules_not_the_name(tmp_path, name):
+    # three full branches: the full 3-shift, whatever the map is called
+    spec = tmp_path / "three.json"
+    spec.write_text(dump_json({
+        "schema_version": 1, "kind": "interval-map", "name": name,
+        "partition": {"points": ["0", "1/3", "2/3", "1"]},
+        "branches": [
+            {"interval": k, "image": ["0", "1"],
+             "orientation": "decreasing" if k == 1 else "increasing"}
+            for k in range(3)],
+    }))
+    code, out = run(tmp_path, "fairmodel", str(spec))
+    assert code == 0
+    rep = read(out, "fairmodel.json")
+    assert rep["stationary_provenance"] == "closed-form"
+    assert rep["pieces"] == 9
+    assert rep["fairness_exact_zero"] is True
+    assert rep["rohlin_entropy"] == pytest.approx(math.log(3), abs=1e-11)
+
+
 def test_fairmodel_without_fair_measure(tmp_path):
     code, out = run(tmp_path, "fairmodel", "--map-family", "five-three-map")
     assert code == 0
@@ -246,6 +267,26 @@ def test_verify_fails_on_a_broken_spec(tmp_path):
     out.mkdir()
     code = main(["verify", str(spec), "--out", str(out)])
     assert code == 1
+
+
+def test_verify_names_failing_checks_on_stderr(tmp_path, capsys):
+    # two closed classes plus a state that leaks into both
+    spec = tmp_path / "split.json"
+    spec.write_text(dump_json({
+        "schema_version": 1, "kind": "chain", "name": "split",
+        "domain": [0, 4], "window": 5,
+        "states": {"0": [0, 1], "1": [0, 1], "2": [2, 3], "3": [2, 3],
+                   "4": [0, 2, 4]},
+    }))
+    code, out = run(tmp_path, "verify", str(spec))
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "fairshift: verify: check irreducible_on_window failed: "
+        "value disconnected pair (0, 2), bound true"]
+    assert captured.out.startswith("FAIL (6 checks) -> ")
+    failing = [c for c in read(out, "verify.json")["checks"] if not c["pass"]]
+    assert [c["name"] for c in failing] == ["irreducible_on_window"]
 
 
 # -- error handling ----------------------------------------------------------------

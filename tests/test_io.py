@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fairshift import (
-    biased_walk, chain_from_dict, chain_to_dict, cut_and_paste,
+    Branch, IntegerPartition, MarkovIntervalMap, biased_walk, chain_from_dict, chain_to_dict, cut_and_paste,
     dendrite_example, dump_json, factorial_chain, five_three_chain,
     five_three_map, full_shift, graph_from_dict, graph_to_dict,
     interval_map_from_dict, interval_map_to_dict, load_spec,
@@ -95,12 +95,26 @@ def test_refined_graph_chain_round_trips():
 # -- interval map round-trips -----------------------------------------------------
 
 def test_interval_map_round_trips():
-    for imap in (tent_map(), staircase_map(), five_three_map()):
+    for imap in (tent_map(), staircase_map(), staircase_map(Fraction(1, 3)),
+                 five_three_map()):
         doc = interval_map_to_dict(imap)
         back = interval_map_from_dict(doc)
         assert entries_equal(transition_matrix(imap),
                              transition_matrix(back), 8), imap.name
+        assert back.partition == imap.partition, imap.name
         assert dump_json(doc) == dump_json(interval_map_to_dict(back))
+    # the family form is the documented one, ratio at the top level
+    doc = interval_map_to_dict(staircase_map(Fraction(1, 3)))
+    assert doc["family"] == "staircase" and doc["ratio"] == "1/3"
+    # an explicit map on the integer lattice keeps its partition type
+    lattice = MarkovIntervalMap(IntegerPartition(), table={
+        0: Branch(0, 0, 2, True), 1: Branch(1, 0, 2, False)}, name="lattice")
+    doc = interval_map_to_dict(lattice)
+    assert doc["partition"] == {"type": "integers"}
+    back = interval_map_from_dict(doc)
+    assert isinstance(back.partition, IntegerPartition)
+    assert dict(back.table) == dict(lattice.table)
+    assert dump_json(doc) == dump_json(interval_map_to_dict(back))
 
 
 def test_finite_interval_map_documents_are_explicit():
