@@ -35,11 +35,12 @@ from .interval import (Branch, Enclosure, FinitePartition,
                        point_from_itinerary, rohlin_entropy, staircase_map,
                        tent_map, transition_matrix)
 from .measure import (AtomicOrbit, FairMeasure, ForwardMatrix,
-                      NoSummableSolution, StationaryVector, WindowExhausted,
-                      build_forward_matrix, check_fair_on_cylinders,
-                      cylinder_measure, entropy_tail_estimate, fair_entropy,
-                      fair_measure_from, find_atomic_fair_measures,
-                      integral_log_c, solve_stationary, verify_stationary)
+                      NoSummableSolution, SingularWindow, StationaryVector,
+                      WindowExhausted, build_forward_matrix,
+                      check_fair_on_cylinders, cylinder_measure,
+                      entropy_tail_estimate, fair_entropy, fair_measure_from,
+                      find_atomic_fair_measures, integral_log_c,
+                      solve_stationary, verify_stationary)
 from .recurrence import (Classification, ClassifyPolicy, ReturnEstimate,
                          SeriesResult, WindowInsufficient, classify,
                          monte_carlo_return, series_test)

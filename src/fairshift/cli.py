@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from fractions import Fraction
 
 from . import io as fio
 from .chain import (Abs, InfinitePreimages, SchemaError, TransitionRuleSet,
@@ -27,7 +28,7 @@ from .graph import (TameGraphMapSpec, cut_and_paste, dendrite_example,
 from .interval import (MarkovIntervalMap, NotMarkov, check_lebesgue_fair,
                        lebesgue_fair_model, merged_segments, rohlin_entropy,
                        transition_matrix)
-from .measure import (StationaryVector, WindowExhausted,
+from .measure import (SingularWindow, StationaryVector, WindowExhausted,
                       check_fair_on_cylinders, entropy_tail_estimate,
                       fair_entropy, fair_measure_from,
                       find_atomic_fair_measures, integral_log_c,
@@ -481,7 +482,9 @@ def cmd_fairmodel(args) -> int:
         "emitted_mass": float(model.emitted) / total,
         "truncation_gap": float(model.gap) / total,
         "fairness_max_violation": float(violation),
-        "fairness_exact_zero": violation == 0,
+        # only the exact check can certify a zero
+        "fairness_exact_zero": (violation == 0
+                                if isinstance(violation, Fraction) else None),
         "rohlin_entropy": h_rohlin,
         "fair_entropy": h_fair,
         "entropy_gap": abs(h_rohlin - h_fair),
@@ -595,13 +598,19 @@ def cmd_verify(args) -> int:
         "checks": checks,
     }
     structure_ok = all(c["pass"] for c in checks)
-    pi = _solve(args, "verify.json", report, kernel, lambda sol: (
-        {"verdict": "NoSummableSolution",
-         "note": ("no summable stationary vector; measure checks "
-                  "are not applicable")},
-        "pass" if structure_ok else "FAIL (structure checks)",
-        EXIT_OK if structure_ok else EXIT_SPEC),
-        max_window=max(window, 2 ** 14))
+    try:
+        pi = _solve(args, "verify.json", report, kernel, lambda sol: (
+            {"verdict": "NoSummableSolution",
+             "note": ("no summable stationary vector; measure checks "
+                      "are not applicable")},
+            "pass" if structure_ok else "FAIL (structure checks)",
+            EXIT_OK if structure_ok else EXIT_SPEC),
+            max_window=max(window, 2 ** 14))
+    except SingularWindow as exc:
+        check("stationary_solve", False, str(exc), "unique solution")
+        report["verdict"] = "fail"
+        _emit(args, "verify.json", report, f"FAIL ({len(checks)} checks)")
+        return EXIT_SPEC
     if isinstance(pi, int):
         return pi
 
@@ -655,7 +664,7 @@ def main(argv=None) -> int:
         print(f"fairshift: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (SchemaError, NotMarkov, UnresolvableState,
-            InfinitePreimages) as exc:
+            InfinitePreimages, SingularWindow) as exc:
         print(f"fairshift: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except WindowInsufficient as exc:

@@ -20,7 +20,7 @@ irrational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -64,6 +64,9 @@ class FinitePartition:
     """Finitely many intervals; ids run 0..k-1 left to right."""
 
     points: tuple[Fraction, ...]
+    # point -> its position in ``points``; equal Fractions hash alike
+    _index: dict[Fraction, int] = field(init=False, repr=False,
+                                        compare=False)
 
     kind = "finite"
 
@@ -72,6 +75,7 @@ class FinitePartition:
         object.__setattr__(self, "points", pts)
         if len(pts) < 2 or any(a >= b for a, b in zip(pts, pts[1:])):
             raise ValueError("partition points must be strictly increasing")
+        object.__setattr__(self, "_index", {p: k for k, p in enumerate(pts)})
 
     @property
     def n_intervals(self) -> int:
@@ -86,7 +90,7 @@ class FinitePartition:
         return self.points[i], self.points[i + 1]
 
     def locate(self, x: Fraction) -> int:
-        if x in self.points:
+        if x in self._index:
             raise HitsPartitionPoint(x)
         if not self.points[0] < x < self.points[-1]:
             raise ValueError(f"{x} outside the partitioned interval")
@@ -94,9 +98,10 @@ class FinitePartition:
         return bisect_right(self.points, x) - 1
 
     def covered(self, lo: Fraction, hi: Fraction):
-        if lo not in self.points or hi not in self.points:
+        a, b = self._index.get(lo), self._index.get(hi)
+        if a is None or b is None:
             raise NotMarkov(f"image ({lo}, {hi}) not bounded by partition points")
-        return list(range(self.points.index(lo), self.points.index(hi)))
+        return list(range(a, b))
 
 
 @dataclass(frozen=True)
@@ -514,16 +519,6 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
                               gap=gap, name=f"{imap.name}-fair-model")
 
 
-def _transfer(piece: Piece, t: Number) -> Number:
-    """Image rho of an x rho inside the piece."""
-    a, b = piece.xr
-    c, d = piece.yr
-    s = (d - c) / (b - a)
-    if piece.increasing:
-        return c + (t - a) * s
-    return d - (t - a) * s
-
-
 def _pull_back(piece: Piece, u: Number, v: Number) -> tuple[Number, Number]:
     """Preimage rho interval of (u, v) under the piece, assuming coverage."""
     a, b = piece.xr
@@ -540,20 +535,109 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     For each admissible word of pieces up to the given depth, the word's
     cell B is pulled back exactly; the covering count c(B) is measured
     from the geometry (pieces whose image contains B) and each covering
-    piece contributes |len(piece ∩ g^{-1}B) - len(B)/c(B)|.  Exact zero
-    for models built by ``lebesgue_fair_model`` from exact weights.
+    piece contributes |len(piece ∩ g^{-1}B) - len(B)/c(B)|.
+
+    When every piece coordinate is an int or a Fraction the walk runs on
+    integers over one common denominator and returns a Fraction, exactly
+    zero for models built by ``lebesgue_fair_model`` from exact weights.
+    Otherwise it runs in float arithmetic and returns a float; a cell end
+    within rounding of a slot end then counts as inside the slot.
     """
-    by_dst: dict[int, list[Piece]] = {}
-    for p in model.pieces:
-        by_dst.setdefault(p.dst, []).append(p)
     # under window truncation some slots are missing out-of-window
     # predecessor pieces; their cells cannot be certified either way and
     # are skipped, exactly like boundary states in the chain checks
     truncated = model.gap != 0 or model.emitted != model.total
+    if all(isinstance(t, (int, Fraction))
+           for p in model.pieces for t in (*p.xr, *p.yr)):
+        return _exact_violation(model.pieces, depth, truncated)
+    return _float_violation(model, depth, truncated)
 
-    worst: Number = 0
+
+def _exact_violation(pieces: tuple[Piece, ...], depth: int,
+                     truncated: bool) -> Fraction:
+    """The fairness walk on integers scaled by one common denominator.
+
+    Coordinates are scaled by D = lcm(coordinate denominators) * L**depth,
+    L being the lcm of the slope numerators.  A pull-back multiplies a
+    cell offset by a slope's denominator and divides it by its numerator,
+    so after k of the ``depth`` steps every cell end is still a multiple
+    of L**(depth - k) and each division leaves no remainder.  Violations
+    |len(pulled cell) - len(B)/c(B)| are kept as numerators over c(B) * D
+    and compared by cross-multiplication.
+    """
+    den0 = math.lcm(*(Fraction(t).denominator
+                      for p in pieces for t in (*p.xr, *p.yr)))
+
+    def scaled(t) -> int:
+        t = Fraction(t)
+        return t.numerator * (den0 // t.denominator)
+
+    rows = []
+    for p in pieces:
+        a, b, c, d = (scaled(t) for t in (*p.xr, *p.yr))
+        g = math.gcd(d - c, b - a)
+        rows.append((p, a, b, c, d, (d - c) // g, (b - a) // g))
+    lift = math.lcm(*(r[5] for r in rows)) ** depth
+    scale = den0 * lift
+
+    by_dst: dict[int, list[tuple]] = {}
     # a cell is tagged with the interval whose slot contains it, which is
     # where candidate covering pieces are looked up
+    frontier: list[tuple[int, int, int]] = []
+    for p, a, b, c, d, num, den in rows:
+        a, b, c, d = a * lift, b * lift, c * lift, d * lift
+        by_dst.setdefault(p.dst, []).append(
+            (a, c, d, num, den, p.src, p.increasing, p.cmag))
+        frontier.append((a, b, p.src))
+
+    worst, worst_c = 0, 1
+    for _ in range(depth):
+        nxt = []
+        for u, v, home in frontier:
+            covering = []
+            for q in by_dst.get(home, ()):
+                if q[1] <= u and v <= q[2]:
+                    covering.append(q)
+                elif q[1] < v and u < q[2]:
+                    raise NotMarkov("piece image straddles a refinement cell")
+            if not covering:
+                continue
+            c_b = len(covering)
+            blen = v - u
+            boundary = truncated and any(q[7] != c_b for q in covering)
+            for a, c, d, num, den, src, increasing, _ in covering:
+                if increasing:
+                    pu, r_lo = divmod((u - c) * den, num)
+                    pv, r_hi = divmod((v - c) * den, num)
+                else:
+                    pu, r_lo = divmod((d - v) * den, num)
+                    pv, r_hi = divmod((d - u) * den, num)
+                if r_lo or r_hi:
+                    raise ArithmeticError("pull-back left the common "
+                                          "denominator")
+                pu += a
+                pv += a
+                if not boundary:
+                    viol = abs(c_b * (pv - pu) - blen)
+                    if viol * worst_c > worst * c_b:
+                        worst, worst_c = viol, c_b
+                nxt.append((pu, pv, src))
+        frontier = nxt
+    return Fraction(worst, worst_c * scale)
+
+
+def _float_violation(model: PiecewiseAffineMap, depth: int,
+                     truncated: bool) -> float:
+    """The fairness walk in float arithmetic, for models of float weights."""
+    # slot ends are running float sums, so a cell end that should meet
+    # one lands a few ulps off; 1e-9 of the emitted mass is far above that
+    # rounding and far below any real straddle of a built model
+    slack = 1e-9 * abs(float(model.emitted))
+    by_dst: dict[int, list[Piece]] = {}
+    for p in model.pieces:
+        by_dst.setdefault(p.dst, []).append(p)
+
+    worst = 0.0
     frontier = [(p.xr[0], p.xr[1], p.src) for p in model.pieces]
     for _ in range(depth):
         nxt: list[tuple[Number, Number, int]] = []
@@ -562,7 +646,7 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
                 continue
             covering = []
             for q in by_dst.get(home, ()):
-                if q.yr[0] <= u and v <= q.yr[1]:
+                if q.yr[0] <= u + slack and v <= q.yr[1] + slack:
                     covering.append(q)
                 elif q.yr[0] < v and u < q.yr[1]:
                     raise NotMarkov("piece image straddles a refinement cell")
@@ -579,7 +663,7 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
                         worst = viol
                 nxt.append((pu, pv, q.src))
         frontier = nxt
-    return worst
+    return float(worst)
 
 
 def rohlin_entropy(model: PiecewiseAffineMap) -> float:

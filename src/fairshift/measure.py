@@ -13,6 +13,7 @@ the weights are exact.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -23,6 +24,7 @@ from .chain import BackwardKernel, InfinitePreimages, TransitionRuleSet
 
 __all__ = [
     "StationaryVector", "NoSummableSolution", "WindowExhausted",
+    "SingularWindow",
     "SolveDiagnostics", "ForwardMatrix", "FairMeasure", "ZeroMass",
     "solve_stationary", "verify_stationary", "build_forward_matrix",
     "fair_measure_from", "cylinder_measure", "check_fair_on_cylinders",
@@ -100,6 +102,10 @@ class NoSummableSolution:
     note: str = ""
 
 
+class SingularWindow(ArithmeticError):
+    """The window chain has several closed classes: no unique solution."""
+
+
 class WindowExhausted(RuntimeError):
     """Max window reached with neither convergence nor escape evidence."""
 
@@ -109,23 +115,25 @@ class WindowExhausted(RuntimeError):
 
 
 def _truncated_rows(kernel: BackwardKernel, states: list[int]):
-    """Kernel rows clipped to the window and renormalised.
+    """Kernel rows clipped to the window and renormalised, as floats.
 
+    Every kernel row is uniform over the predecessors of its state, so a
+    clipped row is uniform over the predecessors inside the window.
     States whose clipped row is empty are dropped (with cascade) so the
     window chain is well defined.
     """
     keep = set(states)
-    rows: dict[int, list[tuple[int, Fraction]]] = {}
+    rows: dict[int, list[tuple[int, float]]] = {}
     while True:
         rows = {}
         empty = []
         for j in keep:
-            r = [(i, q) for i, q in kernel.row(j) if i in keep]
+            r = [i for i in kernel.base.predecessors(j) if i in keep]
             if not r:
                 empty.append(j)
                 continue
-            s = sum(q for _, q in r)
-            rows[j] = [(i, q / s) for i, q in r]
+            w = 1 / len(r)
+            rows[j] = [(i, w) for i in r]
         if not empty:
             break
         keep -= set(empty)
@@ -139,10 +147,12 @@ def _stationary_of_window(states: list[int], rows) -> np.ndarray:
 
     Solved directly from (Q^T - I) x = 0 with a normalisation row; this
     computes the same fixed point the truncation scheme asks for without
-    the slow mixing of plain power iteration near null recurrence.
+    the slow mixing of plain power iteration near null recurrence.  The
+    system is singular exactly when the window chain has more than one
+    closed class, and SingularWindow is raised.
     """
     from scipy.sparse import coo_matrix, identity
-    from scipy.sparse.linalg import spsolve
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
     n = len(states)
     pos = {s: k for k, s in enumerate(states)}
@@ -151,13 +161,21 @@ def _stationary_of_window(states: list[int], rows) -> np.ndarray:
         for i, q in r:
             ri.append(pos[i])        # transpose: entry (i, j)
             ci.append(pos[j])
-            data.append(float(q))
+            data.append(q)
     a = (coo_matrix((data, (ri, ci)), shape=(n, n)) - identity(n)).tolil()
     k = pos[min(states, key=abs)]
     a[k, :] = np.ones(n)
     b = np.zeros(n)
     b[k] = 1.0
-    x = spsolve(a.tocsc(), b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            x = spsolve(a.tocsc(), b)
+        except MatrixRankWarning:
+            raise SingularWindow(
+                f"the stationary solve on the {n}-state window is "
+                "singular: the window chain has more than one closed "
+                "class") from None
     x = np.clip(x, 0.0, None)
     s = x.sum()
     if not np.isfinite(s) or s <= 0:
@@ -170,7 +188,7 @@ def _window_residual(states, rows, x) -> float:
     acc = np.zeros(len(states))
     for j, r in rows.items():
         for i, q in r:
-            acc[pos[i]] += x[pos[j]] * float(q)
+            acc[pos[i]] += x[pos[j]] * q
     return float(np.abs(acc - x).sum())
 
 

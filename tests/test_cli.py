@@ -177,6 +177,30 @@ def test_fairmodel_tent_reproduces_the_tent_map(tmp_path):
     assert rep["rohlin_entropy"] == pytest.approx(math.log(2), abs=1e-12)
 
 
+def test_fairmodel_accepts_a_map_with_float_weights(tmp_path):
+    # golden-mean map 0 -> {0, 1}, 1 -> {0}: no closed form, so the model
+    # is built from float weights and only a float fairness check applies
+    spec = tmp_path / "golden.json"
+    spec.write_text(dump_json({
+        "schema_version": 1, "kind": "interval-map", "name": "golden-mean",
+        "partition": {"points": ["0", "1/2", "1"]},
+        "branches": [{"interval": 0, "image": ["0", "1"]},
+                     {"interval": 1, "image": ["0", "1/2"]}],
+    }))
+    code, out = run(tmp_path, "fairmodel", str(spec))
+    assert code == 0
+    rep = read(out, "fairmodel.json")
+    assert rep["verdict"] == "ModelBuilt"
+    assert rep["stationary_provenance"] == "truncated"
+    assert rep["pieces"] == 3
+    assert rep["fairness_exact_zero"] is None
+    assert rep["fairness_max_violation"] < 1e-12
+    assert rep["fair_entropy"] == 0.462098120373
+    code, out = run(tmp_path, "analyze", str(spec))
+    assert code == 0
+    assert read(out, "analyze.json")["fair_entropy"] == rep["fair_entropy"]
+
+
 @pytest.mark.parametrize("name", ["tent", "full-three"])
 def test_fairmodel_closed_form_follows_the_rules_not_the_name(tmp_path, name):
     # three full branches: the full 3-shift, whatever the map is called
@@ -287,6 +311,25 @@ def test_verify_names_failing_checks_on_stderr(tmp_path, capsys):
     assert captured.out.startswith("FAIL (6 checks) -> ")
     failing = [c for c in read(out, "verify.json")["checks"] if not c["pass"]]
     assert [c["name"] for c in failing] == ["irreducible_on_window"]
+
+
+def test_verify_reports_a_singular_solve_as_a_failing_check(tmp_path, capsys):
+    # two closed classes and nothing between them: the window solve has
+    # no unique solution, which is a failed check, not a crash
+    spec = tmp_path / "split.json"
+    spec.write_text(dump_json({
+        "schema_version": 1, "kind": "chain", "name": "split",
+        "domain": [0, 3], "window": 4,
+        "states": {"0": [0, 1], "1": [0, 1], "2": [2, 3], "3": [2, 3]},
+    }))
+    code, out = run(tmp_path, "verify", str(spec))
+    assert code == 1
+    assert capsys.readouterr().out.startswith("FAIL (3 checks) -> ")
+    rep = read(out, "verify.json")
+    assert rep["verdict"] == "fail"
+    failing = {c["name"]: c["value"] for c in rep["checks"] if not c["pass"]}
+    assert sorted(failing) == ["irreducible_on_window", "stationary_solve"]
+    assert "more than one closed class" in failing["stationary_solve"]
 
 
 # -- error handling ----------------------------------------------------------------

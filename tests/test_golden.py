@@ -42,7 +42,10 @@ for _name in ("origin-broadcast", "factorial-chain", "unbiased-walk"):
 CASES["fairmodel-tent"] = ["fairmodel", "--map-family", "tent"]
 CASES["fairmodel-staircase"] = ["fairmodel", "--map-family", "staircase",
                                 "--depth", "1"]
+CASES["fairmodel-staircase-depth-2"] = ["fairmodel", "--map-family",
+                                        "staircase"]
 CASES["graph-dendrite-4"] = ["graph", "--family", "dendrite", "--window", "4"]
+CASES["graph-dendrite-8"] = ["graph", "--family", "dendrite", "--window", "8"]
 CASES["analyze-reducible"] = ["analyze", REDUCIBLE]
 CASES["verify-reducible"] = ["verify", REDUCIBLE]
 

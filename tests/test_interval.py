@@ -1,14 +1,17 @@
 """Interval maps: compilation to rule sets, symbolic dynamics, fair models."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Branch, FinitePartition, GeometricPartition, HitsPartitionPoint,
     InadmissibleWord, IntegerPartition, MarkovIntervalMap, NotMarkov, Piece,
-    PiecewiseAffineMap, build_backward_kernel, check_lebesgue_fair,
+    PiecewiseAffineMap, StationaryVector, build_backward_kernel,
+    check_lebesgue_fair,
     cylinder_interval, factorial_chain, factorial_stationary,
     fair_measure_from, five_three_chain, five_three_map, full_shift,
     full_shift_stationary, itinerary, lebesgue_fair_model, merged_segments,
@@ -163,11 +166,11 @@ def tent_model():
     return lebesgue_fair_model(tent_map(), mu)
 
 
-def staircase_model(window=30):
+def staircase_model(window=30, ratio=F(1, 2)):
     m = factorial_chain()
     kernel = build_backward_kernel(m)
     mu = fair_measure_from(factorial_stationary(window), kernel, window)
-    return lebesgue_fair_model(staircase_map(), mu, window=window)
+    return lebesgue_fair_model(staircase_map(ratio), mu, window=window)
 
 
 def test_tent_model_reproduces_the_tent_map():
@@ -250,3 +253,177 @@ def test_five_three_map_has_no_summable_fair_model_input():
     from fairshift import NoSummableSolution, solve_stationary
     out = solve_stationary(build_backward_kernel(transition_matrix(five_three_map())))
     assert isinstance(out, NoSummableSolution)
+
+
+# -- the integer fairness check against a Fraction reference ----------------
+
+def _reference_violation(model, depth):
+    """check_lebesgue_fair walked in plain Fraction arithmetic."""
+    by_dst = {}
+    for p in model.pieces:
+        by_dst.setdefault(p.dst, []).append(p)
+    truncated = model.gap != 0 or model.emitted != model.total
+    worst = F(0)
+    frontier = [(F(p.xr[0]), F(p.xr[1]), p.src) for p in model.pieces]
+    for _ in range(depth):
+        nxt = []
+        for u, v, home in frontier:
+            covering = []
+            for q in by_dst.get(home, ()):
+                c, d = q.yr
+                if c <= u and v <= d:
+                    covering.append(q)
+                elif c < v and u < d:
+                    raise NotMarkov("straddle")
+            if not covering:
+                continue
+            c_b = len(covering)
+            boundary = truncated and any(q.cmag != c_b for q in covering)
+            for q in covering:
+                (a, b), (c, d) = q.xr, q.yr
+                s = F(d - c) / (b - a)
+                if q.increasing:
+                    pu, pv = a + (u - c) / s, a + (v - c) / s
+                else:
+                    pu, pv = a + (d - v) / s, a + (d - u) / s
+                if not boundary:
+                    worst = max(worst, abs((pv - pu) - (v - u) / c_b))
+                nxt.append((pu, pv, q.src))
+        frontier = nxt
+    return worst
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the lookup error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, HitsPartitionPoint) as exc:
+        return type(exc)
+
+
+def triangle_model(n):
+    """Interval i of n maps onto the first n - i intervals.
+
+    Column counts n - j differ from state to state while the exact
+    stationary weights n - j stay comparable, so violations of cells
+    with different covering counts compete in doctored copies.
+    """
+    part = FinitePartition(tuple(F(k, n) for k in range(n + 1)))
+    imap = MarkovIntervalMap(part, table={
+        i: Branch(i, 0, F(n - i, n), i % 2 == 0) for i in range(n)})
+    kernel = build_backward_kernel(transition_matrix(imap))
+    pi = StationaryVector(weights={j: F(n - j) for j in range(n)},
+                          total=F(n * (n + 1), 2), window=n)
+    return lebesgue_fair_model(imap, fair_measure_from(pi, kernel, n))
+
+
+@st.composite
+def built_models(draw):
+    kind = draw(st.sampled_from(["tent", "staircase", "triangle"]))
+    if kind == "tent":
+        return tent_model()
+    if kind == "triangle":
+        return triangle_model(draw(st.integers(2, 6)))
+    ratio = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(3, 4)]))
+    return staircase_model(draw(st.integers(2, 8)), ratio)
+
+
+@st.composite
+def doctored_models(draw):
+    """A built model with some piece ends moved by rationals."""
+    model = draw(built_models())
+    pieces = list(model.pieces)
+    for k in draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1,
+                           max_size=6)):
+        p = pieces[k]
+        # x ends give violations, y ends mostly straddles
+        which = draw(st.sampled_from(["xr", "xr", "yr"]))
+        lo, hi = getattr(p, which)
+        span = hi - lo
+        # each end moves by under a third of the span: the piece stays
+        # nonempty
+        lo += span * F(draw(st.integers(-5, 5)), draw(st.integers(16, 40)))
+        hi += span * F(draw(st.integers(-5, 5)), draw(st.integers(16, 40)))
+        pieces[k] = replace(p, **{which: (lo, hi)})
+    return replace(model, pieces=tuple(pieces))
+
+
+@settings(max_examples=60, deadline=None)
+@given(built_models(), st.integers(1, 3))
+def test_integer_check_matches_fraction_reference_on_built_models(model,
+                                                                  depth):
+    got = check_lebesgue_fair(model, depth)
+    assert isinstance(got, Fraction)
+    assert got == _reference_violation(model, depth) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(doctored_models(), st.integers(1, 3))
+def test_integer_check_matches_fraction_reference_on_doctored_models(model,
+                                                                     depth):
+    want = _outcome(_reference_violation, model, depth)
+    got = _outcome(check_lebesgue_fair, model, depth)
+    assert got == want
+    if got is not NotMarkov:
+        assert isinstance(got, Fraction)
+
+
+def test_doctored_models_reach_violations_and_straddles():
+    model = tent_model()
+    p = model.pieces[0]
+    a, b = p.xr
+    shifted = replace(model, pieces=(replace(p, xr=(a, b - (b - a) / 7)),
+                                     *model.pieces[1:]))
+    assert check_lebesgue_fair(shifted, 2) == _reference_violation(shifted, 2)
+    assert check_lebesgue_fair(shifted, 2) > 0
+    c, d = p.yr
+    straddling = replace(model, pieces=(replace(p, yr=(c, d - (d - c) / 3)),
+                                        *model.pieces[1:]))
+    with pytest.raises(NotMarkov):
+        check_lebesgue_fair(straddling, 2)
+    # shrunk pieces into slots with covering counts 4 and 1: the worst
+    # violation is the one over c(B) = 1, though its numerator is smaller
+    model = triangle_model(4)
+    pieces = list(model.pieces)
+    for k in (0, 3):
+        a, b = pieces[k].xr
+        pieces[k] = replace(pieces[k], xr=(a, b - (b - a) / 5))
+    shrunk = replace(model, pieces=tuple(pieces))
+    assert check_lebesgue_fair(shrunk, 2) == _reference_violation(shrunk, 2)
+    assert check_lebesgue_fair(shrunk, 2) == F(1, 5)
+
+
+# -- finite partition lookups against a linear scan ------------------------------
+
+def _scan_locate(points, x):
+    if any(p == x for p in points):
+        raise HitsPartitionPoint(x)
+    if not points[0] < x < points[-1]:
+        raise ValueError(x)
+    return next(i for i in range(len(points) - 1)
+                if points[i] < x < points[i + 1])
+
+
+def _scan_covered(points, lo, hi):
+    if lo not in list(points) or hi not in list(points):
+        raise NotMarkov((lo, hi))
+    return list(range(list(points).index(lo), list(points).index(hi)))
+
+
+rationals = st.builds(F, st.integers(-3, 40), st.integers(1, 8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(rationals, min_size=2, max_size=12, unique=True),
+       st.data())
+def test_finite_partition_lookups_match_a_linear_scan(points, data):
+    points = sorted(points)
+    part = FinitePartition(tuple(points))
+    queries = st.one_of(st.sampled_from(points), rationals,
+                        st.integers(-3, 6))
+    for _ in range(5):
+        x = data.draw(queries)
+        assert _outcome(part.locate, x) == _outcome(_scan_locate, points, x)
+        lo, hi = data.draw(queries), data.draw(queries)
+        assert (_outcome(part.covered, lo, hi)
+                == _outcome(_scan_covered, points, lo, hi))
