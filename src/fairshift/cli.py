@@ -368,8 +368,8 @@ def cmd_simulate(args) -> int:
         series = geo_mean_series(path, kernel)
         fio.write_csv(os.path.join(out, f"path_{k}.csv"),
                       ["step", "state", "running_geo_mean_c"],
-                      ((t, int(path.states[t]), series[t])
-                       for t in range(path.states.size)))
+                      zip(range(path.states.size), fio.scalars(path.states),
+                          fio.scalars(series)))
         visits = path.origin_visits()
         per_path.append({
             "seed": path.seed,

@@ -454,6 +454,17 @@ class PiecewiseAffineMap:
         return None
 
 
+def _rounding_slack(emitted: Number) -> float:
+    """How far float sums of a model of float weights may drift.
+
+    Slot ends and row totals are running float sums, so a value that
+    should meet another lands a few ulps off; 1e-9 of the emitted mass is
+    far above that rounding and far below any real straddle or
+    truncation of a built model.
+    """
+    return 1e-9 * abs(float(emitted))
+
+
 def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
                         window: int | None = None) -> PiecewiseAffineMap:
     """Model of the map for which Lebesgue measure is fair.
@@ -484,6 +495,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
         slots[s] = (acc, acc + w)
         acc = acc + w
     emitted = acc
+    slack = _rounding_slack(emitted)
 
     id_set = set(ids)
     counts = {s: len(base.predecessors(s)) for s in ids}
@@ -512,8 +524,10 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
             accx = x_hi
             placed = placed + length
         short = weights[s] - placed
-        gap = gap + short
         accx = accx + short           # keep slots aligned with x layout
+        if isinstance(short, float) and abs(short) <= slack:
+            short = 0.0               # rounding of the float sums, no loss
+        gap = gap + short
     pieces.reverse()                  # ascending x
     return PiecewiseAffineMap(tuple(pieces), total=pi.total, emitted=emitted,
                               gap=gap, name=f"{imap.name}-fair-model")
@@ -629,10 +643,7 @@ def _exact_violation(pieces: tuple[Piece, ...], depth: int,
 def _float_violation(model: PiecewiseAffineMap, depth: int,
                      truncated: bool) -> float:
     """The fairness walk in float arithmetic, for models of float weights."""
-    # slot ends are running float sums, so a cell end that should meet
-    # one lands a few ulps off; 1e-9 of the emitted mass is far above that
-    # rounding and far below any real straddle of a built model
-    slack = 1e-9 * abs(float(model.emitted))
+    slack = _rounding_slack(model.emitted)
     by_dst: dict[int, list[Piece]] = {}
     for p in model.pieces:
         by_dst.setdefault(p.dst, []).append(p)

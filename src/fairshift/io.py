@@ -11,6 +11,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from fractions import Fraction
 from typing import Any, Mapping
@@ -26,7 +27,8 @@ from .interval import (Branch, FinitePartition, GeometricPartition,
 
 __all__ = [
     "SCHEMA_VERSION", "ParseError",
-    "canonical", "dump_json", "write_json", "load_json", "fmt", "write_csv",
+    "canonical", "dump_json", "write_json", "load_json", "fmt", "scalars",
+    "write_csv",
     "chain_to_dict", "chain_from_dict",
     "interval_map_to_dict", "interval_map_from_dict",
     "graph_to_dict", "graph_from_dict",
@@ -120,11 +122,62 @@ def fmt(x: Any) -> str:
     return str(x)
 
 
+# rows formatted per block: one % operation and one write each, so a long
+# file costs a few thousand rows of strings at a time, not the whole file
+CSV_CHUNK_ROWS = 4096
+
+
+def _column_format(cells: list) -> str | None:
+    """The %-format that gives ``fmt`` of every cell, or None if none does."""
+    types = set(map(type, cells))
+    if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
+           for t in types):
+        return "%d"
+    if all(issubclass(t, (float, np.floating)) for t in types):
+        return "%.12g"
+    return None
+
+
+def scalars(values: np.ndarray):
+    """The array's items as Python scalars, converted one CSV block at a time.
+
+    ``values.tolist()`` would hold every item as a Python object at once;
+    a million-step path column is tens of MiB that way.
+    """
+    return itertools.chain.from_iterable(
+        values[lo:lo + CSV_CHUNK_ROWS].tolist()
+        for lo in range(0, values.size, CSV_CHUNK_ROWS))
+
+
 def write_csv(path, header: list[str], rows) -> None:
+    """Header plus one line of ``fmt`` cells per row.
+
+    Rows go out in blocks of ``CSV_CHUNK_ROWS``.  Each column of a block
+    is printed with ``%d`` when all its cells are (non-bool) integers and
+    ``%.12g`` when all are floats, which is what ``fmt`` gives for them;
+    any other column is passed through ``fmt`` and printed with ``%s``.
+    Rows are sequences; one whose length differs from the header's raises
+    ``ValueError``.
+    """
+    width = len(header)
+    rows = iter(rows)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(c) for c in row) + "\n")
+        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
+            if set(map(len, chunk)) != {width}:
+                raise ValueError(f"every CSV row of {path} needs {width} "
+                                 "cells, one per header field")
+            # row-major cells: column k is the slice cells[k::width]
+            cells = list(itertools.chain.from_iterable(chunk))
+            specs = []
+            for k in range(width):
+                spec = _column_format(cells[k::width])
+                if spec is None:
+                    cells[k::width] = [fmt(c) for c in cells[k::width]]
+                    spec = "%s"
+                specs.append(spec)
+            line = ",".join(specs) + "\n"
+            fh.write(line * len(chunk) % tuple(cells))
 
 
 # ---------------------------------------------------------------------------

@@ -92,19 +92,31 @@ class PathStats:
 
 
 def _word_counts(states: np.ndarray, depth: int) -> dict[tuple[int, ...], int]:
-    """Count forward words of length 1..depth read backwards along the path."""
+    """Count forward words of length 1..depth read backwards along the path.
+
+    Words are counted as integer keys.  The states are factorized to dense
+    ids in [0, R); the key of the length-m word ending at step t extends
+    the code of the length-(m-1) word there by the id of states[t-m+1]
+    (key = code * R + id), and the distinct keys are numbered again before
+    the next length, so every key stays below n*R.  Codes follow the
+    sorted order of the states, so keys sort like their words and the
+    counts come out in lexicographic word order.
+    """
     n = states.size
+    vals = np.unique(states)
+    ids = codes = np.searchsorted(vals, states)  # entry i: word ending at i+m-1
+    words = vals[:, None]                        # row c: the word of code c
     counts: dict[tuple[int, ...], int] = {}
-    for m in range(1, depth + 1):
-        if n < m:
-            continue
-        # word (w_0..w_{m-1}) occurs at position t if states[t-k] == w_k,
-        # i.e. stack reversed shifted copies and count unique rows
-        cols = [states[m - 1 - k: n - k] for k in range(m)]
-        mat = np.stack(cols, axis=1)
-        uniq, cnt = np.unique(mat, axis=0, return_counts=True)
-        for row, c in zip(uniq, cnt):
-            counts[tuple(int(v) for v in row)] = int(c)
+    for m in range(1, min(depth, n) + 1):
+        if m > 1:
+            codes = codes[1:] * vals.size
+            codes += ids[:n - m + 1]
+            keys = np.unique(codes)
+            codes = np.searchsorted(keys, codes)
+            prefix, last = np.divmod(keys, vals.size)
+            words = np.column_stack([words[prefix], vals[last]])
+        counts.update(zip(map(tuple, words.tolist()),
+                          np.bincount(codes).tolist()))
     return counts
 
 
@@ -138,8 +150,9 @@ def geo_mean_series(path: BackwardPath, kernel: BackwardKernel) -> np.ndarray:
     vals = np.unique(states)
     # base-2 logs keep the arithmetic exact when every count is a power of
     # two (cumulative sums of small integers are exact in floats)
-    logc = {int(v): np.log2(len(kernel.base.predecessors(int(v)))) for v in vals}
-    logs = np.vectorize(logc.__getitem__, otypes=[float])(states)
+    logc = np.array([np.log2(len(kernel.base.predecessors(v)))
+                     for v in vals.tolist()])
+    logs = logc[np.searchsorted(vals, states)]
     return np.exp2(np.cumsum(logs) / np.arange(1, states.size + 1))
 
 

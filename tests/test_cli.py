@@ -195,6 +195,8 @@ def test_fairmodel_accepts_a_map_with_float_weights(tmp_path):
     assert rep["pieces"] == 3
     assert rep["fairness_exact_zero"] is None
     assert rep["fairness_max_violation"] < 1e-12
+    # row sums that miss their weight by rounding lose no mass
+    assert rep["truncation_gap"] == 0.0
     assert rep["fair_entropy"] == 0.462098120373
     code, out = run(tmp_path, "analyze", str(spec))
     assert code == 0

@@ -39,6 +39,10 @@ for _name in ("unbiased-walk", "biased-walk", "origin-broadcast",
 for _name in ("origin-broadcast", "factorial-chain", "unbiased-walk"):
     CASES[f"simulate-{_name}"] = ["simulate", _name, "--length", "2000",
                                   "--paths", "2"]
+# 10000 rows cross the CSV writer's row-chunk boundaries
+CASES["simulate-factorial-chain-long"] = ["simulate", "factorial-chain",
+                                          "--length", "10000", "--paths", "2",
+                                          "--depth", "2"]
 CASES["fairmodel-tent"] = ["fairmodel", "--map-family", "tent"]
 CASES["fairmodel-staircase"] = ["fairmodel", "--map-family", "staircase",
                                 "--depth", "1"]

@@ -1,9 +1,12 @@
 """Serialization: canonical JSON, round-trips, and parse errors."""
 
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Branch, IntegerPartition, MarkovIntervalMap, biased_walk, chain_from_dict, chain_to_dict, cut_and_paste,
@@ -13,7 +16,8 @@ from fairshift import (
     origin_broadcast, staircase_map, tent_map, transition_matrix,
     unbiased_walk, write_json,
 )
-from fairshift.io import ParseError, SCHEMA_VERSION, canonical, fmt, write_csv
+from fairshift.io import (CSV_CHUNK_ROWS, ParseError, SCHEMA_VERSION,
+                          canonical, fmt, write_csv)
 
 
 def entries_equal(a, b, window):
@@ -54,6 +58,74 @@ def test_fmt_and_csv(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, ["a", "b"], [(1, 0.5), (2, Fraction(1, 3))])
     assert p.read_text() == "a,b\n1,0.5\n2,1/3\n"
+
+
+def reference_csv(path, header, rows):
+    """One ``fmt`` call per cell: the definition write_csv must match."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt(c) for c in row) + "\n")
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                  -2.5e-310, 1e300, -1e300, 1e-300, -1e-300, 0.1 + 0.2]
+FLOATS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+CELLS = {
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "np.int64": st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    "float": FLOATS,
+    "np.float64": FLOATS.map(np.float64),
+    "Fraction": st.fractions(),
+    "str": st.text(alphabet="ab,%-.0", max_size=4),
+}
+C = CSV_CHUNK_ROWS
+
+
+@st.composite
+def csv_tables(draw):
+    """Rows whose columns switch cell type partway, often at a chunk end."""
+    n = draw(st.sampled_from([0, 1, C - 1, C, C + 1, 2 * C + 3]))
+    pools = {k: draw(st.lists(s, min_size=1, max_size=6))
+             for k, s in CELLS.items()}
+    kinds = sorted(CELLS)
+    # cells are picked by a seeded Random: drawing ~30k of them from
+    # hypothesis itself would exceed its per-example data budget
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        # each segment is one cell type, or "mixed": a type drawn per cell
+        segs = draw(st.lists(st.sampled_from([*kinds, "mixed"]),
+                             min_size=1, max_size=3))
+        cuts = sorted(rng.choice([rng.randrange(n + 1),
+                                  min(n, C + rng.randrange(-1, 2))])
+                      for _ in segs[1:])
+        col = []
+        for kind, lo, hi in zip(segs, [0, *cuts], [*cuts, n]):
+            for _ in range(hi - lo):
+                pool = pools[rng.choice(kinds) if kind == "mixed" else kind]
+                col.append(rng.choice(pool))
+        columns.append(col)
+    return list(zip(*columns)) if n else [], len(columns)
+
+
+@settings(max_examples=60, deadline=None)
+@given(csv_tables())
+def test_write_csv_matches_the_per_cell_reference(tmp_path_factory, table):
+    rows, width = table
+    header = [f"c{k}" for k in range(width)]
+    d = tmp_path_factory.mktemp("csv")
+    write_csv(d / "got.csv", header, iter(rows))
+    reference_csv(d / "want.csv", header, rows)
+    assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "a.csv", ["a", "b"], [(1, 2), (3,)])
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "b.csv", ["a", "b"], [(1, 2, 3)])
 
 
 # -- chain round-trips ---------------------------------------------------------

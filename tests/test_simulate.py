@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Abs, TransitionRuleSet, build_backward_kernel, biased_walk,
@@ -17,6 +18,7 @@ from fairshift import (
     path_statistics, sample_backward, sample_paths, solve_stationary,
     unbiased_walk,
 )
+from fairshift.simulate import _word_counts
 
 FAMILIES = [unbiased_walk(), biased_walk(), origin_broadcast(),
             factorial_chain(), five_three_chain(), full_shift(2)]
@@ -145,6 +147,41 @@ def test_path_statistics_shapes():
     assert all(path.states[i] == 0 for i in visits)
 
 
+def reference_word_counts(states, depth):
+    """Stacked shifted copies and np.unique(axis=0): the earlier counter."""
+    n = states.size
+    counts: dict[tuple[int, ...], int] = {}
+    for m in range(1, depth + 1):
+        if n < m:
+            continue
+        # word (w_0..w_{m-1}) occurs at position t if states[t-k] == w_k,
+        # i.e. stack reversed shifted copies and count unique rows
+        cols = [states[m - 1 - k: n - k] for k in range(m)]
+        mat = np.stack(cols, axis=1)
+        uniq, cnt = np.unique(mat, axis=0, return_counts=True)
+        for row, c in zip(uniq, cnt):
+            counts[tuple(int(v) for v in row)] = int(c)
+    return counts
+
+
+@st.composite
+def int64_paths(draw):
+    """Paths over a few int64 states (one state, negatives, extremes)."""
+    states = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                           min_size=1, max_size=6, unique=True))
+    picks = draw(st.lists(st.integers(0, len(states) - 1), max_size=300))
+    return np.array([states[i] for i in picks], dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_paths(), st.integers(1, 4))
+def test_word_counts_match_the_stacked_unique_reference(states, depth):
+    got = _word_counts(states, depth)
+    want = reference_word_counts(states, depth)
+    # same words, same counts, same (lexicographic) order
+    assert list(got.items()) == list(want.items())
+
+
 # -- geometric means ----------------------------------------------------------
 
 def test_geo_mean_is_exactly_two_on_constant_column_chains():
@@ -161,6 +198,16 @@ def test_geo_mean_tracks_the_entropy_target():
     assert report.target == pytest.approx(2.85052, abs=2e-4)
     assert abs(report.final() - report.target) / report.target < 0.02
     assert report.means.size == path.states.size
+
+
+def test_geo_mean_series_is_bit_identical_to_a_per_step_lookup():
+    k = kernel_of(factorial_chain())
+    path = sample_backward(k, 1, 20_000, seed=3)
+    logc = {v: np.log2(len(k.base.predecessors(v)))
+            for v in set(path.states.tolist())}
+    logs = np.array([logc[v] for v in path.states.tolist()])
+    want = np.exp2(np.cumsum(logs) / np.arange(1, path.states.size + 1))
+    assert geo_mean_series(path, k).tobytes() == want.tobytes()
 
 
 def test_geo_mean_convergence_on_broadcast():
