@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -374,8 +373,9 @@ class TransitionRuleSet:
     def pure_offsets(self) -> tuple[int, ...] | None:
         """Offsets o with row(i) = {i+o} for every state, else None.
 
-        Only reported for one tail rule covering the whole domain; used as
-        a fast path by the samplers.
+        Only reported for one tail rule covering the whole domain; used by
+        the vectorised pass of ``sample_backward`` and the drift estimate
+        of ``classify``.
         """
         if self.explicit or self.head != 0 or not self.tail:
             return None
@@ -396,15 +396,25 @@ class TransitionRuleSet:
 class BackwardKernel:
     """Row-stochastic kernel Q with q_ji = m_ij / c_j.
 
-    Row j is the uniform distribution over the predecessors of j.
+    Row j is the uniform distribution over the c_j predecessors of j, so
+    the columns alone fix the kernel.  ``preds`` is the one place a
+    column is enumerated; every layer that holds a kernel reads its
+    columns there.
     """
 
     base: TransitionRuleSet
-    _cumulative: dict[int, tuple[list[int], list[float]]] = field(
+    _preds: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
+    def preds(self, j: int) -> tuple[int, ...]:
+        """Predecessors of j in ascending order, memoised."""
+        p = self._preds.get(j)
+        if p is None:
+            p = self._preds[j] = tuple(self.base.predecessors(j))
+        return p
+
     def row(self, j: int) -> list[tuple[int, Fraction]]:
-        preds = self.base.predecessors(j)
+        preds = self.preds(j)
         if not preds:
             # empty column: the backward walk is stuck; truncation layers
             # drop such states, samplers refuse to start on them
@@ -412,47 +422,12 @@ class BackwardKernel:
         w = Fraction(1, len(preds))
         return [(i, w) for i in preds]
 
-    def cumulative_row(self, j: int) -> tuple[list[int], list[float]]:
-        """Row j as (targets, cumulative float weights), cached for samplers."""
-        r = self._cumulative.get(j)
-        if r is None:
-            entries = self.row(j)
-            if not entries:
-                raise ValueError(f"state {j} has no predecessors; "
-                                 "backward walk is stuck")
-            r = self._cumulative[j] = (
-                [i for i, _ in entries],
-                list(accumulate(float(q) for _, q in entries)))
-        return r
-
     def step_offsets(self) -> tuple[int, ...] | None:
         """Backward step offsets when every Q row is the same offset law."""
         offs = self.base.pure_offsets()
         if offs is None:
             return None
         return tuple(sorted(-o for o in offs))
-
-    def residue_step_offsets(self) -> tuple[int, dict[int, tuple[int, ...]]] | None:
-        """Backward offset laws that only depend on the state mod the period.
-
-        Verified by probing Q rows across several periods; requires an
-        unbounded domain with no explicit head rows.  Returns
-        ``(period, {residue: offsets})`` or None.
-        """
-        base = self.base
-        if base.lo is not None or base.hi is not None or base.explicit:
-            return None
-        p = base.period
-        laws: dict[int, tuple[int, ...]] = {}
-        for r in range(p):
-            probes = []
-            for j in (r, r + p, r - p, r + 2 * p, r - 3 * p):
-                preds = base.predecessors(j)
-                probes.append(tuple(sorted(i - j for i in preds)))
-            if any(q != probes[0] for q in probes):
-                return None
-            laws[r % p] = probes[0]
-        return p, laws
 
     def contains(self, j: int) -> bool:
         return self.base.contains(j)

@@ -52,6 +52,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(self.prog + ": error: " + message)
 
 
+def _count(least: int):
+    """Argument type: an integer no smaller than ``least``."""
+    def count(text: str) -> int:
+        value = int(text)       # argparse reports "invalid count value"
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {least}, got {value}")
+        return value
+    return count
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="fairshift",
                 description="fair measures, fair entropy and Lebesgue fair "
@@ -81,12 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                         "series and Monte Carlo evidence")
     c.add_argument("input")
     common(c, "solver window cap (default 16384)")
-    c.add_argument("--trials", type=int, default=20_000)
-    c.add_argument("--horizon", type=int, action="append", metavar="H",
+    c.add_argument("--trials", type=_count(1), default=20_000)
+    c.add_argument("--horizon", type=_count(1), action="append", metavar="H",
                    help="Monte Carlo horizon; repeat for a schedule "
                         "(default 100 1000 10000)")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--nmax", type=int, default=None,
+    c.add_argument("--nmax", type=_count(1), default=None,
                    help="number of exact series terms")
     c.set_defaults(func=cmd_classify)
 
@@ -96,10 +107,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common(s, "solver window cap for the reference measure")
     s.add_argument("--start", type=int, default=None,
                    help="start state (default: first state of the domain)")
-    s.add_argument("--length", type=int, default=10_000)
-    s.add_argument("--paths", type=int, default=1)
+    s.add_argument("--length", type=_count(0), default=10_000)
+    s.add_argument("--paths", type=_count(1), default=1)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--depth", type=int, default=1,
+    s.add_argument("--depth", type=_count(1), default=1,
                    help="cylinder depth for the discrepancy summary")
     s.set_defaults(func=cmd_simulate)
 
@@ -625,9 +636,10 @@ def cmd_verify(args) -> int:
         if abs(i) > min(wnd, 32):
             continue
         for j, p in mu.forward.row(i):
-            q = next((qv for t, qv in kernel.row(j) if t == i), 0)
+            # p_ij > 0 makes i a predecessor of j, so q_ji = 1 / c_j
+            q = 1 / len(kernel.preds(j))
             balance = max(balance,
-                          abs(pi.entry(i) * float(p) - pi.entry(j) * float(q)))
+                          abs(pi.entry(i) * float(p) - pi.entry(j) * q))
     check("detailed_balance_pi_P_vs_pi_Q", balance <= 1e-8, balance, 1e-8)
 
     violation = float(check_fair_on_cylinders(mu, m, depth=args.depth,

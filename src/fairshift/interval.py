@@ -477,7 +477,6 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     weight tail only pushes the leftmost slots, never shifts the layout.
     """
     pi = mu.pi
-    base = mu.base
     part = imap.partition
     ids = [s for s in pi.support() if pi.weight(s) != 0]
     if window is not None:
@@ -498,7 +497,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     slack = _rounding_slack(emitted)
 
     id_set = set(ids)
-    counts = {s: len(base.predecessors(s)) for s in ids}
+    counts = {s: len(mu.kernel.preds(s)) for s in ids}
     pieces: list[Piece] = []
     gap: Number = 0
     accx: Number = 0

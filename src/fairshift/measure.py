@@ -128,7 +128,7 @@ def _truncated_rows(kernel: BackwardKernel, states: list[int]):
         rows = {}
         empty = []
         for j in keep:
-            r = [i for i in kernel.base.predecessors(j) if i in keep]
+            r = [i for i in kernel.preds(j) if i in keep]
             if not r:
                 empty.append(j)
                 continue
@@ -312,7 +312,6 @@ def build_forward_matrix(pi: StationaryVector, kernel: BackwardKernel,
     """
     base = kernel.base
     states = [s for s in base.states(window) if pi.weight(s) != 0]
-    cc: dict[int, int] = {}
     rows: dict[int, tuple[tuple[int, Number], ...]] = {}
     for i in states:
         wi = pi.weight(i)
@@ -323,15 +322,11 @@ def build_forward_matrix(pi: StationaryVector, kernel: BackwardKernel,
             wj = pi.weight(j)
             if wj == 0:
                 continue
-            if j not in cc:
-                c = base.column_count(j)
-                if c is math.inf:
-                    raise InfinitePreimages(j)
-                cc[j] = c
+            c = len(kernel.preds(j))
             if isinstance(wi, Fraction) and isinstance(wj, Fraction):
-                p = wj / (wi * cc[j])
+                p = wj / (wi * c)
             else:
-                p = float(wj) / (float(wi) * cc[j])
+                p = float(wj) / (float(wi) * c)
             row.append((j, p))
         rows[i] = tuple(row)
     return ForwardMatrix(rows)

@@ -14,7 +14,6 @@ escaping mass plus recurrence signals.  Anything else stays unknown.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -73,20 +72,20 @@ def series_test(kernel: BackwardKernel, n_max: int = 40, origin: int = 0,
                 max_window: int = 2 ** 22) -> SeriesResult:
     """Evolve delta_origin exactly through Q and record the diagonal.
 
-    All arithmetic is rational.  When every column count met along the
-    way is the same constant c the vector is carried as integer
-    numerators over c^t, which keeps large n_max cheap for the walk
-    families.
+    The vector is carried as integer numerators over one common
+    denominator.  Each step multiplies the denominator by the lcm L of
+    the column counts on the support and sends num_j * L / c_j to every
+    predecessor of j.  When every count is the same c, as on the walk
+    families, L = c, which keeps large n_max cheap.
 
     The support is tracked exactly, so the terms never depend on any
     truncation; ``window`` only guards against runaway supports.  It is
     doubled whenever the support outgrows it, and WindowInsufficient is
-    raised once that doubling would pass ``max_window``.
+    raised once that doubling would pass ``max_window``.  A support state
+    without predecessors raises ValueError: the backward walk is stuck.
     """
-    base = kernel.base
-    if not base.contains(origin):
+    if not kernel.contains(origin):
         raise ValueError(f"origin {origin} outside domain")
-    counts: dict[int, int] = {}
 
     def guard(step: int, support) -> None:
         nonlocal window
@@ -98,54 +97,30 @@ def series_test(kernel: BackwardKernel, n_max: int = 40, origin: int = 0,
             if window > max_window:
                 raise WindowInsufficient(origin, step, span, max_window)
 
-    def c_of(j: int) -> int:
-        if j not in counts:
-            counts[j] = len(base.predecessors(j))
-        return counts[j]
-
     terms: list[Fraction] = [Fraction(1)]
-    # integer fast path: v[j] numerators over denom
-    vec: dict[int, int] = {origin: 1}
+    vec: dict[int, int] = {origin: 1}       # numerators over denom
     denom = 1
-    uniform = True
-    c0 = None
     for step in range(1, n_max + 1):
-        if uniform:
-            nxt: dict[int, int] = {}
-            for j, num in vec.items():
-                c = c_of(j)
-                if c0 is None:
-                    c0 = c
-                if c != c0:
-                    uniform = False
-                    break
-                for i in kernel.base.predecessors(j):
-                    nxt[i] = nxt.get(i, 0) + num
-            if uniform:
-                vec = nxt
-                denom *= c0
-                guard(step, vec)
-                terms.append(Fraction(vec.get(origin, 0), denom))
-                continue
-            # fall through: convert to fractions and redo this step
-            fvec = {j: Fraction(n, denom) for j, n in vec.items()}
-        else:
-            fvec = vec  # type: ignore[assignment]
-        nxtf: dict[int, Fraction] = {}
-        for j, w in fvec.items():
-            c = c_of(j)
-            share = w / c
-            for i in base.predecessors(j):
-                nxtf[i] = nxtf.get(i, Fraction(0)) + share
-        vec = nxtf  # type: ignore[assignment]
+        cols = [(kernel.preds(j), num) for j, num in vec.items()]
+        lcm = math.lcm(*(len(preds) for preds, _ in cols))
+        if lcm == 0:
+            raise ValueError("a support state has no predecessors; "
+                             "backward walk is stuck")
+        nxt: dict[int, int] = {}
+        for preds, num in cols:
+            share = num * (lcm // len(preds))
+            for i in preds:
+                nxt[i] = nxt.get(i, 0) + share
+        vec = nxt
+        denom *= lcm
         guard(step, vec)
-        terms.append(vec.get(origin, Fraction(0)))
+        terms.append(Fraction(vec.get(origin, 0), denom))
     sums = []
     acc = Fraction(0)
     for t in terms:
-        acc += Fraction(t)
+        acc += t
         sums.append(acc)
-    return SeriesResult(origin, tuple(Fraction(t) for t in terms), tuple(sums))
+    return SeriesResult(origin, tuple(terms), tuple(sums))
 
 
 @dataclass(frozen=True)
@@ -181,71 +156,98 @@ def _wilson(k: int, n: int) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
+class _ColumnTable:
+    """Dense predecessor table of a kernel over a range of states.
+
+    Row s - lo lists preds(s), padded to the widest column in the range
+    and stored flat; states outside the domain get empty rows, which no
+    walker reaches.  ``cover`` grows the range to hold given states, at
+    least doubling its span.
+    """
+
+    def __init__(self, kernel: BackwardKernel, state: int):
+        self.kernel = kernel
+        self.lo, self.hi = state, state - 1         # empty
+        self.cover(state, state)
+
+    def cover(self, lo: int, hi: int) -> None:
+        if self.lo <= lo and hi <= self.hi:
+            return
+        span = self.hi - self.lo + 1
+        self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
+        k = self.kernel
+        cols = [k.preds(s) if k.contains(s) else ()
+                for s in range(self.lo, self.hi + 1)]
+        self.counts = np.array([len(p) for p in cols], dtype=np.int64)
+        self.width = max(1, int(self.counts.max()))
+        table = np.zeros((len(cols), self.width), dtype=np.int64)
+        for row, preds in zip(table, cols):
+            row[:len(preds)] = preds
+        self.table = table.ravel()      # flat indexing gathers faster
+        # the counts that occur, largest first: the order of the draws
+        self.distinct = sorted(set(self.counts.tolist()), reverse=True)
+
+    def step(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Move every walker to a uniformly drawn entry of its column.
+
+        The draws go by groups of equal column count c, larger counts
+        first, one ``rng.integers(0, c, size=k)`` per group of k walkers.
+        """
+        idx = states - self.lo
+        if len(self.distinct) == 1:     # one group of every walker, no mask
+            groups = [(self.distinct[0], slice(None))]
+        else:
+            cnt = self.counts[idx]
+            groups = [(c, cnt == c) for c in self.distinct]
+        out = np.empty_like(states)
+        for c, sel in groups:
+            rows = idx[sel]
+            if not rows.size:
+                continue
+            if c == 0:
+                raise ValueError(f"state {rows[0] + self.lo} has no "
+                                 "predecessors; backward walk is stuck")
+            out[sel] = self.table[rows * self.width
+                                  + rng.integers(0, c, size=rows.size)]
+        return out
+
+
 def monte_carlo_return(kernel: BackwardKernel, trials: int, horizon: int,
                        seed: int, origin: int = 0,
                        escape_radius: int | None = None) -> ReturnEstimate:
     """Estimate the probability of returning to the origin within the horizon.
 
-    Offset walks are stepped as vectorised batches; anything else runs a
-    per-trial loop with cached row tables.  ``escape_radius`` optionally
-    abandons trials that wander further than the radius from the origin,
-    counting them as non-returns; callers enable it only for walks with a
-    clear drift, where the abandoned return mass is negligible.
+    All trials step together as one batch of walkers over a dense
+    predecessor table of the range they have reached, grown as they
+    spread.  Each step draws ``rng.integers(0, c, size=k)`` for the k
+    walkers on columns of each distinct count c, larger counts first, and
+    moves each walker to that entry of its ascending column.  A walker on
+    a state without predecessors raises ValueError.  ``escape_radius``
+    optionally abandons trials that wander further than the radius from
+    the origin, counting them as non-returns; callers enable it only for
+    walks with a clear drift, where the abandoned return mass is
+    negligible.
     """
-    offs = kernel.step_offsets()
-    law = (1, {0: offs}) if offs is not None else kernel.residue_step_offsets()
     rng = np.random.default_rng(seed)
-    if law is not None:
-        period, laws = law
-        steps = {r: np.asarray(o, dtype=np.int64) for r, o in laws.items()}
-        returned = 0
-        escaped = 0
-        time_sum = 0
-        alive = np.full(trials, origin, dtype=np.int64)
-        for t in range(1, horizon + 1):
-            if alive.size == 0:
-                break
-            if period == 1:
-                st = steps[0]
-                alive = alive + st[rng.integers(0, st.size, size=alive.size)]
-            else:
-                delta = np.empty_like(alive)
-                res = alive % period
-                for r, st in steps.items():
-                    mask = res == r
-                    k = int(mask.sum())
-                    if k:
-                        delta[mask] = st[rng.integers(0, st.size, size=k)]
-                alive = alive + delta
-            back = alive == origin
-            hits = int(back.sum())
-            returned += hits
-            time_sum += t * hits
-            alive = alive[~back]
-            if escape_radius is not None:
-                out = np.abs(alive - origin) > escape_radius
-                escaped += int(out.sum())
-                alive = alive[~out]
-        lo, hi = _wilson(returned, trials)
-        mean_rt = time_sum / returned if returned else None
-        return ReturnEstimate(origin, trials, horizon, seed, returned,
-                              escaped, returned / trials, lo, hi, mean_rt)
-
+    cols = _ColumnTable(kernel, origin)
     returned = 0
     escaped = 0
     time_sum = 0
-    for _ in range(trials):
-        s = origin
-        for t in range(1, horizon + 1):
-            targets, cum = kernel.cumulative_row(s)
-            s = targets[bisect_left(cum, rng.random() * cum[-1])]
-            if s == origin:
-                returned += 1
-                time_sum += t
-                break
-            if escape_radius is not None and abs(s - origin) > escape_radius:
-                escaped += 1
-                break
+    alive = np.full(trials, origin, dtype=np.int64)
+    for t in range(1, horizon + 1):
+        if alive.size == 0:
+            break
+        cols.cover(int(alive.min()), int(alive.max()))
+        alive = cols.step(alive, rng)
+        back = alive == origin
+        hits = int(back.sum())
+        returned += hits
+        time_sum += t * hits
+        alive = alive[~back]
+        if escape_radius is not None:
+            out = np.abs(alive - origin) > escape_radius
+            escaped += int(out.sum())
+            alive = alive[~out]
     lo, hi = _wilson(returned, trials)
     mean_rt = time_sum / returned if returned else None
     return ReturnEstimate(origin, trials, horizon, seed, returned, escaped,
@@ -310,12 +312,17 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
             evidence["solver"]["note"] = sol.note
     evidence["solver"]["outcome"] = solver_out
 
-    probe_c = {len(base.predecessors(s)) for s in base.spiral(32)}
+    probe_c = {len(kernel.preds(s)) for s in base.spiral(32)}
     n_max = policy.series_nmax if len(probe_c) == 1 else policy.series_nmax_mixed
     series = series_test(kernel, n_max=n_max, origin=origin)
-    growth = series.last_quarter_growth()
     evidence["series"] = series.as_dict()
-    series_converged = growth < policy.series_growth_eps
+    # zero growth over a last quarter that is empty or holds only zero
+    # (parity) terms certifies nothing, unless the walk never returns
+    n = len(series.terms) - 1
+    quarter = series.terms[n - n // 4 + 1:]
+    series_converged = (series.last_quarter_growth() < policy.series_growth_eps
+                        and bool(quarter)
+                        and (any(quarter) or not any(series.terms[1:])))
 
     offs = kernel.step_offsets()
     drift = None if offs is None else sum(offs) / len(offs)

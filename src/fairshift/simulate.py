@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .chain import BackwardKernel
+from .io import scalars
 from .measure import FairMeasure, cylinder_measure, integral_log_c
 
 __all__ = [
@@ -45,8 +47,9 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     """One backward trajectory of the given length from ``start``.
 
     Kernels with one offset law everywhere are drawn in one vectorised
-    pass; every other chain steps through the kernel's cached cumulative
-    rows.  The stream is a deterministic function of the seed.
+    pass; every other chain steps through ``kernel.preds``, choosing in
+    each column by one uniform against cumulative weights cached per
+    column count.  The stream is a deterministic function of the seed.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
@@ -64,11 +67,19 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     out = np.empty(length + 1, dtype=np.int64)
     out[0] = start
     s = start
-    uniforms = rng.random(length)
-    for t in range(length):
-        targets, cum = kernel.cumulative_row(s)
-        s = targets[bisect_left(cum, uniforms[t] * cum[-1])]
-        out[t + 1] = s
+    preds_of = kernel.preds
+    cums: dict[int, list[float]] = {}     # cumulative uniform weights per count
+    for t, u in enumerate(scalars(rng.random(length)), 1):
+        preds = preds_of(s)
+        cum = cums.get(len(preds))
+        if cum is None:
+            if not preds:
+                raise ValueError(f"state {s} has no predecessors; "
+                                 "backward walk is stuck")
+            c = len(preds)
+            cum = cums[c] = list(accumulate([1 / c] * c))
+        s = preds[bisect_left(cum, u * cum[-1])]
+        out[t] = s
     return BackwardPath(out, start, seed, kernel.base.name)
 
 
@@ -150,7 +161,7 @@ def geo_mean_series(path: BackwardPath, kernel: BackwardKernel) -> np.ndarray:
     vals = np.unique(states)
     # base-2 logs keep the arithmetic exact when every count is a power of
     # two (cumulative sums of small integers are exact in floats)
-    logc = np.array([np.log2(len(kernel.base.predecessors(v)))
+    logc = np.array([np.log2(len(kernel.preds(v)))
                      for v in vals.tolist()])
     logs = logc[np.searchsorted(vals, states)]
     return np.exp2(np.cumsum(logs) / np.arange(1, states.size + 1))

@@ -179,11 +179,22 @@ def test_kernel_offsets():
     assert build_backward_kernel(unbiased_walk()).step_offsets() == (-1, 1)
     assert build_backward_kernel(biased_walk()).step_offsets() == (-2, 1)
     assert build_backward_kernel(origin_broadcast()).step_offsets() is None
-    period, laws = build_backward_kernel(five_three_chain()).residue_step_offsets()
-    assert period == 2
-    for r, offs in laws.items():
-        for j in (r, r + 2, r - 4):
-            assert sorted(j + o for o in offs) == five_three_chain().predecessors(j)
+    # five-three has two offset laws, by parity; its columns carry them
+    k = build_backward_kernel(five_three_chain())
+    assert k.step_offsets() is None
+    for j in (0, 2, -4, 1, 3, -5):
+        offs = (-2, -1, 0, 1, 2) if j % 2 == 0 else (-1, 0, 1)
+        assert k.preds(j) == tuple(j + o for o in offs)
+
+
+def test_kernel_preds_are_the_memoised_columns():
+    for m in ALL_FAMILIES:
+        k = build_backward_kernel(m)
+        for j in m.states(6):
+            assert k.preds(j) == tuple(m.predecessors(j))
+            assert k.preds(j) is k.preds(j)
+            assert k.row(j) == [(i, Fraction(1, len(k.preds(j))))
+                                for i in k.preds(j)]
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -288,3 +299,12 @@ def test_irreducibility_matches_breadth_first_reference(chain_and_window):
         for b in states:
             mutual = b in reach[a] and a in reach[b]
             assert mutual == (comp_of[a] == comp_of[b])
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_chains())
+def test_kernel_preds_match_the_rule_set(chain_and_window):
+    m, _ = chain_and_window
+    k = build_backward_kernel(m)
+    for j in m.states(max(abs(m.lo), abs(m.hi))):
+        assert k.preds(j) == tuple(m.predecessors(j))

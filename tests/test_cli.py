@@ -94,6 +94,18 @@ def test_classify_starved_window_is_unknown(tmp_path):
     assert read(out, "classify.json")["verdict"] == "unknown"
 
 
+@pytest.mark.parametrize("nmax", [1, 3, 5, 7])
+def test_classify_short_series_gives_no_transient_verdict(tmp_path, nmax):
+    # the last quarter of so few terms is empty or holds only odd-step
+    # zeros, which says nothing about convergence on a null-recurrent walk
+    code, out = run(tmp_path, "classify", "unbiased-walk", "--nmax",
+                    str(nmax), "--horizon", "100", "--trials", "2000")
+    assert code == 2
+    rep = read(out, "classify.json")
+    assert rep["verdict"] == "unknown"
+    assert rep["evidence"]["series"]["last_quarter_growth"] == 0.0
+
+
 def test_classify_is_byte_deterministic(tmp_path):
     a_code, a_out = run(tmp_path, "classify", "five-three",
                         "--trials", "2000")
@@ -355,6 +367,30 @@ def test_broken_json_exits_one(tmp_path):
 def test_bad_flag_exits_one(tmp_path):
     assert main(["classify", "unbiased-walk", "--trials", "many"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["classify", "unbiased-walk", "--trials", "0"], "--trials"),
+    (["classify", "unbiased-walk", "--trials", "-1"], "--trials"),
+    (["classify", "unbiased-walk", "--horizon", "0"], "--horizon"),
+    (["classify", "unbiased-walk", "--nmax", "0"], "--nmax"),
+    (["simulate", "origin-broadcast", "--paths", "0"], "--paths"),
+    (["simulate", "origin-broadcast", "--depth", "0"], "--depth"),
+    (["simulate", "origin-broadcast", "--length", "-3"], "--length"),
+])
+def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be at least" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_length_simulate_is_accepted(tmp_path):
+    code, out = run(tmp_path, "simulate", "origin-broadcast", "--length", "0")
+    assert code == 0
+    assert (out / "path_0.csv").read_text().splitlines()[1:] == ["0,0,2"]
 
 
 def test_chain_file_and_family_give_identical_reports(tmp_path):

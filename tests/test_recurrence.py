@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Abs, ClassifyPolicy, Rel, TransitionRuleSet, WindowInsufficient,
@@ -18,6 +19,7 @@ from fairshift import (
     five_three_chain, full_shift, monte_carlo_return, origin_broadcast,
     series_test, unbiased_walk,
 )
+from test_chain import finite_chains
 
 
 def kernel_of(m):
@@ -88,6 +90,54 @@ def test_series_respects_origin():
     assert res0.terms != res1.terms     # parity classes differ
 
 
+def fraction_series(m, origin, n_max):
+    """Diagonal terms of delta_origin evolved through Q in plain Fractions.
+
+    Returns None when the support reaches a state without predecessors.
+    """
+    vec = {origin: Fraction(1)}
+    terms = [Fraction(1)]
+    for _ in range(n_max):
+        nxt = {}
+        for j, w in vec.items():
+            preds = m.predecessors(j)
+            if not preds:
+                return None
+            for i in preds:
+                nxt[i] = nxt.get(i, Fraction(0)) + w / len(preds)
+        vec = nxt
+        terms.append(vec.get(origin, Fraction(0)))
+    return terms
+
+
+def assert_series_matches_fractions(m, origin, n_max):
+    want = fraction_series(m, origin, n_max)
+    if want is None:
+        with pytest.raises(ValueError, match="no predecessors"):
+            series_test(kernel_of(m), n_max=n_max, origin=origin)
+        return
+    got = series_test(kernel_of(m), n_max=n_max, origin=origin)
+    assert list(got.terms) == want
+    assert got.partial_sums[-1] == sum(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_chains(), st.integers(1, 30), st.data())
+def test_series_matches_fraction_evolution_on_finite_chains(
+        chain_and_window, n_max, data):
+    m, _ = chain_and_window
+    origin = data.draw(st.integers(m.lo, m.hi))
+    assert_series_matches_fractions(m, origin, n_max)
+
+
+@pytest.mark.parametrize("m, origin", [
+    (factorial_chain(), 1), (factorial_chain(), 3),
+    (five_three_chain(), 0), (five_three_chain(), 1),
+    (origin_broadcast(), 0)])
+def test_series_matches_fraction_evolution_on_mixed_counts(m, origin):
+    assert_series_matches_fractions(m, origin, 24)
+
+
 # -- Monte Carlo return ------------------------------------------------------
 
 def test_one_state_loop_always_returns_in_one_step():
@@ -135,6 +185,29 @@ def test_monte_carlo_is_seed_deterministic():
     assert a.as_dict() == b.as_dict()
     assert a.returned != c.returned or a.mean_return_time_of_returners != \
         c.mean_return_time_of_returners
+
+
+def test_stuck_walker_is_an_error():
+    # 0 -> 1 and 1 -> 1: state 0 has no predecessors
+    m = TransitionRuleSet(lo=0, hi=1, head=2,
+                          explicit={0: (Abs(1),), 1: (Abs(1),)},
+                          name="orphan")
+    for origin in (0, 1):
+        with pytest.raises(ValueError, match="no predecessors"):
+            monte_carlo_return(kernel_of(m), trials=100, horizon=10,
+                               seed=0, origin=origin)
+
+
+def test_full_shift_mean_return_time_is_bracketed():
+    # from any state the backward walk returns in one step with
+    # probability 1/3, so the mean return time is 3 (Kac)
+    est = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
+                             horizon=1, seed=0)
+    assert 1 / est.wilson_high <= 3 <= 1 / est.wilson_low
+    long = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
+                              horizon=200, seed=0)
+    assert long.returned == long.trials
+    assert long.mean_return_time_of_returners == pytest.approx(3, rel=0.05)
 
 
 def test_wilson_interval_brackets_the_frequency():
