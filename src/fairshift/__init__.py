@@ -12,7 +12,7 @@ the command-line front end.
 """
 
 from .chain import (Abs, AbsRay, BackwardKernel, InfinitePreimages, Rel,
-                    RelRay, SchemaError, TransitionRuleSet,
+                    RelRay, SchemaError, StuckWalk, TransitionRuleSet,
                     UnresolvableState, build_backward_kernel,
                     check_irreducible, strongly_connected_components)
 from .families import (CHAIN_FAMILIES, biased_walk, chain_by_name,

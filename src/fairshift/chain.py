@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 __all__ = [
     "Rel", "Abs", "RelRay", "AbsRay", "Term",
     "TransitionRuleSet", "BackwardKernel",
-    "UnresolvableState", "InfinitePreimages", "SchemaError",
+    "UnresolvableState", "InfinitePreimages", "SchemaError", "StuckWalk",
     "build_backward_kernel", "check_irreducible",
     "strongly_connected_components",
 ]
@@ -50,6 +50,10 @@ class InfinitePreimages(ValueError):
 
 class SchemaError(ValueError):
     """Malformed rule set or spec file."""
+
+
+class StuckWalk(ValueError):
+    """A backward walk reached a state without predecessors."""
 
 
 @dataclass(frozen=True)

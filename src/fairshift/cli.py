@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import io as fio
-from .chain import (Abs, InfinitePreimages, SchemaError, TransitionRuleSet,
-                    UnresolvableState, build_backward_kernel,
+from .chain import (Abs, InfinitePreimages, SchemaError, StuckWalk,
+                    TransitionRuleSet, UnresolvableState, build_backward_kernel,
                     check_irreducible, strongly_connected_components)
 from .families import (CHAIN_FAMILIES, chain_by_name, factorial_chain,
                        factorial_stationary, full_shift_stationary)
@@ -553,14 +553,17 @@ def cmd_graph(args) -> int:
     if isinstance(pi, int):
         return pi
 
-    kernel_i = build_backward_kernel(m_interval)
-    pi_i = solve_stationary(kernel_i, tolerance=args.tolerance)
+    # equal successors on an equal domain give equal columns: one solve
+    same = agree and (m_interval.lo, m_interval.hi) == (m_refined.lo, m_refined.hi)
+    kernel_i = kernel_r if same else build_backward_kernel(m_interval)
+    pi_i = pi if same else solve_stationary(kernel_i, tolerance=args.tolerance)
     mu_r = fair_measure_from(pi, kernel_r, window=pi.window or bound)
     h_shift = fair_entropy(mu_r, window=bound)
     report["verdict"] = "PositiveRecurrent"
     report["fair_entropy_shift_side"] = h_shift
     if isinstance(pi_i, StationaryVector):
-        mu_i = fair_measure_from(pi_i, kernel_i, window=pi_i.window or bound)
+        mu_i = mu_r if same else fair_measure_from(
+            pi_i, kernel_i, window=pi_i.window or bound)
         fair = lebesgue_fair_model(imap, mu_i)
         report["fair_entropy_rohlin_side"] = rohlin_entropy(fair)
         report["pipeline_entropy_gap"] = abs(
@@ -676,7 +679,7 @@ def main(argv=None) -> int:
         print(f"fairshift: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (SchemaError, NotMarkov, UnresolvableState,
-            InfinitePreimages, SingularWindow) as exc:
+            InfinitePreimages, SingularWindow, StuckWalk) as exc:
         print(f"fairshift: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except WindowInsufficient as exc:

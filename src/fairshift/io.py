@@ -73,20 +73,21 @@ def _round12(x: float) -> float:
 
 def canonical(obj: Any) -> Any:
     """Normalize a report tree for deterministic emission."""
-    if isinstance(obj, Mapping):
+    kind = type(obj)    # exact builtin types first: the Mapping ABC is slow
+    if kind is str or kind is int or kind is bool or obj is None:
+        return obj
+    if kind is float:
+        return _round12(obj)
+    if kind is dict or isinstance(obj, Mapping):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonical(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, (float, np.floating)):
         return _round12(float(obj))
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, float):
-        return _round12(obj)
     if isinstance(obj, np.ndarray):
         return [canonical(v) for v in obj.tolist()]
     return obj

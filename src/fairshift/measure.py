@@ -80,18 +80,9 @@ class StationaryVector:
     def entry(self, j: int) -> float:
         return float(self.weights.get(j, 0)) / float(self.total)
 
-    def exact_entry(self, j: int) -> Fraction | None:
-        w = self.weights.get(j, 0)
-        if isinstance(w, Fraction) and isinstance(self.total, (Fraction, int)):
-            return w / Fraction(self.total)
-        return None
-
     @property
     def ratios_exact(self) -> bool:
         return all(isinstance(w, (Fraction, int)) for w in self.weights.values())
-
-    def entries(self) -> dict[int, float]:
-        return {j: self.entry(j) for j in self.support()}
 
 
 @dataclass(frozen=True)

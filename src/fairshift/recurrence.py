@@ -14,12 +14,13 @@ escaping mass plus recurrence signals.  Anything else stays unknown.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from .chain import BackwardKernel
+from .chain import BackwardKernel, StuckWalk
 from .measure import StationaryVector, WindowExhausted, solve_stationary
 
 __all__ = [
@@ -82,7 +83,7 @@ def series_test(kernel: BackwardKernel, n_max: int = 40, origin: int = 0,
     truncation; ``window`` only guards against runaway supports.  It is
     doubled whenever the support outgrows it, and WindowInsufficient is
     raised once that doubling would pass ``max_window``.  A support state
-    without predecessors raises ValueError: the backward walk is stuck.
+    without predecessors raises StuckWalk.
     """
     if not kernel.contains(origin):
         raise ValueError(f"origin {origin} outside domain")
@@ -104,8 +105,8 @@ def series_test(kernel: BackwardKernel, n_max: int = 40, origin: int = 0,
         cols = [(kernel.preds(j), num) for j, num in vec.items()]
         lcm = math.lcm(*(len(preds) for preds, _ in cols))
         if lcm == 0:
-            raise ValueError("a support state has no predecessors; "
-                             "backward walk is stuck")
+            raise StuckWalk("a support state has no predecessors; "
+                            "backward walk is stuck")
         nxt: dict[int, int] = {}
         for preds, num in cols:
             share = num * (lcm // len(preds))
@@ -139,15 +140,10 @@ class ReturnEstimate:
     mean_return_time_of_returners: float | None   # None when nothing returned
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in
-                ("origin", "trials", "horizon", "seed", "returned", "escaped",
-                 "frequency", "wilson_low", "wilson_high",
-                 "mean_return_time_of_returners")}
+        return asdict(self)
 
 
 def _wilson(k: int, n: int) -> tuple[float, float]:
-    if n == 0:
-        return 0.0, 1.0
     z2 = _Z95 * _Z95
     p = k / n
     den = 1 + z2 / n
@@ -170,22 +166,26 @@ class _ColumnTable:
         self.lo, self.hi = state, state - 1         # empty
         self.cover(state, state)
 
-    def cover(self, lo: int, hi: int) -> None:
-        if self.lo <= lo and hi <= self.hi:
-            return
-        span = self.hi - self.lo + 1
-        self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
-        k = self.kernel
-        cols = [k.preds(s) if k.contains(s) else ()
-                for s in range(self.lo, self.hi + 1)]
-        self.counts = np.array([len(p) for p in cols], dtype=np.int64)
-        self.width = max(1, int(self.counts.max()))
-        table = np.zeros((len(cols), self.width), dtype=np.int64)
-        for row, preds in zip(table, cols):
-            row[:len(preds)] = preds
-        self.table = table.ravel()      # flat indexing gathers faster
-        # the counts that occur, largest first: the order of the draws
-        self.distinct = sorted(set(self.counts.tolist()), reverse=True)
+    def cover(self, lo: int, hi: int) -> int:
+        """Hold states lo..hi; return the steps walkers there can take."""
+        if lo < self.lo or hi > self.hi:
+            span = self.hi - self.lo + 1
+            self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
+            k = self.kernel
+            cols = [k.preds(s) if k.contains(s) else ()
+                    for s in range(self.lo, self.hi + 1)]
+            self.counts = np.array([len(p) for p in cols], dtype=np.int64)
+            self.width = max(1, int(self.counts.max()))
+            table = np.zeros((len(cols), self.width), dtype=np.int64)
+            for row, preds in zip(table, cols):
+                row[:len(preds)] = preds
+            self.table = table.ravel()      # flat indexing gathers faster
+            # the counts that occur, largest first: the order of the draws
+            self.distinct = sorted(set(self.counts.tolist()), reverse=True)
+            # the longest one-step move (columns are ascending), at least 1
+            self.reach = max([1] + [max(s - p[0], p[-1] - s) for s, p in
+                                    zip(range(self.lo, self.hi + 1), cols) if p])
+        return min(lo - self.lo, self.hi - hi) // self.reach + 1
 
     def step(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Move every walker to a uniformly drawn entry of its column.
@@ -194,64 +194,70 @@ class _ColumnTable:
         first, one ``rng.integers(0, c, size=k)`` per group of k walkers.
         """
         idx = states - self.lo
-        if len(self.distinct) == 1:     # one group of every walker, no mask
-            groups = [(self.distinct[0], slice(None))]
-        else:
-            cnt = self.counts[idx]
-            groups = [(c, cnt == c) for c in self.distinct]
+        # with one count, the group of every walker needs no mask
+        cnt = self.counts[idx] if len(self.distinct) > 1 else None
         out = np.empty_like(states)
-        for c, sel in groups:
+        for c in self.distinct:
+            sel = slice(None) if cnt is None else np.flatnonzero(cnt == c)
             rows = idx[sel]
             if not rows.size:
                 continue
             if c == 0:
-                raise ValueError(f"state {rows[0] + self.lo} has no "
-                                 "predecessors; backward walk is stuck")
+                raise StuckWalk(f"state {rows[0] + self.lo} has no "
+                                "predecessors; backward walk is stuck")
             out[sel] = self.table[rows * self.width
                                   + rng.integers(0, c, size=rows.size)]
         return out
 
 
-def monte_carlo_return(kernel: BackwardKernel, trials: int, horizon: int,
-                       seed: int, origin: int = 0,
-                       escape_radius: int | None = None) -> ReturnEstimate:
-    """Estimate the probability of returning to the origin within the horizon.
+def monte_carlo_return(kernel: BackwardKernel, trials: int,
+                       horizons: Sequence[int], seed: int, origin: int = 0,
+                       escape_radius: int | None = None,
+                       ) -> list[ReturnEstimate]:
+    """Estimate the probability of returning to the origin within each horizon.
 
     All trials step together as one batch of walkers over a dense
     predecessor table of the range they have reached, grown as they
     spread.  Each step draws ``rng.integers(0, c, size=k)`` for the k
     walkers on columns of each distinct count c, larger counts first, and
-    moves each walker to that entry of its ascending column.  A walker on
-    a state without predecessors raises ValueError.  ``escape_radius``
-    optionally abandons trials that wander further than the radius from
-    the origin, counting them as non-returns; callers enable it only for
-    walks with a clear drift, where the abandoned return mass is
-    negligible.
+    moves each walker to that entry of its ascending column.  One walk
+    runs to the largest horizon and is read off at each horizon, in the
+    order given.  A walker on a state without predecessors raises
+    StuckWalk.
+    ``escape_radius`` abandons trials that wander further than the radius
+    from the origin, counting them as non-returns; callers enable it only
+    for walks with a clear drift, where that return mass is negligible.
     """
     rng = np.random.default_rng(seed)
     cols = _ColumnTable(kernel, origin)
-    returned = 0
-    escaped = 0
-    time_sum = 0
     alive = np.full(trials, origin, dtype=np.int64)
-    for t in range(1, horizon + 1):
-        if alive.size == 0:
-            break
-        cols.cover(int(alive.min()), int(alive.max()))
-        alive = cols.step(alive, rng)
-        back = alive == origin
-        hits = int(back.sum())
-        returned += hits
-        time_sum += t * hits
-        alive = alive[~back]
-        if escape_radius is not None:
-            out = np.abs(alive - origin) > escape_radius
-            escaped += int(out.sum())
-            alive = alive[~out]
-    lo, hi = _wilson(returned, trials)
-    mean_rt = time_sum / returned if returned else None
-    return ReturnEstimate(origin, trials, horizon, seed, returned, escaped,
-                          returned / trials, lo, hi, mean_rt)
+    returned = escaped = time_sum = t = 0
+    unchecked = 0       # steps left before the walkers' range is checked
+    done: dict[int, ReturnEstimate] = {}
+    for horizon in sorted(set(horizons)):
+        while t < horizon and alive.size:
+            t += 1
+            if not unchecked:
+                unchecked = cols.cover(int(alive.min()), int(alive.max()))
+            unchecked -= 1
+            alive = cols.step(alive, rng)
+            back = alive == origin
+            hits = int(np.count_nonzero(back))
+            if hits:
+                returned += hits
+                time_sum += t * hits
+                alive = alive[~back]
+            if escape_radius is not None:
+                out = np.abs(alive - origin) > escape_radius
+                gone = int(np.count_nonzero(out))
+                if gone:
+                    escaped += gone
+                    alive = alive[~out]
+        lo, hi = _wilson(returned, trials)
+        done[horizon] = ReturnEstimate(
+            origin, trials, horizon, seed, returned, escaped,
+            returned / trials, lo, hi, time_sum / returned if returned else None)
+    return [done[h] for h in horizons]
 
 
 @dataclass(frozen=True)
@@ -327,18 +333,13 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
     offs = kernel.step_offsets()
     drift = None if offs is None else sum(offs) / len(offs)
     radius = policy.escape_radius if (drift is not None and abs(drift) > 0.1) else None
-    evidence["monte_carlo"] = {"escape_radius": radius, "estimates": []}
-    uppers = []
-    top_estimate = None
-    for h in policy.horizons:
-        est = monte_carlo_return(kernel, trials=policy.trials, horizon=h,
-                                 seed=policy.seed, origin=origin,
-                                 escape_radius=radius)
-        evidence["monte_carlo"]["estimates"].append(est.as_dict())
-        uppers.append(est.wilson_high)
-        top_estimate = est
-    mc_transient = all(u < policy.transient_upper for u in uppers)
-    mc_recurrent = top_estimate is not None and top_estimate.wilson_high >= policy.transient_upper
+    estimates = monte_carlo_return(kernel, policy.trials, policy.horizons,
+                                   policy.seed, origin=origin,
+                                   escape_radius=radius)
+    evidence["monte_carlo"] = {"escape_radius": radius, "estimates":
+                               [e.as_dict() for e in estimates]}
+    mc_transient = all(e.wilson_high < policy.transient_upper for e in estimates)
+    mc_recurrent = bool(estimates) and estimates[-1].wilson_high >= policy.transient_upper
 
     if solver_out == "summable":
         verdict = "positive-recurrent"

@@ -16,7 +16,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .chain import BackwardKernel
+from .chain import BackwardKernel, StuckWalk
 from .io import scalars
 from .measure import FairMeasure, cylinder_measure, integral_log_c
 
@@ -74,8 +74,8 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
         cum = cums.get(len(preds))
         if cum is None:
             if not preds:
-                raise ValueError(f"state {s} has no predecessors; "
-                                 "backward walk is stuck")
+                raise StuckWalk(f"state {s} has no predecessors; "
+                                "backward walk is stuck")
             c = len(preds)
             cum = cums[c] = list(accumulate([1 / c] * c))
         s = preds[bisect_left(cum, u * cum[-1])]

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from fairshift import chain_to_dict, dump_json, unbiased_walk, write_json
+from fairshift import cli
 from fairshift.cli import main
 
 
@@ -257,6 +258,23 @@ def test_graph_dendrite_pipeline(tmp_path):
     assert (out / "interval_map.json").exists()
 
 
+def test_graph_solves_once_when_the_pipelines_agree(tmp_path, monkeypatch):
+    calls = []
+    solve = cli.solve_stationary
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].base.name)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_stationary", counted)
+    code, out = run(tmp_path, "graph", "--window", "4")
+    assert code == 0
+    rep = read(out, "graph.json")
+    assert rep["pipelines_agree"] is True
+    assert "fair_model_pieces" in rep
+    assert len(calls) == 1
+
+
 def test_graph_exchange_spec(tmp_path):
     spec = tmp_path / "swap.json"
     spec.write_text(dump_json({
@@ -384,6 +402,25 @@ def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}: must be at least" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+ORPHAN = {"schema_version": 1, "kind": "chain", "name": "orphan",
+          "domain": [0, 1], "window": 2, "states": {"0": [1], "1": [1]}}
+
+
+@pytest.mark.parametrize("command", ["classify", "simulate"])
+def test_stuck_backward_walk_exits_one_without_traceback(tmp_path, capsys,
+                                                         command):
+    # state 0 has no predecessors, so the walk from it cannot step
+    spec = tmp_path / "orphan.json"
+    write_json(spec, ORPHAN)
+    out = tmp_path / "o"
+    assert main([command, str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fairshift: StuckWalk: ")
+    assert "no predecessors" in err
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 

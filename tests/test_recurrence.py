@@ -10,15 +10,17 @@ program over the backward offset laws:
 from fractions import Fraction
 from math import comb, factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
-    Abs, ClassifyPolicy, Rel, TransitionRuleSet, WindowInsufficient,
-    biased_walk, build_backward_kernel, classify, factorial_chain,
-    five_three_chain, full_shift, monte_carlo_return, origin_broadcast,
-    series_test, unbiased_walk,
+    Abs, ClassifyPolicy, Rel, ReturnEstimate, StuckWalk, TransitionRuleSet,
+    WindowInsufficient, biased_walk, build_backward_kernel, classify,
+    factorial_chain, five_three_chain, full_shift, monte_carlo_return,
+    origin_broadcast, series_test, unbiased_walk,
 )
+from fairshift.recurrence import _wilson
 from test_chain import finite_chains
 
 
@@ -143,7 +145,8 @@ def test_series_matches_fraction_evolution_on_mixed_counts(m, origin):
 def test_one_state_loop_always_returns_in_one_step():
     loop = TransitionRuleSet(lo=0, hi=0, head=1, explicit={0: (Abs(0),)},
                              name="loop")
-    est = monte_carlo_return(kernel_of(loop), trials=500, horizon=10, seed=3)
+    est = monte_carlo_return(kernel_of(loop), trials=500, horizons=(10,),
+                             seed=3)[0]
     assert est.frequency == 1.0
     assert est.returned == 500
     assert est.escaped == 0
@@ -152,7 +155,8 @@ def test_one_state_loop_always_returns_in_one_step():
 
 def test_one_way_ray_never_returns():
     ray = TransitionRuleSet(tail={0: (Rel(1),)}, name="ray")
-    est = monte_carlo_return(kernel_of(ray), trials=400, horizon=50, seed=0)
+    est = monte_carlo_return(kernel_of(ray), trials=400, horizons=(50,),
+                             seed=0)[0]
     assert est.returned == 0
     assert est.frequency == 0.0
     assert est.mean_return_time_of_returners is None
@@ -160,7 +164,8 @@ def test_one_way_ray_never_returns():
 
 def test_biased_walk_return_mass_is_bounded_away_from_one():
     est = monte_carlo_return(kernel_of(biased_walk()), trials=100_000,
-                             horizon=10_000, seed=0, escape_radius=256)
+                             horizons=(10_000,), seed=0,
+                             escape_radius=256)[0]
     assert est.returned > 0
     assert 0.5 < est.frequency < 0.7       # true mass ~ 0.576
     assert est.wilson_high < 0.99
@@ -169,7 +174,8 @@ def test_biased_walk_return_mass_is_bounded_away_from_one():
 
 def test_unbiased_walk_return_mass_grows_with_horizon():
     ests = [monte_carlo_return(kernel_of(unbiased_walk()), trials=20_000,
-                               horizon=h, seed=1) for h in (100, 1_000, 10_000)]
+                               horizons=(h,), seed=1)[0]
+            for h in (100, 1_000, 10_000)]
     freqs = [e.frequency for e in ests]
     assert freqs[0] < freqs[1] < freqs[2]
     assert freqs[2] > 0.97
@@ -179,9 +185,9 @@ def test_unbiased_walk_return_mass_grows_with_horizon():
 
 def test_monte_carlo_is_seed_deterministic():
     k = kernel_of(five_three_chain())
-    a = monte_carlo_return(k, trials=2_000, horizon=200, seed=7)
-    b = monte_carlo_return(k, trials=2_000, horizon=200, seed=7)
-    c = monte_carlo_return(k, trials=2_000, horizon=200, seed=8)
+    a = monte_carlo_return(k, trials=2_000, horizons=(200,), seed=7)[0]
+    b = monte_carlo_return(k, trials=2_000, horizons=(200,), seed=7)[0]
+    c = monte_carlo_return(k, trials=2_000, horizons=(200,), seed=8)[0]
     assert a.as_dict() == b.as_dict()
     assert a.returned != c.returned or a.mean_return_time_of_returners != \
         c.mean_return_time_of_returners
@@ -194,26 +200,159 @@ def test_stuck_walker_is_an_error():
                           name="orphan")
     for origin in (0, 1):
         with pytest.raises(ValueError, match="no predecessors"):
-            monte_carlo_return(kernel_of(m), trials=100, horizon=10,
-                               seed=0, origin=origin)
+            monte_carlo_return(kernel_of(m), trials=100, horizons=(10,),
+                               seed=0, origin=origin)[0]
 
 
 def test_full_shift_mean_return_time_is_bracketed():
     # from any state the backward walk returns in one step with
     # probability 1/3, so the mean return time is 3 (Kac)
     est = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
-                             horizon=1, seed=0)
+                             horizons=(1,), seed=0)[0]
     assert 1 / est.wilson_high <= 3 <= 1 / est.wilson_low
     long = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
-                              horizon=200, seed=0)
+                              horizons=(200,), seed=0)[0]
     assert long.returned == long.trials
     assert long.mean_return_time_of_returners == pytest.approx(3, rel=0.05)
 
 
 def test_wilson_interval_brackets_the_frequency():
     est = monte_carlo_return(kernel_of(unbiased_walk()), trials=5_000,
-                             horizon=100, seed=2)
+                             horizons=(100,), seed=2)[0]
     assert 0.0 <= est.wilson_low <= est.frequency <= est.wilson_high <= 1.0
+
+
+# -- one walk for every horizon ------------------------------------------------
+
+class _ReferenceTable:
+    """The column table of the per-horizon estimator, kept verbatim."""
+
+    def __init__(self, kernel, state):
+        self.kernel = kernel
+        self.lo, self.hi = state, state - 1         # empty
+        self.cover(state, state)
+
+    def cover(self, lo, hi):
+        if self.lo <= lo and hi <= self.hi:
+            return
+        span = self.hi - self.lo + 1
+        self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
+        k = self.kernel
+        cols = [k.preds(s) if k.contains(s) else ()
+                for s in range(self.lo, self.hi + 1)]
+        self.counts = np.array([len(p) for p in cols], dtype=np.int64)
+        self.width = max(1, int(self.counts.max()))
+        table = np.zeros((len(cols), self.width), dtype=np.int64)
+        for row, preds in zip(table, cols):
+            row[:len(preds)] = preds
+        self.table = table.ravel()      # flat indexing gathers faster
+        # the counts that occur, largest first: the order of the draws
+        self.distinct = sorted(set(self.counts.tolist()), reverse=True)
+
+    def step(self, states, rng):
+        idx = states - self.lo
+        if len(self.distinct) == 1:     # one group of every walker, no mask
+            groups = [(self.distinct[0], slice(None))]
+        else:
+            cnt = self.counts[idx]
+            groups = [(c, cnt == c) for c in self.distinct]
+        out = np.empty_like(states)
+        for c, sel in groups:
+            rows = idx[sel]
+            if not rows.size:
+                continue
+            if c == 0:
+                raise ValueError(f"state {rows[0] + self.lo} has no "
+                                 "predecessors; backward walk is stuck")
+            out[sel] = self.table[rows * self.width
+                                  + rng.integers(0, c, size=rows.size)]
+        return out
+
+
+def reference_return(kernel, trials, horizon, seed, origin=0,
+                     escape_radius=None):
+    """One seeded walk per horizon: the estimator before horizons shared
+    a walk, kept verbatim."""
+    rng = np.random.default_rng(seed)
+    cols = _ReferenceTable(kernel, origin)
+    returned = 0
+    escaped = 0
+    time_sum = 0
+    alive = np.full(trials, origin, dtype=np.int64)
+    for t in range(1, horizon + 1):
+        if alive.size == 0:
+            break
+        cols.cover(int(alive.min()), int(alive.max()))
+        alive = cols.step(alive, rng)
+        back = alive == origin
+        hits = int(back.sum())
+        returned += hits
+        time_sum += t * hits
+        alive = alive[~back]
+        if escape_radius is not None:
+            out = np.abs(alive - origin) > escape_radius
+            escaped += int(out.sum())
+            alive = alive[~out]
+    lo, hi = _wilson(returned, trials)
+    mean_rt = time_sum / returned if returned else None
+    return ReturnEstimate(origin, trials, horizon, seed, returned, escaped,
+                          returned / trials, lo, hi, mean_rt)
+
+
+def assert_one_walk_matches_per_horizon_walks(m, origin, trials, horizons,
+                                              seed, radius):
+    kernel = kernel_of(m)
+    try:
+        want = [reference_return(kernel, trials, h, seed, origin, radius)
+                for h in horizons]
+    except ValueError as exc:
+        assert "no predecessors" in str(exc)
+        with pytest.raises(StuckWalk, match="no predecessors"):
+            monte_carlo_return(kernel, trials, horizons, seed, origin=origin,
+                               escape_radius=radius)
+        return
+    got = monte_carlo_return(kernel, trials, horizons, seed, origin=origin,
+                             escape_radius=radius)
+    assert got == want
+    assert repr(got) == repr(want)      # Python ints and floats, as before
+
+
+# unsorted, with repeats, often past the step where every walker is back
+HORIZON_SETS = st.lists(st.integers(1, 120), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(finite_chains(), st.integers(1, 200), HORIZON_SETS,
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 1, 3]),
+       st.data())
+def test_one_walk_matches_per_horizon_walks_on_finite_chains(
+        chain_and_window, trials, horizons, seed, radius, data):
+    m, _ = chain_and_window
+    origin = data.draw(st.integers(m.lo, m.hi))
+    assert_one_walk_matches_per_horizon_walks(m, origin, trials, horizons,
+                                              seed, radius)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(unbiased_walk(), 0), (biased_walk(), 0),
+                        (origin_broadcast(), 0), (factorial_chain(), 1),
+                        (five_three_chain(), 0), (five_three_chain(), 1)]),
+       st.integers(1, 400), HORIZON_SETS.map(lambda hs: hs + [3 * hs[0]]),
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 4, 256]))
+def test_one_walk_matches_per_horizon_walks_on_builtin_families(
+        chain_and_origin, trials, horizons, seed, radius):
+    m, origin = chain_and_origin
+    assert_one_walk_matches_per_horizon_walks(m, origin, trials, horizons,
+                                              seed, radius)
+
+
+def test_one_walk_keeps_the_order_of_the_horizons():
+    k = kernel_of(five_three_chain())
+    got = monte_carlo_return(k, 3_000, (1_000, 50, 7, 50), 4)
+    assert [e.horizon for e in got] == [1_000, 50, 7, 50]
+    assert got[1] == got[3]
+    assert got == [reference_return(k, 3_000, h, 4) for h in (1_000, 50, 7, 50)]
+    assert monte_carlo_return(k, 3_000, (), 4) == []
 
 
 # -- combined classification ---------------------------------------------------
