@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "full-shift-<k>, tent, staircase, "
                                  "five-three-map, dendrite)")
     common(a, "state window for reports and checks (default 64)")
-    a.add_argument("--depth", type=int, default=2,
+    a.add_argument("--depth", type=_count(0), default=2,
                    help="cylinder depth of the fairness check (default 2)")
     a.set_defaults(func=cmd_analyze)
 
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--map-family", choices=sorted(fio.MAP_FAMILIES),
                    help="builtin map instead of a spec file")
     common(f, "bound on emitted pieces for infinite partitions (default 30)")
-    f.add_argument("--depth", type=int, default=2,
+    f.add_argument("--depth", type=_count(0), default=2,
                    help="refinement depth of the exact fairness check")
     f.set_defaults(func=cmd_fairmodel)
 
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "residuals, fairness, entropy identity")
     v.add_argument("input")
     common(v, "state window for the checks (default 64)")
-    v.add_argument("--depth", type=int, default=2)
+    v.add_argument("--depth", type=_count(0), default=2)
     v.set_defaults(func=cmd_verify)
     return p
 
@@ -310,9 +310,11 @@ def cmd_analyze(args) -> int:
         "tail_mass_bound": pi.tail_mass_bound,
         "solver_window": pi.window,
     })
+    support = pi.support()
     fio.write_csv(os.path.join(_outdir(args), "stationary.csv"),
                   ["state", "weight", "probability"],
-                  [(i, pi.weight(i), pi.entry(i)) for i in pi.support()])
+                  [support, [pi.weight(i) for i in support],
+                   [pi.entry(i) for i in support]])
     _emit(args, "analyze.json", report,
           f"verdict PositiveRecurrent fair_entropy {h:.12g}")
     return EXIT_OK
@@ -340,8 +342,8 @@ def cmd_classify(args) -> int:
     n_max = len(series.terms) - 1
     fio.write_csv(os.path.join(_outdir(args), "series.csv"),
                   ["n", "term", "partial_sum"],
-                  [(n, float(t), float(s)) for n, (t, s) in
-                   enumerate(zip(series.terms, series.partial_sums))])
+                  [range(n_max + 1), [float(t) for t in series.terms],
+                   [float(s) for s in series.partial_sums]])
 
     report = {
         "schema_version": fio.SCHEMA_VERSION,
@@ -379,8 +381,7 @@ def cmd_simulate(args) -> int:
         series = geo_mean_series(path, kernel)
         fio.write_csv(os.path.join(out, f"path_{k}.csv"),
                       ["step", "state", "running_geo_mean_c"],
-                      zip(range(path.states.size), fio.scalars(path.states),
-                          fio.scalars(series)))
+                      [range(path.states.size), path.states, series])
         visits = path.origin_visits()
         per_path.append({
             "seed": path.seed,
@@ -476,13 +477,13 @@ def cmd_fairmodel(args) -> int:
     mu = fair_measure_from(pi, kernel, window=pi.window or 64)
     model = lebesgue_fair_model(imap, mu, window=window)
     total = float(model.total)
-    rows = []
-    for piece in model.pieces:
-        x0, x1 = piece.x_interval(total)
-        y0, y1 = piece.y_interval(total)
-        rows.append((x0, x1, y0, y1, int(piece.slope())))
+    xs = [piece.x_interval(total) for piece in model.pieces]
+    ys = [piece.y_interval(total) for piece in model.pieces]
     fio.write_csv(os.path.join(_outdir(args), "fairmodel.csv"),
-                  ["x", "x_right", "y", "y_right", "slope"], rows)
+                  ["x", "x_right", "y", "y_right", "slope"],
+                  [[x for x, _ in xs], [x for _, x in xs],
+                   [y for y, _ in ys], [y for _, y in ys],
+                   [int(piece.slope()) for piece in model.pieces]])
 
     violation = check_lebesgue_fair(model, depth=args.depth)
     h_rohlin = rohlin_entropy(model)

@@ -11,7 +11,6 @@ byte-identical files.
 
 from __future__ import annotations
 
-import itertools
 import json
 from fractions import Fraction
 from typing import Any, Mapping
@@ -27,8 +26,7 @@ from .interval import (Branch, FinitePartition, GeometricPartition,
 
 __all__ = [
     "SCHEMA_VERSION", "ParseError",
-    "canonical", "dump_json", "write_json", "load_json", "fmt", "scalars",
-    "write_csv",
+    "canonical", "dump_json", "write_json", "load_json", "fmt", "write_csv",
     "chain_to_dict", "chain_from_dict",
     "interval_map_to_dict", "interval_map_from_dict",
     "graph_to_dict", "graph_from_dict",
@@ -128,9 +126,17 @@ def fmt(x: Any) -> str:
 CSV_CHUNK_ROWS = 4096
 
 
-def _column_format(cells: list) -> str | None:
-    """The %-format that gives ``fmt`` of every cell, or None if none does."""
-    types = set(map(type, cells))
+def _column_format(column) -> str | None:
+    """The %-format that gives ``fmt`` of every cell, or None if none does.
+
+    Ranges hold integers and arrays answer by dtype; any other sequence
+    is scanned once for the types of its cells.
+    """
+    if isinstance(column, range):
+        return "%d"
+    if isinstance(column, np.ndarray):
+        return {"i": "%d", "u": "%d", "f": "%.12g"}.get(column.dtype.kind)
+    types = set(map(type, column))
     if all(issubclass(t, (int, np.integer)) and not issubclass(t, bool)
            for t in types):
         return "%d"
@@ -139,46 +145,37 @@ def _column_format(cells: list) -> str | None:
     return None
 
 
-def scalars(values: np.ndarray):
-    """The array's items as Python scalars, converted one CSV block at a time.
+def write_csv(path, header: list[str], columns) -> None:
+    """Header plus one line of ``fmt`` cells per row, given column by column.
 
-    ``values.tolist()`` would hold every item as a Python object at once;
-    a million-step path column is tens of MiB that way.
-    """
-    return itertools.chain.from_iterable(
-        values[lo:lo + CSV_CHUNK_ROWS].tolist()
-        for lo in range(0, values.size, CSV_CHUNK_ROWS))
-
-
-def write_csv(path, header: list[str], rows) -> None:
-    """Header plus one line of ``fmt`` cells per row.
-
-    Rows go out in blocks of ``CSV_CHUNK_ROWS``.  Each column of a block
-    is printed with ``%d`` when all its cells are (non-bool) integers and
-    ``%.12g`` when all are floats, which is what ``fmt`` gives for them;
-    any other column is passed through ``fmt`` and printed with ``%s``.
-    Rows are sequences; one whose length differs from the header's raises
-    ``ValueError``.
+    ``columns`` holds one sequence (numpy array, ``range`` or list) per
+    header field, all of one length, or ``ValueError`` is raised.  Rows go
+    out in blocks of ``CSV_CHUNK_ROWS``; an array column becomes Python
+    scalars one block at a time.  ``_column_format`` picks ``%d`` or
+    ``%.12g`` where that prints what ``fmt`` does; other columns use ``fmt``.
     """
     width = len(header)
-    rows = iter(rows)
+    lengths = set(map(len, columns))
+    if len(columns) != width or len(lengths) > 1:
+        raise ValueError(f"{path} needs {width} CSV columns of one length, "
+                         f"got lengths {[len(col) for col in columns]}")
+    n = lengths.pop() if lengths else 0
+    specs = [_column_format(col) for col in columns]
+    line = ",".join(spec or "%s" for spec in specs) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        while chunk := list(itertools.islice(rows, CSV_CHUNK_ROWS)):
-            if set(map(len, chunk)) != {width}:
-                raise ValueError(f"every CSV row of {path} needs {width} "
-                                 "cells, one per header field")
+        for lo in range(0, n, CSV_CHUNK_ROWS):
+            rows = min(CSV_CHUNK_ROWS, n - lo)
             # row-major cells: column k is the slice cells[k::width]
-            cells = list(itertools.chain.from_iterable(chunk))
-            specs = []
-            for k in range(width):
-                spec = _column_format(cells[k::width])
+            cells = [None] * (rows * width)
+            for k, (col, spec) in enumerate(zip(columns, specs)):
+                part = col[lo:lo + rows]
                 if spec is None:
-                    cells[k::width] = [fmt(c) for c in cells[k::width]]
-                    spec = "%s"
-                specs.append(spec)
-            line = ",".join(specs) + "\n"
-            fh.write(line * len(chunk) % tuple(cells))
+                    part = [fmt(c) for c in part]
+                elif isinstance(part, np.ndarray):
+                    part = part.tolist()
+                cells[k::width] = part
+            fh.write(line * rows % tuple(cells))
 
 
 # ---------------------------------------------------------------------------

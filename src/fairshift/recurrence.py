@@ -339,7 +339,8 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
     evidence["monte_carlo"] = {"escape_radius": radius, "estimates":
                                [e.as_dict() for e in estimates]}
     mc_transient = all(e.wilson_high < policy.transient_upper for e in estimates)
-    mc_recurrent = bool(estimates) and estimates[-1].wilson_high >= policy.transient_upper
+    mc_recurrent = bool(estimates) and max(  # the largest horizon decides
+        estimates, key=lambda e: e.horizon).wilson_high >= policy.transient_upper
 
     if solver_out == "summable":
         verdict = "positive-recurrent"

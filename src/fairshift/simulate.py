@@ -10,14 +10,11 @@ are counted.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .chain import BackwardKernel, StuckWalk
-from .io import scalars
 from .measure import FairMeasure, cylinder_measure, integral_log_c
 
 __all__ = [
@@ -25,6 +22,8 @@ __all__ = [
     "PathStats", "geo_mean_series", "geo_mean_target", "geo_mean_convergence",
     "GeoMeanReport", "equidistribution_test", "equidistribution_report",
 ]
+
+_DRAW_BLOCK = 4096      # uniforms per draw; the stream does not depend on it
 
 
 @dataclass(frozen=True)
@@ -47,39 +46,39 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     """One backward trajectory of the given length from ``start``.
 
     Kernels with one offset law everywhere are drawn in one vectorised
-    pass; every other chain steps through ``kernel.preds``, choosing in
-    each column by one uniform against cumulative weights cached per
-    column count.  The stream is a deterministic function of the seed.
+    pass; every other chain steps through ``kernel.preds``, taking
+    ``preds[int(u * c)]`` for a uniform u and column count c.  The stream
+    is a deterministic function of the seed.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
     rng = np.random.default_rng(seed)
+    out = np.empty(length + 1, dtype=np.int64)
+    out[0] = s = start
     offs = kernel.step_offsets()
     if offs is not None:
         steps = np.asarray(offs, dtype=np.int64)
         picks = steps[rng.integers(0, steps.size, size=length)]
-        out = np.empty(length + 1, dtype=np.int64)
-        out[0] = start
         np.cumsum(picks, out=out[1:])
         out[1:] += start
         return BackwardPath(out, start, seed, kernel.base.name)
 
-    out = np.empty(length + 1, dtype=np.int64)
-    out[0] = start
-    s = start
-    preds_of = kernel.preds
-    cums: dict[int, list[float]] = {}     # cumulative uniform weights per count
-    for t, u in enumerate(scalars(rng.random(length)), 1):
-        preds = preds_of(s)
-        cum = cums.get(len(preds))
-        if cum is None:
-            if not preds:
-                raise StuckWalk(f"state {s} has no predecessors; "
-                                "backward walk is stuck")
-            c = len(preds)
-            cum = cums[c] = list(accumulate([1 / c] * c))
-        s = preds[bisect_left(cum, u * cum[-1])]
-        out[t] = s
+    table: dict[int, tuple] = {}            # state -> (preds, count)
+    for lo in range(1, length + 1, _DRAW_BLOCK):
+        block = []
+        append = block.append
+        for u in rng.random(min(_DRAW_BLOCK, length + 1 - lo)).tolist():
+            entry = table.get(s)
+            if entry is None:
+                preds = kernel.preds(s)
+                if not preds:
+                    raise StuckWalk(f"state {s} has no predecessors; "
+                                    "backward walk is stuck")
+                entry = table[s] = (preds, len(preds))
+            preds, c = entry
+            s = preds[int(u * c)]
+            append(s)
+        out[lo:lo + len(block)] = block
     return BackwardPath(out, start, seed, kernel.base.name)
 
 
@@ -225,11 +224,11 @@ def equidistribution_report(paths: list[BackwardPath], mu: FairMeasure,
         for w, c in _word_counts(p.states, depth).items():
             pooled[w] = pooled.get(w, 0) + c
         for m in range(1, depth + 1):
-            windows[m] += p.states.size - m + 1
+            windows[m] += max(p.states.size - m + 1, 0)
     worst = 0.0
     table = []
     for w in _admissible_words(mu, depth):
-        emp = pooled.get(w, 0) / windows[len(w)]
+        emp = pooled.get(w, 0) / max(windows[len(w)], 1)   # 0 if no windows
         ref = float(cylinder_measure(mu, w))
         worst = max(worst, abs(emp - ref))
         table.append({"word": list(w), "empirical": emp, "measure": ref})

@@ -395,6 +395,9 @@ def test_bad_flag_exits_one(tmp_path):
     (["simulate", "origin-broadcast", "--paths", "0"], "--paths"),
     (["simulate", "origin-broadcast", "--depth", "0"], "--depth"),
     (["simulate", "origin-broadcast", "--length", "-3"], "--length"),
+    (["analyze", "origin-broadcast", "--depth", "-1"], "--depth"),
+    (["verify", "origin-broadcast", "--depth", "-1"], "--depth"),
+    (["fairmodel", "--map-family", "tent", "--depth", "-1"], "--depth"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
@@ -428,6 +431,20 @@ def test_zero_length_simulate_is_accepted(tmp_path):
     code, out = run(tmp_path, "simulate", "origin-broadcast", "--length", "0")
     assert code == 0
     assert (out / "path_0.csv").read_text().splitlines()[1:] == ["0,0,2"]
+
+
+def test_simulate_depth_beyond_the_path_counts_unseen_words(tmp_path):
+    # a one-state path has no length-2 windows: those words read as
+    # frequency 0 and keep their whole measure in the discrepancy
+    code, out = run(tmp_path, "simulate", "origin-broadcast", "--length", "0",
+                    "--depth", "2")
+    assert code == 0
+    eq = read(out, "simulate.json")["equidistribution"]
+    pairs = [e for e in eq["worst_words"] if len(e["word"]) == 2]
+    assert pairs
+    for e in pairs:
+        assert e["empirical"] == 0
+        assert eq["max_discrepancy"] >= e["measure"]
 
 
 def test_chain_file_and_family_give_identical_reports(tmp_path):

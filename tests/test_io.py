@@ -56,7 +56,7 @@ def test_fmt_and_csv(tmp_path):
     assert fmt(Fraction(1, 2)) == "1/2"
     assert fmt(7) == "7"
     p = tmp_path / "t.csv"
-    write_csv(p, ["a", "b"], [(1, 0.5), (2, Fraction(1, 3))])
+    write_csv(p, ["a", "b"], [[1, 2], [0.5, Fraction(1, 3)]])
     assert p.read_text() == "a,b\n1,0.5\n2,1/3\n"
 
 
@@ -85,7 +85,11 @@ C = CSV_CHUNK_ROWS
 
 @st.composite
 def csv_tables(draw):
-    """Rows whose columns switch cell type partway, often at a chunk end."""
+    """Columns that switch cell type partway, often at a chunk end.
+
+    Besides lists of mixed cells, a column may be a numpy int64 or float64
+    array or a ``range``.
+    """
     n = draw(st.sampled_from([0, 1, C - 1, C, C + 1, 2 * C + 3]))
     pools = {k: draw(st.lists(s, min_size=1, max_size=6))
              for k, s in CELLS.items()}
@@ -95,6 +99,17 @@ def csv_tables(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
+        whole = draw(st.sampled_from(["list", "list", "int64", "float64",
+                                      "range"]))
+        if whole == "range":
+            start = draw(st.integers(-2 ** 40, 2 ** 40))
+            columns.append(range(start, start + n))
+            continue
+        if whole != "list":
+            pool = pools[f"np.{whole}"]
+            columns.append(np.array([rng.choice(pool) for _ in range(n)],
+                                    dtype=whole))
+            continue
         # each segment is one cell type, or "mixed": a type drawn per cell
         segs = draw(st.lists(st.sampled_from([*kinds, "mixed"]),
                              min_size=1, max_size=3))
@@ -107,25 +122,24 @@ def csv_tables(draw):
                 pool = pools[rng.choice(kinds) if kind == "mixed" else kind]
                 col.append(rng.choice(pool))
         columns.append(col)
-    return list(zip(*columns)) if n else [], len(columns)
+    return columns
 
 
 @settings(max_examples=60, deadline=None)
 @given(csv_tables())
-def test_write_csv_matches_the_per_cell_reference(tmp_path_factory, table):
-    rows, width = table
-    header = [f"c{k}" for k in range(width)]
+def test_write_csv_matches_the_per_cell_reference(tmp_path_factory, columns):
+    header = [f"c{k}" for k in range(len(columns))]
     d = tmp_path_factory.mktemp("csv")
-    write_csv(d / "got.csv", header, iter(rows))
-    reference_csv(d / "want.csv", header, rows)
+    write_csv(d / "got.csv", header, columns)
+    reference_csv(d / "want.csv", header, zip(*columns))
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
 
 
 def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "a.csv", ["a", "b"], [(1, 2), (3,)])
+        write_csv(tmp_path / "a.csv", ["a", "b"], [[1, 3], [2]])
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "b.csv", ["a", "b"], [(1, 2, 3)])
+        write_csv(tmp_path / "b.csv", ["a", "b"], [[1], [2], [3]])
 
 
 # -- chain round-trips ---------------------------------------------------------

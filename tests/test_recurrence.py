@@ -422,3 +422,11 @@ def test_classify_is_seed_reproducible():
     b = classify(kernel_of(five_three_chain()), p)
     assert a.verdict == b.verdict
     assert a.evidence["monte_carlo"] == b.evidence["monte_carlo"]
+
+
+def test_classify_verdict_does_not_depend_on_the_order_of_horizons():
+    # the verdict reads the largest horizon, wherever the policy lists it
+    k = kernel_of(unbiased_walk())
+    up = classify(k, ClassifyPolicy(trials=5_000, horizons=(100, 10_000)))
+    down = classify(k, ClassifyPolicy(trials=5_000, horizons=(10_000, 100)))
+    assert up.verdict == down.verdict == "null-recurrent"

@@ -6,19 +6,22 @@ would pass (several sigma).
 """
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
-    Abs, TransitionRuleSet, build_backward_kernel, biased_walk,
+    Abs, StuckWalk, TransitionRuleSet, build_backward_kernel, biased_walk,
     equidistribution_test, factorial_chain, fair_measure_from, five_three_chain,
     full_shift, geo_mean_convergence, geo_mean_series, origin_broadcast,
     path_statistics, sample_backward, sample_paths, solve_stationary,
     unbiased_walk,
 )
 from fairshift.simulate import _word_counts
+from test_chain import finite_chains
 
 FAMILIES = [unbiased_walk(), biased_walk(), origin_broadcast(),
             factorial_chain(), five_three_chain(), full_shift(2)]
@@ -80,6 +83,62 @@ def test_stuck_state_is_an_error():
                           name="orphan")
     with pytest.raises(ValueError):
         sample_backward(kernel_of(m), start=0, length=10)
+
+
+def reference_backward(kernel, start, length, seed=0):
+    """The states of a stepping-loop path: cumulative weights and bisection."""
+    rng = np.random.default_rng(seed)
+    out = np.empty(length + 1, dtype=np.int64)
+    out[0] = start
+    s = start
+    preds_of = kernel.preds
+    cums: dict[int, list[float]] = {}     # cumulative uniform weights per count
+    for t, u in enumerate(rng.random(length).tolist(), 1):
+        preds = preds_of(s)
+        cum = cums.get(len(preds))
+        if cum is None:
+            if not preds:
+                raise StuckWalk(f"state {s} has no predecessors; "
+                                "backward walk is stuck")
+            c = len(preds)
+            cum = cums[c] = list(accumulate([1 / c] * c))
+        s = preds[bisect_left(cum, u * cum[-1])]
+        out[t] = s
+    return out
+
+
+def assert_sampler_matches_reference(m, start, length, seed):
+    kernel = kernel_of(m)
+    assert kernel.step_offsets() is None      # the stepping loop runs
+    try:
+        want = reference_backward(kernel, start, length, seed)
+    except StuckWalk as exc:
+        with pytest.raises(StuckWalk) as got:
+            sample_backward(kernel, start, length, seed)
+        assert str(got.value) == str(exc)
+    else:
+        got = sample_backward(kernel, start, length, seed)
+        assert np.array_equal(got.states, want), (m.name, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_chains(), st.sampled_from([0, 1, 4095, 4096, 4097, 9000]),
+       st.integers(0, 2), st.data())
+def test_table_sampler_matches_the_reference_on_finite_chains(
+        chain_and_window, length, seed, data):
+    m, _ = chain_and_window
+    start = data.draw(st.integers(m.lo, m.hi))
+    assert_sampler_matches_reference(m, start, length, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_table_sampler_matches_the_reference_on_builtin_families(seed):
+    for m in (origin_broadcast(), five_three_chain(), factorial_chain()):
+        assert_sampler_matches_reference(m, m.spiral(1)[0], 100_000, seed)
+    orphan = TransitionRuleSet(lo=0, hi=1, head=2,
+                               explicit={0: (Abs(1),), 1: (Abs(1),)},
+                               name="orphan")
+    assert_sampler_matches_reference(orphan, 1, 100, seed)
 
 
 def test_deterministic_cycle_path():
