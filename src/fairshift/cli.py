@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "full-shift-<k>, tent, staircase, "
                                  "five-three-map, dendrite)")
     common(a, "state window for reports and checks (default 64)")
-    a.add_argument("--depth", type=_count(0), default=2,
+    a.add_argument("--depth", type=_count(1), default=2,
                    help="cylinder depth of the fairness check (default 2)")
     a.set_defaults(func=cmd_analyze)
 
@@ -121,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("--map-family", choices=sorted(fio.MAP_FAMILIES),
                    help="builtin map instead of a spec file")
     common(f, "bound on emitted pieces for infinite partitions (default 30)")
-    f.add_argument("--depth", type=_count(0), default=2,
+    f.add_argument("--depth", type=_count(1), default=2,
                    help="refinement depth of the exact fairness check")
     f.set_defaults(func=cmd_fairmodel)
 
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "residuals, fairness, entropy identity")
     v.add_argument("input")
     common(v, "state window for the checks (default 64)")
-    v.add_argument("--depth", type=_count(0), default=2)
+    v.add_argument("--depth", type=_count(1), default=2)
     v.set_defaults(func=cmd_verify)
     return p
 

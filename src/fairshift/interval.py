@@ -554,8 +554,11 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     integers over one common denominator and returns a Fraction, exactly
     zero for models built by ``lebesgue_fair_model`` from exact weights.
     Otherwise it runs in float arithmetic and returns a float; a cell end
-    within rounding of a slot end then counts as inside the slot.
+    within rounding of a slot end then counts as inside the slot.  A depth
+    below 1 would walk no cell and certify nothing: it raises ValueError.
     """
+    if depth < 1:
+        raise ValueError(f"depth must be at least 1, got {depth}")
     # under window truncation some slots are missing out-of-window
     # predecessor pieces; their cells cannot be certified either way and
     # are skipped, exactly like boundary states in the chain checks

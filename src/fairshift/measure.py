@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from fractions import Fraction
+from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -287,10 +289,13 @@ class ForwardMatrix:
         return self.rows.get(i, ())
 
     def prob(self, i: int, j: int) -> Number:
-        for k, p in self.rows.get(i, ()):
-            if k == j:
-                return p
-        return 0
+        return self._index.get((i, j), 0)
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], Number]:
+        # the first entry of a pair wins, as in a scan of the row
+        return {(i, j): p for i, row in self.rows.items()
+                for j, p in reversed(row)}
 
 
 def build_forward_matrix(pi: StationaryVector, kernel: BackwardKernel,
@@ -379,12 +384,7 @@ def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
     state_set = set(states)
     zero = Fraction(0) if mu.pi.ratios_exact else 0.0
     worst = zero
-
-    def weight_of(word: tuple[int, ...]) -> Number:
-        acc: Number = mu.pi.weight(word[0])
-        for a, b in zip(word, word[1:]):
-            acc = acc * mu.forward.prob(a, b)
-        return acc
+    weight, prob = mu.pi.weight, mu.forward.prob
 
     # length-0 word: only when the whole space is branch-image measurable
     if m.rows_full():
@@ -393,20 +393,23 @@ def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
             v = abs(mu.pi.weight(i) - _as(mu.pi.total, mu.pi.ratios_exact) / c)
             worst = max(worst, v)
 
+    # each column once: its count and its predecessors inside the window
+    cols: dict[int, tuple[int | float, list[int]]] = {}
     stack: list[tuple[int, ...]] = [(s,) for s in states]
     while stack:
         word = stack.pop()
-        base_w = weight_of(word)
         w0 = word[0]
-        c = m.column_count(w0)
-        if c is not math.inf:
-            for i in m.predecessors(w0):
-                if i not in state_set:
-                    continue
-                ext = mu.pi.weight(i) * mu.forward.prob(i, w0)
-                for a, b in zip(word, word[1:]):
-                    ext = ext * mu.forward.prob(a, b)
-                worst = max(worst, abs(ext - base_w / c))
+        if w0 not in cols:
+            c = m.column_count(w0)
+            cols[w0] = c, [] if c is math.inf else [
+                i for i in m.predecessors(w0) if i in state_set]
+        c, preds = cols[w0]
+        if preds:
+            steps = [prob(a, b) for a, b in zip(word, word[1:])]
+            share = reduce(mul, steps, weight(w0)) / c
+            for i in preds:
+                ext = reduce(mul, steps, weight(i) * prob(i, w0))
+                worst = max(worst, abs(ext - share))
         if len(word) < depth:
             for j in m.successors(word[-1], within=window):
                 stack.append(word + (j,))

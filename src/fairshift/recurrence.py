@@ -155,58 +155,67 @@ def _wilson(k: int, n: int) -> tuple[float, float]:
 class _ColumnTable:
     """Dense predecessor table of a kernel over a range of states.
 
-    Row s - lo lists preds(s), padded to the widest column in the range
-    and stored flat; states outside the domain get empty rows, which no
-    walker reaches.  ``cover`` grows the range to hold given states, at
-    least doubling its span.
+    Walkers are flat row offsets: the row of state s starts at (s - lo) *
+    width and lists the row offsets of preds(s), padded to the widest
+    column in the range; ``counts`` repeats its column count across the
+    row.  States outside the domain get empty rows, which no walker
+    reaches.  ``cover`` grows the range to hold given walkers, at least
+    doubling its span.
     """
 
     def __init__(self, kernel: BackwardKernel, state: int):
         self.kernel = kernel
-        self.lo, self.hi = state, state - 1         # empty
-        self.cover(state, state)
+        self.lo, self.hi, self.width = state, state - 1, 1      # empty
+        self._grow(state, state)
 
-    def cover(self, lo: int, hi: int) -> int:
-        """Hold states lo..hi; return the steps walkers there can take."""
+    def _grow(self, lo: int, hi: int) -> None:
+        span = self.hi - self.lo + 1
+        self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
+        k = self.kernel
+        cols = [k.preds(s) if k.contains(s) else ()
+                for s in range(self.lo, self.hi + 1)]
+        counts = np.array([len(p) for p in cols], dtype=np.int64)
+        self.width = max(1, int(counts.max()))
+        self.counts = np.repeat(counts, self.width)
+        table = np.zeros((len(cols), self.width), dtype=np.int64)
+        for row, preds in zip(table, cols):
+            row[:len(preds)] = preds
+        self.table = ((table - self.lo) * self.width).ravel()
+        # the counts that occur, largest first: the order of the draws
+        self.distinct = sorted(set(counts.tolist()), reverse=True)
+        # the longest one-step move (columns are ascending), at least 1
+        self.reach = max([1] + [max(s - p[0], p[-1] - s) for s, p in
+                                zip(range(self.lo, self.hi + 1), cols) if p])
+
+    def cover(self, flat: np.ndarray) -> tuple[np.ndarray, int]:
+        """Hold these walkers; return them as offsets into the (possibly
+        grown) table, with the steps they can take before leaving it."""
+        width, base = self.width, self.lo
+        lo, hi = int(flat.min()) // width + base, int(flat.max()) // width + base
         if lo < self.lo or hi > self.hi:
-            span = self.hi - self.lo + 1
-            self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
-            k = self.kernel
-            cols = [k.preds(s) if k.contains(s) else ()
-                    for s in range(self.lo, self.hi + 1)]
-            self.counts = np.array([len(p) for p in cols], dtype=np.int64)
-            self.width = max(1, int(self.counts.max()))
-            table = np.zeros((len(cols), self.width), dtype=np.int64)
-            for row, preds in zip(table, cols):
-                row[:len(preds)] = preds
-            self.table = table.ravel()      # flat indexing gathers faster
-            # the counts that occur, largest first: the order of the draws
-            self.distinct = sorted(set(self.counts.tolist()), reverse=True)
-            # the longest one-step move (columns are ascending), at least 1
-            self.reach = max([1] + [max(s - p[0], p[-1] - s) for s, p in
-                                    zip(range(self.lo, self.hi + 1), cols) if p])
-        return min(lo - self.lo, self.hi - hi) // self.reach + 1
+            self._grow(lo, hi)
+            flat = (flat // width + (base - self.lo)) * self.width
+        return flat, min(lo - self.lo, self.hi - hi) // self.reach + 1
 
-    def step(self, states: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    def step(self, flat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Move every walker to a uniformly drawn entry of its column.
 
         The draws go by groups of equal column count c, larger counts
         first, one ``rng.integers(0, c, size=k)`` per group of k walkers.
         """
-        idx = states - self.lo
-        # with one count, the group of every walker needs no mask
-        cnt = self.counts[idx] if len(self.distinct) > 1 else None
-        out = np.empty_like(states)
+        c = self.distinct[0]
+        if len(self.distinct) == 1 and c:   # one group of every walker, no mask
+            return self.table[flat + rng.integers(0, c, size=flat.size)]
+        cnt = self.counts[flat]
+        out = np.empty_like(flat)
         for c in self.distinct:
-            sel = slice(None) if cnt is None else np.flatnonzero(cnt == c)
-            rows = idx[sel]
-            if not rows.size:
+            at = (cnt == c).nonzero()[0]
+            if not at.size:
                 continue
             if c == 0:
-                raise StuckWalk(f"state {rows[0] + self.lo} has no "
-                                "predecessors; backward walk is stuck")
-            out[sel] = self.table[rows * self.width
-                                  + rng.integers(0, c, size=rows.size)]
+                raise StuckWalk(f"state {flat[at[0]] // self.width + self.lo} "
+                                "has no predecessors; backward walk is stuck")
+            out[at] = self.table[flat[at] + rng.integers(0, c, size=at.size)]
         return out
 
 
@@ -216,21 +225,26 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
                        ) -> list[ReturnEstimate]:
     """Estimate the probability of returning to the origin within each horizon.
 
-    All trials step together as one batch of walkers over a dense
-    predecessor table of the range they have reached, grown as they
-    spread.  Each step draws ``rng.integers(0, c, size=k)`` for the k
-    walkers on columns of each distinct count c, larger counts first, and
-    moves each walker to that entry of its ascending column.  One walk
-    runs to the largest horizon and is read off at each horizon, in the
-    order given.  A walker on a state without predecessors raises
-    StuckWalk.
+    All trials step together as one batch of walkers, held as flat row
+    offsets into a dense predecessor table of the range they have
+    reached, grown as they spread.  Each step draws
+    ``rng.integers(0, c, size=k)`` for the k walkers on columns of each
+    distinct count c, larger counts first, and moves each walker to that
+    entry of its ascending column.  One walk runs to the largest horizon
+    and is read off at each horizon, in the order given.  A walker on a
+    state without predecessors raises StuckWalk.
     ``escape_radius`` abandons trials that wander further than the radius
     from the origin, counting them as non-returns; callers enable it only
     for walks with a clear drift, where that return mass is negligible.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+    if any(h < 1 for h in horizons):
+        raise ValueError(f"horizons must be at least 1, got {list(horizons)}")
     rng = np.random.default_rng(seed)
     cols = _ColumnTable(kernel, origin)
-    alive = np.full(trials, origin, dtype=np.int64)
+    alive = np.zeros(trials, dtype=np.int64)    # the table starts at the origin
+    r = escape_radius or 0
     returned = escaped = time_sum = t = 0
     unchecked = 0       # steps left before the walkers' range is checked
     done: dict[int, ReturnEstimate] = {}
@@ -238,17 +252,21 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
         while t < horizon and alive.size:
             t += 1
             if not unchecked:
-                unchecked = cols.cover(int(alive.min()), int(alive.max()))
+                alive, unchecked = cols.cover(alive)
+                # the origin and the escape bounds as offsets, exact since
+                # every offset is a multiple of the table width
+                home, near, far = ((origin + d - cols.lo) * cols.width
+                                   for d in (0, -r, r))
             unchecked -= 1
             alive = cols.step(alive, rng)
-            back = alive == origin
+            back = alive == home
             hits = int(np.count_nonzero(back))
             if hits:
                 returned += hits
                 time_sum += t * hits
                 alive = alive[~back]
             if escape_radius is not None:
-                out = np.abs(alive - origin) > escape_radius
+                out = (alive < near) | (alive > far)
                 gone = int(np.count_nonzero(out))
                 if gone:
                     escaped += gone
@@ -338,7 +356,8 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
                                    escape_radius=radius)
     evidence["monte_carlo"] = {"escape_radius": radius, "estimates":
                                [e.as_dict() for e in estimates]}
-    mc_transient = all(e.wilson_high < policy.transient_upper for e in estimates)
+    mc_transient = bool(estimates) and all(
+        e.wilson_high < policy.transient_upper for e in estimates)
     mc_recurrent = bool(estimates) and max(  # the largest horizon decides
         estimates, key=lambda e: e.horizon).wilson_high >= policy.transient_upper
 

@@ -398,6 +398,9 @@ def test_bad_flag_exits_one(tmp_path):
     (["analyze", "origin-broadcast", "--depth", "-1"], "--depth"),
     (["verify", "origin-broadcast", "--depth", "-1"], "--depth"),
     (["fairmodel", "--map-family", "tent", "--depth", "-1"], "--depth"),
+    (["analyze", "origin-broadcast", "--depth", "0"], "--depth"),
+    (["verify", "origin-broadcast", "--depth", "0"], "--depth"),
+    (["fairmodel", "--map-family", "tent", "--depth", "0"], "--depth"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"

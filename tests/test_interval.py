@@ -427,3 +427,10 @@ def test_finite_partition_lookups_match_a_linear_scan(points, data):
         lo, hi = data.draw(queries), data.draw(queries)
         assert (_outcome(part.covered, lo, hi)
                 == _outcome(_scan_covered, points, lo, hi))
+
+
+@pytest.mark.parametrize("depth", [0, -1])
+def test_a_check_of_no_cells_is_refused(depth):
+    # depth 0 walks no cell, so its 0 would certify nothing
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        check_lebesgue_fair(tent_model(), depth)

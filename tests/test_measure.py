@@ -9,9 +9,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fairshift import (
-    Abs, FairMeasure, NoSummableSolution, StationaryVector,
+    Abs, FairMeasure, ForwardMatrix, NoSummableSolution, StationaryVector,
     TransitionRuleSet, biased_walk, build_backward_kernel,
     build_forward_matrix, check_fair_on_cylinders,
     factorial_chain, factorial_stationary, fair_entropy, fair_measure_from,
@@ -20,6 +21,8 @@ from fairshift import (
     origin_broadcast_stationary, solve_stationary, unbiased_walk,
     verify_stationary,
 )
+from fairshift.measure import _as
+from test_chain import finite_chains
 
 # independent oracle: sum_k log(k+2) / (e k!)
 FACTORIAL_ENTROPY = 1.0475026451453382
@@ -159,6 +162,117 @@ def test_forward_rows_are_stochastic_and_balanced():
             for j, p in row:
                 q = next(q for s, q in kernel.row(j) if s == i)
                 assert abs(pi.entry(i) * float(p) - pi.entry(j) * float(q)) <= 1e-10
+
+
+# -- the cylinder check against its per-predecessor reference -----------------
+
+class ScanMatrix(ForwardMatrix):
+    """The forward matrix with the linear-scan ``prob``, kept verbatim."""
+
+    def prob(self, i, j):
+        for k, p in self.rows.get(i, ()):
+            if k == j:
+                return p
+        return 0
+
+
+def reference_check(mu, m, depth, window):
+    """check_fair_on_cylinders before columns were read once per call,
+    kept verbatim; run it on a measure whose forward is a ScanMatrix."""
+    states = m.states(window)
+    state_set = set(states)
+    zero = Fraction(0) if mu.pi.ratios_exact else 0.0
+    worst = zero
+
+    def weight_of(word):
+        acc = mu.pi.weight(word[0])
+        for a, b in zip(word, word[1:]):
+            acc = acc * mu.forward.prob(a, b)
+        return acc
+
+    # length-0 word: only when the whole space is branch-image measurable
+    if m.rows_full():
+        c = len(states)
+        for i in states:
+            v = abs(mu.pi.weight(i) - _as(mu.pi.total, mu.pi.ratios_exact) / c)
+            worst = max(worst, v)
+
+    stack = [(s,) for s in states]
+    while stack:
+        word = stack.pop()
+        base_w = weight_of(word)
+        w0 = word[0]
+        c = m.column_count(w0)
+        if c is not math.inf:
+            for i in m.predecessors(w0):
+                if i not in state_set:
+                    continue
+                ext = mu.pi.weight(i) * mu.forward.prob(i, w0)
+                for a, b in zip(word, word[1:]):
+                    ext = ext * mu.forward.prob(a, b)
+                worst = max(worst, abs(ext - base_w / c))
+        if len(word) < depth:
+            for j in m.successors(word[-1], within=window):
+                stack.append(word + (j,))
+    if isinstance(worst, Fraction) and isinstance(mu.pi.total, (Fraction, int)):
+        return worst / Fraction(mu.pi.total)
+    return float(worst) / float(mu.pi.total)
+
+
+def assert_check_matches_reference(mu, m, depths, window):
+    scan = ScanMatrix(mu.forward.rows)
+    states = m.states(window + 1)       # one ring of absent pairs beyond
+    for i in states:
+        for j in states:
+            got, want = mu.forward.prob(i, j), scan.prob(i, j)
+            assert got == want and repr(got) == repr(want), (i, j)
+    ref = FairMeasure(mu.pi, scan, mu.kernel)
+    for depth in depths:
+        got = check_fair_on_cylinders(mu, m, depth, window)
+        want = reference_check(ref, m, depth, window)
+        assert got == want and repr(got) == repr(want), depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_chains())
+def test_cylinder_check_matches_the_reference_on_finite_chains(
+        chain_and_window):
+    m, window = chain_and_window
+    kernel = build_backward_kernel(m)
+    try:
+        pi = solve_stationary(kernel)
+    except (ArithmeticError, ValueError, RuntimeError):
+        assume(False)
+    assume(isinstance(pi, StationaryVector))
+    mu = fair_measure_from(pi, kernel, window)
+    assert_check_matches_reference(mu, m, (1, 2, 3), window)
+
+
+@pytest.mark.parametrize("m, pi", [
+    (full_shift(3), full_shift_stationary(3)),
+    (origin_broadcast(), origin_broadcast_stationary(40)),
+    (origin_broadcast(), None),
+    (factorial_chain(), factorial_stationary(40)),
+    (factorial_chain(), None),
+], ids=["full-shift-3", "origin-broadcast", "origin-broadcast-solved",
+        "factorial-chain", "factorial-chain-solved"])
+def test_cylinder_check_matches_the_reference_on_builtins(m, pi):
+    kernel = build_backward_kernel(m)
+    mu = fair_measure_from(pi or solve_stationary(kernel), kernel, 40)
+    assert_check_matches_reference(mu, m, (1, 2, 3, 4), 12)
+
+
+def test_cylinder_check_matches_the_reference_where_it_fails():
+    # the true weights with rows balanced against another vector
+    m = origin_broadcast()
+    kernel = build_backward_kernel(m)
+    skew = {i: Fraction(1, 3 ** (i + 1)) for i in range(41)}
+    skew_pi = StationaryVector(weights=skew, total=sum(skew.values()),
+                               provenance="closed-form")
+    mu = FairMeasure(origin_broadcast_stationary(40),
+                     build_forward_matrix(skew_pi, kernel, 40), kernel)
+    assert_check_matches_reference(mu, m, (1, 2, 3, 4), 12)
+    assert check_fair_on_cylinders(mu, m, 2, 12) > 0
 
 
 # -- entropy -----------------------------------------------------------------

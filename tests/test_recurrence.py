@@ -20,7 +20,7 @@ from fairshift import (
     factorial_chain, five_three_chain, full_shift, monte_carlo_return,
     origin_broadcast, series_test, unbiased_walk,
 )
-from fairshift.recurrence import _wilson
+from fairshift.recurrence import _ColumnTable, _wilson
 from test_chain import finite_chains
 
 
@@ -355,6 +355,37 @@ def test_one_walk_keeps_the_order_of_the_horizons():
     assert monte_carlo_return(k, 3_000, (), 4) == []
 
 
+@pytest.mark.parametrize("radius", [None, 8])
+def test_walkers_keep_their_states_across_table_growths(monkeypatch, radius):
+    # the factorial chain widens its columns as the walkers climb, so
+    # every growth moves the walkers' row offsets to a new width
+    grow = _ColumnTable._grow
+    widths = []
+
+    def logged(self, lo, hi):
+        grow(self, lo, hi)
+        widths.append(self.width)
+
+    monkeypatch.setattr(_ColumnTable, "_grow", logged)
+    k = kernel_of(factorial_chain())
+    got = monte_carlo_return(k, 300, (5, 40), 0, origin=1,
+                             escape_radius=radius)
+    assert len(widths) >= 4         # the first table and 3 growths
+    assert len(set(widths)) >= 3
+    want = [reference_return(k, 300, h, 0, 1, radius) for h in (5, 40)]
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("trials, horizons, name", [
+    (0, (10,), "trials"), (-3, (10,), "trials"),
+    (100, (10, -5), "horizons"), (100, (0,), "horizons")])
+def test_monte_carlo_refuses_empty_samples_and_horizons(trials, horizons,
+                                                        name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        monte_carlo_return(kernel_of(unbiased_walk()), trials, horizons, 0)
+
+
 # -- combined classification ---------------------------------------------------
 
 # smaller sample than the default but the full top horizon: the top
@@ -430,3 +461,9 @@ def test_classify_verdict_does_not_depend_on_the_order_of_horizons():
     up = classify(k, ClassifyPolicy(trials=5_000, horizons=(100, 10_000)))
     down = classify(k, ClassifyPolicy(trials=5_000, horizons=(10_000, 100)))
     assert up.verdict == down.verdict == "null-recurrent"
+
+
+def test_no_estimates_are_no_evidence_of_transience():
+    got = classify(kernel_of(biased_walk()), ClassifyPolicy(horizons=()))
+    assert got.evidence["monte_carlo"]["estimates"] == []
+    assert got.verdict == "unknown"
