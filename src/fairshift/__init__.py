@@ -42,7 +42,7 @@ from .measure import (AtomicOrbit, FairMeasure, ForwardMatrix,
                       find_atomic_fair_measures, integral_log_c,
                       solve_stationary, verify_stationary)
 from .recurrence import (Classification, ClassifyPolicy, ReturnEstimate,
-                         SeriesResult, WindowInsufficient, classify,
+                         SeriesResult, classify,
                          monte_carlo_return, series_test)
 from .simulate import (BackwardPath, GeoMeanReport, PathStats,
                        equidistribution_report, equidistribution_test,

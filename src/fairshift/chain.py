@@ -16,7 +16,8 @@ Term kinds used in a row description, for a row at state ``i``:
 
 Inside the declared domain, states with ``|i| < head`` must carry
 explicit rows; all other states are governed by the tail rule of their
-residue class mod ``period``.
+residue class mod ``period``.  Every query reads a term through its
+normal form ``(relative, anchor, ray)``, computed once by ``_span``.
 """
 
 from __future__ import annotations
@@ -77,6 +78,24 @@ class AbsRay:
 
 
 Term = Rel | Abs | RelRay | AbsRay
+Span = tuple[bool, int, bool]
+
+
+def _span(t: Term) -> Span:
+    """Normal form (relative, anchor, ray) of a term.
+
+    The term covers ``anchor``, shifted by the row's own state when
+    relative, or every state from there on when it is a ray.  Every
+    rule-set query reads terms in this form only.
+    """
+    if isinstance(t, Abs):
+        return False, t.state, False
+    if isinstance(t, Rel):
+        return True, t.offset, False
+    if isinstance(t, RelRay):
+        return True, t.offset, True
+    return False, t.start, True
+
 
 # Guard for degenerate column enumerations (bounded-below rays produce
 # one predecessor per state below the column index; anything this large
@@ -167,31 +186,42 @@ class TransitionRuleSet:
 
     # -- rows -----------------------------------------------------------
 
-    def row_terms(self, i: int) -> tuple[Term, ...]:
+    @cached_property
+    def _rules(self) -> tuple[dict[int, tuple[Span, ...]], dict[int, tuple[Span, ...]]]:
+        """Explicit rows by state and tail rules by residue, as spans.
+
+        Equal spans and rows are stored once: compiled rule sets (graph
+        models) repeat targets and whole rows over thousands of rows.
+        """
+        shared: dict = {}
+
+        def spans(terms: tuple[Term, ...]) -> tuple[Span, ...]:
+            new = list(map(_span, terms))
+            row = tuple(map(shared.setdefault, new, new))
+            return shared.setdefault(row, row)
+
+        return ({i: spans(terms) for i, terms in self.explicit.items()},
+                {r: spans(terms) for r, terms in self.tail.items()})
+
+    def _row(self, i: int) -> tuple[Span, ...]:
+        """The (relative, anchor, ray) spans of row i."""
         self._require(i)
-        if i in self.explicit:
-            return self.explicit[i]
-        if abs(i) < self.head or not self.tail:
+        explicit, tail = self._rules
+        row = explicit.get(i)
+        if row is not None:
+            return row
+        if abs(i) < self.head or not tail:
             raise SchemaError(f"no rule covers state {i} in {self.name}")
         r = i % self.period
-        if r not in self.tail:
+        if r not in tail:
             raise SchemaError(f"no tail rule for residue {r} in {self.name}")
-        return self.tail[r]
+        return tail[r]
 
     def _row_nonempty(self, i: int) -> bool:
-        for t in self.row_terms(i):
-            if isinstance(t, Rel) and self.contains(i + t.offset):
+        for rel, a, ray in self._row(i):
+            s = i + a if rel else a
+            if self.contains(s if not ray or self.lo is None else max(s, self.lo)):
                 return True
-            if isinstance(t, Abs) and self.contains(t.state):
-                return True
-            if isinstance(t, RelRay):
-                s = i + t.offset if self.lo is None else max(i + t.offset, self.lo)
-                if self.contains(s):
-                    return True
-            if isinstance(t, AbsRay):
-                s = t.start if self.lo is None else max(t.start, self.lo)
-                if self.contains(s):
-                    return True
         return False
 
     def entry(self, i: int, j: int) -> int:
@@ -199,14 +229,9 @@ class TransitionRuleSet:
         self._require(i)
         if not self.contains(j):
             return 0
-        for t in self.row_terms(i):
-            if isinstance(t, Rel) and j == i + t.offset:
-                return 1
-            if isinstance(t, Abs) and j == t.state:
-                return 1
-            if isinstance(t, RelRay) and j >= i + t.offset:
-                return 1
-            if isinstance(t, AbsRay) and j >= t.start:
+        for rel, a, ray in self._row(i):
+            s = i + a if rel else a
+            if j >= s if ray else j == s:
                 return 1
         return 0
 
@@ -215,33 +240,28 @@ class TransitionRuleSet:
 
         Raises SchemaError for an unbounded row queried without a clip.
         """
-        self._require(i)
-        if within is None and self.row_unbounded(i):
+        row = self._row(i)
+        if within is not None:
+            floor = -within if self.lo is None else max(self.lo, -within)
+            cap = within if self.hi is None else min(self.hi, within)
+        elif self.hi is None and any(ray for _, _, ray in row):
             raise SchemaError(f"row {i} is infinite, pass within=")
-        cap = self.hi
-        if within is not None:
-            cap = within if cap is None else min(cap, within)
-        floor = self.lo
-        if within is not None:
-            floor = -within if floor is None else max(floor, -within)
+        else:
+            floor = -math.inf if self.lo is None else self.lo
+            cap = math.inf if self.hi is None else self.hi
         out: set[int] = set()
-        for t in self.row_terms(i):
-            if isinstance(t, Rel):
-                out.add(i + t.offset)
-            elif isinstance(t, Abs):
-                out.add(t.state)
-            elif isinstance(t, (RelRay, AbsRay)):
-                start = (i + t.offset) if isinstance(t, RelRay) else t.start
-                if cap is None:
-                    raise SchemaError("ray row on an unbounded domain needs a clip")
-                out.update(range(start, cap + 1))
-        return sorted(j for j in out if self.contains(j)
-                      and (floor is None or j >= floor) and (cap is None or j <= cap))
+        for rel, a, ray in row:
+            s = i + a if rel else a
+            if ray:
+                out.update(range(s, cap + 1))
+            else:
+                out.add(s)
+        return sorted(j for j in out if floor <= j <= cap)
 
     def row_unbounded(self, i: int) -> bool:
         if self.hi is not None:
             return False
-        return any(isinstance(t, (RelRay, AbsRay)) for t in self.row_terms(i))
+        return any(ray for _, _, ray in self._row(i))
 
     def rows_full(self) -> bool:
         """True when the domain is finite and every row covers every state."""
@@ -255,19 +275,14 @@ class TransitionRuleSet:
 
         The domains, periods and tail rules must agree; below the larger
         head the rows are compared as successor sets, clipped beyond every
-        anchor either row mentions so that rays compare by their starts.
+        first successor either row names so that rays compare by their starts.
         """
         if (self.lo, self.hi, self.period, self.tail) != \
                 (other.lo, other.hi, other.period, other.tail):
             return False
-
-        def anchors(m: TransitionRuleSet, i: int) -> list[int]:
-            return [t.state if isinstance(t, Abs) else
-                    t.start if isinstance(t, AbsRay) else i + t.offset
-                    for t in m.row_terms(i)]
-
         for i in self.states(max(self.head, other.head) - 1):
-            clip = max(abs(a) for a in anchors(self, i) + anchors(other, i))
+            clip = max(abs(i + a if rel else a)
+                       for m in (self, other) for rel, a, _ in m._row(i))
             if self.row_unbounded(i) != other.row_unbounded(i) or \
                     self.successors(i, within=clip) != \
                     other.successors(i, within=clip):
@@ -276,33 +291,25 @@ class TransitionRuleSet:
 
     # -- columns --------------------------------------------------------
 
+    @cached_property
+    def _divergent(self) -> tuple[Span, ...]:
+        """Tail spans that make a column infinite, in rule order: on an
+        infinite domain every absolute one, and relative rays as well when
+        the domain is unbounded below."""
+        if self.domain_finite():
+            return ()
+        return tuple((rel, a, ray) for spans in self._rules[1].values()
+                     for rel, a, ray in spans
+                     if not rel or ray and self.lo is None)
+
     def divergent_witness(self) -> int | None:
         """A state whose column is infinite, or None if all columns are finite."""
-        tail_infinite = self.lo is None or self.hi is None
-        if not self.tail or not tail_infinite:
-            return None
-        for terms in self.tail.values():
-            for t in terms:
-                if isinstance(t, Abs):
-                    return t.state
-                if isinstance(t, AbsRay):
-                    return t.start
-                if isinstance(t, RelRay) and self.lo is None:
-                    return 0
-        return None
+        return next((0 if rel else a for rel, a, _ in self._divergent), None)
 
     def _column_divergent(self, j: int) -> bool:
-        tail_infinite = self.lo is None or self.hi is None
-        if not self.tail or not tail_infinite:
-            return False
-        for terms in self.tail.values():
-            for t in terms:
-                if isinstance(t, Abs) and t.state == j:
-                    return True
-                if isinstance(t, AbsRay) and j >= t.start:
-                    return True
-                if isinstance(t, RelRay) and self.lo is None:
-                    return True
+        for rel, a, ray in self._divergent:
+            if rel or (j >= a if ray else j == a):
+                return True
         return False
 
     @cached_property
@@ -314,16 +321,13 @@ class TransitionRuleSet:
         """
         direct: dict[int, set[int]] = {}
         rays: list[tuple[int, int]] = []
-        for i, terms in self.explicit.items():
-            for t in terms:
-                if isinstance(t, Abs):
-                    direct.setdefault(t.state, set()).add(i)
-                elif isinstance(t, Rel):
-                    direct.setdefault(i + t.offset, set()).add(i)
-                elif isinstance(t, AbsRay):
-                    rays.append((i, t.start))
-                elif isinstance(t, RelRay):
-                    rays.append((i, i + t.offset))
+        for i, row in self._rules[0].items():
+            for rel, a, ray in row:
+                s = i + a if rel else a
+                if ray:
+                    rays.append((i, s))
+                else:
+                    direct.setdefault(s, set()).add(i)
         return ({j: tuple(sorted(s)) for j, s in direct.items()}, tuple(rays))
 
     def predecessors(self, j: int) -> list[int]:
@@ -336,21 +340,18 @@ class TransitionRuleSet:
         for i, start in rays:
             if j >= start:
                 preds.add(i)
-        for r, terms in self.tail.items():
-            for t in terms:
-                if isinstance(t, Rel):
-                    i = j - t.offset
+        for r, spans in self._rules[1].items():
+            for rel, a, ray in spans:
+                if not rel:
+                    if j >= a if ray else j == a:
+                        preds.update(self._tail_residue_states(r))
+                elif not ray:
+                    i = j - a
                     if self._is_tail_state(i) and i % self.period == r:
                         preds.add(i)
-                elif isinstance(t, Abs):
-                    if t.state == j:
-                        preds.update(self._tail_residue_states(r))
-                elif isinstance(t, AbsRay):
-                    if j >= t.start:
-                        preds.update(self._tail_residue_states(r))
-                elif isinstance(t, RelRay):
-                    # i + offset <= j, i.e. i <= j - offset, domain bounded below here
-                    top = j - t.offset
+                else:
+                    # i + a <= j, i.e. i <= j - a, domain bounded below here
+                    top = j - a
                     assert self.lo is not None
                     if top - self.lo > _ENUM_LIMIT:
                         raise SchemaError("column enumeration too large")
@@ -383,17 +384,13 @@ class TransitionRuleSet:
         """
         if self.explicit or self.head != 0 or not self.tail:
             return None
-        rules = list(self.tail.values())
+        # the residues are distinct mod period, so period rules cover them all
+        rules = list(self._rules[1].values())
         if len(rules) != self.period or any(r != rules[0] for r in rules):
             return None
-        if self.period > 1 and set(self.tail) != set(range(self.period)):
+        if any(not rel or ray for rel, _, ray in rules[0]):
             return None
-        offs = []
-        for t in rules[0]:
-            if not isinstance(t, Rel):
-                return None
-            offs.append(t.offset)
-        return tuple(sorted(offs))
+        return tuple(sorted(a for _, a, _ in rules[0]))
 
 
 @dataclass(frozen=True)

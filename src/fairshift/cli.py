@@ -33,7 +33,7 @@ from .measure import (SingularWindow, StationaryVector, WindowExhausted,
                       fair_entropy, fair_measure_from,
                       find_atomic_fair_measures, integral_log_c,
                       solve_stationary, verify_stationary)
-from .recurrence import ClassifyPolicy, WindowInsufficient, classify
+from .recurrence import ClassifyPolicy, classify
 from .simulate import (equidistribution_report, geo_mean_series,
                        geo_mean_target, sample_paths)
 
@@ -683,9 +683,6 @@ def main(argv=None) -> int:
             InfinitePreimages, SingularWindow, StuckWalk) as exc:
         print(f"fairshift: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except WindowInsufficient as exc:
-        print(f"fairshift: inconclusive: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
     except OSError as exc:
         print(f"fairshift: {exc}", file=sys.stderr)
         return EXIT_SPEC

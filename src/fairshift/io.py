@@ -216,23 +216,14 @@ def _check_version(doc: Mapping, field: str = "schema_version") -> None:
 #   offset array or {"offsets": [...], "ray_from_offset": o} /
 #   {"offsets": [...], "ray_from": s}.
 
-def _row_to_json(terms, i: int):
-    succ: list[int] = []
-    ray = None
-    for t in terms:
-        if isinstance(t, Abs):
-            succ.append(t.state)
-        elif isinstance(t, Rel):
-            succ.append(i + t.offset)
-        elif isinstance(t, AbsRay):
-            ray = t.start
-        elif isinstance(t, RelRay):
-            ray = i + t.offset
-    if ray is None:
-        return sorted(set(succ))
-    out: dict[str, Any] = {"all_from": ray}
+def _row_to_json(spans, i: int):
+    succ = sorted({i + a if rel else a for rel, a, ray in spans if not ray})
+    rays = [i + a if rel else a for rel, a, ray in spans if ray]
+    if not rays:
+        return succ
+    out: dict[str, Any] = {"all_from": rays[-1]}
     if succ:
-        out["successors"] = sorted(set(succ))
+        out["successors"] = succ
     return out
 
 
@@ -256,8 +247,7 @@ def _tail_rule_to_json(terms):
 
 
 def chain_to_dict(m: TransitionRuleSet) -> dict:
-    states = {str(i): _row_to_json(terms, i)
-              for i, terms in sorted(m.explicit.items())}
+    states = {str(i): _row_to_json(m._row(i), i) for i in sorted(m.explicit)}
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "chain",

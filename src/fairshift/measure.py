@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from fractions import Fraction
 from operator import mul
 from typing import Mapping, Sequence
@@ -27,17 +27,13 @@ from .chain import BackwardKernel, InfinitePreimages, TransitionRuleSet
 __all__ = [
     "StationaryVector", "NoSummableSolution", "WindowExhausted",
     "SingularWindow",
-    "SolveDiagnostics", "ForwardMatrix", "FairMeasure", "ZeroMass",
+    "SolveDiagnostics", "ForwardMatrix", "FairMeasure",
     "solve_stationary", "verify_stationary", "build_forward_matrix",
     "fair_measure_from", "cylinder_measure", "check_fair_on_cylinders",
     "fair_entropy", "integral_log_c", "AtomicOrbit", "find_atomic_fair_measures",
 ]
 
 Number = Fraction | float
-
-
-class ZeroMass(ValueError):
-    pass
 
 
 class EntropyDiverges(ArithmeticError):
@@ -311,8 +307,6 @@ def build_forward_matrix(pi: StationaryVector, kernel: BackwardKernel,
     rows: dict[int, tuple[tuple[int, Number], ...]] = {}
     for i in states:
         wi = pi.weight(i)
-        if wi == 0:
-            raise ZeroMass(f"state {i} has zero mass")
         row = []
         for j in base.successors(i, within=window):
             wj = pi.weight(j)
@@ -395,6 +389,7 @@ def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
 
     # each column once: its count and its predecessors inside the window
     cols: dict[int, tuple[int | float, list[int]]] = {}
+    successors = cache(lambda i: m.successors(i, within=window))
     stack: list[tuple[int, ...]] = [(s,) for s in states]
     while stack:
         word = stack.pop()
@@ -411,7 +406,7 @@ def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
                 ext = reduce(mul, steps, weight(i) * prob(i, w0))
                 worst = max(worst, abs(ext - share))
         if len(word) < depth:
-            for j in m.successors(word[-1], within=window):
+            for j in successors(word[-1]):
                 stack.append(word + (j,))
     if isinstance(worst, Fraction) and isinstance(mu.pi.total, (Fraction, int)):
         return worst / Fraction(mu.pi.total)

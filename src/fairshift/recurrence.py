@@ -24,25 +24,12 @@ from .chain import BackwardKernel, StuckWalk
 from .measure import StationaryVector, WindowExhausted, solve_stationary
 
 __all__ = [
-    "SeriesResult", "series_test", "WindowInsufficient",
+    "SeriesResult", "series_test",
     "ReturnEstimate", "monte_carlo_return",
     "ClassifyPolicy", "Classification", "classify",
 ]
 
 _Z95 = 1.959963984540054
-
-
-class WindowInsufficient(RuntimeError):
-    """The evolving series support escaped the maximal allowed window."""
-
-    def __init__(self, origin: int, step: int, span: int, cap: int):
-        super().__init__(
-            f"series support from origin {origin} reached |state| = {span} "
-            f"at step {step}, beyond the maximal window {cap}")
-        self.origin = origin
-        self.step = step
-        self.span = span
-        self.cap = cap
 
 
 @dataclass(frozen=True)
@@ -68,53 +55,42 @@ class SeriesResult:
         }
 
 
-def series_test(kernel: BackwardKernel, n_max: int = 40, origin: int = 0,
-                window: int | None = None,
-                max_window: int = 2 ** 22) -> SeriesResult:
+def series_test(kernel: BackwardKernel, n_max: int = 40,
+                origin: int = 0) -> SeriesResult:
     """Evolve delta_origin exactly through Q and record the diagonal.
 
     The vector is carried as integer numerators over one common
     denominator.  Each step multiplies the denominator by the lcm L of
     the column counts on the support and sends num_j * L / c_j to every
     predecessor of j.  When every count is the same c, as on the walk
-    families, L = c, which keeps large n_max cheap.
-
-    The support is tracked exactly, so the terms never depend on any
-    truncation; ``window`` only guards against runaway supports.  It is
-    doubled whenever the support outgrows it, and WindowInsufficient is
-    raised once that doubling would pass ``max_window``.  A support state
-    without predecessors raises StuckWalk.
+    families, L = c, which keeps large n_max cheap.  Each column is read
+    once per call.  The support is tracked exactly, so the terms never
+    depend on any truncation.  A support state without predecessors
+    raises StuckWalk.
     """
     if not kernel.contains(origin):
         raise ValueError(f"origin {origin} outside domain")
-
-    def guard(step: int, support) -> None:
-        nonlocal window
-        if window is None:
-            return
-        span = max(abs(int(j)) for j in support)
-        while span > window:
-            window *= 2
-            if window > max_window:
-                raise WindowInsufficient(origin, step, span, max_window)
-
     terms: list[Fraction] = [Fraction(1)]
+    table: dict[int, tuple] = {}            # state -> (preds, count)
     vec: dict[int, int] = {origin: 1}       # numerators over denom
     denom = 1
-    for step in range(1, n_max + 1):
-        cols = [(kernel.preds(j), num) for j, num in vec.items()]
-        lcm = math.lcm(*(len(preds) for preds, _ in cols))
+    for _ in range(n_max):
+        for j in vec:
+            if j not in table:
+                preds = kernel.preds(j)
+                table[j] = preds, len(preds)
+        lcm = math.lcm(*{table[j][1] for j in vec})
         if lcm == 0:
             raise StuckWalk("a support state has no predecessors; "
                             "backward walk is stuck")
         nxt: dict[int, int] = {}
-        for preds, num in cols:
-            share = num * (lcm // len(preds))
+        for j, num in vec.items():
+            preds, c = table[j]
+            share = num * (lcm // c)
             for i in preds:
                 nxt[i] = nxt.get(i, 0) + share
         vec = nxt
         denom *= lcm
-        guard(step, vec)
         terms.append(Fraction(vec.get(origin, 0), denom))
     sums = []
     acc = Fraction(0)
@@ -283,7 +259,7 @@ class ClassifyPolicy:
     tolerance: float = 1e-10
     max_window: int = 2 ** 14
     series_nmax: int = 360
-    series_nmax_mixed: int = 60     # cap when column counts vary (rational path)
+    series_nmax_mixed: int = 60     # cap when column counts vary: bounds lcm growth
     trials: int = 20_000
     horizons: tuple[int, ...] = (100, 1_000, 10_000)
     seed: int = 0

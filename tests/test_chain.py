@@ -3,6 +3,7 @@
 import math
 from collections import deque
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,8 @@ from fairshift import (
     origin_broadcast, staircase_map, strongly_connected_components,
     tent_map, transition_matrix, unbiased_walk,
 )
+from fairshift.chain import _ENUM_LIMIT, Term
+from fairshift.io import SCHEMA_VERSION, _tail_rule_to_json, chain_to_dict
 
 ALL_FAMILIES = [unbiased_walk(), biased_walk(), origin_broadcast(),
                 factorial_chain(), five_three_chain(), full_shift(3)]
@@ -308,3 +311,305 @@ def test_kernel_preds_match_the_rule_set(chain_and_window):
     k = build_backward_kernel(m)
     for j in m.states(max(abs(m.lo), abs(m.hi))):
         assert k.preds(j) == tuple(m.predecessors(j))
+
+
+# -- rule-set queries against the term-by-term reference ----------------------
+
+class ReferenceRuleSet(TransitionRuleSet):
+    """The earlier queries that read each term by its class, kept verbatim.
+
+    Construction runs the inherited ``__post_init__``, so its empty-row
+    check goes through the ``_row_nonempty`` below.
+    """
+
+    def row_terms(self, i: int) -> tuple[Term, ...]:
+        self._require(i)
+        if i in self.explicit:
+            return self.explicit[i]
+        if abs(i) < self.head or not self.tail:
+            raise SchemaError(f"no rule covers state {i} in {self.name}")
+        r = i % self.period
+        if r not in self.tail:
+            raise SchemaError(f"no tail rule for residue {r} in {self.name}")
+        return self.tail[r]
+
+    def _row_nonempty(self, i: int) -> bool:
+        for t in self.row_terms(i):
+            if isinstance(t, Rel) and self.contains(i + t.offset):
+                return True
+            if isinstance(t, Abs) and self.contains(t.state):
+                return True
+            if isinstance(t, RelRay):
+                s = i + t.offset if self.lo is None else max(i + t.offset, self.lo)
+                if self.contains(s):
+                    return True
+            if isinstance(t, AbsRay):
+                s = t.start if self.lo is None else max(t.start, self.lo)
+                if self.contains(s):
+                    return True
+        return False
+
+    def entry(self, i: int, j: int) -> int:
+        """Matrix entry m_ij, 0 or 1."""
+        self._require(i)
+        if not self.contains(j):
+            return 0
+        for t in self.row_terms(i):
+            if isinstance(t, Rel) and j == i + t.offset:
+                return 1
+            if isinstance(t, Abs) and j == t.state:
+                return 1
+            if isinstance(t, RelRay) and j >= i + t.offset:
+                return 1
+            if isinstance(t, AbsRay) and j >= t.start:
+                return 1
+        return 0
+
+    def successors(self, i: int, *, within: int | None = None) -> list[int]:
+        self._require(i)
+        if within is None and self.row_unbounded(i):
+            raise SchemaError(f"row {i} is infinite, pass within=")
+        cap = self.hi
+        if within is not None:
+            cap = within if cap is None else min(cap, within)
+        floor = self.lo
+        if within is not None:
+            floor = -within if floor is None else max(floor, -within)
+        out: set[int] = set()
+        for t in self.row_terms(i):
+            if isinstance(t, Rel):
+                out.add(i + t.offset)
+            elif isinstance(t, Abs):
+                out.add(t.state)
+            elif isinstance(t, (RelRay, AbsRay)):
+                start = (i + t.offset) if isinstance(t, RelRay) else t.start
+                if cap is None:
+                    raise SchemaError("ray row on an unbounded domain needs a clip")
+                out.update(range(start, cap + 1))
+        return sorted(j for j in out if self.contains(j)
+                      and (floor is None or j >= floor) and (cap is None or j <= cap))
+
+    def row_unbounded(self, i: int) -> bool:
+        if self.hi is not None:
+            return False
+        return any(isinstance(t, (RelRay, AbsRay)) for t in self.row_terms(i))
+
+    def same_matrix(self, other: TransitionRuleSet) -> bool:
+        if (self.lo, self.hi, self.period, self.tail) != \
+                (other.lo, other.hi, other.period, other.tail):
+            return False
+
+        def anchors(m: TransitionRuleSet, i: int) -> list[int]:
+            return [t.state if isinstance(t, Abs) else
+                    t.start if isinstance(t, AbsRay) else i + t.offset
+                    for t in m.row_terms(i)]
+
+        for i in self.states(max(self.head, other.head) - 1):
+            clip = max(abs(a) for a in anchors(self, i) + anchors(other, i))
+            if self.row_unbounded(i) != other.row_unbounded(i) or \
+                    self.successors(i, within=clip) != \
+                    other.successors(i, within=clip):
+                return False
+        return True
+
+    def divergent_witness(self) -> int | None:
+        tail_infinite = self.lo is None or self.hi is None
+        if not self.tail or not tail_infinite:
+            return None
+        for terms in self.tail.values():
+            for t in terms:
+                if isinstance(t, Abs):
+                    return t.state
+                if isinstance(t, AbsRay):
+                    return t.start
+                if isinstance(t, RelRay) and self.lo is None:
+                    return 0
+        return None
+
+    def _column_divergent(self, j: int) -> bool:
+        tail_infinite = self.lo is None or self.hi is None
+        if not self.tail or not tail_infinite:
+            return False
+        for terms in self.tail.values():
+            for t in terms:
+                if isinstance(t, Abs) and t.state == j:
+                    return True
+                if isinstance(t, AbsRay) and j >= t.start:
+                    return True
+                if isinstance(t, RelRay) and self.lo is None:
+                    return True
+        return False
+
+    @cached_property
+    def _explicit_reverse(self) -> tuple[dict[int, tuple[int, ...]], tuple[tuple[int, int], ...]]:
+        direct: dict[int, set[int]] = {}
+        rays: list[tuple[int, int]] = []
+        for i, terms in self.explicit.items():
+            for t in terms:
+                if isinstance(t, Abs):
+                    direct.setdefault(t.state, set()).add(i)
+                elif isinstance(t, Rel):
+                    direct.setdefault(i + t.offset, set()).add(i)
+                elif isinstance(t, AbsRay):
+                    rays.append((i, t.start))
+                elif isinstance(t, RelRay):
+                    rays.append((i, i + t.offset))
+        return ({j: tuple(sorted(s)) for j, s in direct.items()}, tuple(rays))
+
+    def predecessors(self, j: int) -> list[int]:
+        self._require(j)
+        if self._column_divergent(j):
+            raise InfinitePreimages(j)
+        direct, rays = self._explicit_reverse
+        preds: set[int] = set(direct.get(j, ()))
+        for i, start in rays:
+            if j >= start:
+                preds.add(i)
+        for r, terms in self.tail.items():
+            for t in terms:
+                if isinstance(t, Rel):
+                    i = j - t.offset
+                    if self._is_tail_state(i) and i % self.period == r:
+                        preds.add(i)
+                elif isinstance(t, Abs):
+                    if t.state == j:
+                        preds.update(self._tail_residue_states(r))
+                elif isinstance(t, AbsRay):
+                    if j >= t.start:
+                        preds.update(self._tail_residue_states(r))
+                elif isinstance(t, RelRay):
+                    # i + offset <= j, i.e. i <= j - offset, domain bounded below here
+                    top = j - t.offset
+                    assert self.lo is not None
+                    if top - self.lo > _ENUM_LIMIT:
+                        raise SchemaError("column enumeration too large")
+                    for i in range(self.lo, top + 1):
+                        if self._is_tail_state(i) and i % self.period == r:
+                            preds.add(i)
+        return sorted(preds)
+
+    def pure_offsets(self) -> tuple[int, ...] | None:
+        if self.explicit or self.head != 0 or not self.tail:
+            return None
+        rules = list(self.tail.values())
+        if len(rules) != self.period or any(r != rules[0] for r in rules):
+            return None
+        if self.period > 1 and set(self.tail) != set(range(self.period)):
+            return None
+        offs = []
+        for t in rules[0]:
+            if not isinstance(t, Rel):
+                return None
+            offs.append(t.offset)
+        return tuple(sorted(offs))
+
+
+def reference_row_to_json(terms, i: int):
+    succ: list[int] = []
+    ray = None
+    for t in terms:
+        if isinstance(t, Abs):
+            succ.append(t.state)
+        elif isinstance(t, Rel):
+            succ.append(i + t.offset)
+        elif isinstance(t, AbsRay):
+            ray = t.start
+        elif isinstance(t, RelRay):
+            ray = i + t.offset
+    if ray is None:
+        return sorted(set(succ))
+    out = {"all_from": ray}
+    if succ:
+        out["successors"] = sorted(set(succ))
+    return out
+
+
+def reference_chain_to_dict(m):
+    states = {str(i): reference_row_to_json(terms, i)
+              for i, terms in sorted(m.explicit.items())}
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "chain",
+        "name": m.name,
+        "domain": [m.lo, m.hi],
+        "window": m.head,
+        "states": states,
+    }
+    if m.tail:
+        doc["tail_rules"] = {
+            "period": m.period,
+            "rules": {str(r): _tail_rule_to_json(t)
+                      for r, t in sorted(m.tail.items())},
+        }
+    return doc
+
+
+def term_rows(min_size=1, max_size=3):
+    term = st.one_of(st.builds(Rel, st.integers(-3, 3)),
+                     st.builds(Abs, st.integers(-6, 6)),
+                     st.builds(RelRay, st.integers(-3, 3)),
+                     st.builds(AbsRay, st.integers(-6, 6)))
+    return st.lists(term, min_size=min_size, max_size=max_size).map(tuple)
+
+
+@st.composite
+def rule_set_params(draw):
+    """Fields of a rule set over ℤ, a half-line or a finite domain, using
+    all four term kinds in explicit head rows and tail rules."""
+    lo = draw(st.integers(-5, 3))
+    lo, hi = draw(st.sampled_from([(None, None), (lo, None), (None, lo),
+                                   (lo, lo + draw(st.integers(0, 8)))]))
+    period = draw(st.integers(1, 3))
+    head = draw(st.integers(0, 4))
+    head_states = [i for i in range(1 - head, head)
+                   if (lo is None or i >= lo) and (hi is None or i <= hi)]
+    explicit = {i: draw(term_rows()) for i in head_states}
+    tail = {r: draw(term_rows()) for r in range(period)}
+    if draw(st.integers(0, 3)) == 0:
+        del tail[draw(st.integers(0, period - 1))]
+    return dict(lo=lo, hi=hi, head=head, explicit=explicit, period=period,
+                tail=tail, name="generated")
+
+
+def outcome(f, *args, **kwargs):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return f(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(rule_set_params(), st.data())
+def test_rule_set_queries_match_the_term_by_term_reference(params, data):
+    got = outcome(TransitionRuleSet, **params)
+    want = outcome(ReferenceRuleSet, **params)
+    if not isinstance(want, ReferenceRuleSet):
+        assert got == want
+        return
+    m, ref = got, want
+    probe = range(-8, 9)
+    for i in probe:
+        for f in ("_row_nonempty", "row_unbounded", "successors",
+                  "predecessors", "column_count"):
+            assert outcome(getattr(m, f), i) == outcome(getattr(ref, f), i)
+        for w in (0, 2, 5, 9):
+            assert outcome(m.successors, i, within=w) == \
+                outcome(ref.successors, i, within=w)
+        for j in probe:
+            assert outcome(m.entry, i, j) == outcome(ref.entry, i, j)
+    assert m.divergent_witness() == ref.divergent_witness()
+    assert m.pure_offsets() == ref.pure_offsets()
+    assert outcome(chain_to_dict, m) == reference_chain_to_dict(ref)
+    # a second rule set on the same domain and tail, with its own head rows
+    other = dict(params, **data.draw(st.fixed_dictionaries({
+        "head": st.integers(0, 4)})))
+    other["explicit"] = {i: data.draw(term_rows()) for i in range(
+        1 - other["head"], other["head"]) if m.contains(i)}
+    m2, ref2 = outcome(TransitionRuleSet, **other), outcome(ReferenceRuleSet, **other)
+    if not isinstance(ref2, ReferenceRuleSet):
+        assert m2 == ref2
+        return
+    for a, b in ((m, ref), (m2, ref2)):
+        assert outcome(m.same_matrix, a) == outcome(ref.same_matrix, b)
+        assert outcome(a.same_matrix, m) == outcome(b.same_matrix, ref)

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Abs, ClassifyPolicy, Rel, ReturnEstimate, StuckWalk, TransitionRuleSet,
-    WindowInsufficient, biased_walk, build_backward_kernel, classify,
+    biased_walk, build_backward_kernel, classify,
     factorial_chain, five_three_chain, full_shift, monte_carlo_return,
     origin_broadcast, series_test, unbiased_walk,
 )
@@ -66,23 +66,6 @@ def test_partial_sums_are_monotone():
         sums = res.partial_sums
         assert all(a <= b for a, b in zip(sums, sums[1:]))
         assert sums[0] == 1
-
-
-def test_series_window_guard_raises():
-    with pytest.raises(WindowInsufficient) as exc:
-        series_test(kernel_of(unbiased_walk()), n_max=40,
-                    window=16, max_window=16)
-    err = exc.value
-    assert err.cap == 16
-    assert err.span > 16
-    # support after n steps spans [-n, n]; a span of 17 needs step 17
-    assert err.step == 17
-
-
-def test_series_window_doubles_transparently():
-    small = series_test(kernel_of(unbiased_walk()), n_max=30, window=4)
-    big = series_test(kernel_of(unbiased_walk()), n_max=30, window=1024)
-    assert small.terms == big.terms
 
 
 def test_series_respects_origin():
