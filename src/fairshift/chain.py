@@ -128,9 +128,12 @@ class TransitionRuleSet:
         for i in self._head_states():
             if i not in self.explicit:
                 raise SchemaError(f"state {i} is inside the head but has no explicit row")
-        # every state must resolve to a nonempty row
+        # every state must resolve to a nonempty row; the probes next to
+        # the ends of the tail, up and down, meet every residue it uses
+        up = self.head if self.lo is None else max(self.head, self.lo)
+        down = -self.head if self.hi is None else min(-self.head, self.hi)
         probes = list(self._head_states())
-        for base in (self.lo, self.hi, 0):
+        for base in (self.lo, self.hi, 0, up, down):
             if base is None:
                 continue
             for d in range(-2 * self.period, 2 * self.period + 1):
@@ -210,8 +213,6 @@ class TransitionRuleSet:
         row = explicit.get(i)
         if row is not None:
             return row
-        if abs(i) < self.head or not tail:
-            raise SchemaError(f"no rule covers state {i} in {self.name}")
         r = i % self.period
         if r not in tail:
             raise SchemaError(f"no tail rule for residue {r} in {self.name}")
@@ -273,12 +274,19 @@ class TransitionRuleSet:
     def same_matrix(self, other: TransitionRuleSet) -> bool:
         """True when both rule sets describe the same matrix.
 
-        The domains, periods and tail rules must agree; below the larger
+        The domains, periods and tail rules must agree, each rule as its
+        points and the least start of each kind of ray; below the larger
         head the rows are compared as successor sets, clipped beyond every
         first successor either row names so that rays compare by their starts.
         """
-        if (self.lo, self.hi, self.period, self.tail) != \
-                (other.lo, other.hi, other.period, other.tail):
+        def form(row):      # the least start of each kind comes last
+            rays = sorted(((rel, a) for rel, a, ray in row if ray), reverse=True)
+            return frozenset(s for s in row if not s[2]), dict(rays)
+
+        tails = [{r: form(row) for r, row in m._rules[1].items()}
+                 for m in (self, other)]
+        if (self.lo, self.hi, self.period) != (other.lo, other.hi, other.period) \
+                or tails[0] != tails[1]:
             return False
         for i in self.states(max(self.head, other.head) - 1):
             clip = max(abs(i + a if rel else a)

@@ -221,7 +221,7 @@ def _row_to_json(spans, i: int):
     rays = [i + a if rel else a for rel, a, ray in spans if ray]
     if not rays:
         return succ
-    out: dict[str, Any] = {"all_from": rays[-1]}
+    out: dict[str, Any] = {"all_from": min(rays)}
     if succ:
         out["successors"] = succ
     return out
@@ -233,10 +233,10 @@ def _tail_rule_to_json(terms):
     for t in terms:
         if isinstance(t, Rel):
             offsets.append(t.offset)
-        elif isinstance(t, RelRay):
-            entry["ray_from_offset"] = t.offset
+        elif isinstance(t, RelRay):     # rays of a kind: the least start
+            entry["ray_from_offset"] = min(t.offset, entry.get("ray_from_offset", t.offset))
         elif isinstance(t, AbsRay):
-            entry["ray_from"] = t.start
+            entry["ray_from"] = min(t.start, entry.get("ray_from", t.start))
         elif isinstance(t, Abs):
             entry.setdefault("states", []).append(t.state)
     if not entry:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -92,12 +93,7 @@ def series_test(kernel: BackwardKernel, n_max: int = 40,
         vec = nxt
         denom *= lcm
         terms.append(Fraction(vec.get(origin, 0), denom))
-    sums = []
-    acc = Fraction(0)
-    for t in terms:
-        acc += t
-        sums.append(acc)
-    return SeriesResult(origin, tuple(terms), tuple(sums))
+    return SeriesResult(origin, tuple(terms), tuple(accumulate(terms)))
 
 
 @dataclass(frozen=True)
@@ -133,10 +129,11 @@ class _ColumnTable:
 
     Walkers are flat row offsets: the row of state s starts at (s - lo) *
     width and lists the row offsets of preds(s), padded to the widest
-    column in the range; ``counts`` repeats its column count across the
-    row.  States outside the domain get empty rows, which no walker
-    reaches.  ``cover`` grows the range to hold given walkers, at least
-    doubling its span.
+    column in the range; ``counts`` repeats its column count, as a float,
+    across the row.  States outside the domain get empty rows, which no
+    walker reaches; ``step`` looks for stuck walkers only when ``stuck``,
+    some state of the domain has an empty row.  ``cover`` grows the range
+    to hold given walkers, at least doubling its span.
     """
 
     def __init__(self, kernel: BackwardKernel, state: int):
@@ -150,15 +147,15 @@ class _ColumnTable:
         k = self.kernel
         cols = [k.preds(s) if k.contains(s) else ()
                 for s in range(self.lo, self.hi + 1)]
-        counts = np.array([len(p) for p in cols], dtype=np.int64)
+        counts = np.array([len(p) for p in cols], dtype=np.float64)
         self.width = max(1, int(counts.max()))
         self.counts = np.repeat(counts, self.width)
         table = np.zeros((len(cols), self.width), dtype=np.int64)
         for row, preds in zip(table, cols):
             row[:len(preds)] = preds
         self.table = ((table - self.lo) * self.width).ravel()
-        # the counts that occur, largest first: the order of the draws
-        self.distinct = sorted(set(counts.tolist()), reverse=True)
+        self.stuck = any(not p and k.contains(s) for s, p in
+                         zip(range(self.lo, self.hi + 1), cols))
         # the longest one-step move (columns are ascending), at least 1
         self.reach = max([1] + [max(s - p[0], p[-1] - s) for s, p in
                                 zip(range(self.lo, self.hi + 1), cols) if p])
@@ -174,25 +171,19 @@ class _ColumnTable:
         return flat, min(lo - self.lo, self.hi - hi) // self.reach + 1
 
     def step(self, flat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Move every walker to a uniformly drawn entry of its column.
-
-        The draws go by groups of equal column count c, larger counts
-        first, one ``rng.integers(0, c, size=k)`` per group of k walkers.
-        """
-        c = self.distinct[0]
-        if len(self.distinct) == 1 and c:   # one group of every walker, no mask
-            return self.table[flat + rng.integers(0, c, size=flat.size)]
-        cnt = self.counts[flat]
-        out = np.empty_like(flat)
-        for c in self.distinct:
-            at = (cnt == c).nonzero()[0]
-            if not at.size:
-                continue
-            if c == 0:
+        """Move every walker to entry int(u * c) of its column of count c,
+        for one uniform u per walker: the draw of ``sample_backward``."""
+        if self.stuck:
+            at = (self.counts.take(flat) == 0).nonzero()[0]
+            if at.size:
                 raise StuckWalk(f"state {flat[at[0]] // self.width + self.lo} "
                                 "has no predecessors; backward walk is stuck")
-            out[at] = self.table[flat[at] + rng.integers(0, c, size=at.size)]
-        return out
+        u = rng.random(flat.size)
+        u *= self.counts.take(flat)
+        at = u.astype(np.int64)
+        del u       # at most three walker-sized arrays at once: peak RSS
+        at += flat
+        return self.table.take(at)
 
 
 def monte_carlo_return(kernel: BackwardKernel, trials: int,
@@ -203,12 +194,11 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
 
     All trials step together as one batch of walkers, held as flat row
     offsets into a dense predecessor table of the range they have
-    reached, grown as they spread.  Each step draws
-    ``rng.integers(0, c, size=k)`` for the k walkers on columns of each
-    distinct count c, larger counts first, and moves each walker to that
-    entry of its ascending column.  One walk runs to the largest horizon
-    and is read off at each horizon, in the order given.  A walker on a
-    state without predecessors raises StuckWalk.
+    reached, grown as they spread.  Each step draws one uniform u per
+    walker and moves it to entry int(u * c) of its ascending column of
+    count c, as ``sample_backward`` does.  One walk runs to the largest
+    horizon and is read off at each horizon, in the order given.  A
+    walker on a state without predecessors raises StuckWalk.
     ``escape_radius`` abandons trials that wander further than the radius
     from the origin, counting them as non-returns; callers enable it only
     for walks with a clear drift, where that return mass is negligible.

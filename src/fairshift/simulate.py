@@ -45,10 +45,10 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
                     seed: int = 0) -> BackwardPath:
     """One backward trajectory of the given length from ``start``.
 
-    Kernels with one offset law everywhere are drawn in one vectorised
-    pass; every other chain steps through ``kernel.preds``, taking
-    ``preds[int(u * c)]`` for a uniform u and column count c.  The stream
-    is a deterministic function of the seed.
+    Each step takes ``preds[int(u * c)]`` for a uniform u and column
+    count c: in one vectorised pass over the ascending offsets when the
+    kernel has one offset law everywhere, else through ``kernel.preds``.
+    The stream is a deterministic function of the seed.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
@@ -58,7 +58,9 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     offs = kernel.step_offsets()
     if offs is not None:
         steps = np.asarray(offs, dtype=np.int64)
-        picks = steps[rng.integers(0, steps.size, size=length)]
+        u = rng.random(length)
+        u *= steps.size
+        picks = steps[u.astype(np.int64)]
         np.cumsum(picks, out=out[1:])
         out[1:] += start
         return BackwardPath(out, start, seed, kernel.base.name)

@@ -1,5 +1,6 @@
 """Rule resolution, row/column queries and the backward kernel."""
 
+import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -16,7 +17,8 @@ from fairshift import (
     tent_map, transition_matrix, unbiased_walk,
 )
 from fairshift.chain import _ENUM_LIMIT, Term
-from fairshift.io import SCHEMA_VERSION, _tail_rule_to_json, chain_to_dict
+from fairshift.io import (SCHEMA_VERSION, _tail_rule_to_json, chain_from_dict,
+                          chain_to_dict)
 
 ALL_FAMILIES = [unbiased_walk(), biased_walk(), origin_broadcast(),
                 factorial_chain(), five_three_chain(), full_shift(3)]
@@ -133,6 +135,13 @@ def test_schema_rejects_bad_rule_sets():
     with pytest.raises(SchemaError):
         # empty row: the only term leaves the domain
         TransitionRuleSet(lo=0, hi=0, head=1, explicit={0: (Rel(1),)})
+    with pytest.raises(SchemaError, match="no tail rule for residue 1"):
+        # odd states beyond the head have no rule
+        TransitionRuleSet(head=4, explicit={i: (Rel(0),) for i in range(-3, 4)},
+                          period=2, tail={0: (Rel(1), Rel(-1))})
+    # a finite domain inside the head needs no tail rule at all
+    assert TransitionRuleSet(lo=0, hi=2, head=3, explicit={
+        i: (Rel(0),) for i in range(3)}).successors(2) == [2]
 
 
 def test_domain_and_spiral():
@@ -240,6 +249,21 @@ def test_same_matrix_compares_rules_not_names():
         1: (AbsRay(1),), 2: tuple(Abs(j) for j in range(1, 40))},
         tail={0: (RelRay(-1),)})
     assert not long_row.same_matrix(factorial_chain())
+    # tail rules compare by what they cover, not by the order of terms
+    walk = TransitionRuleSet(tail={0: (Rel(1), Rel(-1))})
+    assert walk.same_matrix(TransitionRuleSet(tail={0: (Rel(-1), Rel(1))}))
+    rays = TransitionRuleSet(lo=0, tail={0: (RelRay(2), Rel(-1), RelRay(0))})
+    assert rays.same_matrix(TransitionRuleSet(lo=0, tail={0: (Rel(-1), RelRay(0))}))
+    assert not rays.same_matrix(TransitionRuleSet(lo=0, tail={0: (Rel(-1), RelRay(2))}))
+
+
+def test_chain_documents_keep_the_least_ray_start():
+    row = TransitionRuleSet(lo=0, hi=6, head=7, explicit={
+        i: (AbsRay(2), AbsRay(5)) for i in range(7)})
+    assert chain_to_dict(row)["states"]["0"] == {"all_from": 2}
+    assert chain_from_dict(chain_to_dict(row)).successors(0) == [2, 3, 4, 5, 6]
+    tail = TransitionRuleSet(lo=0, tail={0: (RelRay(0), RelRay(2))})
+    assert chain_to_dict(tail)["tail_rules"]["rules"]["0"] == {"ray_from_offset": 0}
 
 
 # -- irreducibility against a breadth-first reference -------------------------
@@ -513,9 +537,9 @@ def reference_row_to_json(terms, i: int):
         elif isinstance(t, Rel):
             succ.append(i + t.offset)
         elif isinstance(t, AbsRay):
-            ray = t.start
+            ray = t.start if ray is None else min(ray, t.start)
         elif isinstance(t, RelRay):
-            ray = i + t.offset
+            ray = i + t.offset if ray is None else min(ray, i + t.offset)
     if ray is None:
         return sorted(set(succ))
     out = {"all_from": ray}
@@ -571,6 +595,15 @@ def rule_set_params(draw):
                 tail=tail, name="generated")
 
 
+def uses_missing_residue(params):
+    """Whether some state of the domain outside the head has a residue
+    without a tail rule (the generated domains lie within -20..20)."""
+    lo, hi = params["lo"], params["hi"]
+    return any(i % params["period"] not in params["tail"]
+               for i in range(-20, 21) if abs(i) >= params["head"]
+               and (lo is None or i >= lo) and (hi is None or i <= hi))
+
+
 def outcome(f, *args, **kwargs):
     """A call's value, or the type and message of what it raised."""
     try:
@@ -583,6 +616,9 @@ def outcome(f, *args, **kwargs):
 @given(rule_set_params(), st.data())
 def test_rule_set_queries_match_the_term_by_term_reference(params, data):
     got = outcome(TransitionRuleSet, **params)
+    if uses_missing_residue(params):
+        assert got[0] is SchemaError
+        return
     want = outcome(ReferenceRuleSet, **params)
     if not isinstance(want, ReferenceRuleSet):
         assert got == want
@@ -607,9 +643,22 @@ def test_rule_set_queries_match_the_term_by_term_reference(params, data):
     other["explicit"] = {i: data.draw(term_rows()) for i in range(
         1 - other["head"], other["head"]) if m.contains(i)}
     m2, ref2 = outcome(TransitionRuleSet, **other), outcome(ReferenceRuleSet, **other)
+    if uses_missing_residue(other):
+        assert m2[0] is SchemaError
+        return
     if not isinstance(ref2, ReferenceRuleSet):
         assert m2 == ref2
         return
     for a, b in ((m, ref), (m2, ref2)):
         assert outcome(m.same_matrix, a) == outcome(ref.same_matrix, b)
         assert outcome(a.same_matrix, m) == outcome(b.same_matrix, ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_set_params())
+def test_chain_documents_round_trip_every_rule_set(params):
+    m = outcome(TransitionRuleSet, **params)
+    if not isinstance(m, TransitionRuleSet):
+        return
+    back = chain_from_dict(json.loads(json.dumps(chain_to_dict(m))))
+    assert back.same_matrix(m) and m.same_matrix(back)

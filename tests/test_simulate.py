@@ -141,6 +141,19 @@ def test_table_sampler_matches_the_reference_on_builtin_families(seed):
     assert_sampler_matches_reference(orphan, 1, 100, seed)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("m", [unbiased_walk(), biased_walk()],
+                         ids=lambda m: m.name)
+def test_offset_pass_is_the_stepping_loop_in_one_pass(m, seed, monkeypatch):
+    kernel = kernel_of(m)
+    assert kernel.step_offsets() is not None        # the one-pass draw runs
+    fast = sample_backward(kernel, 0, 10_000, seed).states
+    monkeypatch.setattr(type(kernel), "step_offsets", lambda self: None)
+    slow = sample_backward(kernel, 0, 10_000, seed).states
+    assert np.array_equal(fast, slow)
+    assert np.array_equal(fast, reference_backward(kernel, 0, 10_000, seed))
+
+
 def test_deterministic_cycle_path():
     m = TransitionRuleSet(lo=0, hi=2, head=3,
                           explicit={0: (Abs(1),), 1: (Abs(2),), 2: (Abs(0),)},
