@@ -485,6 +485,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     if not ids:
         raise ValueError("empty stationary support")
     ids.sort(key=lambda s: part.bounds(s)[0])
+    rank = {s: r for r, s in enumerate(ids)}      # left-to-right order
 
     weights = {s: pi.weight(s) for s in ids}
     slots: dict[int, tuple[Number, Number]] = {}
@@ -496,17 +497,16 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     emitted = acc
     slack = _rounding_slack(emitted)
 
-    id_set = set(ids)
     counts = {s: len(mu.kernel.preds(s)) for s in ids}
     pieces: list[Piece] = []
     gap: Number = 0
     accx: Number = 0
     for s in reversed(ids):
         br = imap.branch(s)
-        succ = [(j, p) for j, p in mu.forward.row(s) if j in id_set]
+        succ = [(j, p) for j, p in mu.forward.row(s) if j in rank]
         # successor pieces ordered right-to-left along x: an increasing
         # branch lays targets out left-to-right, so reverse its spatial order
-        succ.sort(key=lambda jp: part.bounds(jp[0])[0], reverse=br.increasing)
+        succ.sort(key=lambda jp: rank[jp[0]], reverse=br.increasing)
         placed: Number = 0
         for j, p in succ:
             length = weights[s] * p

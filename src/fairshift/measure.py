@@ -12,8 +12,8 @@ the weights are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from fractions import Fraction
@@ -103,82 +103,81 @@ class WindowExhausted(RuntimeError):
         self.diagnostics = diagnostics
 
 
-def _truncated_rows(kernel: BackwardKernel, states: list[int]):
-    """Kernel rows clipped to the window and renormalised, as floats.
+def _window_chain(kernel: BackwardKernel, states: list[int]):
+    """Transposed window chain Q^T, clipped to the window and renormalised.
 
     Every kernel row is uniform over the predecessors of its state, so a
-    clipped row is uniform over the predecessors inside the window.
+    clipped row is uniform over the predecessors inside the window:
+    column j of Q^T holds 1/c at each of the c window predecessors of j.
     States whose clipped row is empty are dropped (with cascade) so the
-    window chain is well defined.
+    window chain is well defined.  Returns the kept states, ascending, and
+    Q^T over them as a CSC matrix.
     """
-    keep = set(states)
-    rows: dict[int, list[tuple[int, float]]] = {}
+    from scipy.sparse import csc_matrix
+
+    cols = [kernel.preds(j) for j in states]
+    counts = np.fromiter(map(len, cols), np.int64, len(cols))
+    preds = np.fromiter(itertools.chain.from_iterable(cols), np.int64,
+                        int(counts.sum()))
+    owner = np.repeat(np.arange(len(states)), counts)
+    window = np.asarray(states, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(window, preds), len(states) - 1)
+    inside = window[pos] == preds
+    alive = np.ones(len(states), dtype=bool)
     while True:
-        rows = {}
-        empty = []
-        for j in keep:
-            r = [i for i in kernel.preds(j) if i in keep]
-            if not r:
-                empty.append(j)
-                continue
-            w = 1 / len(r)
-            rows[j] = [(i, w) for i in r]
-        if not empty:
+        live = inside & alive[pos] & alive[owner]
+        c = np.bincount(owner[live], minlength=len(states))
+        empty = alive & (c == 0)
+        if not empty.any():
             break
-        keep -= set(empty)
-        if not keep:
+        alive &= ~empty
+        if not alive.any():
             raise InfinitePreimages(states[0])
-    return sorted(keep), rows
+    index = np.cumsum(alive) - 1
+    indptr = np.concatenate(([0], np.cumsum(c[alive])))
+    n = len(indptr) - 1
+    qt = csc_matrix((1.0 / c[owner[live]], index[pos[live]], indptr),
+                    shape=(n, n))
+    return window[alive], qt
 
 
-def _stationary_of_window(states: list[int], rows) -> np.ndarray:
-    """Stationary vector of the finite window chain.
+def _stationary_of_window(states: np.ndarray, qt) -> np.ndarray:
+    """Stationary vector of the window chain whose transpose is ``qt``.
 
-    Solved directly from (Q^T - I) x = 0 with a normalisation row; this
-    computes the same fixed point the truncation scheme asks for without
-    the slow mixing of plain power iteration near null recurrence.  The
-    system is singular exactly when the window chain has more than one
-    closed class, and SingularWindow is raised.
+    The vector is unique exactly when the window chain has one closed
+    class, and it vanishes off that class; several closed classes raise
+    SingularWindow.  On the class, (Q^T - I) x = 0 is solved with the
+    equation of the class state nearest 0 replaced by x_k = 1 (it is
+    implied by the others, since every column of Q^T sums to one), so no
+    dense normalisation row fills in the factors; x is rescaled to sum one.
     """
-    from scipy.sparse import coo_matrix, identity
-    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import spsolve
 
     n = len(states)
-    pos = {s: k for k, s in enumerate(states)}
-    data, ri, ci = [], [], []
-    for j, r in rows.items():
-        for i, q in r:
-            ri.append(pos[i])        # transpose: entry (i, j)
-            ci.append(pos[j])
-            data.append(q)
-    a = (coo_matrix((data, (ri, ci)), shape=(n, n)) - identity(n)).tolil()
-    k = pos[min(states, key=abs)]
-    a[k, :] = np.ones(n)
-    b = np.zeros(n)
-    b[k] = 1.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
-        try:
-            x = spsolve(a.tocsc(), b)
-        except MatrixRankWarning:
-            raise SingularWindow(
-                f"the stationary solve on the {n}-state window is "
-                "singular: the window chain has more than one closed "
-                "class") from None
+    _, label = connected_components(qt, connection="strong")
+    # q_ji > 0 is a step j -> i; a class with a step out is not closed
+    row, col = qt.indices, np.repeat(np.arange(n), np.diff(qt.indptr))
+    closed = np.setdiff1d(label, label[col[label[row] != label[col]]])
+    if len(closed) > 1:
+        raise SingularWindow(
+            f"the stationary solve on the {n}-state window is "
+            "singular: the window chain has more than one closed "
+            "class")
+    cls = np.flatnonzero(label == closed[0])
+    size = len(cls)
+    k = int(np.argmin(np.abs(states[cls])))
+    sub = qt[cls][:, cls]
+    pin = csc_matrix(([1.0], ([k], [k])), shape=(size, size))
+    a = (identity(size, format="csc") - pin) @ (sub - identity(size)) + pin
+    x = np.zeros(n)
+    x[cls] = spsolve(a.tocsc(), (np.arange(size) == k).astype(float))
     x = np.clip(x, 0.0, None)
     s = x.sum()
     if not np.isfinite(s) or s <= 0:
         raise ArithmeticError("window solve failed")
     return x / s
-
-
-def _window_residual(states, rows, x) -> float:
-    pos = {s: k for k, s in enumerate(states)}
-    acc = np.zeros(len(states))
-    for j, r in rows.items():
-        for i, q in r:
-            acc[pos[i]] += x[pos[j]] * q
-    return float(np.abs(acc - x).sum())
 
 
 def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
@@ -205,12 +204,10 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         # finite chain would only manufacture spurious boundary loss
         n = max(n, abs(base.lo), abs(base.hi))
     while True:
-        states = base.states(n)
-        whole = base.domain_finite() and (
-            base.lo >= -n and base.hi <= n)
-        states, rows = _truncated_rows(kernel, states)
-        x = _stationary_of_window(states, rows)
-        sol = {s: float(v) for s, v in zip(states, x) if v > 0.0}
+        whole = base.domain_finite() and base.lo >= -n and base.hi <= n
+        states, qt = _window_chain(kernel, base.states(n))
+        x = _stationary_of_window(states, qt)
+        sol = {s: v for s, v in zip(states.tolist(), x.tolist()) if v > 0.0}
         boundary = sum(v for s, v in sol.items() if abs(s) > n // 2)
         if whole:
             boundary = 0.0
@@ -219,7 +216,7 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         else:
             keys = set(prev) | set(sol)
             change = sum(abs(sol.get(s, 0.0) - prev.get(s, 0.0)) for s in keys)
-        residual = _window_residual(states, rows, x)
+        residual = float(np.abs(qt @ x - x).sum())
         reports.append({"window": n, "size": len(states), "boundary_mass": boundary,
                         "l1_change": None if change is math.inf else change,
                         "residual": residual})

@@ -82,7 +82,8 @@ def series_test(kernel: BackwardKernel, n_max: int = 40,
                 table[j] = preds, len(preds)
         lcm = math.lcm(*{table[j][1] for j in vec})
         if lcm == 0:
-            raise StuckWalk("a support state has no predecessors; "
+            j = next(j for j in vec if not table[j][1])
+            raise StuckWalk(f"state {j} has no predecessors; "
                             "backward walk is stuck")
         nxt: dict[int, int] = {}
         for j, num in vec.items():

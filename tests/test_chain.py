@@ -295,10 +295,11 @@ def _bfs_disconnected_pair(states, succ):
 
 
 @st.composite
-def finite_chains(draw):
+def finite_chains(draw, max_row=None):
     n = draw(st.integers(1, 9))
     lo = draw(st.integers(-5, 5))
-    rows = draw(st.lists(st.sets(st.integers(lo, lo + n - 1), min_size=1),
+    rows = draw(st.lists(st.sets(st.integers(lo, lo + n - 1), min_size=1,
+                                 max_size=max_row),
                          min_size=n, max_size=n))
     head = max(abs(lo), abs(lo + n - 1)) + 1
     m = TransitionRuleSet(lo=lo, hi=lo + n - 1, head=head, explicit={

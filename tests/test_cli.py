@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -425,7 +429,7 @@ def test_stuck_backward_walk_exits_one_without_traceback(tmp_path, capsys,
     assert main([command, str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("fairshift: StuckWalk: ")
-    assert "no predecessors" in err
+    assert "state 0 has no predecessors" in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 
@@ -462,3 +466,16 @@ def test_chain_file_and_family_give_identical_reports(tmp_path):
     ra["config"].pop("input", None)
     rb["config"].pop("input", None)
     assert ra == rb
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy is imported inside the window solve, where a run that solves
+    # pays for it once; a fresh interpreter shows what the imports load
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, fairshift, fairshift.cli; print(sorted(m for m in "
+            "sys.modules if m.partition('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

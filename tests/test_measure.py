@@ -6,23 +6,27 @@ were written.
 """
 
 import math
+import pathlib
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fairshift import (
-    Abs, FairMeasure, ForwardMatrix, NoSummableSolution, StationaryVector,
-    TransitionRuleSet, biased_walk, build_backward_kernel,
+    Abs, FairMeasure, ForwardMatrix, InfinitePreimages, NoSummableSolution,
+    SingularWindow, StationaryVector, TransitionRuleSet, biased_walk,
+    build_backward_kernel,
     build_forward_matrix, check_fair_on_cylinders,
     factorial_chain, factorial_stationary, fair_entropy, fair_measure_from,
     find_atomic_fair_measures, five_three_chain, five_three_profile,
     full_shift, full_shift_stationary, integral_log_c, origin_broadcast,
-    origin_broadcast_stationary, solve_stationary, unbiased_walk,
-    verify_stationary,
+    load_spec, origin_broadcast_stationary, solve_stationary,
+    strongly_connected_components, unbiased_walk, verify_stationary,
 )
 from fairshift.measure import _as
-from test_chain import finite_chains
+from test_chain import finite_chains, outcome, rule_set_params
 
 # independent oracle: sum_k log(k+2) / (e k!)
 FACTORIAL_ENTROPY = 1.0475026451453382
@@ -100,6 +104,119 @@ def test_five_three_profile_is_exactly_stationary():
                           provenance="closed-form")
     kernel = build_backward_kernel(five_three_chain())
     assert verify_stationary(pi, kernel, 20) == 0
+
+
+# -- the window solve against the ones-row solve -----------------------------
+
+def reference_truncated_rows(kernel, states):
+    """The window rows as a dict of Python lists, kept verbatim from the
+    solver before it built Q^T from arrays."""
+    keep = set(states)
+    rows: dict[int, list[tuple[int, float]]] = {}
+    while True:
+        rows = {}
+        empty = []
+        for j in keep:
+            r = [i for i in kernel.preds(j) if i in keep]
+            if not r:
+                empty.append(j)
+                continue
+            w = 1 / len(r)
+            rows[j] = [(i, w) for i in r]
+        if not empty:
+            break
+        keep -= set(empty)
+        if not keep:
+            raise InfinitePreimages(states[0])
+    return sorted(keep), rows
+
+
+def reference_stationary_of_window(states, rows):
+    """(Q^T - I) x = 0 with a dense normalisation row, solved by spsolve,
+    kept verbatim from the solver before it pinned one state."""
+    from scipy.sparse import coo_matrix, identity
+    from scipy.sparse.linalg import MatrixRankWarning, spsolve
+
+    n = len(states)
+    pos = {s: k for k, s in enumerate(states)}
+    data, ri, ci = [], [], []
+    for j, r in rows.items():
+        for i, q in r:
+            ri.append(pos[i])        # transpose: entry (i, j)
+            ci.append(pos[j])
+            data.append(q)
+    a = (coo_matrix((data, (ri, ci)), shape=(n, n)) - identity(n)).tolil()
+    k = pos[min(states, key=abs)]
+    a[k, :] = np.ones(n)
+    b = np.zeros(n)
+    b[k] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", MatrixRankWarning)
+        try:
+            x = spsolve(a.tocsc(), b)
+        except MatrixRankWarning:
+            raise SingularWindow(
+                f"the stationary solve on the {n}-state window is "
+                "singular: the window chain has more than one closed "
+                "class") from None
+    x = np.clip(x, 0.0, None)
+    s = x.sum()
+    if not np.isfinite(s) or s <= 0:
+        raise ArithmeticError("window solve failed")
+    return x / s
+
+
+def closed_class_count(states, rows):
+    """Closed classes of the window chain, whose step j -> i has q_ji > 0."""
+    succ = {j: [i for i, _ in rows[j]] for j in states}
+    sccs = strongly_connected_components(states, succ)
+    comp = {s: k for k, c in enumerate(sccs) for s in c}
+    return sum(all(comp[i] == comp[c[0]] for j in c for i in succ[j])
+               for c in sccs)
+
+
+# rule sets on finite domains: generated ones with every kind of term, and
+# ones with explicit rows; rows of one or two states often make the chain
+# reducible, with several closed classes
+finite_rule_sets = st.one_of(
+    rule_set_params().filter(lambda p: None not in (p["lo"], p["hi"])).map(
+        lambda p: outcome(TransitionRuleSet, **p)),
+    *(finite_chains(max_row=size).map(lambda chain_and_window:
+                                      chain_and_window[0])
+      for size in (None, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(finite_rule_sets)
+def test_window_solve_matches_the_ones_row_solve(m):
+    assume(isinstance(m, TransitionRuleSet))
+    kernel = outcome(build_backward_kernel, m)
+    assume(not isinstance(kernel, tuple))
+    # a finite domain is solved whole, in one window
+    got = outcome(solve_stationary, kernel)
+    want = outcome(reference_truncated_rows, kernel,
+                   m.states(max(8, abs(m.lo), abs(m.hi))))
+    if isinstance(want, tuple) and want[0] is InfinitePreimages:
+        assert got == want
+        return
+    states, rows = want
+    if closed_class_count(states, rows) > 1:
+        # the ones-row solve can miss this: with every state its own only
+        # predecessor, SuperLU raises RuntimeError instead of a rank warning
+        assert got[0] is SingularWindow
+        return
+    x = reference_stationary_of_window(states, rows)
+    assert isinstance(got, StationaryVector)
+    assert set(got.weights) <= set(states)
+    assert max(abs(got.weight(s) - v) for s, v in zip(states, x)) <= 1e-12
+
+
+def test_window_solve_puts_all_mass_on_the_only_closed_class():
+    # state 4 is the only closed class of the backward chain; states 0-3
+    # step into it and carry no mass, state 0 included
+    m = load_spec(pathlib.Path(__file__).parent / "golden/specs/split.json")
+    pi = solve_stationary(build_backward_kernel(m))
+    assert pi.weights == {4: 1.0}
 
 
 # -- fairness on cylinders ---------------------------------------------------

@@ -189,12 +189,16 @@ def test_stuck_walker_is_an_error():
 
 def test_full_shift_mean_return_time_is_bracketed():
     # from any state the backward walk returns in one step with
-    # probability 1/3, so the mean return time is 3 (Kac).  The 95 %
-    # interval misses on about 1 seed in 20; seed 0 is one of them (6503
-    # of its first 20 000 uniforms lie below 1/3, 2.45 sd low)
-    est = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
-                             horizons=(1,), seed=1)[0]
-    assert 1 / est.wilson_high <= 3 <= 1 / est.wilson_low
+    # probability 1/3, so the mean return time is 3 (Kac).  A 95 %
+    # interval misses on about 1 seed in 20, so the misses over 20 seeds
+    # are Bin(20, 0.05) for a fair draw: five or more has probability
+    # about 0.3 %, while a draw biased by a few percent misses at most seeds
+    misses = 0
+    for seed in range(20):
+        est = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
+                                 horizons=(1,), seed=seed)[0]
+        misses += not 1 / est.wilson_high <= 3 <= 1 / est.wilson_low
+    assert misses <= 4
     long = monte_carlo_return(kernel_of(full_shift(3)), trials=20_000,
                               horizons=(200,), seed=1)[0]
     assert long.returned == long.trials
