@@ -386,11 +386,13 @@ class TransitionRuleSet:
     def pure_offsets(self) -> tuple[int, ...] | None:
         """Offsets o with row(i) = {i+o} for every state, else None.
 
-        Only reported for one tail rule covering the whole domain; used by
-        the vectorised pass of ``sample_backward`` and the drift estimate
-        of ``classify``.
+        Only reported for one tail rule covering all of Z (a bound clips
+        the rows next to it); used by the vectorised pass of
+        ``sample_backward`` and the drift estimate of ``classify``.
         """
         if self.explicit or self.head != 0 or not self.tail:
+            return None
+        if self.lo is not None or self.hi is not None:
             return None
         # the residues are distinct mod period, so period rules cover them all
         rules = list(self._rules[1].values())
@@ -472,32 +474,31 @@ def strongly_connected_components(states: list[int],
         on_stack.add(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
                     index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
                     work.append((w, iter(succ[w])))
-                    advanced = True
                     break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
+                if w in on_stack and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # every successor of v is done
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    if low[v] < low[pv]:
+                        low[pv] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
     return sccs
 
 

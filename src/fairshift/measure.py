@@ -22,7 +22,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .chain import BackwardKernel, InfinitePreimages, TransitionRuleSet
+from .chain import (BackwardKernel, InfinitePreimages, TransitionRuleSet,
+                    strongly_connected_components)
 
 __all__ = [
     "StationaryVector", "NoSummableSolution", "WindowExhausted",
@@ -92,7 +93,8 @@ class NoSummableSolution:
 
 
 class SingularWindow(ArithmeticError):
-    """The window chain has several closed classes: no unique solution."""
+    """No unique window solution: the window chain has several closed
+    classes, or the pinned system failed to factorise."""
 
 
 class WindowExhausted(RuntimeError):
@@ -103,6 +105,11 @@ class WindowExhausted(RuntimeError):
         self.diagnostics = diagnostics
 
 
+# a closed class of at most this many states is solved by a dense LU in
+# numpy; only a larger one imports scipy for a sparse LU
+DENSE_SOLVE_MAX = 512
+
+
 def _window_chain(kernel: BackwardKernel, states: list[int]):
     """Transposed window chain Q^T, clipped to the window and renormalised.
 
@@ -111,10 +118,9 @@ def _window_chain(kernel: BackwardKernel, states: list[int]):
     column j of Q^T holds 1/c at each of the c window predecessors of j.
     States whose clipped row is empty are dropped (with cascade) so the
     window chain is well defined.  Returns the kept states, ascending, and
-    Q^T over them as a CSC matrix.
+    Q^T over them as numpy CSC column arrays ``(indptr, indices, data)``:
+    column j has its rows, ascending, in ``indices[indptr[j]:indptr[j+1]]``.
     """
-    from scipy.sparse import csc_matrix
-
     cols = [kernel.preds(j) for j in states]
     counts = np.fromiter(map(len, cols), np.int64, len(cols))
     preds = np.fromiter(itertools.chain.from_iterable(cols), np.int64,
@@ -135,48 +141,69 @@ def _window_chain(kernel: BackwardKernel, states: list[int]):
             raise InfinitePreimages(states[0])
     index = np.cumsum(alive) - 1
     indptr = np.concatenate(([0], np.cumsum(c[alive])))
-    n = len(indptr) - 1
-    qt = csc_matrix((1.0 / c[owner[live]], index[pos[live]], indptr),
-                    shape=(n, n))
-    return window[alive], qt
+    return window[alive], (indptr, index[pos[live]], 1.0 / c[owner[live]])
 
 
 def _stationary_of_window(states: np.ndarray, qt) -> np.ndarray:
     """Stationary vector of the window chain whose transpose is ``qt``.
 
-    The vector is unique exactly when the window chain has one closed
-    class, and it vanishes off that class; several closed classes raise
+    ``qt`` holds Q^T as the column arrays ``(indptr, indices, data)`` of
+    ``_window_chain``.  The vector is unique exactly when the window chain
+    has one closed class (found by ``strongly_connected_components``), and
+    it vanishes off that class; several closed classes raise
     SingularWindow.  On the class, (Q^T - I) x = 0 is solved with the
     equation of the class state nearest 0 replaced by x_k = 1 (it is
     implied by the others, since every column of Q^T sums to one), so no
     dense normalisation row fills in the factors; x is rescaled to sum one.
+    A class of at most ``DENSE_SOLVE_MAX`` states is solved by a dense LU,
+    a larger one by scipy's sparse LU.  A factorisation that fails also
+    raises SingularWindow.
     """
-    from scipy.sparse import csc_matrix, identity
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import spsolve
-
+    indptr, indices, data = qt
     n = len(states)
-    _, label = connected_components(qt, connection="strong")
+    col = np.repeat(np.arange(n), np.diff(indptr))
+    rows, ptr = indices.tolist(), indptr.tolist()
+    succ = [rows[ptr[j]:ptr[j + 1]] for j in range(n)]
+    label = np.empty(n, dtype=np.int64)
+    for k, comp in enumerate(strongly_connected_components(range(n), succ)):
+        label[comp] = k
     # q_ji > 0 is a step j -> i; a class with a step out is not closed
-    row, col = qt.indices, np.repeat(np.arange(n), np.diff(qt.indptr))
-    closed = np.setdiff1d(label, label[col[label[row] != label[col]]])
+    closed = np.setdiff1d(label, label[col[label[indices] != label[col]]])
     if len(closed) > 1:
         raise SingularWindow(
             f"the stationary solve on the {n}-state window is "
             "singular: the window chain has more than one closed "
             "class")
-    cls = np.flatnonzero(label == closed[0])
+    member = label == closed[0]
+    cls = np.flatnonzero(member)
     size = len(cls)
     k = int(np.argmin(np.abs(states[cls])))
-    sub = qt[cls][:, cls]
-    pin = csc_matrix(([1.0], ([k], [k])), shape=(size, size))
-    a = (identity(size, format="csc") - pin) @ (sub - identity(size)) + pin
+    b = (np.arange(size) == k).astype(float)
     x = np.zeros(n)
-    x[cls] = spsolve(a.tocsc(), (np.arange(size) == k).astype(float))
+    if size <= DENSE_SOLVE_MAX:
+        # a closed class steps only into itself: its columns are its block
+        inner = member[col]
+        at = np.cumsum(member) - 1
+        a = np.zeros((size, size))
+        a[at[indices[inner]], at[col[inner]]] = data[inner]
+        a -= np.eye(size)
+        a[k] = b
+        try:
+            x[cls] = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            raise SingularWindow("window solve failed") from None
+    else:
+        from scipy.sparse import csc_matrix, identity
+        from scipy.sparse.linalg import spsolve
+
+        sub = csc_matrix((data, indices, indptr), shape=(n, n))[cls][:, cls]
+        pin = csc_matrix(([1.0], ([k], [k])), shape=(size, size))
+        a = (identity(size, format="csc") - pin) @ (sub - identity(size)) + pin
+        x[cls] = spsolve(a.tocsc(), b)
     x = np.clip(x, 0.0, None)
     s = x.sum()
     if not np.isfinite(s) or s <= 0:
-        raise ArithmeticError("window solve failed")
+        raise SingularWindow("window solve failed")
     return x / s
 
 
@@ -203,6 +230,11 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         # a finite domain is solved whole in one shot; partial windows of a
         # finite chain would only manufacture spurious boundary loss
         n = max(n, abs(base.lo), abs(base.hi))
+    else:
+        # a half-line may start far from 0: the inner half [-n/2, n/2] of
+        # the first window, outside which mass counts as boundary mass,
+        # holds the domain's first state
+        n = max(n, 2 * max(base.lo or 0, -(base.hi or 0)))
     while True:
         whole = base.domain_finite() and base.lo >= -n and base.hi <= n
         states, qt = _window_chain(kernel, base.states(n))
@@ -216,7 +248,10 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         else:
             keys = set(prev) | set(sol)
             change = sum(abs(sol.get(s, 0.0) - prev.get(s, 0.0)) for s in keys)
-        residual = float(np.abs(qt @ x - x).sum())
+        indptr, indices, data = qt
+        qx = np.bincount(indices, data * np.repeat(x, np.diff(indptr)),
+                         minlength=len(x))
+        residual = float(np.abs(qx - x).sum())
         reports.append({"window": n, "size": len(states), "boundary_mass": boundary,
                         "l1_change": None if change is math.inf else change,
                         "residual": residual})

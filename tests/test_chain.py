@@ -191,6 +191,15 @@ def test_kernel_offsets():
     assert build_backward_kernel(unbiased_walk()).step_offsets() == (-1, 1)
     assert build_backward_kernel(biased_walk()).step_offsets() == (-2, 1)
     assert build_backward_kernel(origin_broadcast()).step_offsets() is None
+    # the same walk on the half-line 10, 11, ...: the bound clips row 10
+    # to {11}, so no offset law holds for every state
+    far = chain_from_dict({"schema_version": 1, "kind": "chain",
+                           "name": "far", "domain": [10, None], "window": 0,
+                           "tail_rules": {"period": 1,
+                                          "rules": {"0": [-1, 1]}}})
+    assert list(far.successors(10)) == [11]
+    assert far.pure_offsets() is None
+    assert build_backward_kernel(far).step_offsets() is None
     # five-three has two offset laws, by parity; its columns carry them
     k = build_backward_kernel(five_three_chain())
     assert k.step_offsets() is None
@@ -636,7 +645,14 @@ def test_rule_set_queries_match_the_term_by_term_reference(params, data):
         for j in probe:
             assert outcome(m.entry, i, j) == outcome(ref.entry, i, j)
     assert m.divergent_witness() == ref.divergent_witness()
-    assert m.pure_offsets() == ref.pure_offsets()
+    # the reference reads the tail's offset law on every domain; a bound
+    # clips the rows next to it, so only a rule set on Z has one
+    offs = m.pure_offsets()
+    assert offs == (ref.pure_offsets() if m.lo is None and m.hi is None
+                    else None)
+    if offs is not None:
+        for i in probe:
+            assert set(m.successors(i)) == {i + o for o in offs}
     assert outcome(chain_to_dict, m) == reference_chain_to_dict(ref)
     # a second rule set on the same domain and tail, with its own head rows
     other = dict(params, **data.draw(st.fixed_dictionaries({

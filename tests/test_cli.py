@@ -4,13 +4,16 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from fairshift import chain_to_dict, dump_json, unbiased_walk, write_json
-from fairshift import cli
+from fairshift import (CHAIN_FAMILIES, chain_to_dict, dump_json, unbiased_walk,
+                       write_json)
+from fairshift import cli, measure
 from fairshift.cli import main
 
 
@@ -368,6 +371,24 @@ def test_verify_reports_a_singular_solve_as_a_failing_check(tmp_path, capsys):
     assert "more than one closed class" in failing["stationary_solve"]
 
 
+def test_a_failed_window_factorisation_is_a_failing_check(tmp_path, capsys,
+                                                           monkeypatch):
+    # a pinned system that does not factorise ends like several closed
+    # classes: a failed check in verify, one error line elsewhere
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    code, out = run(tmp_path, "verify", "origin-broadcast")
+    assert code == 1
+    failing = {c["name"]: c["value"] for c in read(out, "verify.json")["checks"]
+               if not c["pass"]}
+    assert failing == {"stationary_solve": "window solve failed"}
+    capsys.readouterr()
+    assert main(["analyze", "origin-broadcast", "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err == \
+        "fairshift: SingularWindow: window solve failed\n"
+
+
 # -- error handling ----------------------------------------------------------------
 
 def test_unknown_family_exits_one(tmp_path, capsys):
@@ -434,6 +455,32 @@ def test_stuck_backward_walk_exits_one_without_traceback(tmp_path, capsys,
     assert not out.exists()
 
 
+# the +-1 walk on the half-line 10, 11, ...: no state lies in [-8, 8], and
+# the bound clips the row of 10 to {11}
+FAR = {"schema_version": 1, "kind": "chain", "name": "far",
+       "domain": [10, None], "window": 0,
+       "tail_rules": {"period": 1, "rules": {"0": [-1, 1]}}}
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["verify"],
+                                  ["classify", "--trials", "2000"],
+                                  ["simulate", "--length", "2000"]])
+def test_half_line_far_from_zero_gets_a_report(tmp_path, capsys, argv):
+    spec = tmp_path / "far.json"
+    write_json(spec, FAR)
+    code, out = run(tmp_path, argv[0], str(spec), *argv[1:])
+    assert code in (0, 2)
+    assert capsys.readouterr().err == ""
+    rep = read(out, f"{argv[0]}.json")
+    if argv[0] == "simulate":
+        # the sampler walks the clipped rows, never off the half-line
+        rows = (out / "path_0.csv").read_text().splitlines()[1:]
+        assert min(int(r.split(",")[1]) for r in rows) == 10
+    else:
+        assert rep["verdict"] in ("NoSummableSolution", "null-recurrent",
+                                  "pass")
+
+
 def test_zero_length_simulate_is_accepted(tmp_path):
     code, out = run(tmp_path, "simulate", "origin-broadcast", "--length", "0")
     assert code == 0
@@ -468,14 +515,63 @@ def test_chain_file_and_family_give_identical_reports(tmp_path):
     assert ra == rb
 
 
-def test_importing_the_package_and_cli_loads_no_scipy():
-    # scipy is imported inside the window solve, where a run that solves
-    # pays for it once; a fresh interpreter shows what the imports load
+def loaded_scipy_modules(runs: list[list[str]]) -> list[str]:
+    """scipy modules loaded after ``main`` ran each argv in a fresh
+    interpreter; every run must end with exit code 0."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, fairshift, fairshift.cli; print(sorted(m for m in "
-            "sys.modules if m.partition('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    code = ("import json, sys, fairshift, fairshift.cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert fairshift.cli.main(argv) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.partition('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    # scipy is imported only by the sparse solve of a large window
+    assert loaded_scipy_modules([]) == []
+
+
+def small_graph_spec(seed: int) -> dict:
+    """A random strongly connected graph-map spec: 16-48 arcs, 1-5 legs."""
+    rng = random.Random(seed)
+    arcs = list(range(1, rng.randint(16, 48) + 1))
+    order = rng.sample(arcs, len(arcs))
+    nxt = {a: order[(k + 1) % len(order)] for k, a in enumerate(order)}
+    legs = {a: [nxt[a]] + rng.choices(arcs, k=rng.randint(0, 4)) for a in arcs}
+    return {"schema_version": 1, "kind": "graph", "name": f"random-{seed}",
+            "arcs": arcs,
+            "transitions": {str(a): [[b, rng.random() < 0.5] for b in legs[a]]
+                            for a in arcs}}
+
+
+def test_small_windows_are_solved_without_scipy(tmp_path):
+    # every builtin chain, and a graph map whose window stays below
+    # measure.DENSE_SOLVE_MAX states, is solved by numpy alone
+    spec = tmp_path / "graph.json"
+    write_json(spec, small_graph_spec(0))
+    runs = [["graph", str(spec)]]
+    for name in sorted(CHAIN_FAMILIES):
+        runs += [["analyze", name], ["verify", name],
+                 ["classify", name, "--trials", "2000"],
+                 ["simulate", name, "--length", "1000"]]
+    out = tmp_path / "out"
+    assert loaded_scipy_modules(
+        [[*argv, "--out", str(out / str(k))] for k, argv in enumerate(runs)]
+    ) == []
+    rep = read(out / "0", "graph.json")
+    assert rep["verdict"] == "PositiveRecurrent"
+    assert rep["refined_states"] <= measure.DENSE_SOLVE_MAX
+
+
+def test_a_large_window_is_solved_with_scipy(tmp_path):
+    # the dendrite at window 8 is solved on one closed class of 784 states
+    assert measure.DENSE_SOLVE_MAX < 784
+    argv = ["graph", "--family", "dendrite", "--window", "8",
+            "--out", str(tmp_path)]
+    assert "scipy.sparse.linalg" in loaded_scipy_modules([argv])
+    assert read(tmp_path, "graph.json")["verdict"] == "PositiveRecurrent"

@@ -9,6 +9,7 @@ import math
 import pathlib
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from fairshift import (
     load_spec, origin_broadcast_stationary, solve_stationary,
     strongly_connected_components, unbiased_walk, verify_stationary,
 )
+from fairshift import measure
 from fairshift.measure import _as
 from test_chain import finite_chains, outcome, rule_set_params
 
@@ -193,22 +195,29 @@ def test_window_solve_matches_the_ones_row_solve(m):
     kernel = outcome(build_backward_kernel, m)
     assume(not isinstance(kernel, tuple))
     # a finite domain is solved whole, in one window
-    got = outcome(solve_stationary, kernel)
     want = outcome(reference_truncated_rows, kernel,
                    m.states(max(8, abs(m.lo), abs(m.hi))))
     if isinstance(want, tuple) and want[0] is InfinitePreimages:
-        assert got == want
+        assert outcome(solve_stationary, kernel) == want
         return
     states, rows = want
-    if closed_class_count(states, rows) > 1:
-        # the ones-row solve can miss this: with every state its own only
-        # predecessor, SuperLU raises RuntimeError instead of a rank warning
-        assert got[0] is SingularWindow
-        return
-    x = reference_stationary_of_window(states, rows)
-    assert isinstance(got, StationaryVector)
-    assert set(got.weights) <= set(states)
-    assert max(abs(got.weight(s) - v) for s, v in zip(states, x)) <= 1e-12
+    assert len(states) <= measure.DENSE_SOLVE_MAX
+    several = closed_class_count(states, rows) > 1
+    # the ones-row solve can miss several closed classes: with every state
+    # its own only predecessor, SuperLU raises RuntimeError instead of a
+    # rank warning
+    x = None if several else reference_stationary_of_window(states, rows)
+    # the window is small enough for the dense LU; a limit of 0 sends it
+    # to the sparse LU
+    for limit in (measure.DENSE_SOLVE_MAX, 0):
+        with mock.patch.object(measure, "DENSE_SOLVE_MAX", limit):
+            got = outcome(solve_stationary, kernel)
+        if several:
+            assert got[0] is SingularWindow
+            continue
+        assert isinstance(got, StationaryVector)
+        assert set(got.weights) <= set(states)
+        assert max(abs(got.weight(s) - v) for s, v in zip(states, x)) <= 1e-12
 
 
 def test_window_solve_puts_all_mass_on_the_only_closed_class():
