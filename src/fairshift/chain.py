@@ -170,6 +170,14 @@ class TransitionRuleSet:
     def domain_finite(self) -> bool:
         return self.lo is not None and self.hi is not None
 
+    def reaching(self, window: int) -> int:
+        """``window``, widened until its inner half [-N/2, N/2] holds a state.
+
+        A domain that starts d > 0 away from 0 is out of reach of a window
+        around 0 below 2d; a domain that holds 0 leaves every window as is.
+        """
+        return max(window, 2 * max(0, self.lo or 0, -(self.hi or 0)))
+
     def states(self, bound: int) -> list[int]:
         """In-domain states with |i| <= bound, ascending."""
         lo = -bound if self.lo is None else max(self.lo, -bound)

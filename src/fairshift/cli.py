@@ -246,7 +246,8 @@ def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
 def cmd_analyze(args) -> int:
     m = _as_chain(_load_input(args.input))
     window = args.window if args.window is not None else 64
-    disp = min(window, 16)
+    # each window around 0 is widened to reach a domain away from 0
+    disp = m.reaching(min(window, 16))
     report: dict = {
         "schema_version": fio.SCHEMA_VERSION,
         "config": {"command": "analyze", "input": args.input,
@@ -264,7 +265,7 @@ def cmd_analyze(args) -> int:
         _emit(args, "analyze.json", report, "verdict NoFairMeasure")
         return EXIT_OK
 
-    irr, pair = check_irreducible(m, min(window, 24))
+    irr, pair = check_irreducible(m, m.reaching(min(window, 24)))
     report["irreducible_on_window"] = irr
     if not irr:
         report["disconnected_pair"] = list(pair)
@@ -279,8 +280,9 @@ def cmd_analyze(args) -> int:
                           "below describe the component of the origin")
 
     kernel = build_backward_kernel(m)
-    report["atomic_orbits"] = [list(o.states) for o in
-                               find_atomic_fair_measures(m, 6, min(window, 64))]
+    report["atomic_orbits"] = [
+        list(o.states) for o in
+        find_atomic_fair_measures(m, 6, m.reaching(min(window, 64)))]
     pi = _solve(args, "analyze.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution", "reason": sol.note,
          "diagnostics": sol.diagnostics.as_dict(),
@@ -293,18 +295,19 @@ def cmd_analyze(args) -> int:
         return pi
 
     mu = fair_measure_from(pi, kernel, window=pi.window or window)
-    h = fair_entropy(mu, window=window)
-    tail = entropy_tail_estimate(mu, window=window)
+    reach = m.reaching(window)
+    h = fair_entropy(mu, window=reach)
+    tail = entropy_tail_estimate(mu, window=reach)
     report.update({
         "verdict": "PositiveRecurrent",
         "pi": {str(i): pi.entry(i) for i in pi.support() if abs(i) <= disp},
         "P": _forward_rows(mu, [i for i in pi.support() if abs(i) <= disp]),
         "fair_entropy": h,
         "entropy_tail_bound": tail,
-        "integral_log_c": integral_log_c(mu, m, window=window),
+        "integral_log_c": integral_log_c(mu, m, window=reach),
         "fairness_max_violation": float(
             check_fair_on_cylinders(mu, m, depth=args.depth,
-                                    window=min(window, 12))),
+                                    window=m.reaching(min(window, 12)))),
         "diagnostics": pi.diagnostics.as_dict() if pi.diagnostics else
                        {"provenance": pi.provenance},
         "tail_mass_bound": pi.tail_mass_bound,
@@ -600,7 +603,7 @@ def cmd_verify(args) -> int:
             break
     check("kernel_rows_sum_to_one", sums_ok, sums_ok, "exact")
 
-    irr, pair = check_irreducible(m, min(window, 24))
+    irr, pair = check_irreducible(m, m.reaching(min(window, 24)))
     check("irreducible_on_window", irr,
           irr if irr else f"disconnected pair {pair}", "true")
 
@@ -636,8 +639,9 @@ def cmd_verify(args) -> int:
 
     mu = fair_measure_from(pi, kernel, window=wnd)
     balance = 0.0
+    near = m.reaching(min(wnd, 32))
     for i in pi.support():
-        if abs(i) > min(wnd, 32):
+        if abs(i) > near:
             continue
         for j, p in mu.forward.row(i):
             # p_ij > 0 makes i a predecessor of j, so q_ji = 1 / c_j
@@ -646,8 +650,8 @@ def cmd_verify(args) -> int:
                           abs(pi.entry(i) * float(p) - pi.entry(j) * q))
     check("detailed_balance_pi_P_vs_pi_Q", balance <= 1e-8, balance, 1e-8)
 
-    violation = float(check_fair_on_cylinders(mu, m, depth=args.depth,
-                                              window=min(wnd, 12)))
+    violation = float(check_fair_on_cylinders(
+        mu, m, depth=args.depth, window=m.reaching(min(wnd, 12))))
     check("fair_on_cylinders", violation <= 1e-8, violation, 1e-8)
 
     h = fair_entropy(mu, window=wnd)

@@ -153,6 +153,9 @@ def write_csv(path, header: list[str], columns) -> None:
     out in blocks of ``CSV_CHUNK_ROWS``; an array column becomes Python
     scalars one block at a time.  ``_column_format`` picks ``%d`` or
     ``%.12g`` where that prints what ``fmt`` does; other columns use ``fmt``.
+    An array column whose cells in a block are bitwise one value (so
+    ``0.0`` and ``-0.0`` differ) is formatted once into that block's row
+    template instead of cell by cell.
     """
     width = len(header)
     lengths = set(map(len, columns))
@@ -161,21 +164,30 @@ def write_csv(path, header: list[str], columns) -> None:
                          f"got lengths {[len(col) for col in columns]}")
     n = lengths.pop() if lengths else 0
     specs = [_column_format(col) for col in columns]
-    line = ",".join(spec or "%s" for spec in specs) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, n, CSV_CHUNK_ROWS):
             rows = min(CSV_CHUNK_ROWS, n - lo)
-            # row-major cells: column k is the slice cells[k::width]
-            cells = [None] * (rows * width)
-            for k, (col, spec) in enumerate(zip(columns, specs)):
+            fields, parts = [], []
+            for col, spec in zip(columns, specs):
                 part = col[lo:lo + rows]
                 if spec is None:
                     part = [fmt(c) for c in part]
                 elif isinstance(part, np.ndarray):
+                    bits = part.view(f"i{part.itemsize}")
+                    if bits[0] == bits[-1] and (bits == bits[0]).all():
+                        cell = spec % part[0].item()
+                        fields.append(cell.replace("%", "%%"))
+                        continue
                     part = part.tolist()
-                cells[k::width] = part
-            fh.write(line * rows % tuple(cells))
+                fields.append(spec or "%s")
+                parts.append(part)
+            # row-major cells: the k-th column left is cells[k::stride]
+            stride = len(parts)
+            cells = [None] * (rows * stride)
+            for k, part in enumerate(parts):
+                cells[k::stride] = part
+            fh.write((",".join(fields) + "\n") * rows % tuple(cells))
 
 
 # ---------------------------------------------------------------------------

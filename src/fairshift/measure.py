@@ -234,7 +234,7 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         # a half-line may start far from 0: the inner half [-n/2, n/2] of
         # the first window, outside which mass counts as boundary mass,
         # holds the domain's first state
-        n = max(n, 2 * max(base.lo or 0, -(base.hi or 0)))
+        n = base.reaching(n)
     while True:
         whole = base.domain_finite() and base.lo >= -n and base.hi <= n
         states, qt = _window_chain(kernel, base.states(n))

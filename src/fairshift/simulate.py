@@ -103,6 +103,32 @@ class PathStats:
         return self.cylinder_frequencies.get(tuple(word), 0.0)
 
 
+def _ranked(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The path's distinct states, ascending, and each step's index among them.
+
+    What ``np.unique`` plus ``np.searchsorted`` give, without a sort when
+    the states fill a range shorter than the path, as a backward path's
+    states do: one ``np.bincount`` of the offsets from the least state
+    finds the visited states, and the offset is the index itself when no
+    state of the range is skipped (else ``np.searchsorted`` on the visited
+    states).  Any other path, and an empty one, goes through ``np.unique``.
+    No more path-sized arrays are held than that sort-based ranking holds.
+    """
+    if states.size:
+        lo = int(states.min())
+        span = int(states.max()) - lo
+        if span < states.size:
+            offsets = states - lo
+            vals = np.flatnonzero(np.bincount(offsets))
+            vals += lo
+            if vals.size == span + 1:
+                return vals, offsets
+            del offsets     # at most one path-sized array at a time
+            return vals, np.searchsorted(vals, states)
+    vals = np.unique(states)
+    return vals, np.searchsorted(vals, states)
+
+
 def _word_counts(states: np.ndarray, depth: int) -> dict[tuple[int, ...], int]:
     """Count forward words of length 1..depth read backwards along the path.
 
@@ -115,8 +141,8 @@ def _word_counts(states: np.ndarray, depth: int) -> dict[tuple[int, ...], int]:
     counts come out in lexicographic word order.
     """
     n = states.size
-    vals = np.unique(states)
-    ids = codes = np.searchsorted(vals, states)  # entry i: word ending at i+m-1
+    vals, ids = _ranked(states)
+    codes = ids                                  # entry i: word ending at i+m-1
     words = vals[:, None]                        # row c: the word of code c
     counts: dict[tuple[int, ...], int] = {}
     for m in range(1, min(depth, n) + 1):
@@ -159,12 +185,13 @@ def geo_mean_series(path: BackwardPath, kernel: BackwardKernel) -> np.ndarray:
     converges to exp of the integral of log c.
     """
     states = path.states
-    vals = np.unique(states)
+    vals, ids = _ranked(states)
     # base-2 logs keep the arithmetic exact when every count is a power of
     # two (cumulative sums of small integers are exact in floats)
     logc = np.array([np.log2(len(kernel.preds(v)))
                      for v in vals.tolist()])
-    logs = logc[np.searchsorted(vals, states)]
+    logs = logc[ids]
+    del ids     # the peak stays at three path-sized arrays
     return np.exp2(np.cumsum(logs) / np.arange(1, states.size + 1))
 
 

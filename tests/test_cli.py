@@ -481,6 +481,52 @@ def test_half_line_far_from_zero_gets_a_report(tmp_path, capsys, argv):
                                   "pass")
 
 
+# domains that start beyond the fixed windows of analyze and verify
+# around 0 (24 for irreducibility, 12 for cylinders, 32 for balance): the
+# +-1 walk on either half-line, and origin-broadcast moved to start at 30
+BEYOND = {
+    "far30": {**FAR, "name": "far30", "domain": [30, None]},
+    "farneg40": {**FAR, "name": "farneg40", "domain": [None, -40]},
+    "ob30": {"schema_version": 1, "kind": "chain", "name": "ob30",
+             "domain": [30, None], "window": 31,
+             "states": {"30": {"all_from": 30, "successors": []}},
+             "tail_rules": {"period": 1, "rules": {"0": [-1]}}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BEYOND))
+def test_windows_shift_to_a_domain_away_from_zero(tmp_path, capsys,
+                                                  monkeypatch, name):
+    spec = tmp_path / f"{name}.json"
+    write_json(spec, BEYOND[name])
+    windows = []        # the cylinder check's windows, which ran on states
+
+    def recording(mu, m, depth, window):
+        windows.append(len(m.states(window)))
+        return measure.check_fair_on_cylinders(mu, m, depth, window)
+    monkeypatch.setattr(cli, "check_fair_on_cylinders", recording)
+    code, out = run(tmp_path, "analyze", str(spec))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    rep = read(out, "analyze.json")
+    assert rep["irreducible_on_window"] is True
+    code, out = run(tmp_path, "verify", str(spec))
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    assert all(c["pass"] for c in read(out, "verify.json")["checks"])
+    if name != "ob30":
+        assert rep["verdict"] == "NoSummableSolution"
+        return
+    # origin-broadcast shifted by 30: the same verdict and entropy, with
+    # the displayed weights and every check on states of the domain
+    assert windows and min(windows) > 0
+    assert min(map(int, rep["pi"])) == 30
+    code, ref = run(tmp_path, "analyze", "origin-broadcast")
+    want = read(ref, "analyze.json")
+    assert rep["verdict"] == want["verdict"] == "PositiveRecurrent"
+    assert rep["fair_entropy"] == want["fair_entropy"]
+
+
 def test_zero_length_simulate_is_accepted(tmp_path):
     code, out = run(tmp_path, "simulate", "origin-broadcast", "--length", "0")
     assert code == 0

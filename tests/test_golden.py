@@ -43,6 +43,9 @@ for _name in ("origin-broadcast", "factorial-chain", "unbiased-walk"):
 CASES["simulate-factorial-chain-long"] = ["simulate", "factorial-chain",
                                           "--length", "10000", "--paths", "2",
                                           "--depth", "2"]
+# a running geometric mean that is exactly 2.0 over three row chunks
+CASES["simulate-origin-broadcast-long"] = ["simulate", "origin-broadcast",
+                                           "--length", "10000", "--paths", "1"]
 CASES["fairmodel-tent"] = ["fairmodel", "--map-family", "tent"]
 CASES["fairmodel-staircase"] = ["fairmodel", "--map-family", "staircase",
                                 "--depth", "1"]

@@ -88,7 +88,9 @@ def csv_tables(draw):
     """Columns that switch cell type partway, often at a chunk end.
 
     Besides lists of mixed cells, a column may be a numpy int64 or float64
-    array or a ``range``.
+    array, one made of runs of one value, or a ``range``.  The first run
+    crosses the first chunk end, later ones end at random rows; float runs
+    may be NaN, and a run of zeros holds one zero of the other sign.
     """
     n = draw(st.sampled_from([0, 1, C - 1, C, C + 1, 2 * C + 3]))
     pools = {k: draw(st.lists(s, min_size=1, max_size=6))
@@ -100,10 +102,25 @@ def csv_tables(draw):
     columns = []
     for _ in range(draw(st.integers(1, 4))):
         whole = draw(st.sampled_from(["list", "list", "int64", "float64",
-                                      "range"]))
+                                      "range", "runs int64", "runs float64"]))
         if whole == "range":
             start = draw(st.integers(-2 ** 40, 2 ** 40))
             columns.append(range(start, start + n))
+            continue
+        if whole.startswith("runs"):
+            dtype = whole.split()[1]
+            pool = pools[f"np.{dtype}"]
+            if dtype == "float64":
+                pool = [*pool, math.nan, 0.0, -0.0]
+            first = rng.randrange(min(n, C + 1), n + 1)
+            cuts = sorted({first, *rng.sample(range(n + 1),
+                                              min(n + 1, rng.randrange(3)))})
+            col = np.empty(n, dtype)
+            for lo, hi in zip([0, *cuts], [*cuts, n]):
+                col[lo:hi] = v = rng.choice(pool)
+                if hi > lo and v == 0 and dtype == "float64":
+                    col[rng.randrange(lo, hi)] = -v
+            columns.append(col)
             continue
         if whole != "list":
             pool = pools[f"np.{whole}"]
@@ -133,6 +150,23 @@ def test_write_csv_matches_the_per_cell_reference(tmp_path_factory, columns):
     write_csv(d / "got.csv", header, columns)
     reference_csv(d / "want.csv", header, zip(*columns))
     assert (d / "got.csv").read_bytes() == (d / "want.csv").read_bytes()
+
+
+def test_write_csv_compares_constant_blocks_bitwise(tmp_path):
+    n = 2 * C + 3
+    zeros = np.zeros(n)
+    zeros[5] = -0.0                     # a block of 0.0 that holds one -0.0
+    nans = np.full(n, math.nan)
+    nans[C + 7] = -math.nan             # a NaN with the sign bit set
+    ints = np.full(n, -7, np.int64)     # a run across the first chunk end
+    ints[C + 1:] = 2 ** 62
+    columns = [zeros, nans, ints, np.full(n, 2.0), np.arange(n) % 3 * 0.5]
+    header = [f"c{k}" for k in range(len(columns))]
+    write_csv(tmp_path / "got.csv", header, columns)
+    reference_csv(tmp_path / "want.csv", header, zip(*columns))
+    got = (tmp_path / "got.csv").read_bytes()
+    assert got == (tmp_path / "want.csv").read_bytes()
+    assert got.splitlines()[6].startswith(b"-0,nan,-7,2,")
 
 
 def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path):

@@ -6,6 +6,7 @@ would pass (several sigma).
 """
 
 import math
+import tracemalloc
 from bisect import bisect_left
 from itertools import accumulate
 
@@ -14,11 +15,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
-    Abs, StuckWalk, TransitionRuleSet, build_backward_kernel, biased_walk,
-    equidistribution_test, factorial_chain, fair_measure_from, five_three_chain,
-    full_shift, geo_mean_convergence, geo_mean_series, origin_broadcast,
-    path_statistics, sample_backward, sample_paths, solve_stationary,
-    unbiased_walk,
+    Abs, BackwardPath, StuckWalk, TransitionRuleSet, build_backward_kernel,
+    biased_walk, equidistribution_test, factorial_chain, fair_measure_from,
+    five_three_chain, full_shift, geo_mean_convergence, geo_mean_series,
+    origin_broadcast, path_statistics, sample_backward, sample_paths,
+    solve_stationary, unbiased_walk,
 )
 from fairshift.simulate import _word_counts
 from test_chain import finite_chains
@@ -238,9 +239,19 @@ def reference_word_counts(states, depth):
 
 @st.composite
 def int64_paths(draw):
-    """Paths over a few int64 states (one state, negatives, extremes)."""
-    states = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
-                           min_size=1, max_size=6, unique=True))
+    """Paths over a few int64 states (one state, negatives, extremes).
+
+    The states are spread over the whole int64 range, where ranking them
+    takes a sort, or drawn with gaps from a window of 16, usually shorter
+    than the path, where one bincount ranks them.
+    """
+    if draw(st.booleans()):
+        states = draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                               min_size=1, max_size=6, unique=True))
+    else:
+        lo = draw(st.integers(-2 ** 63, 2 ** 63 - 16))
+        states = draw(st.lists(st.integers(lo, lo + 15),
+                               min_size=1, max_size=16, unique=True))
     picks = draw(st.lists(st.integers(0, len(states) - 1), max_size=300))
     return np.array([states[i] for i in picks], dtype=np.int64)
 
@@ -255,6 +266,45 @@ def test_word_counts_match_the_stacked_unique_reference(states, depth):
 
 
 # -- geometric means ----------------------------------------------------------
+
+class ColumnCounts:
+    """Kernel stand-in: every int64 state has 1 to 4 predecessors."""
+
+    def preds(self, v):
+        return range(1 + v % 4)
+
+
+def per_step_geo_means(states, kernel):
+    logs = np.array([np.log2(len(kernel.preds(v))) for v in states.tolist()])
+    return np.exp2(np.cumsum(logs) / np.arange(1, states.size + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(int64_paths())
+def test_geo_mean_series_matches_the_per_step_reference(states):
+    path = BackwardPath(states, int(states[0]) if states.size else 0, 0)
+    got = geo_mean_series(path, ColumnCounts())
+    assert got.tobytes() == per_step_geo_means(states, ColumnCounts()).tobytes()
+
+
+def test_ranking_a_path_holds_no_more_arrays_than_sorting_it():
+    # origin-broadcast paths fill a short range, so their states are
+    # counted, not sorted; the peaks stay those of the sort-based ranking:
+    # three path-sized arrays in the series, one in the depth-1 counts
+    k = kernel_of(origin_broadcast())
+    path = sample_backward(k, 0, 200_000, seed=0)
+    size = path.states.nbytes
+    for run, arrays in ((lambda: geo_mean_series(path, k), 3),
+                        (lambda: _word_counts(path.states, 1), 1)):
+        run()                           # the kernel caches its columns
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= arrays * size + 2 ** 17, (arrays, peak / size)
+
 
 def test_geo_mean_is_exactly_two_on_constant_column_chains():
     for m in (unbiased_walk(), biased_walk(), origin_broadcast(), full_shift(2)):
