@@ -153,9 +153,9 @@ def write_csv(path, header: list[str], columns) -> None:
     out in blocks of ``CSV_CHUNK_ROWS``; an array column becomes Python
     scalars one block at a time.  ``_column_format`` picks ``%d`` or
     ``%.12g`` where that prints what ``fmt`` does; other columns use ``fmt``.
-    An array column whose cells in a block are bitwise one value (so
-    ``0.0`` and ``-0.0`` differ) is formatted once into that block's row
-    template instead of cell by cell.
+    An array column of cells at most 8 bytes wide whose cells in a block
+    are bitwise one value (so ``0.0`` and ``-0.0`` differ) is formatted
+    once into that block's row template instead of cell by cell.
     """
     width = len(header)
     lengths = set(map(len, columns))
@@ -174,11 +174,14 @@ def write_csv(path, header: list[str], columns) -> None:
                 if spec is None:
                     part = [fmt(c) for c in part]
                 elif isinstance(part, np.ndarray):
-                    bits = part.view(f"i{part.itemsize}")
-                    if bits[0] == bits[-1] and (bits == bits[0]).all():
-                        cell = spec % part[0].item()
-                        fields.append(cell.replace("%", "%%"))
-                        continue
+                    # cells compared as same-width ints; no int type is as
+                    # wide as a longdouble, whose blocks go cell by cell
+                    if part.itemsize <= 8:
+                        bits = part.view(f"i{part.itemsize}")
+                        if bits[0] == bits[-1] and (bits == bits[0]).all():
+                            cell = spec % part[0].item()
+                            fields.append(cell.replace("%", "%%"))
+                            continue
                     part = part.tolist()
                 fields.append(spec or "%s")
                 parts.append(part)

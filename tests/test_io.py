@@ -160,7 +160,9 @@ def test_write_csv_compares_constant_blocks_bitwise(tmp_path):
     nans[C + 7] = -math.nan             # a NaN with the sign bit set
     ints = np.full(n, -7, np.int64)     # a run across the first chunk end
     ints[C + 1:] = 2 ** 62
-    columns = [zeros, nans, ints, np.full(n, 2.0), np.arange(n) % 3 * 0.5]
+    # a longdouble has no integer type of its width to compare bits as
+    columns = [zeros, nans, ints, np.full(n, 2.0), np.arange(n) % 3 * 0.5,
+               np.full(n, 2.0, np.longdouble)]
     header = [f"c{k}" for k in range(len(columns))]
     write_csv(tmp_path / "got.csv", header, columns)
     reference_csv(tmp_path / "want.csv", header, zip(*columns))
