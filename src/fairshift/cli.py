@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp, window_help):
         sp.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default: current)")
-        sp.add_argument("--window", type=int, default=None, metavar="N",
+        sp.add_argument("--window", type=_count(0), default=None, metavar="N",
                         help=window_help)
         sp.add_argument("--tolerance", type=float, default=1e-10,
                         metavar="T", help="stationary solver tolerance")
@@ -463,6 +463,9 @@ def cmd_fairmodel(args) -> int:
     window = args.window
     if window is None and not m.domain_finite():
         window = 30
+    if window == 0:
+        raise fio.ParseError("a model needs a piece bound of at least 1",
+                             field="--window")
 
     pi = _closed_form(m, window)
     if pi is None:
@@ -517,7 +520,14 @@ def cmd_graph(args) -> int:
     if args.input is not None and args.family is not None:
         raise fio.ParseError("pass a spec file or --family, not both",
                              field="--family")
+    if args.input is not None and args.window is not None:
+        raise fio.ParseError("--window sets the blade window of --family "
+                             "dendrite; a graph spec is solved whole",
+                             field="--window")
     if args.input is None:
+        if args.window == 0:
+            raise fio.ParseError("the dendrite needs a blade window of at "
+                                 "least 1", field="--window")
         spec = dendrite_example(args.window if args.window is not None else 12)
     else:
         spec = fio.load_spec(args.input)

@@ -105,8 +105,9 @@ class WindowExhausted(RuntimeError):
         self.diagnostics = diagnostics
 
 
-# a closed class of at most this many states is solved by a dense LU in
-# numpy; only a larger one imports scipy for a sparse LU
+# a closed class of at most this many states is solved as it is by a dense
+# LU in numpy; a larger one is first lumped to its distinct rows of Q^T, and
+# only a lumped system still larger imports scipy for a sparse LU
 DENSE_SOLVE_MAX = 512
 
 
@@ -144,6 +145,20 @@ def _window_chain(kernel: BackwardKernel, states: list[int]):
     return window[alive], (indptr, index[pos[live]], 1.0 / c[owner[live]])
 
 
+def _equal_rows(r: np.ndarray, c: np.ndarray, size: int):
+    """Rows of a ``size``-row matrix with entries at ``(r, c)``, grouped
+    by their columns.  Returns the group of each row, groups numbered in
+    order of their first row, and the first row of each group."""
+    order = np.lexsort((c, r))
+    cols = c[order].tolist()
+    ptr = np.searchsorted(r[order], np.arange(size + 1)).tolist()
+    seen: dict[tuple, int] = {}
+    group = np.fromiter((seen.setdefault(tuple(cols[ptr[i]:ptr[i + 1]]),
+                                         len(seen)) for i in range(size)),
+                        np.int64, size)
+    return group, np.unique(group, return_index=True)[1]
+
+
 def _stationary_of_window(states: np.ndarray, qt) -> np.ndarray:
     """Stationary vector of the window chain whose transpose is ``qt``.
 
@@ -155,9 +170,17 @@ def _stationary_of_window(states: np.ndarray, qt) -> np.ndarray:
     equation of the class state nearest 0 replaced by x_k = 1 (it is
     implied by the others, since every column of Q^T sums to one), so no
     dense normalisation row fills in the factors; x is rescaled to sum one.
-    A class of at most ``DENSE_SOLVE_MAX`` states is solved by a dense LU,
-    a larger one by scipy's sparse LU.  A factorisation that fails also
-    raises SingularWindow.
+
+    A class of more than ``DENSE_SOLVE_MAX`` states is first lumped:
+    states with equal rows of Q^T have equal x (in a graph map's refined
+    chain, every leg onto one arc has the same row), so one unknown y_g
+    stands for each group g of equal rows, with the equation of the
+    group's first state.  The lumped equations weighted by group size sum
+    to zero, so the group of the state nearest 0 is pinned to y = 1 in
+    the same way, and x = y[group].  The system, lumped or not, is solved
+    by a dense LU when it has at most ``DENSE_SOLVE_MAX`` unknowns, else
+    by scipy's sparse LU.  A factorisation that fails also raises
+    SingularWindow.
     """
     indptr, indices, data = qt
     n = len(states)
@@ -176,30 +199,38 @@ def _stationary_of_window(states: np.ndarray, qt) -> np.ndarray:
             "class")
     member = label == closed[0]
     cls = np.flatnonzero(member)
-    size = len(cls)
     k = int(np.argmin(np.abs(states[cls])))
-    b = (np.arange(size) == k).astype(float)
-    x = np.zeros(n)
+    # a closed class steps only into itself: its columns are its block
+    inner = member[col]
+    at = np.cumsum(member) - 1
+    r, c, v = at[indices[inner]], at[col[inner]], data[inner]
+    group = np.arange(len(cls))
+    if len(cls) > DENSE_SOLVE_MAX:
+        # column j holds 1/c_j in every row, so a row is fixed by its columns
+        group, first = _equal_rows(r, c, len(cls))
+        mine = first[group[r]] == r
+        r, c, v, k = group[r[mine]], group[c[mine]], v[mine], group[k]
+    size = int(group.max()) + 1
+    # the triplets of Q^T - I with row k replaced by the pin y_k = 1
+    diag = np.arange(size)
+    keep = r != k
+    r = np.concatenate((r[keep], diag))
+    c = np.concatenate((c[keep], diag))
+    v = np.concatenate((v[keep], np.where(diag == k, 1.0, -1.0)))
+    b = (diag == k).astype(float)
     if size <= DENSE_SOLVE_MAX:
-        # a closed class steps only into itself: its columns are its block
-        inner = member[col]
-        at = np.cumsum(member) - 1
-        a = np.zeros((size, size))
-        a[at[indices[inner]], at[col[inner]]] = data[inner]
-        a -= np.eye(size)
-        a[k] = b
+        a = np.bincount(r * size + c, v, size * size).reshape(size, size)
         try:
-            x[cls] = np.linalg.solve(a, b)
+            y = np.linalg.solve(a, b)
         except np.linalg.LinAlgError:
             raise SingularWindow("window solve failed") from None
     else:
-        from scipy.sparse import csc_matrix, identity
+        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import spsolve
 
-        sub = csc_matrix((data, indices, indptr), shape=(n, n))[cls][:, cls]
-        pin = csc_matrix(([1.0], ([k], [k])), shape=(size, size))
-        a = (identity(size, format="csc") - pin) @ (sub - identity(size)) + pin
-        x[cls] = spsolve(a.tocsc(), b)
+        y = spsolve(csc_matrix((v, (r, c)), shape=(size, size)), b)
+    x = np.zeros(n)
+    x[cls] = y[group]
     x = np.clip(x, 0.0, None)
     s = x.sum()
     if not np.isfinite(s) or s <= 0:

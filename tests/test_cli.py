@@ -426,6 +426,8 @@ def test_bad_flag_exits_one(tmp_path):
     (["analyze", "origin-broadcast", "--depth", "0"], "--depth"),
     (["verify", "origin-broadcast", "--depth", "0"], "--depth"),
     (["fairmodel", "--map-family", "tent", "--depth", "0"], "--depth"),
+    (["analyze", "unbiased-walk", "--window", "-3"], "--window"),
+    (["graph", "--family", "dendrite", "--window", "-2"], "--window"),
 ])
 def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     out = tmp_path / "o"
@@ -434,6 +436,23 @@ def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     assert f"argument {flag}: must be at least" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_windows_that_mean_nothing_are_rejected(tmp_path, capsys):
+    # the dendrite has no blade window below 1, a graph spec has no window
+    # at all, and a fair model has no piece bound below 1
+    spec = tmp_path / "graph.json"
+    write_json(spec, small_graph_spec(0))
+    for argv in (["graph", "--family", "dendrite", "--window", "0"],
+                 ["graph", str(spec), "--window", "4"],
+                 ["fairmodel", "--map-family", "staircase", "--window", "0"],
+                 ["fairmodel", "--map-family", "tent", "--window", "0"]):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "(field '--window')" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 ORPHAN = {"schema_version": 1, "kind": "chain", "name": "orphan",
@@ -605,6 +624,9 @@ def test_small_windows_are_solved_without_scipy(tmp_path):
         runs += [["analyze", name], ["verify", name],
                  ["classify", name, "--trials", "2000"],
                  ["simulate", name, "--length", "1000"]]
+    # the dendrite at window 12 has a closed class of 2112 states but only
+    # 178 distinct rows of Q^T, so its lumped system is solved densely
+    runs.append(["graph", "--family", "dendrite", "--window", "12"])
     out = tmp_path / "out"
     assert loaded_scipy_modules(
         [[*argv, "--out", str(out / str(k))] for k, argv in enumerate(runs)]
@@ -612,12 +634,20 @@ def test_small_windows_are_solved_without_scipy(tmp_path):
     rep = read(out / "0", "graph.json")
     assert rep["verdict"] == "PositiveRecurrent"
     assert rep["refined_states"] <= measure.DENSE_SOLVE_MAX
+    rep = read(out / str(len(runs) - 1), "graph.json")
+    assert rep["verdict"] == "PositiveRecurrent"
+    assert rep["refined_states"] > measure.DENSE_SOLVE_MAX
 
 
 def test_a_large_window_is_solved_with_scipy(tmp_path):
-    # the dendrite at window 8 is solved on one closed class of 784 states
-    assert measure.DENSE_SOLVE_MAX < 784
-    argv = ["graph", "--family", "dendrite", "--window", "8",
-            "--out", str(tmp_path)]
+    # the +-1 walk on 600 states is one closed class whose rows of Q^T
+    # (the successor sets {i - 1, i + 1}) are all distinct, so lumping
+    # leaves more than measure.DENSE_SOLVE_MAX unknowns
+    assert measure.DENSE_SOLVE_MAX < 600
+    spec = tmp_path / "walk.json"
+    write_json(spec, {"schema_version": 1, "kind": "chain", "name": "walk-600",
+                      "domain": [0, 599], "window": 0, "states": {},
+                      "tail_rules": {"period": 1, "rules": {"0": [-1, 1]}}})
+    argv = ["analyze", str(spec), "--out", str(tmp_path / "o")]
     assert "scipy.sparse.linalg" in loaded_scipy_modules([argv])
-    assert read(tmp_path, "graph.json")["verdict"] == "PositiveRecurrent"
+    assert read(tmp_path / "o", "analyze.json")["verdict"] == "PositiveRecurrent"

@@ -19,12 +19,13 @@ from fairshift import (
     Abs, FairMeasure, ForwardMatrix, InfinitePreimages, NoSummableSolution,
     SingularWindow, StationaryVector, TransitionRuleSet, biased_walk,
     build_backward_kernel,
-    build_forward_matrix, check_fair_on_cylinders,
+    build_forward_matrix, check_fair_on_cylinders, dendrite_example,
     factorial_chain, factorial_stationary, fair_entropy, fair_measure_from,
     find_atomic_fair_measures, five_three_chain, five_three_profile,
     full_shift, full_shift_stationary, integral_log_c, origin_broadcast,
-    load_spec, origin_broadcast_stationary, solve_stationary,
-    strongly_connected_components, unbiased_walk, verify_stationary,
+    load_spec, origin_broadcast_stationary, refined_transition_matrix,
+    solve_stationary, strongly_connected_components, TameGraphMapSpec,
+    unbiased_walk, verify_stationary,
 )
 from fairshift import measure
 from fairshift.measure import _as
@@ -177,15 +178,27 @@ def closed_class_count(states, rows):
                for c in sccs)
 
 
-# rule sets on finite domains: generated ones with every kind of term, and
-# ones with explicit rows; rows of one or two states often make the chain
-# reducible, with several closed classes
+@st.composite
+def graph_specs(draw):
+    """Graph maps of 1-8 arcs, each arc covering 1-4 arcs."""
+    arcs = tuple(range(1, draw(st.integers(1, 8)) + 1))
+    leg = st.tuples(st.sampled_from(arcs), st.booleans())
+    return TameGraphMapSpec(arcs, {
+        a: tuple(draw(st.lists(leg, min_size=1, max_size=4))) for a in arcs},
+        name="generated")
+
+
+# rule sets on finite domains: generated ones with every kind of term, ones
+# with explicit rows, and refined chains of graph maps, where every leg
+# onto one arc has the same row of Q^T; rows of one or two states often
+# make the chain reducible, with several closed classes
 finite_rule_sets = st.one_of(
     rule_set_params().filter(lambda p: None not in (p["lo"], p["hi"])).map(
         lambda p: outcome(TransitionRuleSet, **p)),
     *(finite_chains(max_row=size).map(lambda chain_and_window:
                                       chain_and_window[0])
-      for size in (None, 2)))
+      for size in (None, 2)),
+    graph_specs().map(refined_transition_matrix))
 
 
 @settings(max_examples=300, deadline=None)
@@ -207,8 +220,8 @@ def test_window_solve_matches_the_ones_row_solve(m):
     # its own only predecessor, SuperLU raises RuntimeError instead of a
     # rank warning
     x = None if several else reference_stationary_of_window(states, rows)
-    # the window is small enough for the dense LU; a limit of 0 sends it
-    # to the sparse LU
+    # the window is small enough for the dense LU; a limit of 0 lumps
+    # equal rows and sends the lumped system to the sparse LU
     for limit in (measure.DENSE_SOLVE_MAX, 0):
         with mock.patch.object(measure, "DENSE_SOLVE_MAX", limit):
             got = outcome(solve_stationary, kernel)
@@ -218,6 +231,18 @@ def test_window_solve_matches_the_ones_row_solve(m):
         assert isinstance(got, StationaryVector)
         assert set(got.weights) <= set(states)
         assert max(abs(got.weight(s) - v) for s, v in zip(states, x)) <= 1e-12
+
+
+def test_a_lumped_window_matches_the_ones_row_solve():
+    # the dendrite at window 8 has one closed class of 784 states but 86
+    # distinct rows of Q^T, so its lumped system goes to the dense LU
+    m = refined_transition_matrix(dendrite_example(8))
+    kernel = build_backward_kernel(m)
+    states, rows = reference_truncated_rows(kernel, m.states(m.hi))
+    assert len(states) > measure.DENSE_SOLVE_MAX
+    x = reference_stationary_of_window(states, rows)
+    got = solve_stationary(kernel)
+    assert max(abs(got.weight(s) - v) for s, v in zip(states, x)) <= 1e-12
 
 
 def test_window_solve_puts_all_mass_on_the_only_closed_class():
