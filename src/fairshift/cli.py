@@ -13,6 +13,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -63,6 +64,9 @@ def _count(least: int):
     return count
 
 
+# parse_args returns a fresh namespace each call and never writes to the
+# parser, so one parser serves every call of main in a process
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="fairshift",
                 description="fair measures, fair entropy and Lebesgue fair "
@@ -405,9 +409,15 @@ def cmd_simulate(args) -> int:
     }
     try:
         pi = solve_stationary(kernel, tolerance=args.tolerance,
-                              max_window=args.window or 2 ** 14)
+                              max_window=2 ** 14 if args.window is None
+                              else args.window)
+        note = ("no summable stationary vector; discrepancies against a "
+                "fair measure are not defined")
     except WindowExhausted:
         pi = None
+        note = ("solver window budget ran out before a stationary vector "
+                "was found; discrepancies against a fair measure were not "
+                "computed")
     if isinstance(pi, StationaryVector):
         mu = fair_measure_from(pi, kernel, window=pi.window or 64)
         report["equidistribution"] = equidistribution_report(
@@ -415,8 +425,7 @@ def cmd_simulate(args) -> int:
         report["geo_mean_target"] = geo_mean_target(mu)
     else:
         report["equidistribution"] = None
-        report["note"] = ("no summable stationary vector; discrepancies "
-                          "against a fair measure are not defined")
+        report["note"] = note
     _emit(args, "simulate.json", report,
           f"{args.paths} path(s) of length {args.length} from {start}")
     return EXIT_OK

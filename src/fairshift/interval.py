@@ -556,6 +556,10 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     Otherwise it runs in float arithmetic and returns a float; a cell end
     within rounding of a slot end then counts as inside the slot.  A depth
     below 1 would walk no cell and certify nothing: it raises ValueError.
+
+    The exact walk pulls a cell back once per group of pieces sharing an
+    image and a slope, so its cost grows with the number of cells walked,
+    not with cells times their covering count.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -580,6 +584,15 @@ def _exact_violation(pieces: tuple[Piece, ...], depth: int,
     of L**(depth - k) and each division leaves no remainder.  Violations
     |len(pulled cell) - len(B)/c(B)| are kept as numerators over c(B) * D
     and compared by cross-multiplication.
+
+    Pieces onto one slot are grouped by their scaled image ends and
+    reduced slope, as every piece of a built model onto slot j shares
+    ``slots[j]`` and the slope c_j.  The pull-backs of a cell through one
+    group differ only by each member's x shift and all have the length
+    len(B) * den / num, so containment, straddle, the division and the
+    violation are worked out once per group (the division once per
+    orientation in it); c(B) is the sum of the covering group sizes.
+    Children are built only when another level follows.
     """
     den0 = math.lcm(*(Fraction(t).denominator
                       for p in pieces for t in (*p.xr, *p.yr)))
@@ -596,48 +609,58 @@ def _exact_violation(pieces: tuple[Piece, ...], depth: int,
     lift = math.lcm(*(r[5] for r in rows)) ** depth
     scale = den0 * lift
 
-    by_dst: dict[int, list[tuple]] = {}
+    # per slot, groups keyed by (c, d, num, den); a group keeps its members
+    # split by orientation, which fixes the division, and their cmags
+    by_key: dict[int, dict[tuple, tuple[dict, set]]] = {}
     # a cell is tagged with the interval whose slot contains it, which is
-    # where candidate covering pieces are looked up
+    # where candidate covering groups are looked up
     frontier: list[tuple[int, int, int]] = []
     for p, a, b, c, d, num, den in rows:
-        a, b, c, d = a * lift, b * lift, c * lift, d * lift
-        by_dst.setdefault(p.dst, []).append(
-            (a, c, d, num, den, p.src, p.increasing, p.cmag))
-        frontier.append((a, b, p.src))
+        parts, cmags = by_key.setdefault(p.dst, {}).setdefault(
+            (c * lift, d * lift, num, den), ({}, set()))
+        parts.setdefault(p.increasing, []).append((a * lift, p.src))
+        cmags.add(p.cmag)
+        frontier.append((a * lift, b * lift, p.src))
+    groups = {dst: [(*key, sum(map(len, parts.values())), cmags,
+                     list(parts.items()))
+                    for key, (parts, cmags) in keyed.items()]
+              for dst, keyed in by_key.items()}
 
     worst, worst_c = 0, 1
-    for _ in range(depth):
+    for level in range(depth, 0, -1):
         nxt = []
         for u, v, home in frontier:
             covering = []
-            for q in by_dst.get(home, ()):
-                if q[1] <= u and v <= q[2]:
-                    covering.append(q)
-                elif q[1] < v and u < q[2]:
+            c_b = 0
+            for grp in groups.get(home, ()):
+                if grp[0] <= u and v <= grp[1]:
+                    covering.append(grp)
+                    c_b += grp[4]
+                elif grp[0] < v and u < grp[1]:
                     raise NotMarkov("piece image straddles a refinement cell")
             if not covering:
                 continue
-            c_b = len(covering)
             blen = v - u
-            boundary = truncated and any(q[7] != c_b for q in covering)
-            for a, c, d, num, den, src, increasing, _ in covering:
-                if increasing:
-                    pu, r_lo = divmod((u - c) * den, num)
-                    pv, r_hi = divmod((v - c) * den, num)
-                else:
-                    pu, r_lo = divmod((d - v) * den, num)
-                    pv, r_hi = divmod((d - u) * den, num)
-                if r_lo or r_hi:
-                    raise ArithmeticError("pull-back left the common "
-                                          "denominator")
-                pu += a
-                pv += a
-                if not boundary:
-                    viol = abs(c_b * (pv - pu) - blen)
-                    if viol * worst_c > worst * c_b:
-                        worst, worst_c = viol, c_b
-                nxt.append((pu, pv, src))
+            for c, d, num, den, _, _, parts in covering:
+                for increasing, members in parts:
+                    if increasing:
+                        pu, r_lo = divmod((u - c) * den, num)
+                        pv, r_hi = divmod((v - c) * den, num)
+                    else:
+                        pu, r_lo = divmod((d - v) * den, num)
+                        pv, r_hi = divmod((d - u) * den, num)
+                    if r_lo or r_hi:
+                        raise ArithmeticError("pull-back left the common "
+                                              "denominator")
+                    if level > 1:
+                        for a, src in members:
+                            nxt.append((pu + a, pv + a, src))
+                # both orientations pull B back to the same length; a cell
+                # whose covering counts disagree is a truncation boundary
+                viol = abs(c_b * (pv - pu) - blen)
+                if viol * worst_c > worst * c_b and not (truncated and any(
+                        m != c_b for grp in covering for m in grp[5])):
+                    worst, worst_c = viol, c_b
         frontier = nxt
     return Fraction(worst, worst_c * scale)
 

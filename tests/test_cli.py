@@ -114,6 +114,24 @@ def test_classify_short_series_gives_no_transient_verdict(tmp_path, nmax):
     assert rep["evidence"]["series"]["last_quarter_growth"] == 0.0
 
 
+def test_one_parser_serves_successive_calls(tmp_path):
+    # the parser is built once per process; a repeated flag must not leak
+    # its values into the next call's defaults
+    code, out = run(tmp_path, "classify", "origin-broadcast",
+                    "--horizon", "50", "--trials", "200")
+    assert code == 0
+    assert read(out, "classify.json")["config"]["horizons"] == [50]
+    code, out = run(tmp_path, "classify", "origin-broadcast",
+                    "--trials", "200")
+    assert code == 0
+    assert read(out, "classify.json")["config"]["horizons"] == [100, 1000,
+                                                                10000]
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["classify", "origin-broadcast", "--trials", "0",
+                 "--out", str(tmp_path / "bad")]) == 1
+    assert not (tmp_path / "bad").exists()
+
+
 def test_classify_is_byte_deterministic(tmp_path):
     a_code, a_out = run(tmp_path, "classify", "five-three",
                         "--trials", "2000")
@@ -151,6 +169,17 @@ def test_simulate_null_recurrent_has_no_reference_measure(tmp_path):
     rep = read(out, "simulate.json")
     assert rep["equidistribution"] is None
     assert "note" in rep
+
+
+def test_simulate_window_zero_stops_at_the_first_window(tmp_path):
+    # like classify, a zero cap solves one window and gives up
+    code, out = run(tmp_path, "simulate", "origin-broadcast",
+                    "--window", "0", "--length", "10")
+    assert code == 0
+    rep = read(out, "simulate.json")
+    assert rep["equidistribution"] is None
+    assert "geo_mean_target" not in rep
+    assert rep["note"].startswith("solver window budget ran out")
 
 
 def test_simulate_rejects_foreign_start(tmp_path):

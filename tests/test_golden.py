@@ -51,6 +51,8 @@ CASES["fairmodel-staircase"] = ["fairmodel", "--map-family", "staircase",
                                 "--depth", "1"]
 CASES["fairmodel-staircase-depth-2"] = ["fairmodel", "--map-family",
                                         "staircase"]
+CASES["fairmodel-staircase-depth-3"] = ["fairmodel", "--map-family",
+                                        "staircase", "--depth", "3"]
 CASES["graph-dendrite-4"] = ["graph", "--family", "dendrite", "--window", "4"]
 CASES["graph-dendrite-8"] = ["graph", "--family", "dendrite", "--window", "8"]
 CASES["analyze-reducible"] = ["analyze", REDUCIBLE]

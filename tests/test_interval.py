@@ -330,14 +330,27 @@ def built_models(draw):
 
 @st.composite
 def doctored_models(draw):
-    """A built model with some piece ends moved by rationals."""
+    """A built model with some pieces doctored.
+
+    Piece ends move by rationals, orientations flip and column counts
+    move by one, so the pieces onto one slot mix orientations and
+    covering counts, and truncated staircase models reach the boundary
+    skip with such a mixed slot.
+    """
     model = draw(built_models())
     pieces = list(model.pieces)
     for k in draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1,
                            max_size=6)):
         p = pieces[k]
         # x ends give violations, y ends mostly straddles
-        which = draw(st.sampled_from(["xr", "xr", "yr"]))
+        which = draw(st.sampled_from(["xr", "xr", "yr", "increasing",
+                                      "cmag"]))
+        if which == "increasing":
+            pieces[k] = replace(p, increasing=not p.increasing)
+            continue
+        if which == "cmag":
+            pieces[k] = replace(p, cmag=p.cmag + draw(st.sampled_from([-1, 1])))
+            continue
         lo, hi = getattr(p, which)
         span = hi - lo
         # each end moves by under a third of the span: the piece stays
@@ -391,6 +404,30 @@ def test_doctored_models_reach_violations_and_straddles():
     shrunk = replace(model, pieces=tuple(pieces))
     assert check_lebesgue_fair(shrunk, 2) == _reference_violation(shrunk, 2)
     assert check_lebesgue_fair(shrunk, 2) == F(1, 5)
+
+
+def test_a_mixed_slot_on_a_truncation_boundary_is_skipped():
+    # the 6-state staircase window is truncated; pieces 13, 18 and 24 all
+    # map onto slot 2, whose column count is 3
+    model = staircase_model(6)
+    pieces = list(model.pieces)
+    assert [pieces[k].dst for k in (13, 18, 24)] == [2, 2, 2]
+    a, b = pieces[24].xr
+    pieces[24] = replace(pieces[24], xr=(a, b - (b - a) / 5))
+    pieces[18] = replace(pieces[18], increasing=False)
+    mixed = replace(model, pieces=tuple(pieces))
+    assert check_lebesgue_fair(mixed, 2) == _reference_violation(mixed, 2)
+    assert check_lebesgue_fair(mixed, 2) == F(1, 30)
+    # one piece onto the slot claims a fourth preimage: every cell of the
+    # slot becomes a boundary cell and its violation is not counted,
+    # whether the claim sits in the group of 13 and the flipped 18 or
+    # with 24, whose new slope puts it in a group of its own
+    for k in (13, 24):
+        bumped = list(pieces)
+        bumped[k] = replace(pieces[k], cmag=4)
+        bumped = replace(model, pieces=tuple(bumped))
+        assert check_lebesgue_fair(bumped, 2) == _reference_violation(bumped, 2)
+        assert check_lebesgue_fair(bumped, 2) == 0
 
 
 # -- finite partition lookups against a linear scan ------------------------------
