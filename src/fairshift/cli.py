@@ -126,7 +126,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="builtin map instead of a spec file")
     common(f, "bound on emitted pieces for infinite partitions (default 30)")
     f.add_argument("--depth", type=_count(1), default=2,
-                   help="refinement depth of the exact fairness check")
+                   help="word length of the fairness check (default 2); "
+                        "recorded, but depth 1 decides every depth, as a "
+                        "deeper cell lies in a depth-1 cell with the same "
+                        "covering pieces")
     f.set_defaults(func=cmd_fairmodel)
 
     g = sub.add_parser("graph", help="cut-and-paste a graph map into an "

@@ -454,17 +454,6 @@ class PiecewiseAffineMap:
         return None
 
 
-def _rounding_slack(emitted: Number) -> float:
-    """How far float sums of a model of float weights may drift.
-
-    Slot ends and row totals are running float sums, so a value that
-    should meet another lands a few ulps off; 1e-9 of the emitted mass is
-    far above that rounding and far below any real straddle or
-    truncation of a built model.
-    """
-    return 1e-9 * abs(float(emitted))
-
-
 def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
                         window: int | None = None) -> PiecewiseAffineMap:
     """Model of the map for which Lebesgue measure is fair.
@@ -495,7 +484,6 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
         slots[s] = (acc, acc + w)
         acc = acc + w
     emitted = acc
-    slack = _rounding_slack(emitted)
 
     counts = {s: len(mu.kernel.preds(s)) for s in ids}
     pieces: list[Piece] = []
@@ -524,8 +512,12 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
             placed = placed + length
         short = weights[s] - placed
         accx = accx + short           # keep slots aligned with x layout
-        if isinstance(short, float) and abs(short) <= slack:
-            short = 0.0               # rounding of the float sums, no loss
+        # a float shortfall of a few eps * w_s per term of this slot's own
+        # sum is rounding and solve residual, no loss: on the dendrite it
+        # stays under 2 per term, while a truncated slot lacks 1e13 times more
+        if isinstance(short, float) and abs(short) <= (
+                8 * (len(succ) + 1) * math.ulp(1.0) * abs(weights[s])):
+            short = 0.0
         gap = gap + short
     pieces.reverse()                  # ascending x
     return PiecewiseAffineMap(tuple(pieces), total=pi.total, emitted=emitted,
@@ -545,21 +537,24 @@ def _pull_back(piece: Piece, u: Number, v: Number) -> tuple[Number, Number]:
 def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     """Worst fairness violation of Lebesgue measure over piece cylinders.
 
-    For each admissible word of pieces up to the given depth, the word's
-    cell B is pulled back exactly; the covering count c(B) is measured
-    from the geometry (pieces whose image contains B) and each covering
-    piece contributes |len(piece ∩ g^{-1}B) - len(B)/c(B)|.
+    The cells checked are the x-ranges of the pieces.  Each cell B is
+    pulled back exactly; the covering count c(B) is measured from the
+    geometry (pieces whose image contains B) and each covering piece
+    contributes |len(piece ∩ g^{-1}B) - len(B)/c(B)|.
 
-    When every piece coordinate is an int or a Fraction the walk runs on
+    ``depth`` is the length of the piece words whose cells are checked,
+    and depth 1 decides every depth, so it changes neither the answer nor
+    the cost: a deeper cell lies inside the x-range of the piece it was
+    pulled back through, a depth-1 cell with the same home slot, so it has
+    the same covering pieces, a violation smaller by its length ratio, and
+    a straddle only where that cell has one.  A depth below 1 would check
+    no cell and certify nothing: it raises ValueError.
+
+    When every piece coordinate is an int or a Fraction the check runs on
     integers over one common denominator and returns a Fraction, exactly
     zero for models built by ``lebesgue_fair_model`` from exact weights.
     Otherwise it runs in float arithmetic and returns a float; a cell end
-    within rounding of a slot end then counts as inside the slot.  A depth
-    below 1 would walk no cell and certify nothing: it raises ValueError.
-
-    The exact walk pulls a cell back once per group of pieces sharing an
-    image and a slope, so its cost grows with the number of cells walked,
-    not with cells times their covering count.
+    within rounding of a slot end then counts as inside the slot.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
@@ -569,30 +564,21 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     truncated = model.gap != 0 or model.emitted != model.total
     if all(isinstance(t, (int, Fraction))
            for p in model.pieces for t in (*p.xr, *p.yr)):
-        return _exact_violation(model.pieces, depth, truncated)
-    return _float_violation(model, depth, truncated)
+        return _exact_violation(model.pieces, truncated)
+    return _float_violation(model, truncated)
 
 
-def _exact_violation(pieces: tuple[Piece, ...], depth: int,
-                     truncated: bool) -> Fraction:
-    """The fairness walk on integers scaled by one common denominator.
+def _exact_violation(pieces: tuple[Piece, ...], truncated: bool) -> Fraction:
+    """The fairness check on integers scaled by one common denominator D.
 
-    Coordinates are scaled by D = lcm(coordinate denominators) * L**depth,
-    L being the lcm of the slope numerators.  A pull-back multiplies a
-    cell offset by a slope's denominator and divides it by its numerator,
-    so after k of the ``depth`` steps every cell end is still a multiple
-    of L**(depth - k) and each division leaves no remainder.  Violations
-    |len(pulled cell) - len(B)/c(B)| are kept as numerators over c(B) * D
-    and compared by cross-multiplication.
-
-    Pieces onto one slot are grouped by their scaled image ends and
-    reduced slope, as every piece of a built model onto slot j shares
-    ``slots[j]`` and the slope c_j.  The pull-backs of a cell through one
-    group differ only by each member's x shift and all have the length
-    len(B) * den / num, so containment, straddle, the division and the
-    violation are worked out once per group (the division once per
-    orientation in it); c(B) is the sum of the covering group sizes.
-    Children are built only when another level follows.
+    The cells are the pieces' x-ranges, one per piece.  Pieces onto one
+    slot are grouped by their scaled image ends and reduced slope num/den,
+    as every piece of a built model onto slot j shares ``slots[j]`` and the
+    slope c_j.  Every member of a group pulls a cell B back to the length
+    len(B) * den / num, so containment, straddle and the violation
+    len(B) |c(B) den - num| / (num c(B) D) are worked out once per group,
+    with no coordinate divided; c(B) is the sum of the covering group
+    sizes, and violations are compared by cross-multiplication.
     """
     den0 = math.lcm(*(Fraction(t).denominator
                       for p in pieces for t in (*p.xr, *p.yr)))
@@ -601,104 +587,69 @@ def _exact_violation(pieces: tuple[Piece, ...], depth: int,
         t = Fraction(t)
         return t.numerator * (den0 // t.denominator)
 
-    rows = []
+    # per slot, groups keyed by (c, d, num, den) list their members' cmags;
+    # a cell is tagged with the interval whose slot contains it, which is
+    # where candidate covering groups are looked up
+    groups: dict[int, dict[tuple, list[int]]] = {}
+    cells = []
     for p in pieces:
         a, b, c, d = (scaled(t) for t in (*p.xr, *p.yr))
         g = math.gcd(d - c, b - a)
-        rows.append((p, a, b, c, d, (d - c) // g, (b - a) // g))
-    lift = math.lcm(*(r[5] for r in rows)) ** depth
-    scale = den0 * lift
+        groups.setdefault(p.dst, {}).setdefault(
+            (c, d, (d - c) // g, (b - a) // g), []).append(p.cmag)
+        cells.append((a, b, p.src))
 
-    # per slot, groups keyed by (c, d, num, den); a group keeps its members
-    # split by orientation, which fixes the division, and their cmags
-    by_key: dict[int, dict[tuple, tuple[dict, set]]] = {}
-    # a cell is tagged with the interval whose slot contains it, which is
-    # where candidate covering groups are looked up
-    frontier: list[tuple[int, int, int]] = []
-    for p, a, b, c, d, num, den in rows:
-        parts, cmags = by_key.setdefault(p.dst, {}).setdefault(
-            (c * lift, d * lift, num, den), ({}, set()))
-        parts.setdefault(p.increasing, []).append((a * lift, p.src))
-        cmags.add(p.cmag)
-        frontier.append((a * lift, b * lift, p.src))
-    groups = {dst: [(*key, sum(map(len, parts.values())), cmags,
-                     list(parts.items()))
-                    for key, (parts, cmags) in keyed.items()]
-              for dst, keyed in by_key.items()}
-
-    worst, worst_c = 0, 1
-    for level in range(depth, 0, -1):
-        nxt = []
-        for u, v, home in frontier:
-            covering = []
-            c_b = 0
-            for grp in groups.get(home, ()):
-                if grp[0] <= u and v <= grp[1]:
-                    covering.append(grp)
-                    c_b += grp[4]
-                elif grp[0] < v and u < grp[1]:
-                    raise NotMarkov("piece image straddles a refinement cell")
-            if not covering:
-                continue
-            blen = v - u
-            for c, d, num, den, _, _, parts in covering:
-                for increasing, members in parts:
-                    if increasing:
-                        pu, r_lo = divmod((u - c) * den, num)
-                        pv, r_hi = divmod((v - c) * den, num)
-                    else:
-                        pu, r_lo = divmod((d - v) * den, num)
-                        pv, r_hi = divmod((d - u) * den, num)
-                    if r_lo or r_hi:
-                        raise ArithmeticError("pull-back left the common "
-                                              "denominator")
-                    if level > 1:
-                        for a, src in members:
-                            nxt.append((pu + a, pv + a, src))
-                # both orientations pull B back to the same length; a cell
-                # whose covering counts disagree is a truncation boundary
-                viol = abs(c_b * (pv - pu) - blen)
-                if viol * worst_c > worst * c_b and not (truncated and any(
-                        m != c_b for grp in covering for m in grp[5])):
-                    worst, worst_c = viol, c_b
-        frontier = nxt
-    return Fraction(worst, worst_c * scale)
+    worst, worst_d = 0, 1
+    for u, v, home in cells:
+        covering = []
+        c_b = 0
+        for (c, d, num, den), cmags in groups.get(home, {}).items():
+            if c <= u and v <= d:
+                covering.append((num, den, cmags))
+                c_b += len(cmags)
+            elif c < v and u < d:
+                raise NotMarkov("piece image straddles a refinement cell")
+        # a cell whose covering counts disagree is a truncation boundary
+        if not covering or truncated and any(
+                m != c_b for _, _, cmags in covering for m in cmags):
+            continue
+        for num, den, _ in covering:
+            viol, viol_d = (v - u) * abs(c_b * den - num), num * c_b
+            if viol * worst_d > worst * viol_d:
+                worst, worst_d = viol, viol_d
+    return Fraction(worst, worst_d * den0)
 
 
-def _float_violation(model: PiecewiseAffineMap, depth: int,
-                     truncated: bool) -> float:
-    """The fairness walk in float arithmetic, for models of float weights."""
-    slack = _rounding_slack(model.emitted)
+def _float_violation(model: PiecewiseAffineMap, truncated: bool) -> float:
+    """The fairness check in float arithmetic, for models of float weights."""
+    # slot ends are running float sums, so a cell end that should meet a
+    # slot end lands a few ulps off; 1e-9 of the emitted mass is far above
+    # that rounding and far below any real straddle of a built model
+    slack = 1e-9 * abs(float(model.emitted))
     by_dst: dict[int, list[Piece]] = {}
     for p in model.pieces:
         by_dst.setdefault(p.dst, []).append(p)
 
     worst = 0.0
-    frontier = [(p.xr[0], p.xr[1], p.src) for p in model.pieces]
-    for _ in range(depth):
-        nxt: list[tuple[Number, Number, int]] = []
-        for (u, v, home) in frontier:
-            if not v > u:        # cell collapsed by float absorption
-                continue
-            covering = []
-            for q in by_dst.get(home, ()):
-                if q.yr[0] <= u + slack and v <= q.yr[1] + slack:
-                    covering.append(q)
-                elif q.yr[0] < v and u < q.yr[1]:
-                    raise NotMarkov("piece image straddles a refinement cell")
-            if not covering:
-                continue
-            c_b = len(covering)
-            blen = v - u
-            boundary = truncated and any(q.cmag != c_b for q in covering)
-            for q in covering:
-                pu, pv = _pull_back(q, u, v)
-                if not boundary:
-                    viol = abs((pv - pu) - blen / c_b)
-                    if viol > worst:
-                        worst = viol
-                nxt.append((pu, pv, q.src))
-        frontier = nxt
+    for p in model.pieces:
+        u, v = p.xr
+        if not v > u:            # cell collapsed by float absorption
+            continue
+        covering = []
+        for q in by_dst.get(p.src, ()):
+            if q.yr[0] <= u + slack and v <= q.yr[1] + slack:
+                covering.append(q)
+            elif q.yr[0] < v and u < q.yr[1]:
+                raise NotMarkov("piece image straddles a refinement cell")
+        c_b = len(covering)
+        if not covering or truncated and any(q.cmag != c_b for q in covering):
+            continue
+        blen = v - u
+        for q in covering:
+            pu, pv = _pull_back(q, u, v)
+            viol = abs((pv - pu) - blen / c_b)
+            if viol > worst:
+                worst = viol
     return float(worst)
 
 

@@ -1,13 +1,15 @@
 """Graph self-maps: dyadic placement, refinement, and the two pipelines."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from fairshift import (
-    NotMarkov, TameGraphMapSpec, check_irreducible, cut_and_paste,
-    dendrite_example, full_shift, refined_transition_matrix,
-    transition_matrix,
+    NotMarkov, TameGraphMapSpec, build_backward_kernel, check_irreducible,
+    check_lebesgue_fair, cut_and_paste, dendrite_example, fair_measure_from,
+    full_shift, lebesgue_fair_model, refined_transition_matrix,
+    solve_stationary, transition_matrix,
 )
 
 F = Fraction
@@ -136,3 +138,38 @@ def test_dendrite_refined_chain_has_boundary_states():
     assert not ok
     orphans = [j for j in m.states(10 ** 6) if m.column_count(j) == 0]
     assert orphans
+
+
+# -- the float fair model of the dendrite ------------------------------------------
+
+def dendrite_fair_model(window):
+    """The float Lebesgue fair model that ``graph`` builds for the dendrite."""
+    spec = dendrite_example(window)
+    m = refined_transition_matrix(spec)
+    kernel = build_backward_kernel(m)
+    pi = solve_stationary(kernel)
+    bound = max(abs(s) for s in m.states(10 ** 9))
+    mu = fair_measure_from(pi, kernel, window=pi.window or bound)
+    return lebesgue_fair_model(cut_and_paste(spec).interval_map, mu)
+
+
+def test_float_check_gives_one_value_at_every_depth():
+    model = dendrite_fair_model(4)
+    assert isinstance(model.pieces[0].xr[0], float)
+    values = {check_lebesgue_fair(model, depth) for depth in (1, 2, 3)}
+    assert len(values) == 1 and values.pop() < 1e-12
+    # one piece's x end moved by a seventh of its length changes its slope
+    pieces = list(model.pieces)
+    a, b = pieces[100].xr
+    pieces[100] = replace(pieces[100], xr=(a, b - (b - a) / 7))
+    doctored = replace(model, pieces=tuple(pieces))
+    values = {check_lebesgue_fair(doctored, depth) for depth in (1, 2, 3)}
+    assert len(values) == 1 and values.pop() > 1e-6
+
+
+def test_float_model_reports_the_dendrite_truncation():
+    # the w12 window drops 1/1410566456 of the mass, far below 1e-9 of it
+    # but far above the rounding of any slot's sum
+    model = dendrite_fair_model(12)
+    assert float(model.gap) / float(model.total) == pytest.approx(
+        1 / 1410566456, rel=1e-6)
