@@ -57,22 +57,22 @@ class StuckWalk(ValueError):
     """A backward walk reached a state without predecessors."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rel:
     offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Abs:
     state: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelRay:
     offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AbsRay:
     start: int
 
@@ -114,6 +114,10 @@ class TransitionRuleSet:
     period: int = 1
     tail: Mapping[int, tuple[Term, ...]] = field(default_factory=dict)
     name: str = "custom"
+    # clipped successors of rows without a relative span, by (id of the
+    # row in ``_rules``, floor, cap); ``_rules`` keeps the rows alive
+    _fixed: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if self.period < 1:
@@ -202,14 +206,20 @@ class TransitionRuleSet:
         """Explicit rows by state and tail rules by residue, as spans.
 
         Equal spans and rows are stored once: compiled rule sets (graph
-        models) repeat targets and whole rows over thousands of rows.
+        models) repeat targets and whole rows over thousands of rows.  A
+        term tuple that several states share is converted once, looked up
+        by identity; the entry keeps the tuple alive so its id stays its own.
         """
         shared: dict = {}
+        seen: dict[int, tuple[tuple[Term, ...], tuple[Span, ...]]] = {}
 
         def spans(terms: tuple[Term, ...]) -> tuple[Span, ...]:
-            new = list(map(_span, terms))
-            row = tuple(map(shared.setdefault, new, new))
-            return shared.setdefault(row, row)
+            hit = seen.get(id(terms))
+            if hit is None:
+                new = list(map(_span, terms))
+                row = tuple(map(shared.setdefault, new, new))
+                hit = seen[id(terms)] = terms, shared.setdefault(row, row)
+            return hit[1]
 
         return ({i: spans(terms) for i, terms in self.explicit.items()},
                 {r: spans(terms) for r, terms in self.tail.items()})
@@ -247,7 +257,10 @@ class TransitionRuleSet:
     def successors(self, i: int, *, within: int | None = None) -> list[int]:
         """Successor states of ``i``, clipped to |j| <= within when given.
 
-        Raises SchemaError for an unbounded row queried without a clip.
+        A row without a relative span names the same states for every
+        state that shares it, so its clipped result is memoised per clip;
+        each call gets a fresh list.  Raises SchemaError for an unbounded
+        row queried without a clip.
         """
         row = self._row(i)
         if within is not None:
@@ -258,6 +271,10 @@ class TransitionRuleSet:
         else:
             floor = -math.inf if self.lo is None else self.lo
             cap = math.inf if self.hi is None else self.hi
+        key = id(row), floor, cap
+        hit = self._fixed.get(key)
+        if hit is not None:
+            return list(hit)
         out: set[int] = set()
         for rel, a, ray in row:
             s = i + a if rel else a
@@ -265,7 +282,10 @@ class TransitionRuleSet:
                 out.update(range(s, cap + 1))
             else:
                 out.add(s)
-        return sorted(j for j in out if floor <= j <= cap)
+        succ = sorted(j for j in out if floor <= j <= cap)
+        if not any(rel for rel, _, _ in row):
+            self._fixed[key] = tuple(succ)
+        return succ
 
     def row_unbounded(self, i: int) -> bool:
         if self.hi is not None:

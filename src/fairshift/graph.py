@@ -50,6 +50,9 @@ class TameGraphMapSpec:
         if len(set(self.arcs)) != len(self.arcs):
             raise NotMarkov("duplicate arc ids")
         arcset = set(self.arcs)
+        for a in self.covers:
+            if a not in arcset:
+                raise NotMarkov(f"covers name arc {a}, which is not in arcs")
         for a in self.arcs:
             row = self.covers.get(a, ())
             if not row:
@@ -123,16 +126,14 @@ def refined_transition_matrix(spec: TameGraphMapSpec) -> TransitionRuleSet:
     State (a, t) moves onto the whole of its target arc, hence to every
     leg of that arc.  Ids follow the same spatial enumeration as the
     cut-and-paste partition, so this matrix must coincide entry by entry
-    with the one compiled from the interval map.
+    with the one compiled from the interval map.  Each target arc's row
+    is built once and shared by every state that covers the arc.
     """
     order = spec.refined_states()
     sid = {pair: k for k, pair in enumerate(order)}
-    explicit: dict[int, tuple[Abs, ...]] = {}
-    for pair, k in sid.items():
-        a, t = pair
-        target, _orient = spec.covers[a][t]
-        explicit[k] = tuple(Abs(sid[(target, s)])
-                            for s in range(len(spec.covers[target])))
+    rows = {b: tuple(Abs(sid[(b, s)]) for s in range(len(spec.covers[b])))
+            for b in spec.arcs}
+    explicit = {k: rows[spec.covers[a][t][0]] for (a, t), k in sid.items()}
     n = len(order)
     return TransitionRuleSet(lo=0, hi=n - 1, head=n, explicit=explicit,
                              name=f"{spec.name}-refined")

@@ -190,7 +190,7 @@ class IntegerPartition:
 Partition = FinitePartition | GeometricPartition | IntegerPartition
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     """Affine monotone branch on one partition interval."""
 
@@ -290,16 +290,23 @@ def transition_matrix(imap: MarkovIntervalMap, head: int = 4,
 
     Raises NotMarkov when a branch image is not a union of partition
     intervals, or when an infinite partition's rows fail to settle into
-    a translation-invariant tail within the probe range.
+    a translation-invariant tail within the probe range.  On a finite
+    partition each branch image's row is built once and shared by every
+    interval that maps onto it.
     """
     part = imap.partition
     name = f"{imap.name}-transitions"
     if isinstance(part, FinitePartition):
         k = part.n_intervals
+        rows: dict[tuple[Fraction, Fraction], tuple[Abs, ...]] = {}
         explicit = {}
         for i in range(k):
-            ids = _row_descriptor(imap, i)
-            explicit[i] = tuple(Abs(j) for j in ids)
+            br = imap.branch(i)
+            image = br.img_lo, br.img_hi
+            row = rows.get(image)
+            if row is None:
+                row = rows[image] = tuple(Abs(j) for j in part.covered(*image))
+            explicit[i] = row
         return TransitionRuleSet(lo=0, hi=k - 1, head=k, explicit=explicit,
                                  name=name)
 
@@ -408,7 +415,7 @@ def point_from_itinerary(imap: MarkovIntervalMap, word: tuple[int, ...],
 
 # -- Lebesgue fair models ---------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Piece:
     """One affine piece, in right-anchored weight coordinates.
 

@@ -351,6 +351,9 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
         except ValueError:
             raise ParseError(f"state key {key!r} is not an integer",
                              field="states") from None
+        if i in explicit:
+            raise ParseError(f"state {i} has more than one row",
+                             field=f"states.{key}")
         explicit[i] = _row_from_json(value, f"states.{key}")
     period, tail = 1, {}
     if "tail_rules" in doc:
@@ -359,6 +362,8 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
             raise ParseError("tail_rules must be an object",
                              field="tail_rules")
         period = _int(tr.get("period", 1), "tail_rules.period")
+        if period < 1:
+            raise ParseError("period must be >= 1", field="tail_rules.period")
         rules = tr.get("rules", {})
         for key, value in rules.items():
             try:
@@ -366,6 +371,12 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
             except ValueError:
                 raise ParseError(f"residue key {key!r} is not an integer",
                                  field="tail_rules.rules") from None
+            # a residue outside [0, period) would fold onto another one
+            if r in tail or not 0 <= r < period:
+                raise ParseError(
+                    f"residue {r} has more than one rule" if r in tail
+                    else f"residue {r} is outside [0, {period})",
+                    field=f"tail_rules.rules.{key}")
             tail[r] = _tail_rule_from_json(value, f"tail_rules.rules.{key}")
     window = _int(doc.get("window", 0), "window")
     try:
@@ -493,12 +504,17 @@ def graph_from_dict(doc: Mapping) -> TameGraphMapSpec:
         raise ParseError("transitions must map arc to covered-arc list",
                          field="transitions")
     covers: dict[int, tuple[tuple[int, bool], ...]] = {}
+    known = set(arcs)
     for key, lst in trans.items():
         try:
             a = int(key)
         except ValueError:
             raise ParseError(f"arc key {key!r} is not an integer",
                              field="transitions") from None
+        if a in covers or a not in known:
+            raise ParseError(
+                f"arc {a} has more than one entry" if a in covers
+                else f"arc {a} is not in arcs", field=f"transitions.{key}")
         if not isinstance(lst, list):
             raise ParseError("covered-arc list must be an array",
                              field=f"transitions.{key}")

@@ -105,6 +105,52 @@ def test_successor_predecessor_duality():
                 assert forward == (j in m.successors(i, within=8))
 
 
+# -- shared rows and the successor memo ------------------------------------
+
+def test_a_shared_relative_row_gives_each_state_its_own_successors():
+    row = (Rel(-1), Abs(2), Rel(1))
+    m = TransitionRuleSet(lo=0, hi=4, head=5, explicit={i: row for i in range(5)})
+    for _ in range(2):
+        for i in range(5):
+            want = sorted({j for j in (i - 1, 2, i + 1) if 0 <= j <= 4})
+            assert m.successors(i) == want
+            assert m.successors(i, within=3) == [j for j in want if j <= 3]
+
+
+def test_successor_lists_can_be_mutated_by_the_caller():
+    row = (Abs(0), Abs(2))
+    m = TransitionRuleSet(lo=0, hi=2, head=3, explicit={i: row for i in range(3)})
+    out = m.successors(0)
+    assert out == [0, 2]
+    out.append(1)
+    out.remove(0)
+    assert m.successors(0) == [0, 2]
+    assert m.successors(1) == [0, 2]
+    assert m.successors(1) is not m.successors(1)
+
+
+def test_each_clip_of_a_shared_row_gets_its_own_successors():
+    # states 0..2 share one row with a ray; the tail steps down
+    row = (Abs(0), AbsRay(2))
+    m = TransitionRuleSet(lo=0, head=3, explicit={i: row for i in range(3)},
+                          tail={0: (Rel(-1),)})
+    for _ in range(2):
+        assert m.successors(0, within=5) == [0, 2, 3, 4, 5]
+        assert m.successors(1, within=3) == [0, 2, 3]
+        assert m.successors(2, within=1) == [0]
+        assert m.successors(2, within=5) == [0, 2, 3, 4, 5]
+
+
+def test_an_unbounded_row_still_needs_a_clip_after_a_clipped_query():
+    row = (Abs(0), AbsRay(2))
+    m = TransitionRuleSet(lo=0, head=3, explicit={i: row for i in range(3)},
+                          tail={0: (Rel(-1),)})
+    assert m.successors(1, within=4) == [0, 2, 3, 4]
+    for i in (1, 2, 1):
+        with pytest.raises(SchemaError, match=f"row {i} is infinite"):
+            m.successors(i)
+
+
 def test_divergent_column_detection():
     everything_to_zero = TransitionRuleSet(
         lo=0, head=1, explicit={0: (Abs(0), Abs(1))},

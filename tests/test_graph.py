@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from fairshift import (
     NotMarkov, TameGraphMapSpec, build_backward_kernel, check_irreducible,
@@ -11,6 +12,7 @@ from fairshift import (
     full_shift, lebesgue_fair_model, refined_transition_matrix,
     solve_stationary, transition_matrix,
 )
+from test_measure import graph_specs
 
 F = Fraction
 
@@ -39,6 +41,13 @@ def test_spec_rejects_malformed_graphs():
         TameGraphMapSpec(arcs=(1,), covers={1: ((2, True),)})
     with pytest.raises(NotMarkov):
         TameGraphMapSpec(arcs=(1, 2), covers={1: ((2, True),), 2: ()})
+
+
+def test_spec_rejects_covers_of_an_arc_it_does_not_list():
+    # arc 7 would be dropped by every layer that walks ``arcs``
+    with pytest.raises(NotMarkov, match="arc 7"):
+        TameGraphMapSpec(arcs=(1, 2), covers={
+            1: ((2, True), (1, False)), 2: ((1, True),), 7: ((1, True),)})
 
 
 # -- placement geometry ----------------------------------------------------------
@@ -102,6 +111,45 @@ def test_refined_matrix_matches_interval_matrix_on_dendrites():
         refined = refined_transition_matrix(spec)
         compiled = transition_matrix(cut_and_paste(spec).interval_map)
         assert entries_equal(refined, compiled, 10 ** 6), window
+
+
+# -- one row per target ------------------------------------------------------------
+
+def successors_from_covers(spec):
+    """Successors of each refined state, read straight off ``spec.covers``."""
+    order = spec.refined_states()
+    sid = {pair: k for k, pair in enumerate(order)}
+    out = []
+    for a, t in order:
+        target = spec.covers[a][t][0]
+        out.append(sorted(sid[(target, s)]
+                          for s in range(len(spec.covers[target]))))
+    return out
+
+
+def assert_rows_are_shared(spec):
+    imap = cut_and_paste(spec).interval_map
+    targets = {spec.covers[a][t][0] for a, t in spec.refined_states()}
+    images = {(br.img_lo, br.img_hi) for br in imap.table.values()}
+    want = successors_from_covers(spec)
+    for m, distinct in ((refined_transition_matrix(spec), targets),
+                        (transition_matrix(imap), images)):
+        assert len({id(row) for row in m.explicit.values()}) == len(distinct)
+        for i, succ in enumerate(want):
+            assert m.successors(i) == succ
+            assert m.successors(i, within=len(want)) == succ
+            assert m.successors(i, within=1) == [j for j in succ if j <= 1]
+
+
+def test_dendrite_rows_are_built_once_per_target():
+    for window in (4, 8):
+        assert_rows_are_shared(dendrite_example(window))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_specs())
+def test_generated_graph_rows_are_built_once_per_target(spec):
+    assert_rows_are_shared(spec)
 
 
 # -- structure of the refined chains ------------------------------------------------

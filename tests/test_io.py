@@ -315,6 +315,55 @@ def test_parse_errors_carry_context(tmp_path):
     assert exc.value.field == "kind"
 
 
+def test_graph_documents_reject_an_arc_they_do_not_list():
+    doc = {"schema_version": 1, "kind": "graph", "arcs": [1, 2],
+           "transitions": {"1": [[2, True], [1, False]], "2": [[1, True]],
+                           "7": [[1, True]]}}
+    with pytest.raises(ParseError) as exc:
+        graph_from_dict(doc)
+    assert exc.value.field == "transitions.7"
+
+
+def test_graph_documents_reject_two_keys_for_one_arc():
+    doc = {"schema_version": 1, "kind": "graph", "arcs": [1, 2],
+           "transitions": {"1": [[2, True]], "2": [[1, True]],
+                           "01": [[1, True]]}}
+    with pytest.raises(ParseError) as exc:
+        graph_from_dict(doc)
+    assert exc.value.field == "transitions.01"
+
+
+def test_chain_documents_reject_two_keys_for_one_state():
+    doc = {"schema_version": 1, "kind": "chain", "domain": [0, 1],
+           "window": 2, "states": {"0": [0, 1], "1": [0], "01": [1]}}
+    with pytest.raises(ParseError) as exc:
+        chain_from_dict(doc)
+    assert exc.value.field == "states.01"
+
+
+def test_chain_documents_reject_a_residue_outside_the_period():
+    # residue 2 would fold onto residue 0 and replace its rule
+    doc = {"schema_version": 1, "kind": "chain",
+           "tail_rules": {"period": 2,
+                          "rules": {"0": [1], "1": [-1], "2": [-3]}}}
+    with pytest.raises(ParseError) as exc:
+        chain_from_dict(doc)
+    assert exc.value.field == "tail_rules.rules.2"
+    doc["tail_rules"]["rules"] = {"-1": [1], "0": [1], "1": [-1]}
+    with pytest.raises(ParseError) as exc:
+        chain_from_dict(doc)
+    assert exc.value.field == "tail_rules.rules.-1"
+
+
+def test_chain_documents_reject_two_keys_for_one_residue():
+    doc = {"schema_version": 1, "kind": "chain",
+           "tail_rules": {"period": 2,
+                          "rules": {"0": [1], "1": [-1], "01": [1]}}}
+    with pytest.raises(ParseError) as exc:
+        chain_from_dict(doc)
+    assert exc.value.field == "tail_rules.rules.01"
+
+
 def test_interval_map_parse_errors():
     with pytest.raises(ParseError):
         interval_map_from_dict({"schema_version": 1, "kind": "interval-map",
