@@ -161,12 +161,11 @@ class TransitionRuleSet:
         if not self.contains(i):
             raise UnresolvableState(f"state {i} outside domain of {self.name}")
 
-    def _head_states(self) -> list[int]:
-        out = []
-        for i in range(-self.head + 1, self.head):
-            if self.contains(i):
-                out.append(i)
-        return out
+    def _head_states(self) -> range:
+        """States with |i| < head, ascending, clipped to the domain."""
+        lo = 1 - self.head if self.lo is None else max(self.lo, 1 - self.head)
+        hi = self.head - 1 if self.hi is None else min(self.hi, self.head - 1)
+        return range(lo, hi + 1)
 
     def _is_tail_state(self, i: int) -> bool:
         return self.contains(i) and abs(i) >= self.head

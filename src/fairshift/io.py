@@ -11,6 +11,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Any, Mapping
@@ -103,11 +104,14 @@ def write_json(path, obj: Any) -> None:
 
 def load_json(path) -> Any:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}",
                          line=exc.lineno) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from exc
 
 
 def fmt(x: Any) -> str:
@@ -194,24 +198,57 @@ def write_csv(path, header: list[str], columns) -> None:
 
 
 # ---------------------------------------------------------------------------
-# fractions in documents
+# reading documents
+#
+# Every field is read through ``_typed``, which rejects a value of the wrong
+# JSON type on its dotted field.  The constructors the readers call hold all
+# other rules; ``_spec_reader`` turns what they raise into a ParseError.
+
+_KINDS = {list: "an array", dict: "an object", int: "an integer",
+          str: "a string"}
+
+
+def _typed(value: Any, kind: type, field: str) -> Any:
+    """``value`` if it is a ``kind`` (a bool is no integer), else ParseError."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    raise ParseError(f"expected {_KINDS[kind]}, got {value!r}", field=field)
+
+
+def _get(doc: Mapping, key: str, kind: type, field: str,
+         default: Any = None) -> Any:
+    """``doc[key]``, or ``default`` when absent, checked to be a ``kind``."""
+    return _typed(doc.get(key, default), kind, field)
+
 
 def _frac(value: Any, field: str) -> Fraction:
-    try:
-        if isinstance(value, bool):
-            raise ValueError
-        if isinstance(value, (int, str)):
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
             return Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        pass
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ParseError(f"expected an exact number (integer or 'p/q'), "
                      f"got {value!r}", field=field)
 
 
-def _int(value: Any, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"expected an integer, got {value!r}", field=field)
-    return value
+def _int_keyed(doc: Any, field: str, noun: str):
+    """(index, dotted field, value) of an object keyed by integers.
+
+    ``"1"`` and ``"01"`` name one index; giving an index twice is rejected
+    on the second key's field.
+    """
+    seen = set()
+    for key, value in _typed(doc, dict, field).items():
+        try:
+            i = int(key)
+        except ValueError:
+            raise ParseError(f"{noun} key {key!r} is not an integer",
+                             field=field) from None
+        if i in seen:
+            raise ParseError(f"{noun} {i} is given more than once",
+                             field=f"{field}.{key}")
+        seen.add(i)
+        yield i, f"{field}.{key}", value
 
 
 def _check_version(doc: Mapping, field: str = "schema_version") -> None:
@@ -220,6 +257,23 @@ def _check_version(doc: Mapping, field: str = "schema_version") -> None:
         raise ParseError(f"unsupported schema_version {v!r}; "
                          f"this build reads version {SCHEMA_VERSION}",
                          field=field)
+
+
+def _spec_reader(read):
+    """``read``, rejecting a document that is no object and turning every
+    ``ValueError`` it or the constructors it calls raise into a ParseError."""
+    @functools.wraps(read)
+    def reader(doc):
+        if not isinstance(doc, dict):
+            raise ParseError(f"a spec document must be an object, got "
+                             f"{type(doc).__name__}")
+        try:
+            return read(doc)
+        except ParseError:
+            raise
+        except ValueError as exc:
+            raise ParseError(str(exc)) from exc
+    return reader
 
 
 # ---------------------------------------------------------------------------
@@ -280,44 +334,32 @@ def chain_to_dict(m: TransitionRuleSet) -> dict:
     return doc
 
 
-def _row_from_json(value, field: str):
-    terms: list = []
+# the keys of a row or a tail rule written as an object, each with the term
+# it makes and whether it holds an array; an array alone is the first key
+_ROW_TERMS = (("successors", Abs, True), ("all_from", AbsRay, False))
+_TAIL_TERMS = (("offsets", Rel, True), ("states", Abs, True),
+               ("ray_from_offset", RelRay, False), ("ray_from", AbsRay, False))
+
+
+def _terms_from_json(value, table, field: str) -> tuple:
     if isinstance(value, list):
-        for j in value:
-            terms.append(Abs(_int(j, field)))
-        return tuple(terms)
-    if isinstance(value, dict):
-        for j in value.get("successors", []):
-            terms.append(Abs(_int(j, field)))
-        if "all_from" in value:
-            terms.append(AbsRay(_int(value["all_from"], field)))
-        if terms:
-            return tuple(terms)
-    raise ParseError("row must be an array of successors or an object "
-                     "with 'successors'/'all_from'", field=field)
-
-
-def _tail_rule_from_json(value, field: str):
+        return tuple(table[0][1](_typed(v, int, field)) for v in value)
     terms: list = []
-    if isinstance(value, list):
-        for o in value:
-            terms.append(Rel(_int(o, field)))
-        return tuple(terms)
     if isinstance(value, dict):
-        for o in value.get("offsets", []):
-            terms.append(Rel(_int(o, field)))
-        for s in value.get("states", []):
-            terms.append(Abs(_int(s, field)))
-        if "ray_from_offset" in value:
-            terms.append(RelRay(_int(value["ray_from_offset"], field)))
-        if "ray_from" in value:
-            terms.append(AbsRay(_int(value["ray_from"], field)))
-        if terms:
-            return tuple(terms)
-    raise ParseError("tail rule must be an offset array or an object with "
-                     "'offsets'/'ray_from_offset'/'ray_from'", field=field)
+        for key, term, many in table:
+            sub = f"{field}.{key}"
+            if many:
+                terms += [term(_typed(v, int, sub))
+                          for v in _get(value, key, list, sub, [])]
+            elif key in value:
+                terms.append(term(_get(value, key, int, sub)))
+    if not terms:
+        raise ParseError("expected an array or an object with " + "/".join(
+            repr(key) for key, _, _ in table), field=field)
+    return tuple(terms)
 
 
+@_spec_reader
 def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
     if "family" in doc:
         if "schema_version" in doc:
@@ -325,66 +367,37 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
         params = {k: v for k, v in doc.items()
                   if k not in ("family", "kind", "schema_version")}
         try:
-            return chain_by_name(doc["family"], **params)
+            return chain_by_name(_get(doc, "family", str, "family"), **params)
         except KeyError as exc:
             raise ParseError(str(exc), field="family") from None
         except TypeError as exc:
             raise ParseError(f"bad family parameters: {exc}",
                              field="family") from None
     _check_version(doc)
-    lo, hi = None, None
-    if "domain" in doc:
-        dom = doc["domain"]
-        if (not isinstance(dom, list)) or len(dom) != 2:
-            raise ParseError("domain must be [lo, hi] with null for "
-                             "unbounded ends", field="domain")
-        lo = None if dom[0] is None else _int(dom[0], "domain")
-        hi = None if dom[1] is None else _int(dom[1], "domain")
-    states = doc.get("states", {})
-    if not isinstance(states, dict):
-        raise ParseError("states must map state index to a row",
-                         field="states")
-    explicit = {}
-    for key, value in states.items():
-        try:
-            i = int(key)
-        except ValueError:
-            raise ParseError(f"state key {key!r} is not an integer",
-                             field="states") from None
-        if i in explicit:
-            raise ParseError(f"state {i} has more than one row",
-                             field=f"states.{key}")
-        explicit[i] = _row_from_json(value, f"states.{key}")
-    period, tail = 1, {}
-    if "tail_rules" in doc:
-        tr = doc["tail_rules"]
-        if not isinstance(tr, dict):
-            raise ParseError("tail_rules must be an object",
-                             field="tail_rules")
-        period = _int(tr.get("period", 1), "tail_rules.period")
-        if period < 1:
-            raise ParseError("period must be >= 1", field="tail_rules.period")
-        rules = tr.get("rules", {})
-        for key, value in rules.items():
-            try:
-                r = int(key)
-            except ValueError:
-                raise ParseError(f"residue key {key!r} is not an integer",
-                                 field="tail_rules.rules") from None
-            # a residue outside [0, period) would fold onto another one
-            if r in tail or not 0 <= r < period:
-                raise ParseError(
-                    f"residue {r} has more than one rule" if r in tail
-                    else f"residue {r} is outside [0, {period})",
-                    field=f"tail_rules.rules.{key}")
-            tail[r] = _tail_rule_from_json(value, f"tail_rules.rules.{key}")
-    window = _int(doc.get("window", 0), "window")
-    try:
-        return TransitionRuleSet(lo=lo, hi=hi, head=window,
-                                 explicit=explicit, period=period, tail=tail,
-                                 name=str(doc.get("name", "custom")))
-    except SchemaError as exc:
-        raise ParseError(str(exc)) from exc
+    dom = _get(doc, "domain", list, "domain", [None, None])
+    if len(dom) != 2:
+        raise ParseError("domain must be [lo, hi] with null for unbounded "
+                         "ends", field="domain")
+    lo, hi = (None if v is None else _typed(v, int, "domain") for v in dom)
+    explicit = {i: _terms_from_json(value, _ROW_TERMS, field)
+                for i, field, value in _int_keyed(doc.get("states", {}),
+                                                  "states", "state")}
+    rules = _get(doc, "tail_rules", dict, "tail_rules", {})
+    period = _get(rules, "period", int, "tail_rules.period", 1)
+    if period < 1:
+        raise ParseError("period must be >= 1", field="tail_rules.period")
+    tail = {}
+    for r, field, value in _int_keyed(rules.get("rules", {}),
+                                      "tail_rules.rules", "residue"):
+        # a residue outside [0, period) would fold onto another one
+        if not 0 <= r < period:
+            raise ParseError(f"residue {r} is outside [0, {period})",
+                             field=field)
+        tail[r] = _terms_from_json(value, _TAIL_TERMS, field)
+    return TransitionRuleSet(lo=lo, hi=hi,
+                             head=_get(doc, "window", int, "window", 0),
+                             explicit=explicit, period=period, tail=tail,
+                             name=str(doc.get("name", "custom")))
 
 
 # ---------------------------------------------------------------------------
@@ -421,9 +434,10 @@ def interval_map_to_dict(imap: MarkovIntervalMap) -> dict:
     return doc
 
 
+@_spec_reader
 def interval_map_from_dict(doc: Mapping) -> MarkovIntervalMap:
     if "family" in doc and "branches" not in doc:
-        name = doc["family"]
+        name = _get(doc, "family", str, "family")
         if name not in MAP_FAMILIES:
             raise ParseError(f"unknown map family {name!r}; known: "
                              f"{sorted(MAP_FAMILIES)}", field="family")
@@ -432,12 +446,11 @@ def interval_map_from_dict(doc: Mapping) -> MarkovIntervalMap:
             kwargs["ratio"] = _frac(doc["ratio"], "ratio")
         return MAP_FAMILIES[name](**kwargs)
     _check_version(doc)
-    part_doc = doc.get("partition")
-    if not isinstance(part_doc, dict):
-        raise ParseError("partition must be an object", field="partition")
+    part_doc = _get(doc, "partition", dict, "partition")
     if "points" in part_doc:
-        pts = [_frac(p, "partition.points") for p in part_doc["points"]]
-        partition = FinitePartition(tuple(pts))
+        partition = FinitePartition(tuple(
+            _frac(p, "partition.points")
+            for p in _get(part_doc, "points", list, "partition.points")))
     elif part_doc.get("type") == "geometric":
         partition = GeometricPartition(_frac(part_doc.get("ratio", "1/2"),
                                              "partition.ratio"))
@@ -446,21 +459,19 @@ def interval_map_from_dict(doc: Mapping) -> MarkovIntervalMap:
     else:
         raise ParseError("partition needs 'points' or type 'geometric' or "
                          "'integers'", field="partition")
-    branches = doc.get("branches")
-    if not isinstance(branches, list) or not branches:
+    branches = _get(doc, "branches", list, "branches")
+    if not branches:
         raise ParseError("branches must be a nonempty array",
                          field="branches")
     table: dict[int, Branch] = {}
     for k, b in enumerate(branches):
         field = f"branches[{k}]"
-        if not isinstance(b, dict):
-            raise ParseError("branch must be an object", field=field)
-        i = _int(b.get("interval", k), field + ".interval")
-        img = b.get("image")
-        if not isinstance(img, list) or len(img) != 2:
+        b = _typed(b, dict, field)
+        i = _get(b, "interval", int, field + ".interval", k)
+        img = _get(b, "image", list, field + ".image")
+        if len(img) != 2:
             raise ParseError("image must be [lo, hi]", field=field + ".image")
-        lo = _frac(img[0], field + ".image")
-        hi = _frac(img[1], field + ".image")
+        lo, hi = (_frac(v, field + ".image") for v in img)
         orient = b.get("orientation", "increasing")
         if orient not in ("increasing", "decreasing"):
             raise ParseError("orientation must be 'increasing' or "
@@ -487,60 +498,39 @@ def graph_to_dict(spec: TameGraphMapSpec) -> dict:
     }
 
 
+@_spec_reader
 def graph_from_dict(doc: Mapping) -> TameGraphMapSpec:
     if "family" in doc:
         if doc["family"] != "dendrite":
             raise ParseError(f"unknown graph family {doc['family']!r}; "
                              "known: ['dendrite']", field="family")
-        window = _int(doc.get("window", 12), "window")
-        return dendrite_example(window)
+        return dendrite_example(_get(doc, "window", int, "window", 12))
     _check_version(doc)
-    arcs = doc.get("arcs")
-    if not isinstance(arcs, list) or not arcs:
-        raise ParseError("arcs must be a nonempty array", field="arcs")
-    arcs = tuple(_int(a, "arcs") for a in arcs)
-    trans = doc.get("transitions")
-    if not isinstance(trans, dict):
-        raise ParseError("transitions must map arc to covered-arc list",
-                         field="transitions")
+    arcs = tuple(_typed(a, int, "arcs")
+                 for a in _get(doc, "arcs", list, "arcs"))
     covers: dict[int, tuple[tuple[int, bool], ...]] = {}
     known = set(arcs)
-    for key, lst in trans.items():
-        try:
-            a = int(key)
-        except ValueError:
-            raise ParseError(f"arc key {key!r} is not an integer",
-                             field="transitions") from None
-        if a in covers or a not in known:
-            raise ParseError(
-                f"arc {a} has more than one entry" if a in covers
-                else f"arc {a} is not in arcs", field=f"transitions.{key}")
-        if not isinstance(lst, list):
-            raise ParseError("covered-arc list must be an array",
-                             field=f"transitions.{key}")
+    for a, field, lst in _int_keyed(doc.get("transitions"), "transitions",
+                                    "arc"):
+        if a not in known:
+            raise ParseError(f"arc {a} is not in arcs", field=field)
         row = []
-        for item in lst:
-            if (not isinstance(item, list)) or len(item) != 2 \
+        for item in _typed(lst, list, field):
+            if not isinstance(item, list) or len(item) != 2 \
                     or not isinstance(item[1], bool):
                 raise ParseError("each cover must be [arc, keeps_orientation]",
-                                 field=f"transitions.{key}")
-            row.append((_int(item[0], f"transitions.{key}"), item[1]))
+                                 field=field)
+            row.append((_typed(item[0], int, field), item[1]))
         covers[a] = tuple(row)
-    try:
-        return TameGraphMapSpec(arcs=arcs, covers=covers,
-                                name=str(doc.get("name", "graph-map")))
-    except Exception as exc:
-        raise ParseError(str(exc)) from exc
+    return TameGraphMapSpec(arcs=arcs, covers=covers,
+                            name=str(doc.get("name", "graph-map")))
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 
-def load_spec(path):
-    """Read any spec document, dispatching on its ``kind`` field."""
-    doc = load_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError("top-level document must be an object")
+@_spec_reader
+def _spec_from_dict(doc: Mapping):
     kind = doc.get("kind")
     if kind is None and "family" in doc:
         kind = "chain"
@@ -552,3 +542,8 @@ def load_spec(path):
         return graph_from_dict(doc)
     raise ParseError(f"unknown document kind {kind!r}; expected 'chain', "
                      "'interval-map' or 'graph'", field="kind")
+
+
+def load_spec(path):
+    """Read any spec document, dispatching on its ``kind`` field."""
+    return _spec_from_dict(load_json(path))

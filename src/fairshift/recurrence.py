@@ -245,6 +245,13 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
     return [done[h] for h in horizons]
 
 
+# fixed parts of every verdict; ClassifyPolicy holds what callers set
+ORIGIN = 0
+TRANSIENT_UPPER = 0.99
+SERIES_GROWTH_EPS = 1e-6
+ESCAPE_RADIUS = 256
+
+
 @dataclass(frozen=True)
 class ClassifyPolicy:
     tolerance: float = 1e-10
@@ -254,10 +261,6 @@ class ClassifyPolicy:
     trials: int = 20_000
     horizons: tuple[int, ...] = (100, 1_000, 10_000)
     seed: int = 0
-    origin: int = 0
-    transient_upper: float = 0.99
-    series_growth_eps: float = 1e-6
-    escape_radius: int = 256
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,7 @@ class Classification:
 def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) -> Classification:
     """Combine solver, series and Monte Carlo evidence into a verdict."""
     base = kernel.base
-    origin = policy.origin if base.contains(policy.origin) else base.spiral(1)[0]
+    origin = ORIGIN if base.contains(ORIGIN) else base.spiral(1)[0]
     evidence: dict = {"policy": {
         "tolerance": policy.tolerance, "max_window": policy.max_window,
         "series_nmax": policy.series_nmax, "trials": policy.trials,
@@ -311,22 +314,22 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
     # (parity) terms certifies nothing, unless the walk never returns
     n = len(series.terms) - 1
     quarter = series.terms[n - n // 4 + 1:]
-    series_converged = (series.last_quarter_growth() < policy.series_growth_eps
+    series_converged = (series.last_quarter_growth() < SERIES_GROWTH_EPS
                         and bool(quarter)
                         and (any(quarter) or not any(series.terms[1:])))
 
     offs = kernel.step_offsets()
     drift = None if offs is None else sum(offs) / len(offs)
-    radius = policy.escape_radius if (drift is not None and abs(drift) > 0.1) else None
+    radius = ESCAPE_RADIUS if (drift is not None and abs(drift) > 0.1) else None
     estimates = monte_carlo_return(kernel, policy.trials, policy.horizons,
                                    policy.seed, origin=origin,
                                    escape_radius=radius)
     evidence["monte_carlo"] = {"escape_radius": radius, "estimates":
                                [e.as_dict() for e in estimates]}
     mc_transient = bool(estimates) and all(
-        e.wilson_high < policy.transient_upper for e in estimates)
+        e.wilson_high < TRANSIENT_UPPER for e in estimates)
     mc_recurrent = bool(estimates) and max(  # the largest horizon decides
-        estimates, key=lambda e: e.horizon).wilson_high >= policy.transient_upper
+        estimates, key=lambda e: e.horizon).wilson_high >= TRANSIENT_UPPER
 
     if solver_out == "summable":
         verdict = "positive-recurrent"

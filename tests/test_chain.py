@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from collections import deque
 from fractions import Fraction
 from functools import cached_property
@@ -188,6 +189,18 @@ def test_schema_rejects_bad_rule_sets():
     # a finite domain inside the head needs no tail rule at all
     assert TransitionRuleSet(lo=0, hi=2, head=3, explicit={
         i: (Rel(0),) for i in range(3)}).successors(2) == [2]
+
+
+def test_a_huge_head_is_checked_only_up_to_its_first_missing_row():
+    start = time.perf_counter()
+    with pytest.raises(SchemaError, match="^state -999999999999 is inside "
+                       "the head but has no explicit row$"):
+        TransitionRuleSet(head=10 ** 12, tail={0: (Rel(-1), Rel(1))})
+    assert time.perf_counter() - start < 1.0
+    # the head is clipped to the domain, which six rows fill
+    m = TransitionRuleSet(lo=0, hi=5, head=10 ** 12,
+                          explicit={i: (AbsRay(0),) for i in range(6)})
+    assert m.successors(3) == list(range(6))
 
 
 def test_domain_and_spiral():

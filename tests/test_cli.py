@@ -14,6 +14,7 @@ import pytest
 from fairshift import (CHAIN_FAMILIES, chain_to_dict, dump_json, unbiased_walk,
                        write_json)
 from fairshift import cli, measure
+from fairshift.io import ParseError, load_spec
 from fairshift.cli import main
 
 
@@ -500,6 +501,65 @@ def test_stuck_backward_walk_exits_one_without_traceback(tmp_path, capsys,
     assert err.startswith("fairshift: StuckWalk: ")
     assert "state 0 has no predecessors" in err
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+CHAIN = {"schema_version": 1, "kind": "chain"}
+MAP = {"schema_version": 1, "kind": "interval-map",
+       "branches": [{"image": ["0", "1"]}]}
+WALK = {"period": 1, "rules": {"0": [-1, 1]}}
+
+# spec file contents (a document, raw bytes, or a committed file) and the
+# field the reader names, where it knows one
+MALFORMED = {
+    "rules-array": (pathlib.Path(__file__).parent / "specs"
+                    / "malformed-tail-rules.json", "tail_rules.rules"),
+    "rules-number": ({**CHAIN, "tail_rules": {"period": 1, "rules": 5}},
+                     "tail_rules.rules"),
+    "offsets-number": ({**CHAIN, "tail_rules": {
+        "period": 1, "rules": {"0": {"offsets": 5}}}},
+        "tail_rules.rules.0.offsets"),
+    "successors-number": ({**CHAIN, "domain": [0, 0], "window": 1,
+                           "states": {"0": {"successors": 5}}},
+                          "states.0.successors"),
+    "successors-string": ({**CHAIN, "domain": [0, 0], "window": 1,
+                           "states": {"0": {"successors": "0"}}},
+                          "states.0.successors"),
+    "points-number": ({**MAP, "partition": {"points": 5}}, "partition.points"),
+    "points-object": ({**MAP, "partition": {"points": {"0": "1"}}},
+                      "partition.points"),
+    "points-equal": ({**MAP, "partition": {"points": ["0", "0"]}}, None),
+    "ratio-zero": ({**MAP, "partition": {"type": "geometric", "ratio": "0"}},
+                   None),
+    "image-reversed": ({**MAP, "partition": {"points": ["0", "1"]},
+                        "branches": [{"image": ["1", "0"]}]}, None),
+    "dendrite-window-0": ({"kind": "graph", "family": "dendrite",
+                           "window": 0}, None),
+    "head-1e12": ({**CHAIN, "window": 10 ** 12, "tail_rules": WALK}, None),
+    "not-utf8": (b'\xff{"kind": "chain"}', None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_spec_ends_in_one_error_line(tmp_path, capsys, case):
+    content, field = MALFORMED[case]
+    if isinstance(content, pathlib.Path):
+        spec = content
+    else:
+        spec = tmp_path / f"{case}.json"
+        if isinstance(content, bytes):
+            spec.write_bytes(content)
+        else:
+            write_json(spec, content)
+    with pytest.raises(ParseError) as exc:
+        load_spec(spec)
+    assert exc.value.field == field
+    out = tmp_path / "o"
+    assert main(["analyze", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fairshift: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
     assert not out.exists()
 
 

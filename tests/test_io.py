@@ -1,5 +1,6 @@
 """Serialization: canonical JSON, round-trips, and parse errors."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
-    Branch, IntegerPartition, MarkovIntervalMap, biased_walk, chain_from_dict, chain_to_dict, cut_and_paste,
-    dendrite_example, dump_json, factorial_chain, five_three_chain,
+    Branch, FinitePartition, IntegerPartition, MarkovIntervalMap,
+    TameGraphMapSpec, TransitionRuleSet, biased_walk, chain_from_dict,
+    chain_to_dict, cut_and_paste, dendrite_example, dump_json, factorial_chain, five_three_chain,
     five_three_map, full_shift, graph_from_dict, graph_to_dict,
     interval_map_from_dict, interval_map_to_dict, load_spec,
     origin_broadcast, staircase_map, tent_map, transition_matrix,
@@ -18,6 +20,8 @@ from fairshift import (
 )
 from fairshift.io import (CSV_CHUNK_ROWS, ParseError, SCHEMA_VERSION,
                           canonical, fmt, write_csv)
+from test_chain import outcome, rule_set_params
+from test_measure import graph_specs
 
 
 def entries_equal(a, b, window):
@@ -375,3 +379,86 @@ def test_interval_map_parse_errors():
         interval_map_from_dict({"schema_version": 1, "kind": "interval-map",
                                 "partition": {"points": ["0", "zebra"]},
                                 "branches": []})
+
+
+def test_a_file_that_is_not_utf8_is_rejected_by_name(tmp_path):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes(b'\xff{"kind": "chain"}')
+    with pytest.raises(ParseError, match="latin.json is not UTF-8 text"):
+        load_spec(bad)
+
+
+# -- malformed documents -------------------------------------------------------
+
+@st.composite
+def finite_maps(draw):
+    """Finite Markov maps of 1-4 intervals, each onto a run of intervals."""
+    k = draw(st.integers(1, 4))
+    points = sorted(draw(st.sets(st.fractions(0, 1, max_denominator=9),
+                                 min_size=k + 1, max_size=k + 1)))
+    table = {}
+    for i in range(k):
+        lo = draw(st.integers(0, k - 1))
+        hi = draw(st.integers(lo + 1, k))
+        table[i] = Branch(i, points[lo], points[hi], draw(st.booleans()))
+    return MarkovIntervalMap(FinitePartition(tuple(points)), table=table,
+                             name="generated")
+
+
+def valid_chain_documents(params):
+    m = outcome(TransitionRuleSet, **params)
+    return chain_to_dict(m) if isinstance(m, TransitionRuleSet) else None
+
+
+VALID_DOCUMENTS = st.one_of(
+    rule_set_params().map(valid_chain_documents).filter(bool).map(
+        lambda doc: (chain_from_dict, doc)),
+    finite_maps().map(lambda imap: (interval_map_from_dict,
+                                    interval_map_to_dict(imap))),
+    graph_specs().map(lambda spec: (graph_from_dict, graph_to_dict(spec))))
+
+# small JSON values: integers stay in -3..40 so no construction grows large
+SMALL_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 40), st.just(0.5),
+              st.sampled_from(["", "0", "1", "1/2", "x", "geometric",
+                               "integers", "decreasing"])),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.dictionaries(st.sampled_from(
+            ["0", "1", "01", "successors", "all_from", "offsets", "states",
+             "ray_from", "ray_from_offset", "period", "rules", "points",
+             "type", "ratio", "image", "interval", "family"]), inner,
+            max_size=3)),
+    max_leaves=6)
+
+
+def node_paths(doc, path=()):
+    """The key path of every node of a JSON tree, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else (
+        enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from node_paths(value, (*path, key))
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALID_DOCUMENTS, st.data())
+def test_a_document_with_one_node_replaced_loads_or_is_a_parse_error(
+        reader_and_doc, data):
+    reader, doc = reader_and_doc
+    doc = json.loads(json.dumps(doc))
+    path = data.draw(st.sampled_from(list(node_paths(doc))))
+    value = data.draw(SMALL_JSON)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        got = reader(doc)
+    except ParseError:
+        return
+    assert isinstance(got, (TransitionRuleSet, MarkovIntervalMap,
+                            TameGraphMapSpec))
