@@ -81,6 +81,10 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tolerance", type=float, default=1e-10,
                         metavar="T", help="stationary solver tolerance")
 
+    depth_help = ("cylinder depth of the fairness check (default 2); "
+                  "recorded, but it does not change the answer, as a "
+                  "word's defect is a multiple of its last row's defect")
+
     a = sub.add_parser("analyze", help="stationary vector, fair entropy and "
                                        "measure diagnostics of a chain")
     a.add_argument("input", help="spec file or builtin name "
@@ -89,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "five-three-map, dendrite)")
     common(a, "state window for reports and checks (default 64)")
     a.add_argument("--depth", type=_count(1), default=2,
-                   help="cylinder depth of the fairness check (default 2)")
+                   help=depth_help)
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("classify", help="recurrence trichotomy with solver, "
@@ -144,7 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                       "residuals, fairness, entropy identity")
     v.add_argument("input")
     common(v, "state window for the checks (default 64)")
-    v.add_argument("--depth", type=_count(1), default=2)
+    v.add_argument("--depth", type=_count(1), default=2, help=depth_help)
     v.set_defaults(func=cmd_verify)
     return p
 
@@ -314,7 +318,7 @@ def cmd_analyze(args) -> int:
         "integral_log_c": integral_log_c(mu, m, window=reach),
         "fairness_max_violation": float(
             check_fair_on_cylinders(mu, m, depth=args.depth,
-                                    window=m.reaching(min(window, 12)))),
+                                    window=pi.window or window)),
         "diagnostics": pi.diagnostics.as_dict() if pi.diagnostics else
                        {"provenance": pi.provenance},
         "tail_mass_bound": pi.tail_mass_bound,
@@ -672,8 +676,8 @@ def cmd_verify(args) -> int:
                           abs(pi.entry(i) * float(p) - pi.entry(j) * q))
     check("detailed_balance_pi_P_vs_pi_Q", balance <= 1e-8, balance, 1e-8)
 
-    violation = float(check_fair_on_cylinders(
-        mu, m, depth=args.depth, window=m.reaching(min(wnd, 12))))
+    violation = float(check_fair_on_cylinders(mu, m, depth=args.depth,
+                                              window=wnd))
     check("fair_on_cylinders", violation <= 1e-8, violation, 1e-8)
 
     h = fair_entropy(mu, window=wnd)

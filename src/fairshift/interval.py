@@ -213,6 +213,15 @@ class MarkovIntervalMap:
     rule: Callable[[int], Branch] | None = None
     name: str = "custom"
 
+    def __post_init__(self):
+        # a finite partition given by a table needs one branch per interval
+        part, named = self.partition, sorted(self.table or ())
+        if self.rule is None and isinstance(part, FinitePartition) \
+                and named != list(range(part.n_intervals)):
+            raise ValueError(f"branches must name exactly the intervals "
+                             f"0..{part.n_intervals - 1} of the partition, "
+                             f"got {named}")
+
     def branch(self, i: int) -> Branch:
         if self.table is not None and i in self.table:
             return self.table[i]
@@ -289,10 +298,10 @@ def transition_matrix(imap: MarkovIntervalMap, head: int = 4,
     """Compile the map's branch images into a transition rule set.
 
     Raises NotMarkov when a branch image is not a union of partition
-    intervals, or when an infinite partition's rows fail to settle into
-    a translation-invariant tail within the probe range.  On a finite
-    partition each branch image's row is built once and shared by every
-    interval that maps onto it.
+    intervals, when an infinite partition has only a table of branches,
+    or when its rows fail to settle into a translation-invariant tail
+    within the probe range.  On a finite partition each branch image's
+    row is built once and shared by every interval that maps onto it.
     """
     part = imap.partition
     name = f"{imap.name}-transitions"
@@ -309,6 +318,9 @@ def transition_matrix(imap: MarkovIntervalMap, head: int = 4,
             explicit[i] = row
         return TransitionRuleSet(lo=0, hi=k - 1, head=k, explicit=explicit,
                                  name=name)
+    if imap.rule is None:
+        raise NotMarkov(f"a table of branches leaves intervals of the "
+                        f"infinite {part.kind} partition without a branch")
 
     if isinstance(part, GeometricPartition):
         head = max(head, 2)

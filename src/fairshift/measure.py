@@ -15,9 +15,8 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property
 from fractions import Fraction
-from operator import mul
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -307,6 +306,13 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         n = min(2 * n, max_window)
 
 
+def _interior(base: TransitionRuleSet, states: list[int]) -> list[int]:
+    """States whose row is finite and contained in ``states``."""
+    inside = set(states)
+    return [i for i in states if not base.row_unbounded(i)
+            and inside.issuperset(base.successors(i))]
+
+
 def verify_stationary(pi: StationaryVector, kernel: BackwardKernel, window: int) -> Number:
     """l1 residual of pi Q = pi over the interior of the window.
 
@@ -314,8 +320,7 @@ def verify_stationary(pi: StationaryVector, kernel: BackwardKernel, window: int)
     their successor set is finite and contained in the window.  Exact
     when the weights are exact.
     """
-    base = kernel.base
-    states = base.states(window)
+    states = kernel.base.states(window)
     inside = set(states)
     zero = Fraction(0) if pi.ratios_exact else 0.0
     acc: dict[int, Number] = {}
@@ -327,11 +332,7 @@ def verify_stationary(pi: StationaryVector, kernel: BackwardKernel, window: int)
             if i in inside:
                 acc[i] = acc.get(i, zero) + wj * q
     residual = zero
-    for i in states:
-        if base.row_unbounded(i):
-            continue
-        if not set(base.successors(i)) <= inside:
-            continue
+    for i in _interior(kernel.base, states):
         residual += abs(acc.get(i, zero) - pi.weight(i))
     if isinstance(residual, Fraction) and isinstance(pi.total, (Fraction, int)):
         return residual / Fraction(pi.total)
@@ -428,58 +429,28 @@ def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
 
 def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
                             depth: int, window: int) -> Number:
-    """Worst violation of mu([i . w]) = mu([w]) / c(w0).
+    """Worst violation of mu([i . w]) = mu([w]) / c(w0), in measure units.
 
-    Ranges over admissible words w of length 1..depth inside the window
-    and over window predecessors i of w0.  When every row of a finite
-    chain is full the whole space is itself a legal test set, so the
-    length-0 word is included in that case (for other chains it is not
-    measurable with respect to the branch-image algebra).  Computed in
-    weight space, hence exact for exact weights.
+    ``build_forward_matrix`` sets p_ij = w_j / (w_i c_j), so each preimage
+    cell of a cylinder gets its equal share by construction.  What is left
+    is whether (pi, P) is a measure at all: sum_j mu([i j]) = mu([i]) for
+    each row, which holds exactly when pi Q = pi.  The check is the
+    largest |sum_j w_i p_ij - w_i| / total over the window states whose
+    row is finite and inside the window, as in ``verify_stationary``; a
+    state of zero weight has no row of P, and a chain with only infinite
+    rows, such as the factorial chain, has none to check.  ``depth`` does
+    not change the answer: a word's defect is a multiple of the defect of
+    its last row.  Exact for exact weights.
     """
-    states = m.states(window)
-    state_set = set(states)
     zero = Fraction(0) if mu.pi.ratios_exact else 0.0
     worst = zero
-    weight, prob = mu.pi.weight, mu.forward.prob
-
-    # length-0 word: only when the whole space is branch-image measurable
-    if m.rows_full():
-        c = len(states)
-        for i in states:
-            v = abs(mu.pi.weight(i) - _as(mu.pi.total, mu.pi.ratios_exact) / c)
-            worst = max(worst, v)
-
-    # each column once: its count and its predecessors inside the window
-    cols: dict[int, tuple[int | float, list[int]]] = {}
-    successors = cache(lambda i: m.successors(i, within=window))
-    stack: list[tuple[int, ...]] = [(s,) for s in states]
-    while stack:
-        word = stack.pop()
-        w0 = word[0]
-        if w0 not in cols:
-            c = m.column_count(w0)
-            cols[w0] = c, [] if c is math.inf else [
-                i for i in m.predecessors(w0) if i in state_set]
-        c, preds = cols[w0]
-        if preds:
-            steps = [prob(a, b) for a, b in zip(word, word[1:])]
-            share = reduce(mul, steps, weight(w0)) / c
-            for i in preds:
-                ext = reduce(mul, steps, weight(i) * prob(i, w0))
-                worst = max(worst, abs(ext - share))
-        if len(word) < depth:
-            for j in successors(word[-1]):
-                stack.append(word + (j,))
+    for i in _interior(m, m.states(window)):
+        wi = mu.pi.weight(i)
+        out = sum((wi * p for _, p in mu.forward.row(i)), zero)
+        worst = max(worst, abs(out - wi))
     if isinstance(worst, Fraction) and isinstance(mu.pi.total, (Fraction, int)):
         return worst / Fraction(mu.pi.total)
     return float(worst) / float(mu.pi.total)
-
-
-def _as(total: Number, exact: bool) -> Number:
-    if exact and isinstance(total, (Fraction, int)):
-        return Fraction(total)
-    return float(total)
 
 
 def fair_entropy(mu: FairMeasure, window: int) -> float:

@@ -419,6 +419,38 @@ def test_a_failed_window_factorisation_is_a_failing_check(tmp_path, capsys,
         "fairshift: SingularWindow: window solve failed\n"
 
 
+def test_verify_fails_a_doctored_weight_on_cylinders(tmp_path, capsys,
+                                                     monkeypatch):
+    # the solved vector with the weight of state 3 scaled by 1.01 is not
+    # stationary, so the rows of its forward matrix do not sum to one
+    def doctored(kernel, **kw):
+        pi = measure.solve_stationary(kernel, **kw)
+        weights = dict(pi.weights)
+        weights[3] *= 1.01
+        return measure.StationaryVector(weights, pi.total, pi.provenance,
+                                        pi.window, pi.tolerance)
+    monkeypatch.setattr(cli, "solve_stationary", doctored)
+    code, out = run(tmp_path, "verify", "origin-broadcast")
+    assert code == 1
+    checks = {c["name"]: c for c in read(out, "verify.json")["checks"]}
+    assert not checks["fair_on_cylinders"]["pass"]
+    assert checks["fair_on_cylinders"]["value"] == pytest.approx(6.25e-4,
+                                                                 rel=1e-6)
+    assert "check fair_on_cylinders failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", [14, 20])
+def test_the_uniform_measure_of_a_wide_full_shift_is_fair(tmp_path, k):
+    # every state of the shift is in the window the check runs on
+    code, out = run(tmp_path, "verify", f"full-shift-{k}")
+    assert code == 0
+    checks = {c["name"]: c for c in read(out, "verify.json")["checks"]}
+    assert all(c["pass"] for c in checks.values())
+    code, out = run(tmp_path, "analyze", f"full-shift-{k}")
+    assert code == 0
+    assert read(out, "analyze.json")["fairness_max_violation"] < 1e-12
+
+
 # -- error handling ----------------------------------------------------------------
 
 def test_unknown_family_exits_one(tmp_path, capsys):
@@ -533,6 +565,11 @@ MALFORMED = {
                    None),
     "image-reversed": ({**MAP, "partition": {"points": ["0", "1"]},
                         "branches": [{"image": ["1", "0"]}]}, None),
+    "branch-beyond-partition": ({**MAP, "partition": {"points": ["0", "1"]},
+                                 "branches": [{"interval": 5,
+                                               "image": ["0", "1"]}]}, None),
+    "branch-missing": ({**MAP, "partition": {"points": ["0", "1/2", "1"]}},
+                       None),
     "dendrite-window-0": ({"kind": "graph", "family": "dendrite",
                            "window": 0}, None),
     "head-1e12": ({**CHAIN, "window": 10 ** 12, "tail_rules": WALK}, None),

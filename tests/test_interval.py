@@ -94,6 +94,20 @@ def test_non_markov_map_is_rejected():
         transition_matrix(MarkovIntervalMap(part, table=table, name="crooked"))
 
 
+def test_a_table_must_give_every_interval_a_branch():
+    # a finite partition is checked when the map is made
+    part = FinitePartition((F(0), F(1, 2), F(1)))
+    for table in ({0: Branch(0, 0, 1, True)},
+                  {0: Branch(0, 0, 1), 1: Branch(1, 0, 1), 2: Branch(2, 0, 1)}):
+        with pytest.raises(ValueError, match="exactly the intervals 0..1"):
+            MarkovIntervalMap(part, table=table)
+    # a table cannot cover an infinite partition; it fails to compile
+    lattice = MarkovIntervalMap(IntegerPartition(), table={
+        0: Branch(0, 0, 2, True), 1: Branch(1, 0, 2, False)})
+    with pytest.raises(NotMarkov, match="without a branch"):
+        transition_matrix(lattice)
+
+
 # -- symbolic dynamics ---------------------------------------------------------
 
 def test_itinerary_of_two_fifths_alternates():

@@ -28,7 +28,6 @@ from fairshift import (
     unbiased_walk, verify_stationary,
 )
 from fairshift import measure
-from fairshift.measure import _as
 from test_chain import finite_chains, outcome, rule_set_params
 
 # independent oracle: sum_k log(k+2) / (e k!)
@@ -315,7 +314,7 @@ def test_forward_rows_are_stochastic_and_balanced():
                 assert abs(pi.entry(i) * float(p) - pi.entry(j) * float(q)) <= 1e-10
 
 
-# -- the cylinder check against its per-predecessor reference -----------------
+# -- the cylinder check against a kernel-side reference ----------------------
 
 class ScanMatrix(ForwardMatrix):
     """The forward matrix with the linear-scan ``prob``, kept verbatim."""
@@ -327,47 +326,26 @@ class ScanMatrix(ForwardMatrix):
         return 0
 
 
-def reference_check(mu, m, depth, window):
-    """check_fair_on_cylinders before columns were read once per call,
-    kept verbatim; run it on a measure whose forward is a ScanMatrix."""
+def reference_check(pi, kernel, window):
+    """max |sum_{j in succ(i)} w_j / c_j - w_i| / total over the window
+    states i of positive weight whose row is finite and inside the
+    window: the mass that pi Q puts on i against w_i, read off the
+    weights and the kernel's columns alone, never off the forward matrix.
+    P has rows only where w_i > 0."""
+    m = kernel.base
     states = m.states(window)
-    state_set = set(states)
-    zero = Fraction(0) if mu.pi.ratios_exact else 0.0
+    zero = Fraction(0) if pi.ratios_exact else 0.0
     worst = zero
-
-    def weight_of(word):
-        acc = mu.pi.weight(word[0])
-        for a, b in zip(word, word[1:]):
-            acc = acc * mu.forward.prob(a, b)
-        return acc
-
-    # length-0 word: only when the whole space is branch-image measurable
-    if m.rows_full():
-        c = len(states)
-        for i in states:
-            v = abs(mu.pi.weight(i) - _as(mu.pi.total, mu.pi.ratios_exact) / c)
-            worst = max(worst, v)
-
-    stack = [(s,) for s in states]
-    while stack:
-        word = stack.pop()
-        base_w = weight_of(word)
-        w0 = word[0]
-        c = m.column_count(w0)
-        if c is not math.inf:
-            for i in m.predecessors(w0):
-                if i not in state_set:
-                    continue
-                ext = mu.pi.weight(i) * mu.forward.prob(i, w0)
-                for a, b in zip(word, word[1:]):
-                    ext = ext * mu.forward.prob(a, b)
-                worst = max(worst, abs(ext - base_w / c))
-        if len(word) < depth:
-            for j in m.successors(word[-1], within=window):
-                stack.append(word + (j,))
-    if isinstance(worst, Fraction) and isinstance(mu.pi.total, (Fraction, int)):
-        return worst / Fraction(mu.pi.total)
-    return float(worst) / float(mu.pi.total)
+    for i in states:
+        if pi.weight(i) == 0 or m.row_unbounded(i) \
+                or not set(m.successors(i)) <= set(states):
+            continue
+        flow = sum((pi.weight(j) / len(kernel.preds(j))
+                    for j in m.successors(i) if pi.weight(j) != 0), zero)
+        worst = max(worst, abs(flow - pi.weight(i)))
+    if isinstance(worst, Fraction) and isinstance(pi.total, (Fraction, int)):
+        return worst / Fraction(pi.total)
+    return float(worst) / float(pi.total)
 
 
 def assert_check_matches_reference(mu, m, depths, window):
@@ -377,11 +355,13 @@ def assert_check_matches_reference(mu, m, depths, window):
         for j in states:
             got, want = mu.forward.prob(i, j), scan.prob(i, j)
             assert got == want and repr(got) == repr(want), (i, j)
-    ref = FairMeasure(mu.pi, scan, mu.kernel)
+    want = reference_check(mu.pi, mu.kernel, window)
     for depth in depths:
         got = check_fair_on_cylinders(mu, m, depth, window)
-        want = reference_check(ref, m, depth, window)
-        assert got == want and repr(got) == repr(want), depth
+        if isinstance(want, Fraction):
+            assert isinstance(got, Fraction) and got == want, depth
+        else:
+            assert abs(got - want) <= 1e-12, depth
 
 
 @settings(max_examples=150, deadline=None)
@@ -414,16 +394,37 @@ def test_cylinder_check_matches_the_reference_on_builtins(m, pi):
 
 
 def test_cylinder_check_matches_the_reference_where_it_fails():
-    # the true weights with rows balanced against another vector
+    # a vector that is not stationary, with its own forward matrix, and
+    # the solved vector with one weight doctored
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
     skew = {i: Fraction(1, 3 ** (i + 1)) for i in range(41)}
     skew_pi = StationaryVector(weights=skew, total=sum(skew.values()),
                                provenance="closed-form")
-    mu = FairMeasure(origin_broadcast_stationary(40),
-                     build_forward_matrix(skew_pi, kernel, 40), kernel)
+    mu = fair_measure_from(skew_pi, kernel, 40)
     assert_check_matches_reference(mu, m, (1, 2, 3, 4), 12)
     assert check_fair_on_cylinders(mu, m, 2, 12) > 0
+    solved = solve_stationary(kernel)
+    weights = dict(solved.weights)
+    weights[3] *= 1.01
+    doctored = StationaryVector(weights, solved.total, window=solved.window)
+    mu = fair_measure_from(doctored, kernel, solved.window)
+    assert_check_matches_reference(mu, m, (1, 2), solved.window)
+    assert check_fair_on_cylinders(mu, m, 2, solved.window) > 1e-4
+
+
+def test_cylinder_check_fails_a_vector_that_is_not_stationary():
+    # origin-broadcast with weights 3^-(i+1) and total 1/2: each preimage
+    # cell gets its equal share, but the rows of P do not sum to one
+    m = origin_broadcast()
+    kernel = build_backward_kernel(m)
+    pi = StationaryVector(weights={i: Fraction(1, 3 ** (i + 1))
+                                   for i in range(41)},
+                          total=Fraction(1, 2), provenance="closed-form")
+    assert verify_stationary(pi, kernel, 40) > 0
+    mu = fair_measure_from(pi, kernel, 40)
+    for depth in (1, 2, 3):
+        assert check_fair_on_cylinders(mu, m, depth, 12) == Fraction(1, 9)
 
 
 # -- entropy -----------------------------------------------------------------
