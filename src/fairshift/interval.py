@@ -543,133 +543,83 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
                               gap=gap, name=f"{imap.name}-fair-model")
 
 
-def _pull_back(piece: Piece, u: Number, v: Number) -> tuple[Number, Number]:
-    """Preimage rho interval of (u, v) under the piece, assuming coverage."""
-    a, b = piece.xr
-    c, d = piece.yr
-    s = (d - c) / (b - a)
-    if piece.increasing:
-        return a + (u - c) / s, a + (v - c) / s
-    return a + (d - v) / s, a + (d - u) / s
-
-
 def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
-    """Worst fairness violation of Lebesgue measure over piece cylinders.
+    """Worst fairness defect of Lebesgue measure on the model, in weight units.
 
-    The cells checked are the x-ranges of the pieces.  Each cell B is
-    pulled back exactly; the covering count c(B) is measured from the
-    geometry (pieces whose image contains B) and each covering piece
-    contributes |len(piece ∩ g^{-1}B) - len(B)/c(B)|.
+    Lebesgue measure is fair when the pieces out of each interval tile its
+    slot and each of the N_j pieces onto slot j has the length |Y_j| / N_j
+    of an equal share.  A built model gives every piece the slope c_j and
+    slot j c_j pieces by construction; what is left is whether its weights
+    make the pieces fit.  The check is the largest of two defects:
+
+    - for each piece P onto slot j, ||X_P| - |Y_j| / N_j|;
+    - for each slot s, the total length of the holes and overlaps that the
+      x-ranges of the pieces out of s leave against s, from its start to
+      its end.
+
+    A truncated model (a gap, or an emitted mass short of the total) has
+    no pieces onto or out of the intervals beyond its window.  So the hole
+    at a slot's end is excused there, and so is the piece defect of a slot
+    whose pieces' column counts differ from their number, as boundary
+    states are in the chain checks.  An overflow past a slot's end always
+    counts.
 
     ``depth`` is the length of the piece words whose cells are checked,
     and depth 1 decides every depth, so it changes neither the answer nor
-    the cost: a deeper cell lies inside the x-range of the piece it was
-    pulled back through, a depth-1 cell with the same home slot, so it has
-    the same covering pieces, a violation smaller by its length ratio, and
-    a straddle only where that cell has one.  A depth below 1 would check
-    no cell and certify nothing: it raises ValueError.
+    the cost: an affine piece pulls a deeper cell back in proportion, so
+    when the depth-1 cells are fair shares of tiled slots, so is every
+    deeper cell.  A depth below 1 would check no cell and certify nothing:
+    it raises ValueError.
 
-    When every piece coordinate is an int or a Fraction the check runs on
-    integers over one common denominator and returns a Fraction, exactly
-    zero for models built by ``lebesgue_fair_model`` from exact weights.
-    Otherwise it runs in float arithmetic and returns a float; a cell end
-    within rounding of a slot end then counts as inside the slot.
+    Pieces onto one slot must share one y-range, and slots must not
+    overlap; otherwise NotMarkov is raised.  When every piece coordinate
+    is an int or a Fraction the defect is an exact Fraction, zero for
+    models built by ``lebesgue_fair_model`` from exact weights.  Otherwise
+    it is a float, and a defect within the rounding of the coordinate sums
+    it compares counts as zero.
     """
     if depth < 1:
         raise ValueError(f"depth must be at least 1, got {depth}")
-    # under window truncation some slots are missing out-of-window
-    # predecessor pieces; their cells cannot be certified either way and
-    # are skipped, exactly like boundary states in the chain checks
+    ends = [t for p in model.pieces for t in (*p.xr, *p.yr)]
+    num = Fraction if all(isinstance(t, (int, Fraction)) for t in ends) \
+        else float
+    # coordinates are running sums, rounded relative to their magnitude;
+    # a defect made of k differences of them may be off by about k units
+    unit = 0 if num is Fraction else \
+        8 * math.ulp(1.0) * max(map(abs, ends), default=0.0)
     truncated = model.gap != 0 or model.emitted != model.total
-    if all(isinstance(t, (int, Fraction))
-           for p in model.pieces for t in (*p.xr, *p.yr)):
-        return _exact_violation(model.pieces, truncated)
-    return _float_violation(model, truncated)
-
-
-def _exact_violation(pieces: tuple[Piece, ...], truncated: bool) -> Fraction:
-    """The fairness check on integers scaled by one common denominator D.
-
-    The cells are the pieces' x-ranges, one per piece.  Pieces onto one
-    slot are grouped by their scaled image ends and reduced slope num/den,
-    as every piece of a built model onto slot j shares ``slots[j]`` and the
-    slope c_j.  Every member of a group pulls a cell B back to the length
-    len(B) * den / num, so containment, straddle and the violation
-    len(B) |c(B) den - num| / (num c(B) D) are worked out once per group,
-    with no coordinate divided; c(B) is the sum of the covering group
-    sizes, and violations are compared by cross-multiplication.
-    """
-    den0 = math.lcm(*(Fraction(t).denominator
-                      for p in pieces for t in (*p.xr, *p.yr)))
-
-    def scaled(t) -> int:
-        t = Fraction(t)
-        return t.numerator * (den0 // t.denominator)
-
-    # per slot, groups keyed by (c, d, num, den) list their members' cmags;
-    # a cell is tagged with the interval whose slot contains it, which is
-    # where candidate covering groups are looked up
-    groups: dict[int, dict[tuple, list[int]]] = {}
-    cells = []
-    for p in pieces:
-        a, b, c, d = (scaled(t) for t in (*p.xr, *p.yr))
-        g = math.gcd(d - c, b - a)
-        groups.setdefault(p.dst, {}).setdefault(
-            (c, d, (d - c) // g, (b - a) // g), []).append(p.cmag)
-        cells.append((a, b, p.src))
-
-    worst, worst_d = 0, 1
-    for u, v, home in cells:
-        covering = []
-        c_b = 0
-        for (c, d, num, den), cmags in groups.get(home, {}).items():
-            if c <= u and v <= d:
-                covering.append((num, den, cmags))
-                c_b += len(cmags)
-            elif c < v and u < d:
-                raise NotMarkov("piece image straddles a refinement cell")
-        # a cell whose covering counts disagree is a truncation boundary
-        if not covering or truncated and any(
-                m != c_b for _, _, cmags in covering for m in cmags):
-            continue
-        for num, den, _ in covering:
-            viol, viol_d = (v - u) * abs(c_b * den - num), num * c_b
-            if viol * worst_d > worst * viol_d:
-                worst, worst_d = viol, viol_d
-    return Fraction(worst, worst_d * den0)
-
-
-def _float_violation(model: PiecewiseAffineMap, truncated: bool) -> float:
-    """The fairness check in float arithmetic, for models of float weights."""
-    # slot ends are running float sums, so a cell end that should meet a
-    # slot end lands a few ulps off; 1e-9 of the emitted mass is far above
-    # that rounding and far below any real straddle of a built model
-    slack = 1e-9 * abs(float(model.emitted))
-    by_dst: dict[int, list[Piece]] = {}
+    onto: dict[int, list[Piece]] = {}
+    out_of: dict[int, list[tuple[Number, Number]]] = {}
     for p in model.pieces:
-        by_dst.setdefault(p.dst, []).append(p)
+        onto.setdefault(p.dst, []).append(p)
+        out_of.setdefault(p.src, []).append(p.xr)
+    slots = {}
+    for j, ps in onto.items():
+        if any(p.yr != ps[0].yr for p in ps):
+            raise NotMarkov(f"the pieces onto slot {j} differ in y-range")
+        slots[j] = ps[0].yr
+    ys = sorted(slots.values())
+    if any(c < d for (_, d), (c, _) in zip(ys, ys[1:])):
+        raise NotMarkov("two slots overlap")
 
-    worst = 0.0
-    for p in model.pieces:
-        u, v = p.xr
-        if not v > u:            # cell collapsed by float absorption
-            continue
-        covering = []
-        for q in by_dst.get(p.src, ()):
-            if q.yr[0] <= u + slack and v <= q.yr[1] + slack:
-                covering.append(q)
-            elif q.yr[0] < v and u < q.yr[1]:
-                raise NotMarkov("piece image straddles a refinement cell")
-        c_b = len(covering)
-        if not covering or truncated and any(q.cmag != c_b for q in covering):
-            continue
-        blen = v - u
-        for q in covering:
-            pu, pv = _pull_back(q, u, v)
-            viol = abs((pv - pu) - blen / c_b)
-            if viol > worst:
-                worst = viol
-    return float(worst)
+    worst = num(0)
+    for j, (c, d) in slots.items():
+        ps, xs = onto[j], sorted(out_of.get(j, ()))
+        n = len(ps)
+        if not truncated or all(p.cmag == n for p in ps):
+            for p in ps:
+                off = abs(n * (p.xr[1] - p.xr[0]) - (d - c))
+                if off > (n + 1) * unit:
+                    worst = max(worst, num(off) / n)
+        # the signed gaps start -> x_1, x_1 -> x_2, ..., x_k -> end
+        marks = [c, *(t for x in xs for t in x), d]
+        gaps = [marks[k + 1] - marks[k] for k in range(0, len(marks), 2)]
+        if truncated and gaps[-1] > 0:
+            gaps.pop()
+        off = sum(map(abs, gaps), num(0))
+        if off > (len(xs) + 1) * unit:
+            worst = max(worst, off)
+    return worst
 
 
 def rohlin_entropy(model: PiecewiseAffineMap) -> float:

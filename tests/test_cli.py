@@ -13,7 +13,7 @@ import pytest
 
 from fairshift import (CHAIN_FAMILIES, chain_to_dict, dump_json, unbiased_walk,
                        write_json)
-from fairshift import cli, measure
+from fairshift import chain, cli, measure
 from fairshift.io import ParseError, load_spec
 from fairshift.cli import main
 
@@ -377,7 +377,7 @@ def test_verify_names_failing_checks_on_stderr(tmp_path, capsys):
     assert captured.err.splitlines() == [
         "fairshift: verify: check irreducible_on_window failed: "
         "value disconnected pair (0, 2), bound true"]
-    assert captured.out.startswith("FAIL (6 checks) -> ")
+    assert captured.out.startswith("FAIL (5 checks) -> ")
     failing = [c for c in read(out, "verify.json")["checks"] if not c["pass"]]
     assert [c["name"] for c in failing] == ["irreducible_on_window"]
 
@@ -437,6 +437,52 @@ def test_verify_fails_a_doctored_weight_on_cylinders(tmp_path, capsys,
     assert checks["fair_on_cylinders"]["value"] == pytest.approx(6.25e-4,
                                                                  rel=1e-6)
     assert "check fair_on_cylinders failed" in capsys.readouterr().err
+
+
+def _change_preds_of_3(change):
+    """A doctoring that changes the kernel's predecessors of state 3."""
+    def doctor(monkeypatch):
+        preds = chain.BackwardKernel.preds
+        monkeypatch.setattr(chain.BackwardKernel, "preds", lambda self, j: (
+            change(preds(self, j)) if j == 3 else preds(self, j)))
+        return "factorial-chain"
+    return doctor
+
+
+def _scale_weight_of_3(monkeypatch):
+    # the solved vector with the weight of state 3 scaled by 1.01
+    def doctored(kernel, **kw):
+        pi = measure.solve_stationary(kernel, **kw)
+        weights = dict(pi.weights)
+        weights[3] *= 1.01
+        return measure.StationaryVector(weights, pi.total, pi.provenance,
+                                        pi.window, pi.tolerance)
+    monkeypatch.setattr(cli, "solve_stationary", doctored)
+    return "origin-broadcast"
+
+
+def _reducible_spec(monkeypatch):
+    return str(pathlib.Path(__file__).parent / "golden" / "specs" / "split.json")
+
+
+@pytest.mark.parametrize("doctor, failing", [
+    (_change_preds_of_3(lambda p: p[:-1]), "kernel_matches_rules"),
+    (_change_preds_of_3(lambda p: p + p[:1]), "kernel_matches_rules"),
+    (_reducible_spec, "irreducible_on_window"),
+    (_scale_weight_of_3, "stationary_residual"),
+    (_scale_weight_of_3, "fair_on_cylinders"),
+    (_scale_weight_of_3, "entropy_equals_integral_log_c"),
+], ids=["dropped-predecessor", "repeated-predecessor", "reducible",
+        "scaled-weight-residual", "scaled-weight-cylinders",
+        "scaled-weight-entropy"])
+def test_each_verify_check_fails_on_a_doctored_input(tmp_path, capsys,
+                                                     monkeypatch, doctor,
+                                                     failing):
+    code, out = run(tmp_path, "verify", doctor(monkeypatch))
+    assert code == 1
+    checks = {c["name"]: c["pass"] for c in read(out, "verify.json")["checks"]}
+    assert len(checks) == 5 and checks[failing] is False
+    assert f"check {failing} failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", [14, 20])

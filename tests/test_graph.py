@@ -221,3 +221,5 @@ def test_float_model_reports_the_dendrite_truncation():
     model = dendrite_fair_model(12)
     assert float(model.gap) / float(model.total) == pytest.approx(
         1 / 1410566456, rel=1e-6)
+    # the truncation is excused, and what is left is rounding
+    assert check_lebesgue_fair(model) < 1e-12

@@ -1,5 +1,6 @@
 """Interval maps: compilation to rule sets, symbolic dynamics, fair models."""
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -12,10 +13,11 @@ from fairshift import (
     InadmissibleWord, IntegerPartition, MarkovIntervalMap, NotMarkov, Piece,
     PiecewiseAffineMap, StationaryVector, build_backward_kernel,
     check_lebesgue_fair,
-    cylinder_interval, factorial_chain, factorial_stationary,
+    cylinder_interval, dump_json, factorial_chain, factorial_stationary,
     fair_measure_from, five_three_chain, five_three_map, full_shift,
-    full_shift_stationary, itinerary, lebesgue_fair_model, merged_segments,
-    point_from_itinerary, rohlin_entropy, staircase_map, tent_map,
+    full_shift_stationary, interval_map_from_dict, interval_map_to_dict,
+    itinerary, lebesgue_fair_model, merged_segments, point_from_itinerary,
+    rohlin_entropy, solve_stationary, staircase_map, tent_map,
     transition_matrix,
 )
 
@@ -212,6 +214,10 @@ def test_staircase_model_is_exactly_fair():
     # unplaced, far below any float resolution
     assert 0 <= model.gap < F(1, 10 ** 30)
     assert check_lebesgue_fair(model, depth=2) == 0
+    # every window truncates and every ratio reshapes the slots
+    for window in range(2, 31):
+        for ratio in (F(1, 2), F(1, 3), F(2, 5), F(3, 4)):
+            assert check_lebesgue_fair(staircase_model(window, ratio)) == 0
 
 
 def test_staircase_model_entropy_matches_the_chain():
@@ -222,9 +228,11 @@ def test_staircase_model_entropy_matches_the_chain():
 def test_unequal_branch_split_breaks_fairness():
     """Three full branches with Lebesgue sizes (1/2, 1/3, 1/6).
 
-    Worst cell at depth 1 is the widest sub-piece of the widest branch
-    (length 1/4); its pullbacks get lengths 1/4 * len_i instead of the
-    fair 1/12, so the violation is 1/4 * |1/2 - 1/3| = 1/24.
+    Every slot has N_j = 3 pieces onto it, and the piece from slot i onto
+    slot j has length |Y_i| |Y_j| instead of the fair share |Y_j| / 3, a
+    defect of |Y_j| |Y_i - 1/3|.  The pieces out of each slot still tile
+    it, so the worst defect is that of the widest slot j with
+    |Y_i - 1/3| = 1/6 at i of size 1/2 or 1/6: 1/2 * 1/6 = 1/12.
     """
     slots = [(F(0), F(1, 2)), (F(1, 2), F(5, 6)), (F(5, 6), F(1))]
 
@@ -242,8 +250,8 @@ def test_unequal_branch_split_breaks_fairness():
     pieces.sort(key=lambda p: p.xr[0], reverse=True)
     model = PiecewiseAffineMap(tuple(pieces), total=F(1), emitted=F(1),
                                gap=F(0), name="skew")
-    assert check_lebesgue_fair(model, depth=1) == F(1, 24)
-    assert check_lebesgue_fair(model, depth=2) == F(1, 24)
+    assert check_lebesgue_fair(model, depth=1) == F(1, 12)
+    assert check_lebesgue_fair(model, depth=2) == F(1, 12)
 
     # the balanced variant of the same construction is exactly fair
     slots = [(F(0), F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(1))]
@@ -269,10 +277,16 @@ def test_five_three_map_has_no_summable_fair_model_input():
     assert isinstance(out, NoSummableSolution)
 
 
-# -- the integer fairness check against a Fraction reference ----------------
+# -- the slot check against plain Fraction references -------------------------
 
 def _reference_violation(model, depth):
-    """check_lebesgue_fair walked in plain Fraction arithmetic."""
+    """The pull-back check that ``check_lebesgue_fair`` replaced.
+
+    Each piece's x-range is a cell, pulled back through every piece onto
+    its home slot, ``depth`` times; a cell contributes the distance of
+    each preimage length from its fair share len(B) / c(B).  Kept as the
+    floor the slot check must be at least as strict as.
+    """
     by_dst = {}
     for p in model.pieces:
         by_dst.setdefault(p.dst, []).append(p)
@@ -307,6 +321,38 @@ def _reference_violation(model, depth):
     return worst
 
 
+def _reference_defect(model):
+    """The slot defect of ``check_lebesgue_fair`` in plain Fractions.
+
+    Slots are visited left to right along y; each is compared with the
+    pieces onto it, one fair share |Y_j| / N_j each, and with the pieces
+    out of it, walked from the slot's start to its end.
+    """
+    truncated = model.gap != 0 or model.emitted != model.total
+    ys = {}
+    for p in model.pieces:
+        if ys.setdefault(p.dst, p.yr) != p.yr:
+            raise NotMarkov("one slot, two y-ranges")
+    worst, reached = F(0), None
+    for j, (c, d) in sorted(ys.items(), key=lambda item: item[1]):
+        if reached is not None and c < reached:
+            raise NotMarkov("overlapping slots")
+        reached = d
+        onto = [p for p in model.pieces if p.dst == j]
+        share = F(d - c) / len(onto)
+        if not truncated or all(p.cmag == len(onto) for p in onto):
+            for p in onto:
+                worst = max(worst, abs(F(p.xr[1] - p.xr[0]) - share))
+        at, loss = F(c), F(0)
+        for u, v in sorted(p.xr for p in model.pieces if p.src == j):
+            loss += abs(u - at)
+            at = F(v)
+        if at > d or not truncated:
+            loss += abs(d - at)
+        worst = max(worst, loss)
+    return worst
+
+
 def _outcome(fn, *args):
     """fn's result, or the type of the lookup error it raised."""
     try:
@@ -331,13 +377,74 @@ def triangle_model(n):
     return lebesgue_fair_model(imap, fair_measure_from(pi, kernel, n))
 
 
+rationals = st.builds(F, st.integers(-3, 40), st.integers(1, 8))
+
+
+@st.composite
+def interval_maps(draw):
+    """A finite Markov interval map that is irreducible.
+
+    Intervals ``order[0], order[1], ...`` form one cycle through every
+    interval, as the random graph specs of the benchmark do: each branch
+    maps onto a run of consecutive intervals that holds the next interval
+    of the cycle, with a random orientation.
+    """
+    points = sorted(draw(st.lists(rationals, min_size=3, max_size=7,
+                                  unique=True)))
+    k = len(points) - 1
+    order = draw(st.permutations(range(k)))
+    table = {}
+    for t, i in enumerate(order):
+        nxt = order[(t + 1) % k]
+        lo = draw(st.integers(0, nxt))
+        hi = draw(st.integers(nxt + 1, k))
+        table[i] = Branch(i, points[lo], points[hi], draw(st.booleans()))
+    return MarkovIntervalMap(FinitePartition(tuple(points)), table=table,
+                             name="generated")
+
+
+def exact_stationary(kernel, k):
+    """pi Q = pi with sum 1 on states 0..k-1, by Fraction elimination."""
+    # row i of the system is sum_j pi_j Q_ji - pi_i = 0; the last row is
+    # replaced by the normalisation
+    rows = [[F(0)] * k + [F(0)] for _ in range(k)]
+    for j in range(k):
+        for i, q in kernel.row(j):
+            rows[i][j] += q
+        rows[j][j] -= 1
+    rows[-1] = [F(1)] * k + [F(1)]
+    for col in range(k):
+        pivot = next(r for r in range(col, k) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return {j: rows[j][k] / rows[j][j] for j in range(k)}
+
+
+def generated_model(imap, scale=None):
+    """The exact fair model of a generated map, one weight scaled if asked."""
+    k = imap.partition.n_intervals
+    kernel = build_backward_kernel(transition_matrix(imap))
+    weights = exact_stationary(kernel, k)
+    if scale is not None:
+        weights[scale[0]] *= scale[1]
+    pi = StationaryVector(weights=weights, total=sum(weights.values()),
+                          window=k)
+    return lebesgue_fair_model(imap, fair_measure_from(pi, kernel, k))
+
+
 @st.composite
 def built_models(draw):
-    kind = draw(st.sampled_from(["tent", "staircase", "triangle"]))
+    kind = draw(st.sampled_from(["tent", "staircase", "triangle",
+                                 "generated"]))
     if kind == "tent":
         return tent_model()
     if kind == "triangle":
         return triangle_model(draw(st.integers(2, 6)))
+    if kind == "generated":
+        return generated_model(draw(interval_maps()))
     ratio = draw(st.sampled_from([F(1, 2), F(1, 3), F(2, 5), F(3, 4)]))
     return staircase_model(draw(st.integers(2, 8)), ratio)
 
@@ -356,7 +463,7 @@ def doctored_models(draw):
     for k in draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1,
                            max_size=6)):
         p = pieces[k]
-        # x ends give violations, y ends mostly straddles
+        # x ends give defects, y ends mostly split a slot's y-range
         which = draw(st.sampled_from(["xr", "xr", "yr", "increasing",
                                       "cmag"]))
         if which == "increasing":
@@ -381,18 +488,79 @@ def test_integer_check_matches_fraction_reference_on_built_models(model,
                                                                   depth):
     got = check_lebesgue_fair(model, depth)
     assert isinstance(got, Fraction)
-    assert got == _reference_violation(model, depth) == 0
+    assert got == _reference_defect(model) == 0
+    assert _reference_violation(model, depth) == 0
 
 
 @settings(max_examples=150, deadline=None)
 @given(doctored_models(), st.integers(1, 3))
 def test_integer_check_matches_fraction_reference_on_doctored_models(model,
                                                                      depth):
-    want = _outcome(_reference_violation, model, depth)
     got = _outcome(check_lebesgue_fair, model, depth)
-    assert got == want
+    assert got == _outcome(_reference_defect, model)
     if got is not NotMarkov:
         assert isinstance(got, Fraction)
+    # at least as strict as the pull-back check: whatever it flags, by a
+    # violation or a straddle, is flagged here too
+    if _outcome(_reference_violation, model, depth) != 0:
+        assert got != 0
+
+
+def bernoulli_tent_model():
+    """The tent map's model for the weights (1/3, 2/3), not stationary."""
+    kernel = build_backward_kernel(full_shift(2))
+    pi = StationaryVector(weights={0: F(1, 3), 1: F(2, 3)}, total=F(1),
+                          window=2)
+    return lebesgue_fair_model(tent_map(), fair_measure_from(pi, kernel, 2))
+
+
+def floated(model):
+    """The model with every coordinate and mass rounded to a float."""
+    return replace(model, total=float(model.total),
+                   emitted=float(model.emitted), gap=float(model.gap),
+                   pieces=tuple(replace(p, xr=tuple(map(float, p.xr)),
+                                        yr=tuple(map(float, p.yr)))
+                                for p in model.pieces))
+
+
+def test_bernoulli_weights_leave_a_hole_and_an_overflow():
+    """Weights (1/3, 2/3) on the tent map, which is the full 2-shift.
+
+    Every c_j is 2, so p_ij = w_j / (2 w_i): the pieces out of slot 1
+    (length 2/3) have lengths 1/6 and 1/3 and leave a hole of 1/6; those
+    out of slot 0 (length 1/3) have the same lengths and overflow it by
+    1/6.  Each piece is still half of its target slot, so the defect is
+    exactly 1/6, while the shortfalls cancel and the model is not
+    truncated.
+    """
+    model = bernoulli_tent_model()
+    assert model.gap == 0 and model.emitted == model.total
+    assert check_lebesgue_fair(model) == F(1, 6) == _reference_defect(model)
+
+
+def test_float_rounding_counts_as_zero_and_a_real_defect_does_not():
+    # each rounded coordinate is off by half an ulp of its magnitude,
+    # which leaves defects of a few ulps in the staircase
+    assert check_lebesgue_fair(floated(staircase_model(8))) == 0.0
+    assert check_lebesgue_fair(floated(bernoulli_tent_model())) == \
+        pytest.approx(1 / 6, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(interval_maps(), st.data())
+def test_generated_maps_round_trip_and_build_fair_models(imap, data):
+    doc = json.loads(dump_json(interval_map_to_dict(imap)))
+    assert interval_map_from_dict(doc) == imap
+    # the float model of the solved weights is fair within rounding
+    kernel = build_backward_kernel(transition_matrix(imap))
+    k = imap.partition.n_intervals
+    mu = fair_measure_from(solve_stationary(kernel), kernel, k)
+    defect = check_lebesgue_fair(lebesgue_fair_model(imap, mu))
+    assert isinstance(defect, float) and defect < 1e-12
+    # a weight scaled by 3/2 is no longer stationary: some slot's pieces
+    # miss its length
+    state = data.draw(st.integers(0, k - 1))
+    assert check_lebesgue_fair(generated_model(imap, (state, F(3, 2)))) > 0
 
 
 def test_doctored_models_reach_violations_and_straddles():
@@ -401,47 +569,68 @@ def test_doctored_models_reach_violations_and_straddles():
     a, b = p.xr
     shifted = replace(model, pieces=(replace(p, xr=(a, b - (b - a) / 7)),
                                      *model.pieces[1:]))
-    assert check_lebesgue_fair(shifted, 2) == _reference_violation(shifted, 2)
+    assert check_lebesgue_fair(shifted, 2) == _reference_defect(shifted)
     assert check_lebesgue_fair(shifted, 2) > 0
     c, d = p.yr
     straddling = replace(model, pieces=(replace(p, yr=(c, d - (d - c) / 3)),
                                         *model.pieces[1:]))
     with pytest.raises(NotMarkov):
         check_lebesgue_fair(straddling, 2)
-    # shrunk pieces into slots with covering counts 4 and 1: the worst
-    # violation is the one over c(B) = 1, though its numerator is smaller
+    # triangle(4) has weights 4, 3, 2, 1 and every piece of length 1; its
+    # slots run along rho as 3: (0, 1), 2: (1, 3), 1: (3, 6), 0: (6, 10).
+    # Piece 0 is 0 -> 0 on (9, 10) and piece 3 is 0 -> 3 on (6, 7); both
+    # lose the top fifth of their rho range.  Each piece defect is 1/5, but
+    # slot 0 is left with holes (34/5, 7) and (49/5, 10): 2/5 in all
     model = triangle_model(4)
     pieces = list(model.pieces)
     for k in (0, 3):
         a, b = pieces[k].xr
         pieces[k] = replace(pieces[k], xr=(a, b - (b - a) / 5))
     shrunk = replace(model, pieces=tuple(pieces))
-    assert check_lebesgue_fair(shrunk, 2) == _reference_violation(shrunk, 2)
-    assert check_lebesgue_fair(shrunk, 2) == F(1, 5)
+    assert check_lebesgue_fair(shrunk, 2) == _reference_defect(shrunk)
+    assert check_lebesgue_fair(shrunk, 2) == F(2, 5)
 
 
 def test_a_mixed_slot_on_a_truncation_boundary_is_skipped():
     # the 6-state staircase window is truncated; pieces 13, 18 and 24 all
-    # map onto slot 2, whose column count is 3
+    # map onto slot 2, rho (1, 2), whose column count is 3
     model = staircase_model(6)
     pieces = list(model.pieces)
     assert [pieces[k].dst for k in (13, 18, 24)] == [2, 2, 2]
+    # piece 24 is 1 -> 2 on (1/2, 5/6); cut to (1/2, 23/30) it is 1/15
+    # short of its share 1/3 and leaves a hole of 1/15 before piece 23
+    # on (5/6, 23/24), inside slot 1; a flipped orientation changes no
+    # length and adds nothing
     a, b = pieces[24].xr
     pieces[24] = replace(pieces[24], xr=(a, b - (b - a) / 5))
     pieces[18] = replace(pieces[18], increasing=False)
     mixed = replace(model, pieces=tuple(pieces))
-    assert check_lebesgue_fair(mixed, 2) == _reference_violation(mixed, 2)
-    assert check_lebesgue_fair(mixed, 2) == F(1, 30)
-    # one piece onto the slot claims a fourth preimage: every cell of the
-    # slot becomes a boundary cell and its violation is not counted,
-    # whether the claim sits in the group of 13 and the flipped 18 or
-    # with 24, whose new slope puts it in a group of its own
+    assert check_lebesgue_fair(mixed, 2) == _reference_defect(mixed)
+    assert check_lebesgue_fair(mixed, 2) == F(1, 15)
+    # one piece onto the slot claims a fourth preimage: the slot becomes a
+    # truncation boundary and its piece defect is not counted, but the
+    # hole that piece 24 leaves in slot 1 still is
     for k in (13, 24):
         bumped = list(pieces)
         bumped[k] = replace(pieces[k], cmag=4)
         bumped = replace(model, pieces=tuple(bumped))
-        assert check_lebesgue_fair(bumped, 2) == _reference_violation(bumped, 2)
-        assert check_lebesgue_fair(bumped, 2) == 0
+        assert check_lebesgue_fair(bumped, 2) == _reference_defect(bumped)
+        assert check_lebesgue_fair(bumped, 2) == F(1, 15)
+    # piece 20 is 1 -> 6 on (719/720, 5039/5040), the last piece of slot
+    # 1 = (0, 1); the truncation hole 1/5040 after it is excused, but an
+    # overflow by as much is not
+    over = list(model.pieces)
+    over[20] = replace(pieces[20], xr=(pieces[20].xr[0], 1 + F(1, 5040)))
+    over = replace(model, pieces=tuple(over))
+    assert check_lebesgue_fair(over, 2) == _reference_defect(over)
+    assert check_lebesgue_fair(over, 2) == F(1, 5040)
+    # slot 6 = (65/24, 163/60) has 6 of its 7 preimages in the window, so
+    # the built model skips it; claimed complete, its pieces of length
+    # 1/840 miss the share (1/120) / 6 by 1/5040
+    complete = replace(model, pieces=tuple(
+        replace(p, cmag=6) if p.dst == 6 else p for p in model.pieces))
+    assert check_lebesgue_fair(model, 2) == 0
+    assert check_lebesgue_fair(complete, 2) == F(1, 5040)
 
 
 # -- finite partition lookups against a linear scan ------------------------------
@@ -459,9 +648,6 @@ def _scan_covered(points, lo, hi):
     if lo not in list(points) or hi not in list(points):
         raise NotMarkov((lo, hi))
     return list(range(list(points).index(lo), list(points).index(hi)))
-
-
-rationals = st.builds(F, st.integers(-3, 40), st.integers(1, 8))
 
 
 @settings(max_examples=300, deadline=None)
