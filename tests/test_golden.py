@@ -35,10 +35,14 @@ for _name in ("unbiased-walk", "biased-walk", "origin-broadcast",
     CASES[f"analyze-{_name}"] = ["analyze", _name]
     CASES[f"verify-{_name}"] = ["verify", _name]
     CASES[f"classify-{_name}"] = ["classify", _name, "--trials", "2000"]
-# five-three is left out: its sampler path stream is not pinned
 for _name in ("origin-broadcast", "factorial-chain", "unbiased-walk"):
     CASES[f"simulate-{_name}"] = ["simulate", _name, "--length", "2000",
                                   "--paths", "2"]
+# the stepping sampler on a domain unbounded both ways: origin-broadcast
+# and the factorial chain live on half-lines, the unbiased walk takes the
+# one-pass draw
+CASES["simulate-five-three"] = ["simulate", "five-three", "--length", "20000",
+                                "--seed", "3"]
 # 10000 rows cross the CSV writer's row-chunk boundaries
 CASES["simulate-factorial-chain-long"] = ["simulate", "factorial-chain",
                                           "--length", "10000", "--paths", "2",
