@@ -22,6 +22,7 @@ normal form ``(relative, anchor, ray)``, computed once by ``_span``.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -30,7 +31,7 @@ from typing import Iterable, Mapping
 
 __all__ = [
     "Rel", "Abs", "RelRay", "AbsRay", "Term",
-    "TransitionRuleSet", "BackwardKernel",
+    "TransitionRuleSet", "ColumnTable", "BackwardKernel",
     "UnresolvableState", "InfinitePreimages", "SchemaError", "StuckWalk",
     "build_backward_kernel", "check_irreducible",
     "strongly_connected_components",
@@ -352,18 +353,25 @@ class TransitionRuleSet:
         """Reverse index of the explicit rows: hits by target, plus rays.
 
         Large compiled rule sets (graph models) have thousands of explicit
-        rows; scanning them per column query would be quadratic.
+        rows; scanning them per column query would be quadratic.  They
+        share few distinct rows, one object each (``_rules``), so the
+        states are grouped by row and each row's spans are read once.
         """
+        groups: dict[int, list] = {}        # id of a row: the row, its states
+        for i, row in self._rules[0].items():
+            groups.setdefault(id(row), [row]).append(i)
         direct: dict[int, set[int]] = {}
         rays: list[tuple[int, int]] = []
-        for i, row in self._rules[0].items():
+        for row, *states in groups.values():
             for rel, a, ray in row:
-                s = i + a if rel else a
                 if ray:
-                    rays.append((i, s))
+                    rays += [(i, i + a if rel else a) for i in states]
+                elif rel:
+                    for i in states:
+                        direct.setdefault(i + a, set()).add(i)
                 else:
-                    direct.setdefault(s, set()).add(i)
-        return ({j: tuple(sorted(s)) for j, s in direct.items()}, tuple(rays))
+                    direct.setdefault(a, set()).update(states)
+        return {j: tuple(s) for j, s in direct.items()}, tuple(rays)
 
     def predecessors(self, j: int) -> list[int]:
         """Column support of ``j``.  Raises InfinitePreimages when infinite."""
@@ -430,19 +438,47 @@ class TransitionRuleSet:
         return tuple(sorted(a for _, a, _ in rules[0]))
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """The columns of a backward kernel over the states lo..hi, by row.
+
+    State lo + k has its predecessors, ascending, at the offsets
+    ``indices[indptr[k]:indptr[k + 1]]`` from lo (numpy int64 arrays),
+    which fall outside 0..hi - lo for predecessors outside the range.
+    States outside the domain have empty columns.
+    """
+
+    lo: int
+    hi: int
+    indptr: object
+    indices: object
+
+    def rows(self) -> dict[int, tuple[list[int], int]]:
+        """Each state of the range with its predecessors, ascending, and
+        their count: the table as Python lists, for loops that step one
+        state at a time."""
+        preds = (self.indices + self.lo).tolist()
+        ptr = self.indptr.tolist()
+        return {s: (preds[a:b], b - a) for s, a, b in
+                zip(range(self.lo, self.hi + 1), ptr, ptr[1:])}
+
+
 @dataclass(frozen=True)
 class BackwardKernel:
     """Row-stochastic kernel Q with q_ji = m_ij / c_j.
 
     Row j is the uniform distribution over the c_j predecessors of j, so
-    the columns alone fix the kernel.  ``preds`` is the one place a
-    column is enumerated; every layer that holds a kernel reads its
-    columns there.
+    the columns alone fix the kernel.  ``preds`` enumerates one column
+    and memoises it.  ``columns`` compiles them into one ``ColumnTable``
+    over a range of states, which the window solve, the exact return
+    series, Monte Carlo returns and the backward sampler all read.
     """
 
     base: TransitionRuleSet
     _preds: dict[int, tuple[int, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _table: ColumnTable | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def preds(self, j: int) -> tuple[int, ...]:
         """Predecessors of j in ascending order, memoised."""
@@ -450,6 +486,31 @@ class BackwardKernel:
         if p is None:
             p = self._preds[j] = tuple(self.base.predecessors(j))
         return p
+
+    def columns(self, lo: int, hi: int) -> ColumnTable:
+        """The column table, grown to hold the states lo..hi.
+
+        A growth adds at least the old span, half on each side, and builds
+        a new table from ``preds``; a table is never changed once
+        returned, so a caller may keep what it derives from one until a
+        later call returns another.
+        """
+        t = self._table
+        if t is not None:
+            if t.lo <= lo and hi <= t.hi:
+                return t
+            span = t.hi - t.lo + 1
+            lo = min(lo, t.lo - span // 2)
+            hi = max(hi, t.hi + span - span // 2)
+        import numpy as np
+
+        cols = [self.preds(s) if self.base.contains(s) else ()
+                for s in range(lo, hi + 1)]
+        indptr = np.cumsum([0, *map(len, cols)], dtype=np.int64)
+        indices = np.fromiter(itertools.chain.from_iterable(cols), np.int64)
+        t = ColumnTable(lo, hi, indptr, indices - lo)
+        object.__setattr__(self, "_table", t)
+        return t
 
     def row(self, j: int) -> list[tuple[int, Fraction]]:
         preds = self.preds(j)

@@ -621,14 +621,16 @@ def cmd_verify(args) -> int:
             print(f"fairshift: verify: check {name} failed: value {value}, "
                   f"bound {bound}", file=sys.stderr)
 
-    # the kernel's columns, enumerated apart from the rows, must name
-    # each predecessor once and exactly the probe states whose rows hit j
+    # the kernel's column table, which every sampler and solve reads and
+    # which is enumerated apart from the rows, must name each predecessor
+    # once and exactly the probe states whose rows hit j
     probe = m.spiral(min(50, window * 2 + 1))
     within = max(map(abs, probe))
     succ = {i: set(m.successors(i, within=within)) for i in probe}
+    columns = kernel.columns(min(probe), max(probe)).rows()
     rules_ok = True
     for j in probe:
-        preds = kernel.preds(j)
+        preds, _ = columns[j]
         rules_ok = rules_ok and len(set(preds)) == len(preds) and (
             succ.keys() & set(preds) == {i for i in probe if j in succ[i]})
     check("kernel_matches_rules", rules_ok, rules_ok, "exact")

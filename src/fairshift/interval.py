@@ -530,7 +530,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
             accx = x_hi
             placed = placed + length
         short = weights[s] - placed
-        accx = accx + short           # keep slots aligned with x layout
+        accx = slots[s][1]            # the next slot's x-range starts here
         # a float shortfall of a few eps * w_s per term of this slot's own
         # sum is rounding and solve residual, no loss: on the dendrite it
         # stays under 2 per term, while a truncated slot lacks 1e13 times more

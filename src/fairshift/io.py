@@ -316,7 +316,13 @@ def _tail_rule_to_json(terms):
 
 
 def chain_to_dict(m: TransitionRuleSet) -> dict:
-    states = {str(i): _row_to_json(m._row(i), i) for i in sorted(m.explicit)}
+    rows = m._rules[0]
+    # a row with no relative span reads alike for every state sharing it
+    shared = {id(row): row for row in rows.values()}
+    fixed = {k: _row_to_json(row, 0) for k, row in shared.items()
+             if not any(rel for rel, _, _ in row)}
+    states = {str(i): fixed.get(id(rows[i])) or _row_to_json(rows[i], i)
+              for i in sorted(rows)}
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "kind": "chain",

@@ -12,7 +12,6 @@ the weights are exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -116,19 +115,22 @@ def _window_chain(kernel: BackwardKernel, states: list[int]):
     Every kernel row is uniform over the predecessors of its state, so a
     clipped row is uniform over the predecessors inside the window:
     column j of Q^T holds 1/c at each of the c window predecessors of j.
-    States whose clipped row is empty are dropped (with cascade) so the
-    window chain is well defined.  Returns the kept states, ascending, and
-    Q^T over them as numpy CSC column arrays ``(indptr, indices, data)``:
-    column j has its rows, ascending, in ``indices[indptr[j]:indptr[j+1]]``.
+    The window's consecutive states are one slice of the kernel's column
+    table, where a predecessor's offset, less the window's, is its
+    position in the window.  States whose clipped row is empty are
+    dropped (with cascade) so the window chain is well defined.  Returns
+    the kept states, ascending, and Q^T over them as numpy CSC column
+    arrays ``(indptr, indices, data)``: column j has its rows, ascending,
+    in ``indices[indptr[j]:indptr[j+1]]``.
     """
-    cols = [kernel.preds(j) for j in states]
-    counts = np.fromiter(map(len, cols), np.int64, len(cols))
-    preds = np.fromiter(itertools.chain.from_iterable(cols), np.int64,
-                        int(counts.sum()))
-    owner = np.repeat(np.arange(len(states)), counts)
+    table = kernel.columns(states[0], states[-1])
+    first = states[0] - table.lo
+    ptr = table.indptr[first:first + len(states) + 1]
+    pos = table.indices[ptr[0]:ptr[-1]] - first
+    owner = np.repeat(np.arange(len(states)), np.diff(ptr))
+    inside = (pos >= 0) & (pos < len(states))
+    pos[~inside] = 0
     window = np.asarray(states, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(window, preds), len(states) - 1)
-    inside = window[pos] == preds
     alive = np.ones(len(states), dtype=bool)
     while True:
         live = inside & alive[pos] & alive[owner]

@@ -64,30 +64,31 @@ def series_test(kernel: BackwardKernel, n_max: int = 40,
     denominator.  Each step multiplies the denominator by the lcm L of
     the column counts on the support and sends num_j * L / c_j to every
     predecessor of j.  When every count is the same c, as on the walk
-    families, L = c, which keeps large n_max cheap.  Each column is read
-    once per call.  The support is tracked exactly, so the terms never
-    depend on any truncation.  A support state without predecessors
-    raises StuckWalk.
+    families, L = c, which keeps large n_max cheap.  The columns are read
+    from the kernel's column table over the support's range.  The
+    support is tracked exactly, so the terms never depend on any
+    truncation.  A support state without predecessors raises StuckWalk.
     """
     if not kernel.contains(origin):
         raise ValueError(f"origin {origin} outside domain")
     terms: list[Fraction] = [Fraction(1)]
-    table: dict[int, tuple] = {}            # state -> (preds, count)
+    rows: dict[int, tuple[list[int], int]] = {}
     vec: dict[int, int] = {origin: 1}       # numerators over denom
     denom = 1
     for _ in range(n_max):
-        for j in vec:
-            if j not in table:
-                preds = kernel.preds(j)
-                table[j] = preds, len(preds)
-        lcm = math.lcm(*{table[j][1] for j in vec})
+        try:
+            counts = {rows[j][1] for j in vec}
+        except KeyError:        # the support left the table's range
+            rows = kernel.columns(min(vec), max(vec)).rows()
+            counts = {rows[j][1] for j in vec}
+        lcm = math.lcm(*counts)
         if lcm == 0:
-            j = next(j for j in vec if not table[j][1])
+            j = next(j for j in vec if not rows[j][1])
             raise StuckWalk(f"state {j} has no predecessors; "
                             "backward walk is stuck")
         nxt: dict[int, int] = {}
         for j, num in vec.items():
-            preds, c = table[j]
+            preds, c = rows[j]
             share = num * (lcm // c)
             for i in preds:
                 nxt[i] = nxt.get(i, 0) + share
@@ -125,81 +126,19 @@ def _wilson(k: int, n: int) -> tuple[float, float]:
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-class _ColumnTable:
-    """Dense predecessor table of a kernel over a range of states.
-
-    Walkers are flat row offsets: the row of state s starts at (s - lo) *
-    width and lists the row offsets of preds(s), padded to the widest
-    column in the range; ``counts`` repeats its column count, as a float,
-    across the row.  States outside the domain get empty rows, which no
-    walker reaches; ``step`` looks for stuck walkers only when ``stuck``,
-    some state of the domain has an empty row.  ``cover`` grows the range
-    to hold given walkers, at least doubling its span.
-    """
-
-    def __init__(self, kernel: BackwardKernel, state: int):
-        self.kernel = kernel
-        self.lo, self.hi, self.width = state, state - 1, 1      # empty
-        self._grow(state, state)
-
-    def _grow(self, lo: int, hi: int) -> None:
-        span = self.hi - self.lo + 1
-        self.lo, self.hi = min(lo, self.lo - span), max(hi, self.hi + span)
-        k = self.kernel
-        cols = [k.preds(s) if k.contains(s) else ()
-                for s in range(self.lo, self.hi + 1)]
-        counts = np.array([len(p) for p in cols], dtype=np.float64)
-        self.width = max(1, int(counts.max()))
-        self.counts = np.repeat(counts, self.width)
-        table = np.zeros((len(cols), self.width), dtype=np.int64)
-        for row, preds in zip(table, cols):
-            row[:len(preds)] = preds
-        self.table = ((table - self.lo) * self.width).ravel()
-        self.stuck = any(not p and k.contains(s) for s, p in
-                         zip(range(self.lo, self.hi + 1), cols))
-        # the longest one-step move (columns are ascending), at least 1
-        self.reach = max([1] + [max(s - p[0], p[-1] - s) for s, p in
-                                zip(range(self.lo, self.hi + 1), cols) if p])
-
-    def cover(self, flat: np.ndarray) -> tuple[np.ndarray, int]:
-        """Hold these walkers; return them as offsets into the (possibly
-        grown) table, with the steps they can take before leaving it."""
-        width, base = self.width, self.lo
-        lo, hi = int(flat.min()) // width + base, int(flat.max()) // width + base
-        if lo < self.lo or hi > self.hi:
-            self._grow(lo, hi)
-            flat = (flat // width + (base - self.lo)) * self.width
-        return flat, min(lo - self.lo, self.hi - hi) // self.reach + 1
-
-    def step(self, flat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Move every walker to entry int(u * c) of its column of count c,
-        for one uniform u per walker: the draw of ``sample_backward``."""
-        if self.stuck:
-            at = (self.counts.take(flat) == 0).nonzero()[0]
-            if at.size:
-                raise StuckWalk(f"state {flat[at[0]] // self.width + self.lo} "
-                                "has no predecessors; backward walk is stuck")
-        u = rng.random(flat.size)
-        u *= self.counts.take(flat)
-        at = u.astype(np.int64)
-        del u       # at most three walker-sized arrays at once: peak RSS
-        at += flat
-        return self.table.take(at)
-
-
 def monte_carlo_return(kernel: BackwardKernel, trials: int,
                        horizons: Sequence[int], seed: int, origin: int = 0,
                        escape_radius: int | None = None,
                        ) -> list[ReturnEstimate]:
     """Estimate the probability of returning to the origin within each horizon.
 
-    All trials step together as one batch of walkers, held as flat row
-    offsets into a dense predecessor table of the range they have
-    reached, grown as they spread.  Each step draws one uniform u per
-    walker and moves it to entry int(u * c) of its ascending column of
-    count c, as ``sample_backward`` does.  One walk runs to the largest
-    horizon and is read off at each horizon, in the order given.  A
-    walker on a state without predecessors raises StuckWalk.
+    All trials step together as one batch of walkers, held as offsets
+    into the kernel's column table (``BackwardKernel.columns``), which
+    grows as they spread.  Each step draws one uniform u per walker and
+    moves the walker at offset k to ``indices[indptr[k] + int(u * c_k)]``:
+    the draw ``preds[int(u * c)]`` of ``sample_backward``.  One walk runs
+    to the largest horizon and is read off at each horizon, in the order
+    given.  A walker on a state without predecessors raises StuckWalk.
     ``escape_radius`` abandons trials that wander further than the radius
     from the origin, counting them as non-returns; callers enable it only
     for walks with a clear drift, where that return mass is negligible.
@@ -209,8 +148,8 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
     if any(h < 1 for h in horizons):
         raise ValueError(f"horizons must be at least 1, got {list(horizons)}")
     rng = np.random.default_rng(seed)
-    cols = _ColumnTable(kernel, origin)
-    alive = np.zeros(trials, dtype=np.int64)    # the table starts at the origin
+    table, zero = None, origin          # zero: the state at offset 0
+    alive = np.zeros(trials, dtype=np.int64)
     r = escape_radius or 0
     returned = escaped = time_sum = t = 0
     unchecked = 0       # steps left before the walkers' range is checked
@@ -219,13 +158,31 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
         while t < horizon and alive.size:
             t += 1
             if not unchecked:
-                alive, unchecked = cols.cover(alive)
-                # the origin and the escape bounds as offsets, exact since
-                # every offset is a multiple of the table width
-                home, near, far = ((origin + d - cols.lo) * cols.width
-                                   for d in (0, -r, r))
+                lo, hi = int(alive.min()) + zero, int(alive.max()) + zero
+                grown = kernel.columns(lo, hi)
+                if grown is not table:
+                    alive += zero - grown.lo
+                    table, zero = grown, grown.lo
+                    starts, indices = table.indptr[:-1], table.indices
+                    c = np.diff(table.indptr)
+                    counts, stuck = c.astype(np.float64), not c.all()
+                    # the longest one-step move, at least 1
+                    reach = int(np.abs(indices - np.repeat(
+                        np.arange(c.size), c)).max(initial=1))
+                    home, near, far = (origin + d - zero for d in (0, -r, r))
+                unchecked = min(lo - table.lo, table.hi - hi) // reach + 1
             unchecked -= 1
-            alive = cols.step(alive, rng)
+            if stuck:       # walkers are never outside the domain
+                at = (counts.take(alive) == 0).nonzero()[0]
+                if at.size:
+                    raise StuckWalk(f"state {alive[at[0]] + zero} has no "
+                                    "predecessors; backward walk is stuck")
+            u = rng.random(alive.size)
+            u *= counts.take(alive)
+            at = u.astype(np.int64)
+            del u       # at most three walker-sized arrays at once: peak RSS
+            at += starts.take(alive)
+            alive = indices.take(at)
             back = alive == home
             hits = int(np.count_nonzero(back))
             if hits:

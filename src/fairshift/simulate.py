@@ -47,8 +47,9 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
 
     Each step takes ``preds[int(u * c)]`` for a uniform u and column
     count c: in one vectorised pass over the ascending offsets when the
-    kernel has one offset law everywhere, else through ``kernel.preds``.
-    The stream is a deterministic function of the seed.
+    kernel has one offset law everywhere, else from the rows of the
+    kernel's column table, grown when the walk leaves its range.  The
+    stream is a deterministic function of the seed.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
@@ -65,21 +66,25 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
         out[1:] += start
         return BackwardPath(out, start, seed, kernel.base.name)
 
-    table: dict[int, tuple] = {}            # state -> (preds, count)
+    rows = kernel.columns(start, start).rows()
+    preds, c = rows[start]
     for lo in range(1, length + 1, _DRAW_BLOCK):
-        block = []
+        block: list[int] = []
         append = block.append
-        for u in rng.random(min(_DRAW_BLOCK, length + 1 - lo)).tolist():
-            entry = table.get(s)
-            if entry is None:
-                preds = kernel.preds(s)
-                if not preds:
-                    raise StuckWalk(f"state {s} has no predecessors; "
-                                    "backward walk is stuck")
-                entry = table[s] = (preds, len(preds))
-            preds, c = entry
-            s = preds[int(u * c)]
-            append(s)
+        draws = iter(rng.random(min(_DRAW_BLOCK, length + 1 - lo)).tolist())
+        while True:
+            try:
+                for u in draws:
+                    s = preds[int(u * c)]
+                    append(s)
+                    preds, c = rows[s]
+                break
+            except KeyError:        # the walk left the table's range
+                rows = kernel.columns(s, s).rows()
+                preds, c = rows[s]
+            except IndexError:      # an empty column
+                raise StuckWalk(f"state {s} has no predecessors; "
+                                "backward walk is stuck") from None
         out[lo:lo + len(block)] = block
     return BackwardPath(out, start, seed, kernel.base.name)
 

@@ -7,15 +7,21 @@ import pathlib
 import random
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from fairshift import (CHAIN_FAMILIES, chain_to_dict, dump_json, unbiased_walk,
-                       write_json)
+from fairshift import (CHAIN_FAMILIES, build_backward_kernel, chain_to_dict,
+                       check_irreducible, dump_json, entropy_tail_estimate,
+                       fair_entropy, fair_measure_from, graph_to_dict,
+                       integral_log_c, refined_transition_matrix,
+                       solve_stationary, unbiased_walk, write_json)
 from fairshift import chain, cli, measure
 from fairshift.io import ParseError, load_spec
 from fairshift.cli import main
+from test_measure import graph_specs
 
 
 def run(tmp_path, *argv):
@@ -324,6 +330,37 @@ def test_graph_exchange_spec(tmp_path):
     rep = read(out, "graph.json")
     assert rep["fair_entropy_shift_side"] == pytest.approx(0.0, abs=1e-12)
     assert rep["fair_model_pieces"] == 2
+
+
+def refines_irreducibly(spec) -> bool:
+    m = refined_transition_matrix(spec)
+    return check_irreducible(m, max(abs(m.lo), abs(m.hi)))[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_specs().filter(refines_irreducibly))
+def test_generated_graph_specs_run_end_to_end(spec):
+    m = refined_transition_matrix(spec)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "spec.json"
+        path.write_text(dump_json(graph_to_dict(spec)))
+        code, out = run(pathlib.Path(tmp), "graph", str(path))
+        rep = read(out, "graph.json")
+        chain_doc = load_spec(str(out / "chain.json"))
+    assert code == 0
+    assert rep["verdict"] == "PositiveRecurrent"
+    assert rep["pipelines_agree"] is True
+    assert rep["pipeline_entropy_gap"] < 1e-9
+    # the written refined chain is the one solved, and h = integral of
+    # log c over it, within the bound verify allows
+    assert chain_doc.same_matrix(m)
+    kernel = build_backward_kernel(chain_doc)
+    pi = solve_stationary(kernel)
+    mu = fair_measure_from(pi, kernel, window=pi.window)
+    h = fair_entropy(mu, window=pi.window)
+    assert h == pytest.approx(rep["fair_entropy_shift_side"], rel=1e-11)
+    assert abs(h - integral_log_c(mu, chain_doc, window=pi.window)) <= (
+        entropy_tail_estimate(mu, window=pi.window) + 1e-6)
 
 
 # -- verify -----------------------------------------------------------------------

@@ -221,5 +221,11 @@ def test_float_model_reports_the_dendrite_truncation():
     model = dendrite_fair_model(12)
     assert float(model.gap) / float(model.total) == pytest.approx(
         1 / 1410566456, rel=1e-6)
-    # the truncation is excused, and what is left is rounding
-    assert check_lebesgue_fair(model) < 1e-12
+    # the truncation is excused, and the slots and the pieces' x-ranges
+    # are laid out from one running sum, so no rounding is left either
+    assert check_lebesgue_fair(model) == 0.0
+
+
+@pytest.mark.parametrize("window", [8, 16])
+def test_float_dendrite_models_check_exactly_fair(window):
+    assert check_lebesgue_fair(dendrite_fair_model(window)) == 0.0

@@ -200,6 +200,39 @@ finite_rule_sets = st.one_of(
     graph_specs().map(refined_transition_matrix))
 
 
+# -- the kernel's column table ----------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.sampled_from([unbiased_walk(), biased_walk(),
+                                  origin_broadcast(), factorial_chain(),
+                                  five_three_chain(), full_shift(3)]),
+                 finite_rule_sets),
+       st.lists(st.tuples(st.integers(-40, 40), st.integers(0, 30)),
+                min_size=1, max_size=5))
+def test_column_table_rows_are_the_predecessors(m, requests):
+    assume(isinstance(m, TransitionRuleSet))
+    kernel = outcome(build_backward_kernel, m)
+    assume(not isinstance(kernel, tuple))
+    last = None
+    for lo, width in requests:
+        table = kernel.columns(lo, lo + width)
+        assert table.lo <= lo and lo + width <= table.hi
+        if last is not None and last.lo <= lo and lo + width <= last.hi:
+            assert table is last
+        elif last is not None:      # a growth at least doubles the range
+            assert table.hi - table.lo + 1 >= 2 * (last.hi - last.lo + 1)
+            assert table.lo <= last.lo and last.hi <= table.hi
+        states = range(table.lo, table.hi + 1)
+        assert table.indptr.shape == (len(states) + 1,)
+        assert table.indptr[0] == 0 and table.indptr[-1] == table.indices.size
+        want = {s: m.predecessors(s) if m.contains(s) else [] for s in states}
+        assert {s: (table.indices[table.indptr[k]:table.indptr[k + 1]]
+                    + table.lo).tolist()
+                for k, s in enumerate(states)} == want
+        assert table.rows() == {s: (p, len(p)) for s, p in want.items()}
+        last = table
+
+
 @settings(max_examples=300, deadline=None)
 @given(finite_rule_sets)
 def test_window_solve_matches_the_ones_row_solve(m):

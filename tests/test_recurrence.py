@@ -20,7 +20,8 @@ from fairshift import (
     factorial_chain, five_three_chain, full_shift, monte_carlo_return,
     origin_broadcast, sample_backward, series_test, unbiased_walk,
 )
-from fairshift.recurrence import _ColumnTable, _wilson
+from fairshift.chain import BackwardKernel
+from fairshift.recurrence import _wilson
 from test_chain import finite_chains
 
 
@@ -334,26 +335,38 @@ def test_one_walk_keeps_the_order_of_the_horizons():
     assert monte_carlo_return(k, 3_000, (), 4) == []
 
 
-@pytest.mark.parametrize("radius", [None, 8])
-def test_walkers_keep_their_states_across_table_growths(monkeypatch, radius):
-    # the factorial chain widens its columns as the walkers climb, so
-    # every growth moves the walkers' row offsets to a new width
-    grow = _ColumnTable._grow
-    widths = []
+def log_tables(monkeypatch) -> list:
+    """Every column table the kernels return, in order, each once."""
+    columns = BackwardKernel.columns
+    tables = []
 
     def logged(self, lo, hi):
-        grow(self, lo, hi)
-        widths.append(self.width)
+        table = columns(self, lo, hi)
+        if not tables or table is not tables[-1]:
+            tables.append(table)
+        return table
 
-    monkeypatch.setattr(_ColumnTable, "_grow", logged)
-    k = kernel_of(factorial_chain())
-    got = monte_carlo_return(k, 300, (5, 40), 0, origin=1,
-                             escape_radius=radius)
-    assert len(widths) >= 4         # the first table and 3 growths
-    assert len(set(widths)) >= 3
-    want = [reference_return(k, 300, h, 0, 1, radius) for h in (5, 40)]
-    assert got == want
-    assert repr(got) == repr(want)
+    monkeypatch.setattr(BackwardKernel, "columns", logged)
+    return tables
+
+
+@pytest.mark.parametrize("radius", [None, 8])
+def test_walkers_keep_their_states_across_table_growths(monkeypatch, radius):
+    # the factorial chain's walkers climb, so its table grows upwards and
+    # its columns widen; five-three's spread both ways, and each growth
+    # below moves the table's first state and the walkers' offsets with it
+    tables = log_tables(monkeypatch)
+    for m, origin in ((factorial_chain(), 1), (five_three_chain(), 0)):
+        tables.clear()
+        k = kernel_of(m)
+        got = monte_carlo_return(k, 300, (5, 40), 0, origin=origin,
+                                 escape_radius=radius)
+        assert len(tables) >= 4         # the first table and 3 growths
+        want = [reference_return(k, 300, h, 0, origin, radius)
+                for h in (5, 40)]
+        assert got == want
+        assert repr(got) == repr(want)
+    assert len({t.lo for t in tables}) >= 3
 
 
 BUILTIN_ORIGINS = [(unbiased_walk(), 0), (biased_walk(), 0),
@@ -380,20 +393,14 @@ def test_stuck_state_met_after_a_growth_is_an_error(monkeypatch):
     # a path 0 - 1 - 2 - 3 - 4 with a loop at 0, and 5 -> 4 where nothing
     # enters 5: the first table holds only the origin, so state 5 comes
     # in with a growth
-    grow = _ColumnTable._grow
-    stuck = []
-
-    def logged(self, lo, hi):
-        grow(self, lo, hi)
-        stuck.append(self.stuck)
-
-    monkeypatch.setattr(_ColumnTable, "_grow", logged)
+    tables = log_tables(monkeypatch)
     rows = {0: (Abs(0), Abs(1)), 1: (Abs(0), Abs(2)), 2: (Abs(1), Abs(3)),
             3: (Abs(2), Abs(4)), 4: (Abs(3),), 5: (Abs(4),)}
     m = TransitionRuleSet(lo=0, hi=5, head=6, explicit=rows, name="late")
     with pytest.raises(StuckWalk, match="state 5 has no predecessors"):
         monte_carlo_return(kernel_of(m), 200, (100,), 0)
-    assert stuck[0] is False and stuck[-1] is True
+    assert tables[0].hi < 5 <= tables[-1].hi
+    assert len(tables) >= 4         # the first table and 3 growths
 
 
 @pytest.mark.parametrize("trials, horizons, name", [
