@@ -440,12 +440,13 @@ class TransitionRuleSet:
 
 @dataclass(frozen=True, eq=False)
 class ColumnTable:
-    """The columns of a backward kernel over the states lo..hi, by row.
+    """The columns of a backward kernel over the states lo..hi, compiled.
 
     State lo + k has its predecessors, ascending, at the offsets
     ``indices[indptr[k]:indptr[k + 1]]`` from lo (numpy int64 arrays),
     which fall outside 0..hi - lo for predecessors outside the range.
-    States outside the domain have empty columns.
+    States outside the domain have empty columns.  Loops that step one
+    state at a time read the kernel's ``cols`` instead.
     """
 
     lo: int
@@ -453,47 +454,42 @@ class ColumnTable:
     indptr: object
     indices: object
 
-    def rows(self) -> dict[int, tuple[list[int], int]]:
-        """Each state of the range with its predecessors, ascending, and
-        their count: the table as Python lists, for loops that step one
-        state at a time."""
-        preds = (self.indices + self.lo).tolist()
-        ptr = self.indptr.tolist()
-        return {s: (preds[a:b], b - a) for s, a, b in
-                zip(range(self.lo, self.hi + 1), ptr, ptr[1:])}
-
 
 @dataclass(frozen=True)
 class BackwardKernel:
     """Row-stochastic kernel Q with q_ji = m_ij / c_j.
 
     Row j is the uniform distribution over the c_j predecessors of j, so
-    the columns alone fix the kernel.  ``preds`` enumerates one column
-    and memoises it.  ``columns`` compiles them into one ``ColumnTable``
-    over a range of states, which the window solve, the exact return
-    series, Monte Carlo returns and the backward sampler all read.
+    the columns alone fix the kernel.  ``cols`` is the one Python store
+    of them: each enumerated state maps to its predecessors, ascending,
+    and their count.  ``preds`` fills one entry; ``columns`` fills a
+    range of them and compiles it into one ``ColumnTable``, which the
+    window solve and Monte Carlo returns read.  The exact return series
+    and the stepping sampler index ``cols`` itself.
     """
 
     base: TransitionRuleSet
-    _preds: dict[int, tuple[int, ...]] = field(
+    cols: dict[int, tuple[tuple[int, ...], int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _table: ColumnTable | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def preds(self, j: int) -> tuple[int, ...]:
-        """Predecessors of j in ascending order, memoised."""
-        p = self._preds.get(j)
-        if p is None:
-            p = self._preds[j] = tuple(self.base.predecessors(j))
-        return p
+        """Predecessors of j in ascending order, memoised in ``cols``."""
+        col = self.cols.get(j)
+        if col is None:
+            p = tuple(self.base.predecessors(j))
+            col = self.cols[j] = p, len(p)
+        return col[0]
 
     def columns(self, lo: int, hi: int) -> ColumnTable:
         """The column table, grown to hold the states lo..hi.
 
         A growth adds at least the old span, half on each side, and builds
-        a new table from ``preds``; a table is never changed once
-        returned, so a caller may keep what it derives from one until a
-        later call returns another.
+        a new table from ``preds``, so every in-domain state of the range
+        is in ``cols``; a table is never changed once returned, so a
+        caller may keep what it derives from one until a later call
+        returns another.
         """
         t = self._table
         if t is not None:
@@ -504,10 +500,10 @@ class BackwardKernel:
             hi = max(hi, t.hi + span - span // 2)
         import numpy as np
 
-        cols = [self.preds(s) if self.base.contains(s) else ()
-                for s in range(lo, hi + 1)]
-        indptr = np.cumsum([0, *map(len, cols)], dtype=np.int64)
-        indices = np.fromiter(itertools.chain.from_iterable(cols), np.int64)
+        preds = [self.preds(s) if self.base.contains(s) else ()
+                 for s in range(lo, hi + 1)]
+        indptr = np.cumsum([0, *map(len, preds)], dtype=np.int64)
+        indices = np.fromiter(itertools.chain.from_iterable(preds), np.int64)
         t = ColumnTable(lo, hi, indptr, indices - lo)
         object.__setattr__(self, "_table", t)
         return t

@@ -621,16 +621,18 @@ def cmd_verify(args) -> int:
             print(f"fairshift: verify: check {name} failed: value {value}, "
                   f"bound {bound}", file=sys.stderr)
 
-    # the kernel's column table, which every sampler and solve reads and
-    # which is enumerated apart from the rows, must name each predecessor
+    # the column table the solve and Monte Carlo read, built from the
+    # memoised columns apart from the rows, must name each predecessor
     # once and exactly the probe states whose rows hit j
     probe = m.spiral(min(50, window * 2 + 1))
     within = max(map(abs, probe))
     succ = {i: set(m.successors(i, within=within)) for i in probe}
-    columns = kernel.columns(min(probe), max(probe)).rows()
+    table = kernel.columns(min(probe), max(probe))
+    ptr = table.indptr
     rules_ok = True
     for j in probe:
-        preds, _ = columns[j]
+        k = j - table.lo
+        preds = (table.indices[ptr[k]:ptr[k + 1]] + table.lo).tolist()
         rules_ok = rules_ok and len(set(preds)) == len(preds) and (
             succ.keys() & set(preds) == {i for i in probe if j in succ[i]})
     check("kernel_matches_rules", rules_ok, rules_ok, "exact")

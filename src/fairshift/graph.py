@@ -17,7 +17,7 @@ entropy by exactly log 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -42,7 +42,6 @@ class TameGraphMapSpec:
     arcs: tuple[int, ...]
     covers: Mapping[int, tuple[tuple[int, bool], ...]]
     name: str = "graph-map"
-    meta: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.arcs:
@@ -176,6 +175,4 @@ def dendrite_example(window: int = 12) -> TameGraphMapSpec:
             covers[a] = tuple((b, True) for b in legs)
         else:
             covers[a] = tuple((b, False) for b in reversed(legs))
-    return TameGraphMapSpec(tuple(arcs), covers, name=f"dendrite-{window}",
-                            meta={"window": window, "blade_of": blade_of,
-                                  "pair_of_arc": pair_of_arc})
+    return TameGraphMapSpec(tuple(arcs), covers, name=f"dendrite-{window}")

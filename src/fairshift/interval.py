@@ -466,12 +466,6 @@ class PiecewiseAffineMap:
     def piece_count(self) -> int:
         return len(self.pieces)
 
-    def slot_of(self, state: int) -> tuple[Number, Number] | None:
-        for p in self.pieces:
-            if p.dst == state:
-                return p.yr
-        return None
-
 
 def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
                         window: int | None = None) -> PiecewiseAffineMap:

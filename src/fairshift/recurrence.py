@@ -64,31 +64,32 @@ def series_test(kernel: BackwardKernel, n_max: int = 40,
     denominator.  Each step multiplies the denominator by the lcm L of
     the column counts on the support and sends num_j * L / c_j to every
     predecessor of j.  When every count is the same c, as on the walk
-    families, L = c, which keeps large n_max cheap.  The columns are read
-    from the kernel's column table over the support's range.  The
+    families, L = c, which keeps large n_max cheap.  The columns and
+    their counts are read from the kernel's ``cols``, filled over the
+    support's range when the support reaches a state not yet in it.  The
     support is tracked exactly, so the terms never depend on any
     truncation.  A support state without predecessors raises StuckWalk.
     """
     if not kernel.contains(origin):
         raise ValueError(f"origin {origin} outside domain")
     terms: list[Fraction] = [Fraction(1)]
-    rows: dict[int, tuple[list[int], int]] = {}
+    cols = kernel.cols
     vec: dict[int, int] = {origin: 1}       # numerators over denom
     denom = 1
     for _ in range(n_max):
         try:
-            counts = {rows[j][1] for j in vec}
-        except KeyError:        # the support left the table's range
-            rows = kernel.columns(min(vec), max(vec)).rows()
-            counts = {rows[j][1] for j in vec}
+            counts = {cols[j][1] for j in vec}
+        except KeyError:        # the support reached a state not in cols
+            kernel.columns(min(vec), max(vec))
+            counts = {cols[j][1] for j in vec}
         lcm = math.lcm(*counts)
         if lcm == 0:
-            j = next(j for j in vec if not rows[j][1])
+            j = next(j for j in vec if not cols[j][1])
             raise StuckWalk(f"state {j} has no predecessors; "
                             "backward walk is stuck")
         nxt: dict[int, int] = {}
         for j, num in vec.items():
-            preds, c = rows[j]
+            preds, c = cols[j]
             share = num * (lcm // c)
             for i in preds:
                 nxt[i] = nxt.get(i, 0) + share

@@ -47,9 +47,10 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
 
     Each step takes ``preds[int(u * c)]`` for a uniform u and column
     count c: in one vectorised pass over the ascending offsets when the
-    kernel has one offset law everywhere, else from the rows of the
-    kernel's column table, grown when the walk leaves its range.  The
-    stream is a deterministic function of the seed.
+    kernel has one offset law everywhere, else one state at a time from
+    the kernel's ``cols``, filled over the walk's range when the walk
+    reaches a state not yet in it.  The stream is a deterministic
+    function of the seed.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
@@ -66,8 +67,9 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
         out[1:] += start
         return BackwardPath(out, start, seed, kernel.base.name)
 
-    rows = kernel.columns(start, start).rows()
-    preds, c = rows[start]
+    cols = kernel.cols
+    kernel.columns(start, start)
+    preds, c = cols[start]
     for lo in range(1, length + 1, _DRAW_BLOCK):
         block: list[int] = []
         append = block.append
@@ -77,11 +79,11 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
                 for u in draws:
                     s = preds[int(u * c)]
                     append(s)
-                    preds, c = rows[s]
+                    preds, c = cols[s]
                 break
-            except KeyError:        # the walk left the table's range
-                rows = kernel.columns(s, s).rows()
-                preds, c = rows[s]
+            except KeyError:        # the walk reached a state not in cols
+                kernel.columns(s, s)
+                preds, c = cols[s]
             except IndexError:      # an empty column
                 raise StuckWalk(f"state {s} has no predecessors; "
                                 "backward walk is stuck") from None

@@ -557,6 +557,48 @@ def test_bad_flag_exits_one(tmp_path):
     assert main(["no-such-command"]) == 1
 
 
+def test_an_out_path_that_is_a_file_exits_one(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["analyze", "origin-broadcast", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("fairshift: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["analyze", "unbiased-walk"], "analyze.json"),
+    (["verify", "origin-broadcast"], "verify.json"),
+    (["fairmodel", "--map-family", "five-three-map"], "fairmodel.json"),
+    (["graph", "--family", "dendrite", "--window", "2"], "graph.json"),
+])
+def test_an_exhausted_window_budget_is_unknown(tmp_path, capsys,
+                                               monkeypatch, argv, name):
+    def exhausted(kernel, **kw):
+        raise measure.WindowExhausted(
+            measure.SolveDiagnostics((), "window-exhausted"))
+    monkeypatch.setattr(cli, "solve_stationary", exhausted)
+    code, out = run(tmp_path, *argv)
+    assert code == 2
+    rep = read(out, name)
+    assert rep["verdict"] == "Unknown"
+    assert rep["diagnostics"]["outcome"] == "window-exhausted"
+    assert capsys.readouterr().out.startswith("verdict Unknown")
+
+
+@pytest.mark.parametrize("name, verdict, entropy", [
+    ("tent", "PositiveRecurrent", pytest.approx(math.log(2), abs=1e-9)),
+    ("staircase", "PositiveRecurrent", 1.04750264515),
+    ("five-three-map", "NoSummableSolution", None),
+])
+def test_analyze_reads_builtin_map_names(tmp_path, name, verdict, entropy):
+    code, out = run(tmp_path, "analyze", name)
+    assert code == 0
+    rep = read(out, "analyze.json")
+    assert rep["verdict"] == verdict
+    assert rep.get("fair_entropy") == entropy
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["classify", "unbiased-walk", "--trials", "0"], "--trials"),
     (["classify", "unbiased-walk", "--trials", "-1"], "--trials"),

@@ -204,8 +204,9 @@ def test_staircase_model_slopes_are_column_counts():
         assert p.cmag == p.dst + 1
     assert min(p.cmag for p in model.pieces) == 2
     # x-pieces within one source interval are ordered left to right and
-    # map onto whole slots
-    assert all(p.yr == model.slot_of(p.dst) for p in model.pieces)
+    # map onto whole slots: every piece onto one slot has the same yr
+    slots: dict = {}
+    assert all(slots.setdefault(p.dst, p.yr) == p.yr for p in model.pieces)
 
 
 def test_staircase_model_is_exactly_fair():

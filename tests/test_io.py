@@ -263,6 +263,7 @@ def test_graph_round_trips():
         assert {a: tuple(c) for a, c in back.covers.items()} == \
             {a: tuple(c) for a, c in spec.covers.items()}
         assert dump_json(doc) == dump_json(graph_to_dict(back))
+        assert back == spec
 
 
 def _two_arc():

@@ -229,7 +229,11 @@ def test_column_table_rows_are_the_predecessors(m, requests):
         assert {s: (table.indices[table.indptr[k]:table.indptr[k + 1]]
                     + table.lo).tolist()
                 for k, s in enumerate(states)} == want
-        assert table.rows() == {s: (p, len(p)) for s, p in want.items()}
+        # the kernel's memo holds every in-domain state of the table with
+        # its predecessors and their count, and no state outside the domain
+        assert all(kernel.cols[s] == (tuple(p), len(p))
+                   for s, p in want.items() if m.contains(s))
+        assert all(map(m.contains, kernel.cols))
         last = table
 
 
