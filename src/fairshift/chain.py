@@ -464,8 +464,8 @@ class BackwardKernel:
     of them: each enumerated state maps to its predecessors, ascending,
     and their count.  ``preds`` fills one entry; ``columns`` fills a
     range of them and compiles it into one ``ColumnTable``, which the
-    window solve and Monte Carlo returns read.  The exact return series
-    and the stepping sampler index ``cols`` itself.
+    window solve, Monte Carlo returns and the sampler's column laws read.
+    The exact return series and the stepping sampler index ``cols`` itself.
     """
 
     base: TransitionRuleSet

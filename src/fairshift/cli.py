@@ -403,7 +403,8 @@ def cmd_simulate(args) -> int:
             "final_geo_mean_c": float(series[-1]),
             "start_visits": int(visits.size),
             "last_start_visit": int(visits[-1]) if visits.size else None,
-            "max_abs_state": int(abs(path.states).max()),
+            "max_abs_state": max(-int(path.states.min()),
+                                 int(path.states.max())),
         })
 
     report: dict = {

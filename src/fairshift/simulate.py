@@ -23,7 +23,10 @@ __all__ = [
     "GeoMeanReport", "equidistribution_test", "equidistribution_report",
 ]
 
-_DRAW_BLOCK = 4096      # uniforms per draw; the stream does not depend on it
+_DRAW_BLOCK = 4096      # uniforms per draw of the stepping loop
+_PASS_BLOCK = 1 << 14   # uniforms per chunk of the vectorised pass, whose
+                        # first chunk under a new law is a _DRAW_BLOCK
+# no block size changes the stream
 
 
 @dataclass(frozen=True)
@@ -46,34 +49,128 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     """One backward trajectory of the given length from ``start``.
 
     Each step takes ``preds[int(u * c)]`` for a uniform u and column
-    count c: in one vectorised pass over the ascending offsets when the
-    kernel has one offset law everywhere, else one state at a time from
-    the kernel's ``cols``, filled over the walk's range when the walk
-    reaches a state not yet in it.  The stream is a deterministic
-    function of the seed.
+    count c.  While the visited states follow one column law (see
+    ``_column_law``), as on the walks, origin-broadcast and the full
+    shifts, the steps are taken in one vectorised pass per chunk of
+    uniforms, the first after each new law only ``_DRAW_BLOCK`` long, as
+    a law read off few states may soon end.  A range with no single law,
+    as on five-three, the factorial chain or next to a bound that clips
+    the rows, hands the uniforms it has not used to a loop that steps one
+    state at a time through the kernel's ``cols``, filled over the walk's
+    range when the walk reaches a state not yet in it.  Both take the
+    same steps, so the stream is one deterministic function of the seed,
+    and on a fresh kernel the table grows as under the stepping loop alone.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
     rng = np.random.default_rng(seed)
     out = np.empty(length + 1, dtype=np.int64)
-    out[0] = s = start
+    out[0] = start
+    t, u = 0, np.empty(0)
+    law = _column_law(kernel, start) if length else None
+    size = _DRAW_BLOCK
+    while law is not None and t < length:
+        lo, hi = law[:2]
+        if lo is not None and not lo <= out[t] <= hi:
+            law = _column_law(kernel, int(out[t]))
+            size = _DRAW_BLOCK
+            continue
+        if not u.size:
+            u = rng.random(min(_PASS_BLOCK, length - t))
+        v = u[:size]
+        n = _follow(law, v, out[t:t + v.size + 1])
+        t += n
+        u = u[n:]
+        size = _PASS_BLOCK
+    _step(kernel, out, t, u, rng)
+    return BackwardPath(out, start, seed, kernel.base.name)
+
+
+def _column_law(kernel: BackwardKernel, s: int):
+    """The column law of a range of states that holds ``s``, or None.
+
+    A law ``(lo, hi, absolute, values)`` says that every state j of
+    lo..hi has ``values.size`` predecessors and that its k-th, ascending,
+    is ``values[k]`` when ``absolute[k]`` and ``j + values[k]`` otherwise.
+    When the rules certify one offset law on Z, the range is all of Z
+    (lo and hi None) and every entry is relative; else the law is read
+    off the kernel's column table, grown to hold s, over its in-domain
+    states, and there is none when their counts differ or are 0, or an
+    entry is neither fixed nor at a fixed offset.
+    """
     offs = kernel.step_offsets()
     if offs is not None:
-        steps = np.asarray(offs, dtype=np.int64)
-        u = rng.random(length)
-        u *= steps.size
-        picks = steps[u.astype(np.int64)]
-        np.cumsum(picks, out=out[1:])
-        out[1:] += start
-        return BackwardPath(out, start, seed, kernel.base.name)
+        return None, None, np.zeros(len(offs), bool), np.array(offs, np.int64)
+    t = kernel.columns(s, s)
+    m = kernel.base
+    lo = t.lo if m.lo is None else max(t.lo, m.lo)
+    hi = t.hi if m.hi is None else min(t.hi, m.hi)
+    ptr = t.indptr[lo - t.lo:hi - t.lo + 2]
+    c = int(ptr[1] - ptr[0])
+    if not c or (np.diff(ptr) != c).any():
+        return None
+    preds = t.indices[ptr[0]:ptr[-1]].reshape(-1, c)       # from t.lo
+    rel = preds - np.arange(lo - t.lo, hi - t.lo + 1)[:, None]
+    absolute = (preds == preds[0]).all(axis=0)
+    if not (absolute | (rel == rel[0]).all(axis=0)).all():
+        return None
+    return lo, hi, absolute, np.where(absolute, preds[0] + t.lo, rel[0])
 
+
+def _follow(law, u: np.ndarray, out: np.ndarray) -> int:
+    """Steps of the law from ``out[0]``, one per uniform, into ``out[1:]``.
+
+    The path is the cumulative sum of the relative steps, restarted at
+    each absolute draw.  Returns the number of states kept: all of them,
+    or up to and including the first that leaves the law's range, whose
+    own step the law does not cover.
+    """
+    lo, hi, absolute, values = law
+    x = out[1:]
+    picks = (u * values.size).astype(np.int64)
+    steps = values[picks]
+    restart = absolute[picks]
+    if restart.any():
+        at = np.flatnonzero(restart)
+        fixed = steps[at]
+        steps[at] = 0
+        np.cumsum(steps, out=x)
+        base = np.empty(at.size + 1, dtype=np.int64)
+        base[0] = out[0]
+        base[1:] = fixed - x[at]
+        x += base[np.cumsum(restart)]
+    else:
+        np.cumsum(steps, out=x)
+        x += out[0]
+    if lo is not None:
+        outside = x < lo
+        outside |= x > hi
+        first = int(outside.argmax())
+        if outside[first]:
+            return first + 1
+    return x.size
+
+
+def _step(kernel: BackwardKernel, out: np.ndarray, t: int,
+          left: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``out[t + 1:]`` from ``out[t]`` one state at a time.
+
+    The uniforms ``left`` come first, then blocks of ``_DRAW_BLOCK``
+    drawn from ``rng``; each block's states are stored at once.
+    """
+    length = out.size - 1
+    if t == length:
+        return
     cols = kernel.cols
-    kernel.columns(start, start)
-    preds, c = cols[start]
-    for lo in range(1, length + 1, _DRAW_BLOCK):
+    s = int(out[t])
+    kernel.columns(s, s)
+    preds, c = cols[s]
+    while t < length:
+        if not left.size:
+            left = rng.random(min(_DRAW_BLOCK, length - t))
         block: list[int] = []
         append = block.append
-        draws = iter(rng.random(min(_DRAW_BLOCK, length + 1 - lo)).tolist())
+        draws = iter(left.tolist())
         while True:
             try:
                 for u in draws:
@@ -87,8 +184,9 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
             except IndexError:      # an empty column
                 raise StuckWalk(f"state {s} has no predecessors; "
                                 "backward walk is stuck") from None
-        out[lo:lo + len(block)] = block
-    return BackwardPath(out, start, seed, kernel.base.name)
+        out[t + 1:t + 1 + len(block)] = block
+        t += len(block)
+        left = left[:0]
 
 
 def sample_paths(kernel: BackwardKernel, start: int, length: int,

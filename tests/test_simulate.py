@@ -12,11 +12,12 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+import fairshift.simulate as simulate
 from fairshift import (
-    Abs, BackwardPath, StuckWalk, TransitionRuleSet, build_backward_kernel,
-    biased_walk, equidistribution_test, factorial_chain, fair_measure_from,
+    Abs, AbsRay, BackwardPath, Rel, SchemaError, StuckWalk, TransitionRuleSet,
+    build_backward_kernel, biased_walk, equidistribution_test, factorial_chain, fair_measure_from,
     five_three_chain, full_shift, geo_mean_convergence, geo_mean_series,
     origin_broadcast, path_statistics, sample_backward, sample_paths,
     solve_stationary, unbiased_walk,
@@ -108,18 +109,58 @@ def reference_backward(kernel, start, length, seed=0):
     return out
 
 
+def sampled(kernel, start, length, seed, stepping=False):
+    """The states of ``sample_backward`` and the step at which its stepping
+    loop took over (``length`` when the vectorised pass took every step).
+    With ``stepping`` no column law is found, so the loop takes them all."""
+    handoff = []
+    step = simulate._step
+
+    def spy(kernel, out, t, *rest):
+        handoff.append(t)
+        step(kernel, out, t, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_step", spy)
+        if stepping:
+            mp.setattr(simulate, "_column_law", lambda kernel, s: None)
+        states = sample_backward(kernel, start, length, seed).states
+    return states, handoff[0]
+
+
+def follows_one_law(kernel, states):
+    """True when the columns of ``states`` have one nonzero count and each
+    k-th predecessor is one fixed state or at one fixed offset."""
+    cols = [(j, kernel.preds(j)) for j in sorted(states)]
+    c = len(cols[0][1])
+    if not c or any(len(p) != c for _, p in cols):
+        return False
+    return all(len({p[k] for _, p in cols}) == 1
+               or len({p[k] - j for j, p in cols}) == 1 for k in range(c))
+
+
 def assert_sampler_matches_reference(m, start, length, seed):
+    """Check ``sample_backward`` against the reference and return the step
+    at which its stepping loop took over, asserting that the pass ran
+    while the visited states followed one column law and stopped only
+    where the kernel's table of columns follows none."""
     kernel = kernel_of(m)
-    assert kernel.step_offsets() is None      # the stepping loop runs
     try:
         want = reference_backward(kernel, start, length, seed)
     except StuckWalk as exc:
         with pytest.raises(StuckWalk) as got:
             sample_backward(kernel, start, length, seed)
         assert str(got.value) == str(exc)
-    else:
-        got = sample_backward(kernel, start, length, seed)
-        assert np.array_equal(got.states, want), (m.name, seed)
+        return None
+    got, handoff = sampled(kernel, start, length, seed)
+    assert np.array_equal(got, want), (m.name, seed)
+    if handoff < length:
+        table = kernel.columns(start, start)
+        assert not follows_one_law(kernel, [
+            j for j in range(table.lo, table.hi + 1) if m.contains(j)])
+    elif length:
+        assert follows_one_law(kernel, set(got[:-1].tolist()))
+    return handoff
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,8 +175,14 @@ def test_table_sampler_matches_the_reference_on_finite_chains(
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_table_sampler_matches_the_reference_on_builtin_families(seed):
-    for m in (origin_broadcast(), five_three_chain(), factorial_chain()):
-        assert_sampler_matches_reference(m, m.spiral(1)[0], 100_000, seed)
+    assert assert_sampler_matches_reference(
+        origin_broadcast(), 0, 100_000, seed) == 100_000
+    for m in (five_three_chain(), factorial_chain()):
+        # the start state alone has a law, which ends where the walk leaves it
+        start = m.spiral(1)[0]
+        path = reference_backward(kernel_of(m), start, 100_000, seed)
+        assert assert_sampler_matches_reference(
+            m, start, 100_000, seed) == int(np.argmax(path != start)), m.name
     orphan = TransitionRuleSet(lo=0, hi=1, head=2,
                                explicit={0: (Abs(1),), 1: (Abs(1),)},
                                name="orphan")
@@ -143,16 +190,81 @@ def test_table_sampler_matches_the_reference_on_builtin_families(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("m", [unbiased_walk(), biased_walk()],
+@pytest.mark.parametrize("m", [unbiased_walk(), biased_walk(),
+                               origin_broadcast(), full_shift(3)],
                          ids=lambda m: m.name)
-def test_offset_pass_is_the_stepping_loop_in_one_pass(m, seed, monkeypatch):
+def test_offset_pass_is_the_stepping_loop_in_one_pass(m, seed):
+    """The vectorised pass, with offsets from the rules (the walks) or a
+    column law read off the table (absolute entries included), gives the
+    stepping loop's path on either side of its chunk size."""
+    block = simulate._PASS_BLOCK
+    for length in (block - 1, block, block + 1, 2 * block + 7):
+        fast, handoff = sampled(kernel_of(m), 0, length, seed)
+        assert handoff == length                # the pass took every step
+        slow, handoff = sampled(kernel_of(m), 0, length, seed, stepping=True)
+        assert handoff == 0
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(
+            fast, reference_backward(kernel_of(m), 0, length, seed))
+
+
+def test_column_laws_read_off_the_table():
+    """Origin-broadcast's columns (0, j + 1) are one fixed entry and one
+    relative one; a chain whose columns all have two predecessors, the
+    first 0, 0, 1, has none."""
+    kernel = kernel_of(origin_broadcast())
+    kernel.columns(0, 5)
+    lo, hi, absolute, values = simulate._column_law(kernel, 0)
+    assert (lo, hi, absolute.tolist(), values.tolist()) == (
+        0, 5, [True, False], [0, 1])
+    m = TransitionRuleSet(lo=0, hi=2, head=3, name="no-law", explicit={
+        0: (Abs(0), Abs(1)), 1: (Abs(0), Abs(2)), 2: (Abs(1), Abs(2))})
     kernel = kernel_of(m)
-    assert kernel.step_offsets() is not None        # the one-pass draw runs
-    fast = sample_backward(kernel, 0, 10_000, seed).states
-    monkeypatch.setattr(type(kernel), "step_offsets", lambda self: None)
-    slow = sample_backward(kernel, 0, 10_000, seed).states
-    assert np.array_equal(fast, slow)
-    assert np.array_equal(fast, reference_backward(kernel, 0, 10_000, seed))
+    kernel.columns(0, 2)
+    assert simulate._column_law(kernel, 0) is None
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_bound_hands_the_pass_to_the_stepping_loop(seed):
+    """Origin-broadcast clipped at 12: the top state has one predecessor,
+    so once the table reaches it there is no column law, and the uniforms
+    left go to the stepping loop mid-path."""
+    m = TransitionRuleSet(lo=0, hi=12, head=1, explicit={0: (AbsRay(0),)},
+                          tail={0: (Rel(-1),)}, name="origin-broadcast-12")
+    handoff = assert_sampler_matches_reference(m, 0, 100_000, seed)
+    assert 0 < handoff < 100_000
+
+
+@st.composite
+def broadcast_chains(draw):
+    """Rule sets whose head rows cover a ray, as origin-broadcast's does,
+    over one tail rule of relative steps, on bounded and unbounded domains."""
+    head = draw(st.integers(1, 2))
+    lo = draw(st.none() | st.just(0) | st.integers(1 - head, 0))
+    hi = draw(st.none() | st.integers(0, 30))
+    explicit = {}
+    for i in range(1 - head if lo is None else lo, head):
+        if hi is None or i <= hi:
+            ray = (AbsRay(draw(st.integers(-2, 2))),)
+            explicit[i] = ray + tuple(Rel(o) for o in draw(
+                st.sets(st.integers(-2, 2), max_size=1)))
+    offsets = draw(st.sets(st.integers(-3, 2), min_size=1, max_size=3))
+    try:
+        m = TransitionRuleSet(lo=lo, hi=hi, head=head, explicit=explicit,
+                              tail={0: tuple(Rel(o) for o in sorted(offsets))},
+                              name="broadcast")
+    except SchemaError:
+        assume(False)
+    return m, draw(st.sampled_from(m.spiral(3)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(broadcast_chains(), st.sampled_from([1, 100, 2_000, 20_000]),
+       st.integers(0, 2))
+def test_sampler_matches_the_reference_on_broadcast_rules(
+        chain_and_start, length, seed):
+    m, start = chain_and_start
+    assert_sampler_matches_reference(m, start, length, seed)
 
 
 def test_deterministic_cycle_path():
