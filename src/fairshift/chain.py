@@ -26,7 +26,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -409,13 +408,6 @@ class TransitionRuleSet:
         return (i for i in range(self.lo, self.hi + 1)
                 if self._is_tail_state(i) and i % self.period == r)
 
-    def column_count(self, j: int) -> int | float:
-        """Number of predecessors of j (may be math.inf)."""
-        self._require(j)
-        if self._column_divergent(j):
-            return math.inf
-        return len(self.predecessors(j))
-
     # -- structure hints --------------------------------------------------
 
     def pure_offsets(self) -> tuple[int, ...] | None:
@@ -462,10 +454,12 @@ class BackwardKernel:
     Row j is the uniform distribution over the c_j predecessors of j, so
     the columns alone fix the kernel.  ``cols`` is the one Python store
     of them: each enumerated state maps to its predecessors, ascending,
-    and their count.  ``preds`` fills one entry; ``columns`` fills a
-    range of them and compiles it into one ``ColumnTable``, which the
-    window solve, Monte Carlo returns and the sampler's column laws read.
-    The exact return series and the stepping sampler index ``cols`` itself.
+    and their count.  ``preds`` fills one entry, and is the only reader
+    of the rule set's columns; every other module reads a column through
+    it.  ``columns`` fills a range of entries and compiles it into one
+    ``ColumnTable``, which the window solve, Monte Carlo returns and the
+    sampler's column laws read.  The exact return series and the stepping
+    sampler index ``cols`` itself.
     """
 
     base: TransitionRuleSet
@@ -507,15 +501,6 @@ class BackwardKernel:
         t = ColumnTable(lo, hi, indptr, indices - lo)
         object.__setattr__(self, "_table", t)
         return t
-
-    def row(self, j: int) -> list[tuple[int, Fraction]]:
-        preds = self.preds(j)
-        if not preds:
-            # empty column: the backward walk is stuck; truncation layers
-            # drop such states, samplers refuse to start on them
-            return []
-        w = Fraction(1, len(preds))
-        return [(i, w) for i in preds]
 
     def step_offsets(self) -> tuple[int, ...] | None:
         """Backward step offsets when every Q row is the same offset law."""

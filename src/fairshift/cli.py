@@ -169,7 +169,7 @@ def _load_input(arg: str):
     except KeyError:
         raise fio.ParseError(
             f"{arg!r} is neither a file nor a builtin name; builtins: "
-            f"{', '.join(sorted(CHAIN_FAMILIES))}, full-shift-<k>, "
+            f"{', '.join(sorted(CHAIN_FAMILIES))}, full-shift-<k> (k >= 1), "
             f"{', '.join(sorted(fio.MAP_FAMILIES))}, dendrite") from None
 
 
@@ -294,7 +294,7 @@ def cmd_analyze(args) -> int:
     kernel = build_backward_kernel(m)
     report["atomic_orbits"] = [
         list(o.states) for o in
-        find_atomic_fair_measures(m, 6, m.reaching(min(window, 64)))]
+        find_atomic_fair_measures(kernel, 6, m.reaching(min(window, 64)))]
     pi = _solve(args, "analyze.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution", "reason": sol.note,
          "diagnostics": sol.diagnostics.as_dict(),
@@ -316,9 +316,9 @@ def cmd_analyze(args) -> int:
         "P": _forward_rows(mu, [i for i in pi.support() if abs(i) <= disp]),
         "fair_entropy": h,
         "entropy_tail_bound": tail,
-        "integral_log_c": integral_log_c(mu, m, window=reach),
+        "integral_log_c": integral_log_c(mu, window=reach),
         "fairness_max_violation": float(
-            check_fair_on_cylinders(mu, m, depth=args.depth,
+            check_fair_on_cylinders(mu, depth=args.depth,
                                     window=pi.window or window)),
         "diagnostics": pi.diagnostics.as_dict() if pi.diagnostics else
                        {"provenance": pi.provenance},
@@ -563,7 +563,8 @@ def cmd_graph(args) -> int:
     fio.write_json(os.path.join(out, "chain.json"),
                    fio.chain_to_dict(m_refined))
 
-    bound = max(abs(s) for s in m_refined.states(10 ** 9))
+    # the refined states are 0..hi, the partition's intervals in order
+    bound = m_refined.hi
     agree = all(m_interval.successors(i, within=bound)
                 == m_refined.successors(i, within=bound)
                 for i in m_refined.states(bound))
@@ -574,33 +575,28 @@ def cmd_graph(args) -> int:
                    "window": args.window, "tolerance": args.tolerance},
         "graph": spec.name,
         "arcs": len(spec.arcs),
-        "refined_states": len(m_refined.states(bound)),
+        "refined_states": bound + 1,
         "pipelines_agree": agree,
     }
-    kernel_r = build_backward_kernel(m_refined)
-    pi = _solve(args, "graph.json", report, kernel_r, lambda sol: (
+    kernel = build_backward_kernel(m_refined)
+    pi = _solve(args, "graph.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution",
          "diagnostics": sol.diagnostics.as_dict()},
         "verdict NoSummableSolution", EXIT_OK))
     if isinstance(pi, int):
         return pi
 
-    # equal successors on an equal domain give equal columns: one solve
-    same = agree and (m_interval.lo, m_interval.hi) == (m_refined.lo, m_refined.hi)
-    kernel_i = kernel_r if same else build_backward_kernel(m_interval)
-    pi_i = pi if same else solve_stationary(kernel_i, tolerance=args.tolerance)
-    mu_r = fair_measure_from(pi, kernel_r, window=pi.window or bound)
-    h_shift = fair_entropy(mu_r, window=bound)
-    report["verdict"] = "PositiveRecurrent"
-    report["fair_entropy_shift_side"] = h_shift
-    if isinstance(pi_i, StationaryVector):
-        mu_i = mu_r if same else fair_measure_from(
-            pi_i, kernel_i, window=pi_i.window or bound)
-        fair = lebesgue_fair_model(imap, mu_i)
-        report["fair_entropy_rohlin_side"] = rohlin_entropy(fair)
-        report["pipeline_entropy_gap"] = abs(
-            report["fair_entropy_rohlin_side"] - h_shift)
-        report["fair_model_pieces"] = fair.piece_count()
+    mu = fair_measure_from(pi, kernel, window=pi.window or bound)
+    h_shift = fair_entropy(mu, window=bound)
+    fair = lebesgue_fair_model(imap, mu)
+    h_rohlin = rohlin_entropy(fair)
+    report.update({
+        "verdict": "PositiveRecurrent",
+        "fair_entropy_shift_side": h_shift,
+        "fair_entropy_rohlin_side": h_rohlin,
+        "pipeline_entropy_gap": abs(h_rohlin - h_shift),
+        "fair_model_pieces": fair.piece_count(),
+    })
     _emit(args, "graph.json", report,
           f"fair_entropy {h_shift:.12g} over {len(spec.arcs)} arcs")
     return EXIT_OK
@@ -673,12 +669,12 @@ def cmd_verify(args) -> int:
           residual, args.tolerance * 10)
 
     mu = fair_measure_from(pi, kernel, window=wnd)
-    violation = float(check_fair_on_cylinders(mu, m, depth=args.depth,
+    violation = float(check_fair_on_cylinders(mu, depth=args.depth,
                                               window=wnd))
     check("fair_on_cylinders", violation <= 1e-8, violation, 1e-8)
 
     h = fair_entropy(mu, window=wnd)
-    integral = integral_log_c(mu, m, window=wnd)
+    integral = integral_log_c(mu, window=wnd)
     tail = entropy_tail_estimate(mu, window=wnd) + 1e-6
     check("entropy_equals_integral_log_c", abs(h - integral) <= tail,
           abs(h - integral), tail)

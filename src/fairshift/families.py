@@ -19,6 +19,7 @@ of the backward kernel is known in closed form there is a companion
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .chain import AbsRay, Rel, RelRay, TransitionRuleSet
@@ -103,11 +104,17 @@ CHAIN_FAMILIES = {
 
 
 def chain_by_name(name: str, **params) -> TransitionRuleSet:
-    if name.startswith("full-shift-"):
-        return full_shift(int(name.rsplit("-", 1)[1]))
+    """The named family, ``full-shift-<k>`` for a decimal k >= 1.
+
+    An unknown name raises KeyError, and a parameter that the family does
+    not take raises TypeError.
+    """
+    k = re.fullmatch(r"full-shift-([1-9][0-9]*)", name)
+    if k:
+        return full_shift(int(k[1]), **params)
     try:
         return CHAIN_FAMILIES[name](**params)
     except KeyError:
         raise KeyError(f"unknown family {name!r}; known: "
-                       f"{sorted(CHAIN_FAMILIES)} or full-shift-<k>") from None
-
+                       f"{sorted(CHAIN_FAMILIES)} or full-shift-<k> "
+                       "for k >= 1") from None

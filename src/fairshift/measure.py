@@ -328,11 +328,13 @@ def verify_stationary(pi: StationaryVector, kernel: BackwardKernel, window: int)
     acc: dict[int, Number] = {}
     for j in states:
         wj = pi.weight(j)
-        if wj == 0:
+        preds = kernel.preds(j)
+        if wj == 0 or not preds:
             continue
-        for i, q in kernel.row(j):
+        wq = wj * Fraction(1, len(preds))
+        for i in preds:
             if i in inside:
-                acc[i] = acc.get(i, zero) + wj * q
+                acc[i] = acc.get(i, zero) + wq
     residual = zero
     for i in _interior(kernel.base, states):
         residual += abs(acc.get(i, zero) - pi.weight(i))
@@ -429,8 +431,8 @@ def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
     return float(acc) / float(mu.pi.total)
 
 
-def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
-                            depth: int, window: int) -> Number:
+def check_fair_on_cylinders(mu: FairMeasure, depth: int,
+                            window: int) -> Number:
     """Worst violation of mu([i . w]) = mu([w]) / c(w0), in measure units.
 
     ``build_forward_matrix`` sets p_ij = w_j / (w_i c_j), so each preimage
@@ -446,7 +448,7 @@ def check_fair_on_cylinders(mu: FairMeasure, m: TransitionRuleSet,
     """
     zero = Fraction(0) if mu.pi.ratios_exact else 0.0
     worst = zero
-    for i in _interior(m, m.states(window)):
+    for i in _interior(mu.base, mu.base.states(window)):
         wi = mu.pi.weight(i)
         out = sum((wi * p for _, p in mu.forward.row(i)), zero)
         worst = max(worst, abs(out - wi))
@@ -490,16 +492,12 @@ def entropy_tail_estimate(mu: FairMeasure, window: int) -> float:
     return mu.pi.tail_mass_bound * max(row_h, 1.0)
 
 
-def integral_log_c(mu: FairMeasure, m: TransitionRuleSet, window: int) -> float:
+def integral_log_c(mu: FairMeasure, window: int) -> float:
     """Integral of log c over the measure, truncated to the window."""
     total = 0.0
     for i in mu.pi.support():
-        if abs(i) > window:
-            continue
-        c = m.column_count(i)
-        if c is math.inf:
-            raise InfinitePreimages(i)
-        total += mu.pi.entry(i) * math.log(c)
+        if abs(i) <= window:
+            total += mu.pi.entry(i) * math.log(len(mu.kernel.preds(i)))
     return total
 
 
@@ -518,13 +516,13 @@ class AtomicOrbit:
         return len(self.states)
 
 
-def find_atomic_fair_measures(m: TransitionRuleSet, max_period: int,
+def find_atomic_fair_measures(kernel: BackwardKernel, max_period: int,
                               window: int) -> list[AtomicOrbit]:
-    states = m.states(window)
     unique_pred: dict[int, int] = {}
-    for s in states:
-        if m.column_count(s) == 1:
-            unique_pred[s] = m.predecessors(s)[0]
+    for s in kernel.base.states(window):
+        preds = kernel.preds(s)
+        if len(preds) == 1:
+            unique_pred[s] = preds[0]
     orbits: set[tuple[int, ...]] = set()
     for s in unique_pred:
         path = [s]

@@ -23,10 +23,7 @@ __all__ = [
     "GeoMeanReport", "equidistribution_test", "equidistribution_report",
 ]
 
-_DRAW_BLOCK = 4096      # uniforms per draw of the stepping loop
-_PASS_BLOCK = 1 << 14   # uniforms per chunk of the vectorised pass, whose
-                        # first chunk under a new law is a _DRAW_BLOCK
-# no block size changes the stream
+_BLOCK = 1 << 14    # uniforms per draw; no block size changes the stream
 
 
 @dataclass(frozen=True)
@@ -51,15 +48,14 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     Each step takes ``preds[int(u * c)]`` for a uniform u and column
     count c.  While the visited states follow one column law (see
     ``_column_law``), as on the walks, origin-broadcast and the full
-    shifts, the steps are taken in one vectorised pass per chunk of
-    uniforms, the first after each new law only ``_DRAW_BLOCK`` long, as
-    a law read off few states may soon end.  A range with no single law,
-    as on five-three, the factorial chain or next to a bound that clips
-    the rows, hands the uniforms it has not used to a loop that steps one
-    state at a time through the kernel's ``cols``, filled over the walk's
-    range when the walk reaches a state not yet in it.  Both take the
-    same steps, so the stream is one deterministic function of the seed,
-    and on a fresh kernel the table grows as under the stepping loop alone.
+    shifts, the steps are taken in one vectorised pass per block of
+    uniforms.  A range with no single law, as on five-three, the
+    factorial chain or next to a bound that clips the rows, hands the
+    uniforms it has not used to a loop that steps one state at a time
+    through the kernel's ``cols``, filled over the walk's range when the
+    walk reaches a state not yet in it.  Both take the same steps, so the
+    stream is one deterministic function of the seed, and on a fresh
+    kernel the table grows as under the stepping loop alone.
     """
     if not kernel.contains(start):
         raise ValueError(f"start state {start} outside domain")
@@ -68,20 +64,16 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
     out[0] = start
     t, u = 0, np.empty(0)
     law = _column_law(kernel, start) if length else None
-    size = _DRAW_BLOCK
     while law is not None and t < length:
         lo, hi = law[:2]
         if lo is not None and not lo <= out[t] <= hi:
             law = _column_law(kernel, int(out[t]))
-            size = _DRAW_BLOCK
             continue
         if not u.size:
-            u = rng.random(min(_PASS_BLOCK, length - t))
-        v = u[:size]
-        n = _follow(law, v, out[t:t + v.size + 1])
+            u = rng.random(min(_BLOCK, length - t))
+        n = _follow(law, u, out[t:t + u.size + 1])
         t += n
         u = u[n:]
-        size = _PASS_BLOCK
     _step(kernel, out, t, u, rng)
     return BackwardPath(out, start, seed, kernel.base.name)
 
@@ -155,7 +147,7 @@ def _step(kernel: BackwardKernel, out: np.ndarray, t: int,
           left: np.ndarray, rng: np.random.Generator) -> None:
     """Fill ``out[t + 1:]`` from ``out[t]`` one state at a time.
 
-    The uniforms ``left`` come first, then blocks of ``_DRAW_BLOCK``
+    The uniforms ``left`` come first, then blocks of ``_BLOCK``
     drawn from ``rng``; each block's states are stored at once.
     """
     length = out.size - 1
@@ -167,7 +159,7 @@ def _step(kernel: BackwardKernel, out: np.ndarray, t: int,
     preds, c = cols[s]
     while t < length:
         if not left.size:
-            left = rng.random(min(_DRAW_BLOCK, length - t))
+            left = rng.random(min(_BLOCK, length - t))
         block: list[int] = []
         append = block.append
         draws = iter(left.tolist())
@@ -263,12 +255,13 @@ def _word_counts(states: np.ndarray, depth: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def path_statistics(path: BackwardPath, m, depth: int = 1) -> PathStats:
+def path_statistics(path: BackwardPath, kernel: BackwardKernel,
+                    depth: int = 1) -> PathStats:
     """Visit and cylinder frequencies along one path.
 
     A length-m word's frequency is its count over the n-m+1 windows
-    divided by that window count.  ``m`` is the transition rule set of the
-    sampled chain, used for the column counts in the geometric mean.
+    divided by that window count.  ``kernel`` is the backward kernel of
+    the sampled chain, whose column counts enter the geometric mean.
     """
     states = path.states
     n = states.size
@@ -276,7 +269,7 @@ def path_statistics(path: BackwardPath, m, depth: int = 1) -> PathStats:
     visits = {int(v): int(c) / n for v, c in zip(vals, cnts)}
     counts = _word_counts(states, depth)
     freqs = {w: c / (n - len(w) + 1) for w, c in counts.items()}
-    logs = sum(math.log2(len(m.predecessors(int(v)))) * int(c)
+    logs = sum(math.log2(len(kernel.preds(int(v)))) * int(c)
                for v, c in zip(vals, cnts))
     rev_vals, rev_first = np.unique(states[::-1], return_index=True)
     last = {int(v): int(n - 1 - i) for v, i in zip(rev_vals, rev_first)}
@@ -334,7 +327,7 @@ class GeoMeanReport:
 
 def geo_mean_target(mu: FairMeasure) -> float:
     """Limit of the running geometric means: exp of the integral of log c."""
-    return math.exp(integral_log_c(mu, mu.base, window=math.inf))
+    return math.exp(integral_log_c(mu, window=math.inf))
 
 
 def geo_mean_convergence(path: BackwardPath, mu: FairMeasure) -> GeoMeanReport:

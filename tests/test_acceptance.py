@@ -82,7 +82,7 @@ def test_criterion_2_factorial_stationary_and_both_entropy_formulas():
     h = fair_entropy(mu, pi.window)
     assert abs(h - SIX_DIGIT_ENTROPY) <= 1e-4
     assert abs(h - FACTORIAL_ENTROPY) <= 1e-6      # independent series oracle
-    integral = integral_log_c(mu, m, pi.window)
+    integral = integral_log_c(mu, pi.window)
     assert abs(integral - h) <= 1e-3
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -128,19 +128,19 @@ def test_criterion_4_fairness_identities_are_exact():
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
     mu = fair_measure_from(origin_broadcast_stationary(40), kernel, 40)
-    v1 = check_fair_on_cylinders(mu, m, depth=4, window=12)
+    v1 = check_fair_on_cylinders(mu, depth=4, window=12)
     assert isinstance(v1, Fraction) and v1 == 0
 
     shift = full_shift(2)
     k2 = build_backward_kernel(shift)
     mu2 = fair_measure_from(full_shift_stationary(2), k2, 2)
-    v2 = check_fair_on_cylinders(mu2, shift, depth=3, window=2)
+    v2 = check_fair_on_cylinders(mu2, depth=3, window=2)
     assert isinstance(v2, Fraction) and v2 == 0
 
     bern = StationaryVector(weights={0: F(1, 3), 1: F(2, 3)}, total=F(1),
                             provenance="closed-form")
     mu3 = fair_measure_from(bern, k2, 2)
-    v3 = check_fair_on_cylinders(mu3, shift, depth=1, window=2)
+    v3 = check_fair_on_cylinders(mu3, depth=1, window=2)
     assert v3 == F(1, 6)
     report(4, f"broadcast depth4 = {v1}, 2-shift depth3 = {v2}, "
               f"Bernoulli(1/3) defect = {v3} (all exact)")
@@ -235,7 +235,7 @@ def test_criterion_8_five_three_has_no_fair_measure():
 
     out = solve_stationary(kernel)
     assert isinstance(out, NoSummableSolution)
-    assert find_atomic_fair_measures(m, max_period=8, window=16) == []
+    assert find_atomic_fair_measures(kernel, max_period=8, window=16) == []
     verdict = classify(kernel, ClassifyPolicy(trials=20_000))
     assert verdict.has_fair_measure is False
     report(8, f"alternating profile residual={residual} (exact), solver: "

@@ -1,7 +1,6 @@
 """Rule resolution, row/column queries and the backward kernel."""
 
 import json
-import math
 import time
 from collections import deque
 from fractions import Fraction
@@ -91,10 +90,9 @@ def test_predecessors_and_counts():
     assert origin_broadcast().predecessors(7) == [0, 8]
     assert factorial_chain().predecessors(1) == [1, 2]
     assert factorial_chain().predecessors(4) == [1, 2, 3, 4, 5]
-    assert factorial_chain().column_count(4) == 5
-    assert five_three_chain().column_count(0) == 5
-    assert five_three_chain().column_count(1) == 3
-    assert full_shift(4).column_count(2) == 4
+    assert len(five_three_chain().predecessors(0)) == 5
+    assert len(five_three_chain().predecessors(1)) == 3
+    assert full_shift(4).predecessors(2) == [0, 1, 2, 3]
 
 
 def test_successor_predecessor_duality():
@@ -157,7 +155,6 @@ def test_divergent_column_detection():
         lo=0, head=1, explicit={0: (Abs(0), Abs(1))},
         tail={0: (Abs(0),)}, name="collapse")
     assert everything_to_zero.divergent_witness() == 0
-    assert everything_to_zero.column_count(0) is math.inf
     with pytest.raises(InfinitePreimages):
         everything_to_zero.predecessors(0)
     for m in ALL_FAMILIES:
@@ -226,15 +223,14 @@ def test_states_support_is_window_monotone():
 # -- backward kernel ---------------------------------------------------------
 
 def test_kernel_rows_are_exact_probabilities():
+    # row j of Q puts 1/c_j on each of the c_j predecessors of j, so it is
+    # a probability vector when they are distinct and there is at least one
     for m in ALL_FAMILIES:
         q = build_backward_kernel(m)
         for j in m.states(9):
-            row = q.row(j)
-            states = [i for i, _ in row]
-            assert states == m.predecessors(j)
-            total = sum(p for _, p in row)
-            assert total == Fraction(1)
-            assert all(p == Fraction(1, len(row)) for _, p in row)
+            preds = q.preds(j)
+            assert list(preds) == m.predecessors(j)
+            assert preds and list(preds) == sorted(set(preds))
 
 
 def test_kernel_row_of_orphan_column_is_empty():
@@ -242,8 +238,8 @@ def test_kernel_row_of_orphan_column_is_empty():
                           explicit={0: (Abs(1),), 1: (Abs(1),)},
                           name="orphan")
     q = build_backward_kernel(m)
-    assert q.row(0) == []
-    assert [i for i, _ in q.row(1)] == [0, 1]
+    assert q.preds(0) == ()
+    assert q.preds(1) == (0, 1)
 
 
 def test_kernel_offsets():
@@ -273,8 +269,6 @@ def test_kernel_preds_are_the_memoised_columns():
         for j in m.states(6):
             assert k.preds(j) == tuple(m.predecessors(j))
             assert k.preds(j) is k.preds(j)
-            assert k.row(j) == [(i, Fraction(1, len(k.preds(j))))
-                                for i in k.preds(j)]
 
 
 # -- irreducibility ----------------------------------------------------------
@@ -299,8 +293,14 @@ def test_reducible_pair_is_reported():
 def test_chain_by_name_full_shift_parsing():
     m = chain_by_name("full-shift-5")
     assert m.states(99) == [0, 1, 2, 3, 4]
-    with pytest.raises(KeyError):
-        chain_by_name("no-such-chain")
+    # k is decimal, at least 1 and without a sign or leading zeros
+    for name in ("no-such-chain", "full-shift-0", "full-shift-x",
+                 "full-shift--2", "full-shift-+2", "full-shift-02",
+                 "full-shift-"):
+        with pytest.raises(KeyError):
+            chain_by_name(name)
+    with pytest.raises(TypeError):
+        chain_by_name("full-shift-3", bogus=7)
 
 
 def test_same_matrix_compares_rules_not_names():
@@ -696,7 +696,7 @@ def test_rule_set_queries_match_the_term_by_term_reference(params, data):
     probe = range(-8, 9)
     for i in probe:
         for f in ("_row_nonempty", "row_unbounded", "successors",
-                  "predecessors", "column_count"):
+                  "predecessors"):
             assert outcome(getattr(m, f), i) == outcome(getattr(ref, f), i)
         for w in (0, 2, 5, 9):
             assert outcome(m.successors, i, within=w) == \

@@ -359,7 +359,7 @@ def test_generated_graph_specs_run_end_to_end(spec):
     mu = fair_measure_from(pi, kernel, window=pi.window)
     h = fair_entropy(mu, window=pi.window)
     assert h == pytest.approx(rep["fair_entropy_shift_side"], rel=1e-11)
-    assert abs(h - integral_log_c(mu, chain_doc, window=pi.window)) <= (
+    assert abs(h - integral_log_c(mu, window=pi.window)) <= (
         entropy_tail_estimate(mu, window=pi.window) + 1e-6)
 
 
@@ -698,6 +698,8 @@ MALFORMED = {
     "dendrite-window-0": ({"kind": "graph", "family": "dendrite",
                            "window": 0}, None),
     "head-1e12": ({**CHAIN, "window": 10 ** 12, "tail_rules": WALK}, None),
+    "full-shift-extra-key": ({**CHAIN, "family": "full-shift-3", "bogus": 7},
+                             "family"),
     "not-utf8": (b'\xff{"kind": "chain"}', None),
 }
 
@@ -722,6 +724,18 @@ def test_a_malformed_spec_ends_in_one_error_line(tmp_path, capsys, case):
     assert err.startswith("fairshift: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["full-shift-0", "full-shift-x",
+                                  "full-shift--2"])
+def test_a_malformed_full_shift_name_ends_in_one_error_line(tmp_path, capsys,
+                                                            name):
+    out = tmp_path / "o"
+    assert main(["analyze", name, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fairshift: {name!r} is neither a file nor")
+    assert len(err.splitlines()) == 1
     assert not out.exists()
 
 
@@ -771,9 +785,9 @@ def test_windows_shift_to_a_domain_away_from_zero(tmp_path, capsys,
     write_json(spec, BEYOND[name])
     windows = []        # the cylinder check's windows, which ran on states
 
-    def recording(mu, m, depth, window):
-        windows.append(len(m.states(window)))
-        return measure.check_fair_on_cylinders(mu, m, depth, window)
+    def recording(mu, depth, window):
+        windows.append(len(mu.base.states(window)))
+        return measure.check_fair_on_cylinders(mu, depth, window)
     monkeypatch.setattr(cli, "check_fair_on_cylinders", recording)
     code, out = run(tmp_path, "analyze", str(spec))
     assert code == 0

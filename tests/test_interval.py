@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
-    Branch, FinitePartition, GeometricPartition, HitsPartitionPoint,
+    Abs, Branch, FinitePartition, GeometricPartition, HitsPartitionPoint,
     InadmissibleWord, IntegerPartition, MarkovIntervalMap, NotMarkov, Piece,
-    PiecewiseAffineMap, StationaryVector, build_backward_kernel,
+    PiecewiseAffineMap, Rel, StationaryVector, build_backward_kernel,
     check_lebesgue_fair,
     cylinder_interval, dump_json, factorial_chain, factorial_stationary,
     fair_measure_from, five_three_chain, five_three_map, full_shift,
@@ -69,11 +69,27 @@ def test_tent_map_compiles_to_the_full_two_shift():
     assert entries_equal(m, full_shift(2), 9)
 
 
+def test_finite_branch_images_on_a_geometric_partition():
+    # branch n maps onto (r^{n+1}, r^{n-1}), the union of intervals n and
+    # n + 1: explicit head rows of absolute terms and a tail of offsets
+    r = F(1, 2)
+    imap = MarkovIntervalMap(GeometricPartition(r), name="two-step",
+                             rule=lambda n: Branch(n, r ** (n + 1),
+                                                   r ** (n - 1)))
+    m = transition_matrix(imap)
+    assert (m.lo, m.hi, m.head) == (1, None, 4)
+    assert m.explicit == {n: (Abs(n), Abs(n + 1)) for n in (1, 2, 3)}
+    assert m.tail == {0: (Rel(0), Rel(1))}
+    for n in range(1, 12):
+        assert m.successors(n) == [n, n + 1]
+        assert m.predecessors(n) == ([1] if n == 1 else [n - 1, n])
+
+
 def test_staircase_compiles_to_the_factorial_chain():
     m = transition_matrix(staircase_map())
     assert entries_equal(m, factorial_chain(), 9)
     for j in range(1, 9):
-        assert m.column_count(j) == j + 1
+        assert len(m.predecessors(j)) == j + 1
 
 
 def test_five_three_map_compiles_to_the_five_three_chain():
@@ -410,8 +426,8 @@ def exact_stationary(kernel, k):
     # replaced by the normalisation
     rows = [[F(0)] * k + [F(0)] for _ in range(k)]
     for j in range(k):
-        for i, q in kernel.row(j):
-            rows[i][j] += q
+        for i in kernel.preds(j):
+            rows[i][j] += F(1, len(kernel.preds(j)))
         rows[j][j] -= 1
     rows[-1] = [F(1)] * k + [F(1)]
     for col in range(k):

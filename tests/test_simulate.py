@@ -197,7 +197,7 @@ def test_offset_pass_is_the_stepping_loop_in_one_pass(m, seed):
     """The vectorised pass, with offsets from the rules (the walks) or a
     column law read off the table (absolute entries included), gives the
     stepping loop's path on either side of its chunk size."""
-    block = simulate._PASS_BLOCK
+    block = simulate._BLOCK
     for length in (block - 1, block, block + 1, 2 * block + 7):
         fast, handoff = sampled(kernel_of(m), 0, length, seed)
         assert handoff == length                # the pass took every step
@@ -271,9 +271,10 @@ def test_deterministic_cycle_path():
     m = TransitionRuleSet(lo=0, hi=2, head=3,
                           explicit={0: (Abs(1),), 1: (Abs(2),), 2: (Abs(0),)},
                           name="three-cycle")
-    path = sample_backward(kernel_of(m), start=0, length=9, seed=0)
+    k = kernel_of(m)
+    path = sample_backward(k, start=0, length=9, seed=0)
     assert path.states.tolist() == [0, 2, 1, 0, 2, 1, 0, 2, 1, 0]
-    stats = path_statistics(path, m)
+    stats = path_statistics(path, k)
     assert stats.geo_mean_c == 1.0
     assert stats.visit_frequencies[0] == pytest.approx(0.4)
 
@@ -317,9 +318,9 @@ def test_visit_frequency_of_first_state_factorial():
 
 
 def test_path_statistics_shapes():
-    m = origin_broadcast()
-    path = sample_backward(kernel_of(m), 0, 10_000, seed=1)
-    stats = path_statistics(path, m, depth=2)
+    k = kernel_of(origin_broadcast())
+    path = sample_backward(k, 0, 10_000, seed=1)
+    stats = path_statistics(path, k, depth=2)
     assert stats.length == 10_000
     assert abs(sum(stats.visit_frequencies.values()) - 1.0) < 1e-12
     assert abs(sum(v for w, v in stats.cylinder_frequencies.items()
