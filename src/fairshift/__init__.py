@@ -34,9 +34,8 @@ from .interval import (Branch, Enclosure, FinitePartition,
                        itinerary, lebesgue_fair_model, merged_segments,
                        point_from_itinerary, rohlin_entropy, staircase_map,
                        tent_map, transition_matrix)
-from .measure import (AtomicOrbit, FairMeasure, ForwardMatrix,
-                      NoSummableSolution, SingularWindow, StationaryVector,
-                      WindowExhausted, build_forward_matrix,
+from .measure import (AtomicOrbit, FairMeasure, NoSummableSolution,
+                      SingularWindow, StationaryVector, WindowExhausted,
                       check_fair_on_cylinders, cylinder_measure,
                       entropy_tail_estimate, fair_entropy, fair_measure_from,
                       find_atomic_fair_measures, integral_log_c,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from fractions import Fraction
@@ -64,6 +65,19 @@ def _count(least: int):
     return count
 
 
+def _tolerance(text: str) -> float:
+    """Argument type: a finite number above 0; 1e-400, which reads as 0,
+    is refused too."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {text!r}")
+    return value
+
+
 # parse_args returns a fresh namespace each call and never writes to the
 # parser, so one parser serves every call of main in a process
 @functools.cache
@@ -78,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: current)")
         sp.add_argument("--window", type=_count(0), default=None, metavar="N",
                         help=window_help)
-        sp.add_argument("--tolerance", type=float, default=1e-10,
+        sp.add_argument("--tolerance", type=_tolerance, default=1e-10,
                         metavar="T", help="stationary solver tolerance")
 
     depth_help = ("cylinder depth of the fairness check (default 2); "
@@ -221,7 +235,7 @@ def _solve(args, name: str, report: dict, kernel, no_solution, **kw):
 def _forward_rows(mu, states) -> dict:
     rows = {}
     for i in states:
-        row = mu.forward.row(i)
+        row = mu.row(i)
         if row:
             rows[str(i)] = {str(j): float(p) for j, p in row}
     return rows
@@ -309,7 +323,7 @@ def cmd_analyze(args) -> int:
     mu = fair_measure_from(pi, kernel, window=pi.window or window)
     reach = m.reaching(window)
     h = fair_entropy(mu, window=reach)
-    tail = entropy_tail_estimate(mu, window=reach)
+    tail = entropy_tail_estimate(mu)
     report.update({
         "verdict": "PositiveRecurrent",
         "pi": {str(i): pi.entry(i) for i in pi.support() if abs(i) <= disp},
@@ -318,8 +332,7 @@ def cmd_analyze(args) -> int:
         "entropy_tail_bound": tail,
         "integral_log_c": integral_log_c(mu, window=reach),
         "fairness_max_violation": float(
-            check_fair_on_cylinders(mu, depth=args.depth,
-                                    window=pi.window or window)),
+            check_fair_on_cylinders(mu, window=pi.window or window)),
         "diagnostics": pi.diagnostics.as_dict() if pi.diagnostics else
                        {"provenance": pi.provenance},
         "tail_mass_bound": pi.tail_mass_bound,
@@ -509,7 +522,7 @@ def cmd_fairmodel(args) -> int:
                    [y for y, _ in ys], [y for _, y in ys],
                    [int(piece.slope()) for piece in model.pieces]])
 
-    violation = check_lebesgue_fair(model, depth=args.depth)
+    violation = check_lebesgue_fair(model)
     h_rohlin = rohlin_entropy(model)
     h_fair = fair_entropy(mu, window=pi.window or 64)
     report.update({
@@ -669,13 +682,12 @@ def cmd_verify(args) -> int:
           residual, args.tolerance * 10)
 
     mu = fair_measure_from(pi, kernel, window=wnd)
-    violation = float(check_fair_on_cylinders(mu, depth=args.depth,
-                                              window=wnd))
+    violation = float(check_fair_on_cylinders(mu, window=wnd))
     check("fair_on_cylinders", violation <= 1e-8, violation, 1e-8)
 
     h = fair_entropy(mu, window=wnd)
     integral = integral_log_c(mu, window=wnd)
-    tail = entropy_tail_estimate(mu, window=wnd) + 1e-6
+    tail = entropy_tail_estimate(mu) + 1e-6
     check("entropy_equals_integral_log_c", abs(h - integral) <= tail,
           abs(h - integral), tail)
 

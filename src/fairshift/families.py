@@ -22,7 +22,8 @@ import math
 import re
 from fractions import Fraction
 
-from .chain import AbsRay, Rel, RelRay, TransitionRuleSet
+from .chain import (_ENUM_LIMIT, AbsRay, Rel, RelRay, SchemaError,
+                    TransitionRuleSet)
 from .measure import StationaryVector
 
 __all__ = [
@@ -107,11 +108,16 @@ def chain_by_name(name: str, **params) -> TransitionRuleSet:
     """The named family, ``full-shift-<k>`` for a decimal k >= 1.
 
     An unknown name raises KeyError, and a parameter that the family does
-    not take raises TypeError.
+    not take raises TypeError.  Every column of a full shift holds all k
+    states, so a k above the column enumeration bound raises SchemaError;
+    it is compared as digits first, before ``int`` meets a long string.
     """
     k = re.fullmatch(r"full-shift-([1-9][0-9]*)", name)
     if k:
-        return full_shift(int(k[1]), **params)
+        digits = k[1]
+        if len(digits) > len(str(_ENUM_LIMIT)) or int(digits) > _ENUM_LIMIT:
+            raise SchemaError(f"full-shift-<k> takes k <= {_ENUM_LIMIT}")
+        return full_shift(int(digits), **params)
     try:
         return CHAIN_FAMILIES[name](**params)
     except KeyError:

@@ -293,8 +293,13 @@ def _row_descriptor(imap: MarkovIntervalMap, i: int):
     return imap.partition.covered(br.img_lo, br.img_hi)
 
 
-def transition_matrix(imap: MarkovIntervalMap, head: int = 4,
-                      probes: int = 4) -> TransitionRuleSet:
+# a geometric partition's rows 1 .. _HEAD - 1 are explicit, and the rows
+# _HEAD .. _HEAD + _PROBES - 1 must agree on one shift-invariant tail
+_HEAD = 4
+_PROBES = 4
+
+
+def transition_matrix(imap: MarkovIntervalMap) -> TransitionRuleSet:
     """Compile the map's branch images into a transition rule set.
 
     Raises NotMarkov when a branch image is not a union of partition
@@ -323,16 +328,15 @@ def transition_matrix(imap: MarkovIntervalMap, head: int = 4,
                         f"infinite {part.kind} partition without a branch")
 
     if isinstance(part, GeometricPartition):
-        head = max(head, 2)
         explicit = {}
-        for i in range(1, head):
+        for i in range(1, _HEAD):
             ids = _row_descriptor(imap, i)
             if isinstance(ids, tuple):
                 explicit[i] = (AbsRay(ids[1]),)
             else:
                 explicit[i] = tuple(Abs(j) for j in ids)
         deltas = []
-        for i in range(head, head + probes):
+        for i in range(_HEAD, _HEAD + _PROBES):
             ids = _row_descriptor(imap, i)
             if isinstance(ids, tuple):
                 deltas.append(("ray", ids[1] - i))
@@ -342,7 +346,7 @@ def transition_matrix(imap: MarkovIntervalMap, head: int = 4,
             raise NotMarkov("branch images do not settle into a shift-invariant tail")
         kind, val = deltas[0]
         tail_terms = (RelRay(val),) if kind == "ray" else tuple(Rel(o) for o in val)
-        return TransitionRuleSet(lo=1, head=head, explicit=explicit,
+        return TransitionRuleSet(lo=1, head=_HEAD, explicit=explicit,
                                  tail={0: tail_terms}, name=name)
 
     # integer lattice: find the smallest translation period of the rows
@@ -504,7 +508,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     accx: Number = 0
     for s in reversed(ids):
         br = imap.branch(s)
-        succ = [(j, p) for j, p in mu.forward.row(s) if j in rank]
+        succ = [(j, p) for j, p in mu.row(s) if j in rank]
         # successor pieces ordered right-to-left along x: an increasing
         # branch lays targets out left-to-right, so reverse its spatial order
         succ.sort(key=lambda jp: rank[jp[0]], reverse=br.increasing)
@@ -537,7 +541,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
                               gap=gap, name=f"{imap.name}-fair-model")
 
 
-def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
+def check_lebesgue_fair(model: PiecewiseAffineMap) -> Number:
     """Worst fairness defect of Lebesgue measure on the model, in weight units.
 
     Lebesgue measure is fair when the pieces out of each interval tile its
@@ -558,12 +562,10 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     states are in the chain checks.  An overflow past a slot's end always
     counts.
 
-    ``depth`` is the length of the piece words whose cells are checked,
-    and depth 1 decides every depth, so it changes neither the answer nor
-    the cost: an affine piece pulls a deeper cell back in proportion, so
+    Only the cells of single pieces are checked, as they decide every
+    depth: an affine piece pulls a deeper cell back in proportion, so
     when the depth-1 cells are fair shares of tiled slots, so is every
-    deeper cell.  A depth below 1 would check no cell and certify nothing:
-    it raises ValueError.
+    deeper cell.
 
     Pieces onto one slot must share one y-range, and slots must not
     overlap; otherwise NotMarkov is raised.  When every piece coordinate
@@ -572,8 +574,6 @@ def check_lebesgue_fair(model: PiecewiseAffineMap, depth: int = 2) -> Number:
     it is a float, and a defect within the rounding of the coordinate sums
     it compares counts as zero.
     """
-    if depth < 1:
-        raise ValueError(f"depth must be at least 1, got {depth}")
     ends = [t for p in model.pieces for t in (*p.xr, *p.yr)]
     num = Fraction if all(isinstance(t, (int, Fraction)) for t in ends) \
         else float

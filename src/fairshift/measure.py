@@ -13,8 +13,7 @@ the weights are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -26,8 +25,8 @@ from .chain import (BackwardKernel, InfinitePreimages, TransitionRuleSet,
 __all__ = [
     "StationaryVector", "NoSummableSolution", "WindowExhausted",
     "SingularWindow",
-    "SolveDiagnostics", "ForwardMatrix", "FairMeasure",
-    "solve_stationary", "verify_stationary", "build_forward_matrix",
+    "SolveDiagnostics", "FairMeasure",
+    "solve_stationary", "verify_stationary",
     "fair_measure_from", "cylinder_measure", "check_fair_on_cylinders",
     "fair_entropy", "integral_log_c", "AtomicOrbit", "find_atomic_fair_measures",
 ]
@@ -308,153 +307,132 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         n = min(2 * n, max_window)
 
 
-def _interior(base: TransitionRuleSet, states: list[int]) -> list[int]:
-    """States whose row is finite and contained in ``states``."""
-    inside = set(states)
-    return [i for i in states if not base.row_unbounded(i)
-            and inside.issuperset(base.successors(i))]
+def _per_total(pi: StationaryVector, x: Number, count: int = 1) -> Number:
+    """x / (total * count): a Fraction when the weights and the total are
+    exact, else a float."""
+    if pi.ratios_exact and isinstance(pi.total, (Fraction, int)):
+        return Fraction(x) / (pi.total * count)
+    return float(x) / (float(pi.total) * count)
+
+
+def _defects(pi: StationaryVector, kernel: BackwardKernel, window: int):
+    """Weight w_i and defect |(pi Q)_i - w_i| of each interior window state.
+
+    A state is interior when its row is finite and inside the window, so
+    the whole mass that pi Q puts on it, the sum of w_j / c_j over its
+    successors j, is visible.  Exact when the weights are exact.
+    """
+    base = kernel.base
+    states = base.states(window)
+    for i in states:
+        if base.row_unbounded(i):
+            continue
+        succ = base.successors(i)
+        if succ and (succ[0] < states[0] or succ[-1] > states[-1]):
+            continue
+        flow = sum((pi.weight(j) * Fraction(1, len(kernel.preds(j)))
+                    for j in succ), 0)
+        yield pi.weight(i), abs(flow - pi.weight(i))
 
 
 def verify_stationary(pi: StationaryVector, kernel: BackwardKernel, window: int) -> Number:
-    """l1 residual of pi Q = pi over the interior of the window.
-
-    Interior states are those whose whole incoming mass is visible, i.e.
-    their successor set is finite and contained in the window.  Exact
-    when the weights are exact.
-    """
-    states = kernel.base.states(window)
-    inside = set(states)
-    zero = Fraction(0) if pi.ratios_exact else 0.0
-    acc: dict[int, Number] = {}
-    for j in states:
-        wj = pi.weight(j)
-        preds = kernel.preds(j)
-        if wj == 0 or not preds:
-            continue
-        wq = wj * Fraction(1, len(preds))
-        for i in preds:
-            if i in inside:
-                acc[i] = acc.get(i, zero) + wq
-    residual = zero
-    for i in _interior(kernel.base, states):
-        residual += abs(acc.get(i, zero) - pi.weight(i))
-    if isinstance(residual, Fraction) and isinstance(pi.total, (Fraction, int)):
-        return residual / Fraction(pi.total)
-    return float(residual) / float(pi.total)
-
-
-@dataclass(frozen=True)
-class ForwardMatrix:
-    """Row-stochastic forward matrix p_ij = pi_j q_ji / pi_i."""
-
-    rows: Mapping[int, tuple[tuple[int, Number], ...]]
-
-    def row(self, i: int) -> tuple[tuple[int, Number], ...]:
-        return self.rows.get(i, ())
-
-    def prob(self, i: int, j: int) -> Number:
-        return self._index.get((i, j), 0)
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], Number]:
-        # the first entry of a pair wins, as in a scan of the row
-        return {(i, j): p for i, row in self.rows.items()
-                for j, p in reversed(row)}
-
-
-def build_forward_matrix(pi: StationaryVector, kernel: BackwardKernel,
-                         window: int) -> ForwardMatrix:
-    """Forward matrix on the window, exact whenever the weights are exact.
-
-    p_ij = pi_j q_ji / pi_i depends only on weight ratios, so no
-    normaliser enters.  Rows of states whose successors leave the window
-    are truncated accordingly (their sums fall short by the tail mass).
-    """
-    base = kernel.base
-    states = [s for s in base.states(window) if pi.weight(s) != 0]
-    rows: dict[int, tuple[tuple[int, Number], ...]] = {}
-    for i in states:
-        wi = pi.weight(i)
-        row = []
-        for j in base.successors(i, within=window):
-            wj = pi.weight(j)
-            if wj == 0:
-                continue
-            c = len(kernel.preds(j))
-            if isinstance(wi, Fraction) and isinstance(wj, Fraction):
-                p = wj / (wi * c)
-            else:
-                p = float(wj) / (float(wi) * c)
-            row.append((j, p))
-        rows[i] = tuple(row)
-    return ForwardMatrix(rows)
+    """l1 residual of pi Q = pi over the interior states of the window,
+    those whose whole incoming mass is visible; a state of zero weight
+    counts too.  Exact when the weights are exact."""
+    return _per_total(pi, sum(d for _, d in _defects(pi, kernel, window)))
 
 
 @dataclass(frozen=True)
 class FairMeasure:
-    """Markov measure (pi, P) together with the kernel it came from."""
+    """Markov measure (pi, P) of a stationary vector and its kernel.
+
+    The forward matrix P is derived, never passed: ``rows`` holds
+    p_ij = w_j / (w_i c_j) = pi_j q_ji / pi_i on the window, for states i
+    and successors j of nonzero weight.  It depends only on weight
+    ratios, so no normaliser enters, and it is exact whenever the weights
+    are exact.  Rows of states whose successors leave the window are
+    truncated accordingly (their sums fall short by the tail mass).
+    """
 
     pi: StationaryVector
-    forward: ForwardMatrix
     kernel: BackwardKernel
+    window: int
+    rows: Mapping[int, tuple[tuple[int, Number], ...]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pi, base = self.pi, self.kernel.base
+        rows: dict[int, tuple[tuple[int, Number], ...]] = {}
+        for i in base.states(self.window):
+            wi = pi.weight(i)
+            if wi == 0:
+                continue
+            row = []
+            for j in base.successors(i, within=self.window):
+                wj = pi.weight(j)
+                if wj == 0:
+                    continue
+                c = len(self.kernel.preds(j))
+                if isinstance(wi, Fraction) and isinstance(wj, Fraction):
+                    p = wj / (wi * c)
+                else:
+                    p = float(wj) / (float(wi) * c)
+                row.append((j, p))
+            rows[i] = tuple(row)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def base(self) -> TransitionRuleSet:
         return self.kernel.base
 
+    def row(self, i: int) -> tuple[tuple[int, Number], ...]:
+        """Row i of P as (j, p_ij) pairs, j ascending; empty off the rows."""
+        return self.rows.get(i, ())
+
 
 def fair_measure_from(pi: StationaryVector, kernel: BackwardKernel,
                       window: int) -> FairMeasure:
-    return FairMeasure(pi, build_forward_matrix(pi, kernel, window), kernel)
+    return FairMeasure(pi, kernel, window)
 
 
 def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
     """Measure of the cylinder [word] = pi_{w0} * prod p_{w_k w_{k+1}}.
 
-    Returns 0 for inadmissible words.  Exact (a Fraction) when both the
-    weights and the total are exact.
+    As p_ij = w_j / (w_i c_j), the product telescopes to
+    w_last / (total * prod_{k>=1} c_{w_k}).  Returns int 0 for
+    inadmissible words: a symbol of zero weight, or a step that is no
+    entry of P (off the rows, or beyond the window).  Exact (a Fraction)
+    when both the weights and the total are exact.
     """
     if len(word) == 0:
         raise ValueError("word must have at least one symbol")
-    w0 = word[0]
-    wgt = mu.pi.weight(w0)
-    if wgt == 0:
+    if any(mu.pi.weight(s) == 0 for s in word):
         return 0
-    acc: Number = wgt
+    count = 1
     for a, b in zip(word, word[1:]):
-        p = mu.forward.prob(a, b)
-        if p == 0:
+        preds = mu.kernel.preds(b)
+        if max(abs(a), abs(b)) > mu.window or a not in preds:
             return 0
-        acc = acc * p
-    if isinstance(acc, Fraction) and isinstance(mu.pi.total, (Fraction, int)):
-        return acc / Fraction(mu.pi.total)
-    return float(acc) / float(mu.pi.total)
+        count *= len(preds)
+    return _per_total(mu.pi, mu.pi.weight(word[-1]), count)
 
 
-def check_fair_on_cylinders(mu: FairMeasure, depth: int,
-                            window: int) -> Number:
+def check_fair_on_cylinders(mu: FairMeasure, window: int) -> Number:
     """Worst violation of mu([i . w]) = mu([w]) / c(w0), in measure units.
 
-    ``build_forward_matrix`` sets p_ij = w_j / (w_i c_j), so each preimage
-    cell of a cylinder gets its equal share by construction.  What is left
-    is whether (pi, P) is a measure at all: sum_j mu([i j]) = mu([i]) for
-    each row, which holds exactly when pi Q = pi.  The check is the
-    largest |sum_j w_i p_ij - w_i| / total over the window states whose
-    row is finite and inside the window, as in ``verify_stationary``; a
-    state of zero weight has no row of P, and a chain with only infinite
-    rows, such as the factorial chain, has none to check.  ``depth`` does
-    not change the answer: a word's defect is a multiple of the defect of
-    its last row.  Exact for exact weights.
+    P sets p_ij = w_j / (w_i c_j), so each preimage cell of a cylinder
+    gets its equal share by construction.  What is left is whether
+    (pi, P) is a measure at all: sum_j mu([i j]) = mu([i]) for each row,
+    which holds exactly when pi Q = pi.  The check is the largest defect
+    of ``verify_stationary``'s interior states of nonzero weight, as a
+    state of zero weight has no row of P; a chain with only infinite rows,
+    such as the factorial chain, has none to check.  A word's defect is a
+    multiple of the defect of its last row, so no deeper word is checked.
+    Exact for exact weights.
     """
-    zero = Fraction(0) if mu.pi.ratios_exact else 0.0
-    worst = zero
-    for i in _interior(mu.base, mu.base.states(window)):
-        wi = mu.pi.weight(i)
-        out = sum((wi * p for _, p in mu.forward.row(i)), zero)
-        worst = max(worst, abs(out - wi))
-    if isinstance(worst, Fraction) and isinstance(mu.pi.total, (Fraction, int)):
-        return worst / Fraction(mu.pi.total)
-    return float(worst) / float(mu.pi.total)
+    return _per_total(mu.pi, max(
+        (d for w, d in _defects(mu.pi, mu.kernel, window) if w != 0),
+        default=0))
 
 
 def fair_entropy(mu: FairMeasure, window: int) -> float:
@@ -470,7 +448,7 @@ def fair_entropy(mu: FairMeasure, window: int) -> float:
         pi_i = mu.pi.entry(i)
         if pi_i == 0.0:
             continue
-        for j, p in mu.forward.row(i):
+        for j, p in mu.row(i):
             pf = float(p)
             if pf > 0.0:
                 h -= pi_i * pf * math.log(pf)
@@ -479,12 +457,13 @@ def fair_entropy(mu: FairMeasure, window: int) -> float:
     return h
 
 
-def entropy_tail_estimate(mu: FairMeasure, window: int) -> float:
-    """Heuristic bound on the entropy mass outside the window."""
+def entropy_tail_estimate(mu: FairMeasure) -> float:
+    """Heuristic bound on the entropy mass outside the measure's window:
+    the stationary tail mass times the largest row entropy, at least 1."""
     row_h = 0.0
     for i in mu.pi.support():
         s = 0.0
-        for _, p in mu.forward.row(i):
+        for _, p in mu.row(i):
             pf = float(p)
             if pf > 0.0:
                 s -= pf * math.log(pf)

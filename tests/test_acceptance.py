@@ -128,21 +128,21 @@ def test_criterion_4_fairness_identities_are_exact():
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
     mu = fair_measure_from(origin_broadcast_stationary(40), kernel, 40)
-    v1 = check_fair_on_cylinders(mu, depth=4, window=12)
+    v1 = check_fair_on_cylinders(mu, window=12)
     assert isinstance(v1, Fraction) and v1 == 0
 
     shift = full_shift(2)
     k2 = build_backward_kernel(shift)
     mu2 = fair_measure_from(full_shift_stationary(2), k2, 2)
-    v2 = check_fair_on_cylinders(mu2, depth=3, window=2)
+    v2 = check_fair_on_cylinders(mu2, window=2)
     assert isinstance(v2, Fraction) and v2 == 0
 
     bern = StationaryVector(weights={0: F(1, 3), 1: F(2, 3)}, total=F(1),
                             provenance="closed-form")
     mu3 = fair_measure_from(bern, k2, 2)
-    v3 = check_fair_on_cylinders(mu3, depth=1, window=2)
+    v3 = check_fair_on_cylinders(mu3, window=2)
     assert v3 == F(1, 6)
-    report(4, f"broadcast depth4 = {v1}, 2-shift depth3 = {v2}, "
+    report(4, f"broadcast = {v1}, 2-shift = {v2}, "
               f"Bernoulli(1/3) defect = {v3} (all exact)")
 
 
@@ -184,7 +184,7 @@ def test_criterion_6_lebesgue_fair_models():
     mu = fair_measure_from(factorial_stationary(30), kernel, 30)
     model = lebesgue_fair_model(staircase_map(), mu, window=30)
     assert all(p.cmag == p.dst + 1 for p in model.pieces)
-    v = check_lebesgue_fair(model, depth=2)
+    v = check_lebesgue_fair(model)
     assert v == 0
     h = rohlin_entropy(model)
     assert abs(h - SIX_DIGIT_ENTROPY) <= 1e-3
@@ -194,7 +194,7 @@ def test_criterion_6_lebesgue_fair_models():
     tent = lebesgue_fair_model(tent_map(), mu2)
     segs = merged_segments(tent)
     assert segs == [(0.0, 0.5, 2), (0.5, 1.0, -2)]
-    assert check_lebesgue_fair(tent, depth=3) == 0
+    assert check_lebesgue_fair(tent) == 0
     report(6, f"staircase: {model.piece_count()} pieces, slopes=j+1, "
               f"violation={v}, rohlin={h:.12g}; tent segments={segs}")
 

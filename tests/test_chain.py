@@ -301,6 +301,15 @@ def test_chain_by_name_full_shift_parsing():
             chain_by_name(name)
     with pytest.raises(TypeError):
         chain_by_name("full-shift-3", bogus=7)
+    # every column holds all k states, so k stops at the enumeration bound
+    # (the bound itself reaches full_shift, which refuses the parameter
+    # before building a row); a name of 4301 digits is refused before
+    # int() meets it
+    with pytest.raises(TypeError):
+        chain_by_name(f"full-shift-{_ENUM_LIMIT}", bogus=7)
+    for k in (str(_ENUM_LIMIT + 1), "1" * 4301):
+        with pytest.raises(SchemaError, match=f"k <= {_ENUM_LIMIT}"):
+            chain_by_name(f"full-shift-{k}")
 
 
 def test_same_matrix_compares_rules_not_names():

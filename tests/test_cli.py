@@ -18,7 +18,7 @@ from fairshift import (CHAIN_FAMILIES, build_backward_kernel, chain_to_dict,
                        fair_entropy, fair_measure_from, graph_to_dict,
                        integral_log_c, refined_transition_matrix,
                        solve_stationary, unbiased_walk, write_json)
-from fairshift import chain, cli, measure
+from fairshift import chain, cli, families, measure
 from fairshift.io import ParseError, load_spec
 from fairshift.cli import main
 from test_measure import graph_specs
@@ -360,7 +360,7 @@ def test_generated_graph_specs_run_end_to_end(spec):
     h = fair_entropy(mu, window=pi.window)
     assert h == pytest.approx(rep["fair_entropy_shift_side"], rel=1e-11)
     assert abs(h - integral_log_c(mu, window=pi.window)) <= (
-        entropy_tail_estimate(mu, window=pi.window) + 1e-6)
+        entropy_tail_estimate(mu) + 1e-6)
 
 
 # -- verify -----------------------------------------------------------------------
@@ -625,6 +625,45 @@ def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-400"])
+def test_a_tolerance_that_is_no_finite_positive_number_is_rejected(
+        tmp_path, capsys, value):
+    # a nan or inf tolerance would reach the JSON writer, which refuses
+    # it, and -1 or 0 would let no window converge; 1e-400 reads as 0
+    for argv in (["analyze", "origin-broadcast"],
+                 ["classify", "origin-broadcast"],
+                 ["simulate", "origin-broadcast"],
+                 ["fairmodel", "--map-family", "tent"],
+                 ["graph", "--family", "dendrite"],
+                 ["verify", "origin-broadcast"]):
+        out = tmp_path / "o"
+        assert main([*argv, "--tolerance", value, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "argument --tolerance: must be a finite number above 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["2000001", "1" * 4301])
+def test_a_full_shift_beyond_the_enumeration_bound_is_refused(
+        tmp_path, capsys, monkeypatch, k):
+    # the bound is read off the digits: no int() of 4301 digits, no rows
+    def build(*args, **kw):
+        raise AssertionError("full_shift was called")
+    monkeypatch.setattr(families, "full_shift", build)
+    spec = tmp_path / "big.json"
+    write_json(spec, {"schema_version": 1, "kind": "chain",
+                      "family": f"full-shift-{k}"})
+    for arg in (f"full-shift-{k}", str(spec)):
+        out = tmp_path / "o"
+        assert main(["analyze", arg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("fairshift: ")
+        assert len(err.splitlines()) == 1
+        assert f"full-shift-<k> takes k <= {chain._ENUM_LIMIT}" in err
+        assert not out.exists()
+
+
 def test_windows_that_mean_nothing_are_rejected(tmp_path, capsys):
     # the dendrite has no blade window below 1, a graph spec has no window
     # at all, and a fair model has no piece bound below 1
@@ -785,9 +824,9 @@ def test_windows_shift_to_a_domain_away_from_zero(tmp_path, capsys,
     write_json(spec, BEYOND[name])
     windows = []        # the cylinder check's windows, which ran on states
 
-    def recording(mu, depth, window):
+    def recording(mu, window):
         windows.append(len(mu.base.states(window)))
-        return measure.check_fair_on_cylinders(mu, depth, window)
+        return measure.check_fair_on_cylinders(mu, window)
     monkeypatch.setattr(cli, "check_fair_on_cylinders", recording)
     code, out = run(tmp_path, "analyze", str(spec))
     assert code == 0

@@ -201,18 +201,16 @@ def dendrite_fair_model(window):
     return lebesgue_fair_model(cut_and_paste(spec).interval_map, mu)
 
 
-def test_float_check_gives_one_value_at_every_depth():
+def test_float_check_passes_the_model_and_catches_a_moved_piece():
     model = dendrite_fair_model(4)
     assert isinstance(model.pieces[0].xr[0], float)
-    values = {check_lebesgue_fair(model, depth) for depth in (1, 2, 3)}
-    assert len(values) == 1 and values.pop() < 1e-12
+    assert check_lebesgue_fair(model) < 1e-12
     # one piece's x end moved by a seventh of its length changes its slope
     pieces = list(model.pieces)
     a, b = pieces[100].xr
     pieces[100] = replace(pieces[100], xr=(a, b - (b - a) / 7))
     doctored = replace(model, pieces=tuple(pieces))
-    values = {check_lebesgue_fair(doctored, depth) for depth in (1, 2, 3)}
-    assert len(values) == 1 and values.pop() > 1e-6
+    assert check_lebesgue_fair(doctored) > 1e-6
 
 
 def test_float_model_reports_the_dendrite_truncation():

@@ -208,7 +208,7 @@ def staircase_model(window=30, ratio=F(1, 2)):
 def test_tent_model_reproduces_the_tent_map():
     model = tent_model()
     assert model.piece_count() == 4
-    assert check_lebesgue_fair(model, depth=3) == 0
+    assert check_lebesgue_fair(model) == 0
     assert merged_segments(model) == [(0.0, 0.5, 2), (0.5, 1.0, -2)]
     assert rohlin_entropy(model) == pytest.approx(math.log(2), abs=1e-12)
 
@@ -230,7 +230,7 @@ def test_staircase_model_is_exactly_fair():
     # the 30-state window leaves only the mass of the factorial tail
     # unplaced, far below any float resolution
     assert 0 <= model.gap < F(1, 10 ** 30)
-    assert check_lebesgue_fair(model, depth=2) == 0
+    assert check_lebesgue_fair(model) == 0
     # every window truncates and every ratio reshapes the slots
     for window in range(2, 31):
         for ratio in (F(1, 2), F(1, 3), F(2, 5), F(3, 4)):
@@ -267,8 +267,7 @@ def test_unequal_branch_split_breaks_fairness():
     pieces.sort(key=lambda p: p.xr[0], reverse=True)
     model = PiecewiseAffineMap(tuple(pieces), total=F(1), emitted=F(1),
                                gap=F(0), name="skew")
-    assert check_lebesgue_fair(model, depth=1) == F(1, 12)
-    assert check_lebesgue_fair(model, depth=2) == F(1, 12)
+    assert check_lebesgue_fair(model) == F(1, 12)
 
     # the balanced variant of the same construction is exactly fair
     slots = [(F(0), F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(1))]
@@ -282,7 +281,7 @@ def test_unequal_branch_split_breaks_fairness():
     pieces.sort(key=lambda p: p.xr[0], reverse=True)
     balanced = PiecewiseAffineMap(tuple(pieces), total=F(1), emitted=F(1),
                                   gap=F(0), name="thirds")
-    assert check_lebesgue_fair(balanced, depth=2) == 0
+    assert check_lebesgue_fair(balanced) == 0
     assert rohlin_entropy(balanced) == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -503,7 +502,7 @@ def doctored_models(draw):
 @given(built_models(), st.integers(1, 3))
 def test_integer_check_matches_fraction_reference_on_built_models(model,
                                                                   depth):
-    got = check_lebesgue_fair(model, depth)
+    got = check_lebesgue_fair(model)
     assert isinstance(got, Fraction)
     assert got == _reference_defect(model) == 0
     assert _reference_violation(model, depth) == 0
@@ -513,7 +512,7 @@ def test_integer_check_matches_fraction_reference_on_built_models(model,
 @given(doctored_models(), st.integers(1, 3))
 def test_integer_check_matches_fraction_reference_on_doctored_models(model,
                                                                      depth):
-    got = _outcome(check_lebesgue_fair, model, depth)
+    got = _outcome(check_lebesgue_fair, model)
     assert got == _outcome(_reference_defect, model)
     if got is not NotMarkov:
         assert isinstance(got, Fraction)
@@ -586,13 +585,13 @@ def test_doctored_models_reach_violations_and_straddles():
     a, b = p.xr
     shifted = replace(model, pieces=(replace(p, xr=(a, b - (b - a) / 7)),
                                      *model.pieces[1:]))
-    assert check_lebesgue_fair(shifted, 2) == _reference_defect(shifted)
-    assert check_lebesgue_fair(shifted, 2) > 0
+    assert check_lebesgue_fair(shifted) == _reference_defect(shifted)
+    assert check_lebesgue_fair(shifted) > 0
     c, d = p.yr
     straddling = replace(model, pieces=(replace(p, yr=(c, d - (d - c) / 3)),
                                         *model.pieces[1:]))
     with pytest.raises(NotMarkov):
-        check_lebesgue_fair(straddling, 2)
+        check_lebesgue_fair(straddling)
     # triangle(4) has weights 4, 3, 2, 1 and every piece of length 1; its
     # slots run along rho as 3: (0, 1), 2: (1, 3), 1: (3, 6), 0: (6, 10).
     # Piece 0 is 0 -> 0 on (9, 10) and piece 3 is 0 -> 3 on (6, 7); both
@@ -604,8 +603,8 @@ def test_doctored_models_reach_violations_and_straddles():
         a, b = pieces[k].xr
         pieces[k] = replace(pieces[k], xr=(a, b - (b - a) / 5))
     shrunk = replace(model, pieces=tuple(pieces))
-    assert check_lebesgue_fair(shrunk, 2) == _reference_defect(shrunk)
-    assert check_lebesgue_fair(shrunk, 2) == F(2, 5)
+    assert check_lebesgue_fair(shrunk) == _reference_defect(shrunk)
+    assert check_lebesgue_fair(shrunk) == F(2, 5)
 
 
 def test_a_mixed_slot_on_a_truncation_boundary_is_skipped():
@@ -622,8 +621,8 @@ def test_a_mixed_slot_on_a_truncation_boundary_is_skipped():
     pieces[24] = replace(pieces[24], xr=(a, b - (b - a) / 5))
     pieces[18] = replace(pieces[18], increasing=False)
     mixed = replace(model, pieces=tuple(pieces))
-    assert check_lebesgue_fair(mixed, 2) == _reference_defect(mixed)
-    assert check_lebesgue_fair(mixed, 2) == F(1, 15)
+    assert check_lebesgue_fair(mixed) == _reference_defect(mixed)
+    assert check_lebesgue_fair(mixed) == F(1, 15)
     # one piece onto the slot claims a fourth preimage: the slot becomes a
     # truncation boundary and its piece defect is not counted, but the
     # hole that piece 24 leaves in slot 1 still is
@@ -631,23 +630,23 @@ def test_a_mixed_slot_on_a_truncation_boundary_is_skipped():
         bumped = list(pieces)
         bumped[k] = replace(pieces[k], cmag=4)
         bumped = replace(model, pieces=tuple(bumped))
-        assert check_lebesgue_fair(bumped, 2) == _reference_defect(bumped)
-        assert check_lebesgue_fair(bumped, 2) == F(1, 15)
+        assert check_lebesgue_fair(bumped) == _reference_defect(bumped)
+        assert check_lebesgue_fair(bumped) == F(1, 15)
     # piece 20 is 1 -> 6 on (719/720, 5039/5040), the last piece of slot
     # 1 = (0, 1); the truncation hole 1/5040 after it is excused, but an
     # overflow by as much is not
     over = list(model.pieces)
     over[20] = replace(pieces[20], xr=(pieces[20].xr[0], 1 + F(1, 5040)))
     over = replace(model, pieces=tuple(over))
-    assert check_lebesgue_fair(over, 2) == _reference_defect(over)
-    assert check_lebesgue_fair(over, 2) == F(1, 5040)
+    assert check_lebesgue_fair(over) == _reference_defect(over)
+    assert check_lebesgue_fair(over) == F(1, 5040)
     # slot 6 = (65/24, 163/60) has 6 of its 7 preimages in the window, so
     # the built model skips it; claimed complete, its pieces of length
     # 1/840 miss the share (1/120) / 6 by 1/5040
     complete = replace(model, pieces=tuple(
         replace(p, cmag=6) if p.dst == 6 else p for p in model.pieces))
-    assert check_lebesgue_fair(model, 2) == 0
-    assert check_lebesgue_fair(complete, 2) == F(1, 5040)
+    assert check_lebesgue_fair(model) == 0
+    assert check_lebesgue_fair(complete) == F(1, 5040)
 
 
 # -- finite partition lookups against a linear scan ------------------------------
@@ -681,10 +680,3 @@ def test_finite_partition_lookups_match_a_linear_scan(points, data):
         lo, hi = data.draw(queries), data.draw(queries)
         assert (_outcome(part.covered, lo, hi)
                 == _outcome(_scan_covered, points, lo, hi))
-
-
-@pytest.mark.parametrize("depth", [0, -1])
-def test_a_check_of_no_cells_is_refused(depth):
-    # depth 0 walks no cell, so its 0 would certify nothing
-    with pytest.raises(ValueError, match="depth must be at least 1"):
-        check_lebesgue_fair(tent_model(), depth)

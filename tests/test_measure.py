@@ -5,6 +5,7 @@ the defining recursions, stdlib Fraction/math only) before these tests
 were written.
 """
 
+import itertools
 import math
 import pathlib
 import warnings
@@ -16,10 +17,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fairshift import (
-    Abs, FairMeasure, ForwardMatrix, InfinitePreimages, NoSummableSolution,
+    Abs, FairMeasure, InfinitePreimages, NoSummableSolution,
     SingularWindow, StationaryVector, TransitionRuleSet, biased_walk,
-    build_backward_kernel,
-    build_forward_matrix, check_fair_on_cylinders, cylinder_measure,
+    build_backward_kernel, check_fair_on_cylinders, cylinder_measure,
     dendrite_example,
     factorial_chain, factorial_stationary, fair_entropy, fair_measure_from,
     find_atomic_fair_measures, five_three_chain, five_three_profile,
@@ -297,27 +297,41 @@ def test_fairness_exact_zero_for_closed_forms():
                       (factorial_chain(), factorial_stationary(40))):
         kernel = build_backward_kernel(m)
         mu = fair_measure_from(closed, kernel, 40)
-        v = check_fair_on_cylinders(mu, depth=3, window=10)
+        v = check_fair_on_cylinders(mu, window=10)
         assert v == 0
     # with an exact total the violation stays a Fraction
     mu = fair_measure_from(origin_broadcast_stationary(40),
                            build_backward_kernel(origin_broadcast()), 40)
-    v = check_fair_on_cylinders(mu, depth=2, window=8)
+    v = check_fair_on_cylinders(mu, window=8)
     assert isinstance(v, Fraction) and v == 0
 
 
-def test_fairness_catches_a_mismatched_forward_matrix():
-    """Conditional fairness is a property of the (weights, forward) pair;
-    pairing the true weights with transition rows balanced against a
-    different vector must show up as a positive violation."""
+def test_a_fair_measure_derives_its_forward_matrix():
+    # P is built from the measure's own weights: no constructor takes one
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
-    true_pi = origin_broadcast_stationary(30)
-    skew = {i: Fraction(1, 3 ** (i + 1)) for i in range(31)}   # wrong decay
-    skew_pi = StationaryVector(weights=skew, total=sum(skew.values()),
-                               provenance="closed-form")
-    mu = FairMeasure(true_pi, build_forward_matrix(skew_pi, kernel, 30), kernel)
-    assert check_fair_on_cylinders(mu, depth=2, window=8) > 0
+    with pytest.raises(TypeError):
+        FairMeasure(origin_broadcast_stationary(30), kernel, 30, rows={})
+    mu = FairMeasure(origin_broadcast_stationary(30), kernel, 30)
+    assert mu.row(3) == ((2, Fraction(1)),)
+    assert mu.row(0)[:2] == ((0, Fraction(1, 2)), (1, Fraction(1, 4)))
+
+
+def test_a_zero_weight_state_counts_in_the_residual_but_not_the_max():
+    # 0 -> {1}, 1 -> {1}: c_1 = 2, so pi Q puts 1/2 on each state against
+    # the weights 0 and 1; the l1 residual sums both defects, while P has
+    # no row at the zero-weight state 0
+    m = TransitionRuleSet(lo=0, hi=1, head=2,
+                          explicit={0: (Abs(1),), 1: (Abs(1),)}, name="sink")
+    kernel = build_backward_kernel(m)
+    pi = StationaryVector(weights={1: Fraction(1)}, total=Fraction(1),
+                          provenance="closed-form")
+    assert verify_stationary(pi, kernel, 1) == 1
+    mu = fair_measure_from(pi, kernel, 1)
+    assert mu.row(0) == ()
+    assert check_fair_on_cylinders(mu, window=1) == Fraction(1, 2)
+    assert reference_check(pi, kernel, 1) == Fraction(1, 2)
+    assert reference_residual(pi, kernel, 1) == 1
 
 
 def test_two_symbol_shift_uniform_is_fair_but_bernoulli_third_is_not():
@@ -328,12 +342,12 @@ def test_two_symbol_shift_uniform_is_fair_but_bernoulli_third_is_not():
     kernel = build_backward_kernel(m)
     uniform = full_shift_stationary(2)
     assert check_fair_on_cylinders(
-        fair_measure_from(uniform, kernel, 4), depth=3, window=4) == 0
+        fair_measure_from(uniform, kernel, 4), window=4) == 0
 
     bern = StationaryVector(weights={0: Fraction(1, 3), 1: Fraction(2, 3)},
                             total=Fraction(1), provenance="closed-form")
     mu = fair_measure_from(bern, kernel, 4)
-    assert check_fair_on_cylinders(mu, depth=1, window=4) == Fraction(1, 6)
+    assert check_fair_on_cylinders(mu, window=4) == Fraction(1, 6)
 
 
 def test_an_inadmissible_word_has_measure_exactly_zero():
@@ -347,13 +361,36 @@ def test_an_inadmissible_word_has_measure_exactly_zero():
         assert got == 0 and type(got) is int, word
 
 
+@pytest.mark.parametrize("m, pi", [
+    (origin_broadcast(), origin_broadcast_stationary(12)),
+    (factorial_chain(), factorial_stationary(12)),
+    (full_shift(3), full_shift_stationary(3)),
+], ids=["origin-broadcast", "factorial-chain", "full-shift-3"])
+def test_cylinder_measure_is_the_product_along_the_rows(m, pi):
+    # w_last / (total * prod c) against pi_{w0} * prod p_{w_k w_{k+1}}
+    # read off the rows of P, on every word of length 3 over the states
+    # 0..5, admissible or not
+    mu = fair_measure_from(pi, build_backward_kernel(m), 12)
+    exact = isinstance(pi.total, Fraction)
+    for word in itertools.product(range(6), repeat=3):
+        want = pi.weight(word[0])
+        for a, b in zip(word, word[1:]):
+            want *= dict(mu.row(a)).get(b, 0)
+        want = want / pi.total if want else 0
+        got = cylinder_measure(mu, word)
+        if exact or not want:
+            assert got == want and type(got) is type(want), word
+        else:
+            assert got == pytest.approx(want, rel=1e-14), word
+
+
 def test_forward_rows_are_stochastic_and_balanced():
     for m in (origin_broadcast(), factorial_chain(), full_shift(3)):
         mu, kernel, pi = measure_of(m)
         for i in pi.support():
             if abs(i) > 12:
                 continue
-            row = mu.forward.row(i)
+            row = mu.row(i)
             gap = abs(sum(float(p) for _, p in row) - 1.0)
             if set(m.successors(i, within=pi.window)) <= set(pi.support()):
                 assert gap <= 1e-9
@@ -364,17 +401,7 @@ def test_forward_rows_are_stochastic_and_balanced():
                 assert abs(pi.entry(i) * float(p) - pi.entry(j) * float(q)) <= 1e-10
 
 
-# -- the cylinder check against a kernel-side reference ----------------------
-
-class ScanMatrix(ForwardMatrix):
-    """The forward matrix with the linear-scan ``prob``, kept verbatim."""
-
-    def prob(self, i, j):
-        for k, p in self.rows.get(i, ()):
-            if k == j:
-                return p
-        return 0
-
+# -- the interior defects against kernel-side references ----------------------
 
 def reference_check(pi, kernel, window):
     """max |sum_{j in succ(i)} w_j / c_j - w_i| / total over the window
@@ -398,20 +425,35 @@ def reference_check(pi, kernel, window):
     return float(worst) / float(pi.total)
 
 
-def assert_check_matches_reference(mu, m, depths, window):
-    scan = ScanMatrix(mu.forward.rows)
-    states = m.states(window + 1)       # one ring of absent pairs beyond
-    for i in states:
-        for j in states:
-            got, want = mu.forward.prob(i, j), scan.prob(i, j)
-            assert got == want and repr(got) == repr(want), (i, j)
-    want = reference_check(mu.pi, mu.kernel, window)
-    for depth in depths:
-        got = check_fair_on_cylinders(mu, depth, window)
+def reference_residual(pi, kernel, window):
+    """sum |(pi Q)_i - w_i| / total over the window states whose row is
+    finite and inside the window, with pi Q scattered from the kernel's
+    columns: each window state j sends w_j / c_j to each predecessor."""
+    m = kernel.base
+    states = m.states(window)
+    zero = Fraction(0) if pi.ratios_exact else 0.0
+    flow = {}
+    for j in states:
+        preds = kernel.preds(j)
+        for i in preds:
+            flow[i] = flow.get(i, zero) + pi.weight(j) / len(preds)
+    residual = sum((abs(flow.get(i, zero) - pi.weight(i)) for i in states
+                    if not m.row_unbounded(i)
+                    and set(m.successors(i)) <= set(states)), zero)
+    if isinstance(residual, Fraction) and isinstance(pi.total, (Fraction, int)):
+        return residual / Fraction(pi.total)
+    return float(residual) / float(pi.total)
+
+
+def assert_check_matches_reference(mu, window):
+    for got, want in ((check_fair_on_cylinders(mu, window),
+                       reference_check(mu.pi, mu.kernel, window)),
+                      (verify_stationary(mu.pi, mu.kernel, window),
+                       reference_residual(mu.pi, mu.kernel, window))):
         if isinstance(want, Fraction):
-            assert isinstance(got, Fraction) and got == want, depth
+            assert isinstance(got, Fraction) and got == want
         else:
-            assert abs(got - want) <= 1e-12, depth
+            assert abs(got - want) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)
@@ -426,7 +468,7 @@ def test_cylinder_check_matches_the_reference_on_finite_chains(
         assume(False)
     assume(isinstance(pi, StationaryVector))
     mu = fair_measure_from(pi, kernel, window)
-    assert_check_matches_reference(mu, m, (1, 2, 3), window)
+    assert_check_matches_reference(mu, window)
 
 
 @pytest.mark.parametrize("m, pi", [
@@ -440,7 +482,7 @@ def test_cylinder_check_matches_the_reference_on_finite_chains(
 def test_cylinder_check_matches_the_reference_on_builtins(m, pi):
     kernel = build_backward_kernel(m)
     mu = fair_measure_from(pi or solve_stationary(kernel), kernel, 40)
-    assert_check_matches_reference(mu, m, (1, 2, 3, 4), 12)
+    assert_check_matches_reference(mu, 12)
 
 
 def test_cylinder_check_matches_the_reference_where_it_fails():
@@ -452,15 +494,15 @@ def test_cylinder_check_matches_the_reference_where_it_fails():
     skew_pi = StationaryVector(weights=skew, total=sum(skew.values()),
                                provenance="closed-form")
     mu = fair_measure_from(skew_pi, kernel, 40)
-    assert_check_matches_reference(mu, m, (1, 2, 3, 4), 12)
-    assert check_fair_on_cylinders(mu, 2, 12) > 0
+    assert_check_matches_reference(mu, 12)
+    assert check_fair_on_cylinders(mu, 12) > 0
     solved = solve_stationary(kernel)
     weights = dict(solved.weights)
     weights[3] *= 1.01
     doctored = StationaryVector(weights, solved.total, window=solved.window)
     mu = fair_measure_from(doctored, kernel, solved.window)
-    assert_check_matches_reference(mu, m, (1, 2), solved.window)
-    assert check_fair_on_cylinders(mu, 2, solved.window) > 1e-4
+    assert_check_matches_reference(mu, solved.window)
+    assert check_fair_on_cylinders(mu, solved.window) > 1e-4
 
 
 def test_cylinder_check_fails_a_vector_that_is_not_stationary():
@@ -473,8 +515,7 @@ def test_cylinder_check_fails_a_vector_that_is_not_stationary():
                           total=Fraction(1, 2), provenance="closed-form")
     assert verify_stationary(pi, kernel, 40) > 0
     mu = fair_measure_from(pi, kernel, 40)
-    for depth in (1, 2, 3):
-        assert check_fair_on_cylinders(mu, depth, 12) == Fraction(1, 9)
+    assert check_fair_on_cylinders(mu, 12) == Fraction(1, 9)
 
 
 # -- entropy -----------------------------------------------------------------
