@@ -182,9 +182,14 @@ class TransitionRuleSet:
         return max(window, 2 * max(0, self.lo or 0, -(self.hi or 0)))
 
     def states(self, bound: int) -> list[int]:
-        """In-domain states with |i| <= bound, ascending."""
+        """In-domain states with |i| <= bound, ascending.  More than
+        ``_ENUM_LIMIT`` of them raise SchemaError: no window, solve or
+        class split that lists them all fits in memory."""
         lo = -bound if self.lo is None else max(self.lo, -bound)
         hi = bound if self.hi is None else min(self.hi, bound)
+        if hi - lo >= _ENUM_LIMIT:
+            raise SchemaError(f"{hi - lo + 1} states with |i| <= {bound} in "
+                              f"{self.name}; at most {_ENUM_LIMIT} are listed")
         return list(range(lo, hi + 1))
 
     def spiral(self, count: int) -> list[int]:

@@ -30,9 +30,9 @@ from .graph import (TameGraphMapSpec, cut_and_paste, dendrite_example,
 from .interval import (MarkovIntervalMap, NotMarkov, check_lebesgue_fair,
                        lebesgue_fair_model, merged_segments, rohlin_entropy,
                        transition_matrix)
-from .measure import (SingularWindow, StationaryVector, WindowExhausted,
-                      check_fair_on_cylinders, entropy_tail_estimate,
-                      fair_entropy, fair_measure_from,
+from .measure import (FairMeasure, SingularWindow, StationaryVector,
+                      WindowExhausted, check_fair_on_cylinders,
+                      entropy_tail_estimate, fair_entropy, fair_measure_from,
                       find_atomic_fair_measures, integral_log_c,
                       solve_stationary, verify_stationary)
 from .recurrence import ClassifyPolicy, classify
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  f"({', '.join(sorted(CHAIN_FAMILIES))}, "
                                  "full-shift-<k>, tent, staircase, "
                                  "five-three-map, dendrite)")
-    common(a, "state window for reports and checks (default 64)")
+    common(a, "window of the rows shown and of the probes (default 64)")
     a.add_argument("--depth", type=_count(1), default=2,
                    help=depth_help)
     a.set_defaults(func=cmd_analyze)
@@ -200,14 +200,27 @@ def _outdir(args) -> str:
     return args.out
 
 
+def _report(args, subject: tuple[str, str], **config) -> dict:
+    """The header of a report: the schema version, the configuration (the
+    command, its input and tolerance, then ``config``, which may override
+    the input's label) and the subject, such as ``("chain", m.name)``."""
+    key, name = subject
+    return {"schema_version": fio.SCHEMA_VERSION,
+            "config": {"command": args.command, "input": args.input,
+                       "tolerance": args.tolerance, **config},
+            key: name}
+
+
 def _emit(args, name: str, report: dict, line: str) -> None:
     path = os.path.join(_outdir(args), name)
     fio.write_json(path, report)
     print(f"{line} -> {path}")
 
 
-def _solve(args, name: str, report: dict, kernel, no_solution, **kw):
-    """Stationary vector of the kernel, or the exit code of a finished run.
+def _solve(args, name: str, report: dict, kernel, no_solution,
+           **kw) -> FairMeasure:
+    """The fair measure of the kernel's stationary vector, or the end of
+    the run, by ``SystemExit`` with its exit code.
 
     When the window budget runs out the report is emitted with verdict
     ``Unknown`` (exit 2).  When no summable solution exists,
@@ -220,13 +233,13 @@ def _solve(args, name: str, report: dict, kernel, no_solution, **kw):
         report["verdict"] = "Unknown"
         report["diagnostics"] = exc.diagnostics.as_dict()
         _emit(args, name, report, "verdict Unknown")
-        return EXIT_UNKNOWN
+        raise SystemExit(EXIT_UNKNOWN)
     if isinstance(pi, StationaryVector):
-        return pi
+        return fair_measure_from(pi, kernel)
     fields, line, code = no_solution(pi)
     report.update(fields)
     _emit(args, name, report, line)
-    return code
+    raise SystemExit(code)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +274,7 @@ def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
             kernel = build_backward_kernel(sub)
             pi = solve_stationary(kernel, tolerance=tolerance)
             if isinstance(pi, StationaryVector):
-                mu = fair_measure_from(pi, kernel, window=len(comp))
-                h = fair_entropy(mu, window=len(comp))
+                h = fair_entropy(fair_measure_from(pi, kernel))
                 entry["fair_entropy"] = h
                 best = h if best is None else max(best, h)
         classes.append(entry)
@@ -274,13 +286,7 @@ def cmd_analyze(args) -> int:
     window = args.window if args.window is not None else 64
     # each window around 0 is widened to reach a domain away from 0
     disp = m.reaching(min(window, 16))
-    report: dict = {
-        "schema_version": fio.SCHEMA_VERSION,
-        "config": {"command": "analyze", "input": args.input,
-                   "window": window, "tolerance": args.tolerance,
-                   "depth": args.depth},
-        "chain": m.name,
-    }
+    report = _report(args, ("chain", m.name), window=window, depth=args.depth)
 
     witness = m.divergent_witness()
     if witness is not None:
@@ -309,7 +315,7 @@ def cmd_analyze(args) -> int:
     report["atomic_orbits"] = [
         list(o.states) for o in
         find_atomic_fair_measures(kernel, 6, m.reaching(min(window, 64)))]
-    pi = _solve(args, "analyze.json", report, kernel, lambda sol: (
+    mu = _solve(args, "analyze.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution", "reason": sol.note,
          "diagnostics": sol.diagnostics.as_dict(),
          "note": ("no summable stationary vector, hence no fair "
@@ -317,12 +323,8 @@ def cmd_analyze(args) -> int:
                   "null-recurrent / transient split")},
         "verdict NoSummableSolution", EXIT_OK),
         max_window=max(window, 2 ** 14))
-    if isinstance(pi, int):
-        return pi
-
-    mu = fair_measure_from(pi, kernel, window=pi.window or window)
-    reach = m.reaching(window)
-    h = fair_entropy(mu, window=reach)
+    pi = mu.pi
+    h = fair_entropy(mu)
     tail = entropy_tail_estimate(mu)
     report.update({
         "verdict": "PositiveRecurrent",
@@ -330,9 +332,8 @@ def cmd_analyze(args) -> int:
         "P": _forward_rows(mu, [i for i in pi.support() if abs(i) <= disp]),
         "fair_entropy": h,
         "entropy_tail_bound": tail,
-        "integral_log_c": integral_log_c(mu, window=reach),
-        "fairness_max_violation": float(
-            check_fair_on_cylinders(mu, window=pi.window or window)),
+        "integral_log_c": integral_log_c(mu),
+        "fairness_max_violation": float(check_fair_on_cylinders(mu)),
         "diagnostics": pi.diagnostics.as_dict() if pi.diagnostics else
                        {"provenance": pi.provenance},
         "tail_mass_bound": pi.tail_mass_bound,
@@ -374,13 +375,9 @@ def cmd_classify(args) -> int:
                    [float(s) for s in series.partial_sums]])
 
     report = {
-        "schema_version": fio.SCHEMA_VERSION,
-        "config": {"command": "classify", "input": args.input,
-                   "trials": policy.trials, "horizons": list(policy.horizons),
-                   "seed": policy.seed, "nmax": n_max,
-                   "window": policy.max_window,
-                   "tolerance": policy.tolerance},
-        "chain": m.name,
+        **_report(args, ("chain", m.name), trials=policy.trials,
+                  horizons=list(policy.horizons), seed=policy.seed,
+                  nmax=n_max, window=policy.max_window),
         "verdict": verdict.verdict,
         "has_fair_measure": verdict.has_fair_measure,
         "evidence": verdict.evidence,
@@ -420,15 +417,10 @@ def cmd_simulate(args) -> int:
                                  int(path.states.max())),
         })
 
-    report: dict = {
-        "schema_version": fio.SCHEMA_VERSION,
-        "config": {"command": "simulate", "input": args.input,
-                   "start": start, "length": args.length,
-                   "paths": args.paths, "seed": args.seed,
-                   "depth": args.depth, "tolerance": args.tolerance},
-        "chain": m.name,
-        "per_path": per_path,
-    }
+    report = _report(args, ("chain", m.name), start=start,
+                     length=args.length, paths=args.paths, seed=args.seed,
+                     depth=args.depth)
+    report["per_path"] = per_path
     try:
         pi = solve_stationary(kernel, tolerance=args.tolerance,
                               max_window=2 ** 14 if args.window is None
@@ -441,7 +433,7 @@ def cmd_simulate(args) -> int:
                 "was found; discrepancies against a fair measure were not "
                 "computed")
     if isinstance(pi, StationaryVector):
-        mu = fair_measure_from(pi, kernel, window=pi.window or 64)
+        mu = fair_measure_from(pi, kernel)
         report["equidistribution"] = equidistribution_report(
             paths, mu, depth=args.depth)
         report["geo_mean_target"] = geo_mean_target(mu)
@@ -483,14 +475,9 @@ def cmd_fairmodel(args) -> int:
                                  field="kind")
     m = transition_matrix(imap)
     kernel = build_backward_kernel(m)
-    label = args.map_family or args.input
-    report: dict = {
-        "schema_version": fio.SCHEMA_VERSION,
-        "config": {"command": "fairmodel", "input": label,
-                   "window": args.window, "depth": args.depth,
-                   "tolerance": args.tolerance},
-        "map": imap.name,
-    }
+    report = _report(args, ("map", imap.name),
+                     input=args.map_family or args.input,
+                     window=args.window, depth=args.depth)
     window = args.window
     if window is None and not m.domain_finite():
         window = 30
@@ -499,19 +486,15 @@ def cmd_fairmodel(args) -> int:
                              field="--window")
 
     pi = _closed_form(m, window)
-    if pi is None:
-        pi = _solve(args, "fairmodel.json", report, kernel, lambda sol: (
+    mu = fair_measure_from(pi, kernel) if pi is not None else _solve(
+        args, "fairmodel.json", report, kernel, lambda sol: (
             {"verdict": "NoFairModel",
              "diagnostics": sol.diagnostics.as_dict(),
              "reason": ("no summable stationary vector, so no fair "
                         "probability measure and no Lebesgue fair "
                         "model exists for this map")},
             "verdict NoFairModel", EXIT_OK))
-        if isinstance(pi, int):
-            return pi
-
-    report["stationary_provenance"] = pi.provenance
-    mu = fair_measure_from(pi, kernel, window=pi.window or 64)
+    report["stationary_provenance"] = mu.pi.provenance
     model = lebesgue_fair_model(imap, mu, window=window)
     total = float(model.total)
     xs = [piece.x_interval(total) for piece in model.pieces]
@@ -524,7 +507,7 @@ def cmd_fairmodel(args) -> int:
 
     violation = check_lebesgue_fair(model)
     h_rohlin = rohlin_entropy(model)
-    h_fair = fair_entropy(mu, window=pi.window or 64)
+    h_fair = fair_entropy(mu)
     report.update({
         "verdict": "ModelBuilt",
         "pieces": model.piece_count(),
@@ -582,25 +565,16 @@ def cmd_graph(args) -> int:
                 == m_refined.successors(i, within=bound)
                 for i in m_refined.states(bound))
 
-    report: dict = {
-        "schema_version": fio.SCHEMA_VERSION,
-        "config": {"command": "graph", "input": args.input or "dendrite",
-                   "window": args.window, "tolerance": args.tolerance},
-        "graph": spec.name,
-        "arcs": len(spec.arcs),
-        "refined_states": bound + 1,
-        "pipelines_agree": agree,
-    }
+    report = _report(args, ("graph", spec.name),
+                     input=args.input or "dendrite", window=args.window)
+    report.update({"arcs": len(spec.arcs), "refined_states": bound + 1,
+                   "pipelines_agree": agree})
     kernel = build_backward_kernel(m_refined)
-    pi = _solve(args, "graph.json", report, kernel, lambda sol: (
+    mu = _solve(args, "graph.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution",
          "diagnostics": sol.diagnostics.as_dict()},
         "verdict NoSummableSolution", EXIT_OK))
-    if isinstance(pi, int):
-        return pi
-
-    mu = fair_measure_from(pi, kernel, window=pi.window or bound)
-    h_shift = fair_entropy(mu, window=bound)
+    h_shift = fair_entropy(mu)
     fair = lebesgue_fair_model(imap, mu)
     h_rohlin = rohlin_entropy(fair)
     report.update({
@@ -651,17 +625,11 @@ def cmd_verify(args) -> int:
     check("irreducible_on_window", irr,
           irr if irr else f"disconnected pair {pair}", "true")
 
-    report: dict = {
-        "schema_version": fio.SCHEMA_VERSION,
-        "config": {"command": "verify", "input": args.input,
-                   "window": window, "tolerance": args.tolerance,
-                   "depth": args.depth},
-        "chain": m.name,
-        "checks": checks,
-    }
+    report = _report(args, ("chain", m.name), window=window, depth=args.depth)
+    report["checks"] = checks
     structure_ok = all(c["pass"] for c in checks)
     try:
-        pi = _solve(args, "verify.json", report, kernel, lambda sol: (
+        mu = _solve(args, "verify.json", report, kernel, lambda sol: (
             {"verdict": "NoSummableSolution",
              "note": ("no summable stationary vector; measure checks "
                       "are not applicable")},
@@ -673,20 +641,15 @@ def cmd_verify(args) -> int:
         report["verdict"] = "fail"
         _emit(args, "verify.json", report, f"FAIL ({len(checks)} checks)")
         return EXIT_SPEC
-    if isinstance(pi, int):
-        return pi
 
-    wnd = pi.window or window
-    residual = float(verify_stationary(pi, kernel, window=wnd))
+    residual = float(verify_stationary(mu))
     check("stationary_residual", residual <= args.tolerance * 10,
           residual, args.tolerance * 10)
-
-    mu = fair_measure_from(pi, kernel, window=wnd)
-    violation = float(check_fair_on_cylinders(mu, window=wnd))
+    violation = float(check_fair_on_cylinders(mu))
     check("fair_on_cylinders", violation <= 1e-8, violation, 1e-8)
 
-    h = fair_entropy(mu, window=wnd)
-    integral = integral_log_c(mu, window=wnd)
+    h = fair_entropy(mu)
+    integral = integral_log_c(mu)
     tail = entropy_tail_estimate(mu) + 1e-6
     check("entropy_equals_integral_log_c", abs(h - integral) <= tail,
           abs(h - integral), tail)

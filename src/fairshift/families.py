@@ -108,15 +108,16 @@ def chain_by_name(name: str, **params) -> TransitionRuleSet:
     """The named family, ``full-shift-<k>`` for a decimal k >= 1.
 
     An unknown name raises KeyError, and a parameter that the family does
-    not take raises TypeError.  Every column of a full shift holds all k
-    states, so a k above the column enumeration bound raises SchemaError;
-    it is compared as digits first, before ``int`` meets a long string.
+    not take raises TypeError.  A full shift's kernel has k^2 entries, so
+    a k with k^2 above the enumeration bound raises SchemaError; it is
+    compared as digits first, before ``int`` meets a long string.
     """
     k = re.fullmatch(r"full-shift-([1-9][0-9]*)", name)
     if k:
-        digits = k[1]
-        if len(digits) > len(str(_ENUM_LIMIT)) or int(digits) > _ENUM_LIMIT:
-            raise SchemaError(f"full-shift-<k> takes k <= {_ENUM_LIMIT}")
+        digits, most = k[1], math.isqrt(_ENUM_LIMIT)
+        if len(digits) > len(str(most)) or int(digits) > most:
+            raise SchemaError(f"full-shift-<k> takes k <= {most}, as its "
+                              "kernel has k^2 entries")
         return full_shift(int(digits), **params)
     try:
         return CHAIN_FAMILIES[name](**params)

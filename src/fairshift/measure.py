@@ -315,36 +315,12 @@ def _per_total(pi: StationaryVector, x: Number, count: int = 1) -> Number:
     return float(x) / (float(pi.total) * count)
 
 
-def _defects(pi: StationaryVector, kernel: BackwardKernel, window: int):
-    """Weight w_i and defect |(pi Q)_i - w_i| of each interior window state.
-
-    A state is interior when its row is finite and inside the window, so
-    the whole mass that pi Q puts on it, the sum of w_j / c_j over its
-    successors j, is visible.  Exact when the weights are exact.
-    """
-    base = kernel.base
-    states = base.states(window)
-    for i in states:
-        if base.row_unbounded(i):
-            continue
-        succ = base.successors(i)
-        if succ and (succ[0] < states[0] or succ[-1] > states[-1]):
-            continue
-        flow = sum((pi.weight(j) * Fraction(1, len(kernel.preds(j)))
-                    for j in succ), 0)
-        yield pi.weight(i), abs(flow - pi.weight(i))
-
-
-def verify_stationary(pi: StationaryVector, kernel: BackwardKernel, window: int) -> Number:
-    """l1 residual of pi Q = pi over the interior states of the window,
-    those whose whole incoming mass is visible; a state of zero weight
-    counts too.  Exact when the weights are exact."""
-    return _per_total(pi, sum(d for _, d in _defects(pi, kernel, window)))
-
-
 @dataclass(frozen=True)
 class FairMeasure:
-    """Markov measure (pi, P) of a stationary vector and its kernel.
+    """Markov measure (pi, P) of a stationary vector and its kernel, on
+    the vector's window: ``pi.window``, else the largest |state| of its
+    support.  ``pi.tail_mass_bound`` covers the tail beyond, so every read
+    of the measure (rows, cylinders, checks, sums) is over that window.
 
     The forward matrix P is derived, never passed: ``rows`` holds
     p_ij = w_j / (w_i c_j) = pi_j q_ji / pi_i on the window, for states i
@@ -356,19 +332,23 @@ class FairMeasure:
 
     pi: StationaryVector
     kernel: BackwardKernel
-    window: int
+    window: int = field(init=False, compare=False)
     rows: Mapping[int, tuple[tuple[int, Number], ...]] = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pi, base = self.pi, self.kernel.base
+        window = pi.window
+        if window is None:
+            window = max(map(abs, pi.weights), default=0)
+        object.__setattr__(self, "window", window)
         rows: dict[int, tuple[tuple[int, Number], ...]] = {}
-        for i in base.states(self.window):
+        for i in base.states(window):
             wi = pi.weight(i)
             if wi == 0:
                 continue
             row = []
-            for j in base.successors(i, within=self.window):
+            for j in base.successors(i, within=window):
                 wj = pi.weight(j)
                 if wj == 0:
                     continue
@@ -390,9 +370,36 @@ class FairMeasure:
         return self.rows.get(i, ())
 
 
-def fair_measure_from(pi: StationaryVector, kernel: BackwardKernel,
-                      window: int) -> FairMeasure:
-    return FairMeasure(pi, kernel, window)
+def fair_measure_from(pi: StationaryVector, kernel: BackwardKernel) -> FairMeasure:
+    return FairMeasure(pi, kernel)
+
+
+def _defects(mu: FairMeasure):
+    """Weight w_i and defect |(pi Q)_i - w_i| of each interior state of
+    the measure's window.
+
+    A state is interior when its row is finite and inside the window, so
+    the whole mass that pi Q puts on it, the sum of w_j / c_j over its
+    successors j, is visible.  Exact when the weights are exact.
+    """
+    pi, base = mu.pi, mu.base
+    states = base.states(mu.window)
+    for i in states:
+        if base.row_unbounded(i):
+            continue
+        succ = base.successors(i)
+        if succ and (succ[0] < states[0] or succ[-1] > states[-1]):
+            continue
+        flow = sum((pi.weight(j) * Fraction(1, len(mu.kernel.preds(j)))
+                    for j in succ), 0)
+        yield pi.weight(i), abs(flow - pi.weight(i))
+
+
+def verify_stationary(mu: FairMeasure) -> Number:
+    """l1 residual of pi Q = pi over the interior states of the measure's
+    window, those whose whole incoming mass is visible; a state of zero
+    weight counts too.  Exact when the weights are exact."""
+    return _per_total(mu.pi, sum(d for _, d in _defects(mu)))
 
 
 def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
@@ -417,7 +424,7 @@ def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
     return _per_total(mu.pi, mu.pi.weight(word[-1]), count)
 
 
-def check_fair_on_cylinders(mu: FairMeasure, window: int) -> Number:
+def check_fair_on_cylinders(mu: FairMeasure) -> Number:
     """Worst violation of mu([i . w]) = mu([w]) / c(w0), in measure units.
 
     P sets p_ij = w_j / (w_i c_j), so each preimage cell of a cylinder
@@ -431,20 +438,18 @@ def check_fair_on_cylinders(mu: FairMeasure, window: int) -> Number:
     Exact for exact weights.
     """
     return _per_total(mu.pi, max(
-        (d for w, d in _defects(mu.pi, mu.kernel, window) if w != 0),
+        (d for w, d in _defects(mu) if w != 0),
         default=0))
 
 
-def fair_entropy(mu: FairMeasure, window: int) -> float:
-    """Truncated -sum pi_i p_ij log p_ij over the window.
+def fair_entropy(mu: FairMeasure) -> float:
+    """Truncated -sum pi_i p_ij log p_ij over the measure's window.
 
-    The tail beyond the window is bounded by the stationary tail mass
-    times the largest row entropy seen; callers report it alongside.
+    The tail beyond the window is bounded by ``entropy_tail_estimate``;
+    callers report it alongside.
     """
     h = 0.0
     for i in mu.pi.support():
-        if abs(i) > window:
-            continue
         pi_i = mu.pi.entry(i)
         if pi_i == 0.0:
             continue
@@ -471,11 +476,11 @@ def entropy_tail_estimate(mu: FairMeasure) -> float:
     return mu.pi.tail_mass_bound * max(row_h, 1.0)
 
 
-def integral_log_c(mu: FairMeasure, window: int) -> float:
-    """Integral of log c over the measure, truncated to the window."""
+def integral_log_c(mu: FairMeasure) -> float:
+    """Integral of log c over the measure, truncated to its window."""
     total = 0.0
     for i in mu.pi.support():
-        if abs(i) <= window:
+        if abs(i) <= mu.window:
             total += mu.pi.entry(i) * math.log(len(mu.kernel.preds(i)))
     return total
 

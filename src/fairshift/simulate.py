@@ -327,7 +327,7 @@ class GeoMeanReport:
 
 def geo_mean_target(mu: FairMeasure) -> float:
     """Limit of the running geometric means: exp of the integral of log c."""
-    return math.exp(integral_log_c(mu, window=math.inf))
+    return math.exp(integral_log_c(mu))
 
 
 def geo_mean_convergence(path: BackwardPath, mu: FairMeasure) -> GeoMeanReport:

@@ -55,8 +55,8 @@ def test_criterion_1_broadcast_stationary_entropy_and_verdict():
     l1 = sum(abs(pi.entry(i) - 2.0 ** -(i + 1)) for i in range(65))
     assert l1 <= 1e-9
 
-    mu = fair_measure_from(pi, kernel, pi.window)
-    h = fair_entropy(mu, pi.window)
+    mu = fair_measure_from(pi, kernel)
+    h = fair_entropy(mu)
     assert abs(h - math.log(2)) <= 1e-9
 
     verdict = classify(kernel, ClassifyPolicy())
@@ -78,11 +78,11 @@ def test_criterion_2_factorial_stationary_and_both_entropy_formulas():
                 for j in range(1, 31))
     assert worst <= 1e-10
 
-    mu = fair_measure_from(pi, kernel, pi.window)
-    h = fair_entropy(mu, pi.window)
+    mu = fair_measure_from(pi, kernel)
+    h = fair_entropy(mu)
     assert abs(h - SIX_DIGIT_ENTROPY) <= 1e-4
     assert abs(h - FACTORIAL_ENTROPY) <= 1e-6      # independent series oracle
-    integral = integral_log_c(mu, pi.window)
+    integral = integral_log_c(mu)
     assert abs(integral - h) <= 1e-3
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -127,20 +127,20 @@ def test_criterion_3_recurrence_trichotomy():
 def test_criterion_4_fairness_identities_are_exact():
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
-    mu = fair_measure_from(origin_broadcast_stationary(40), kernel, 40)
-    v1 = check_fair_on_cylinders(mu, window=12)
+    mu = fair_measure_from(origin_broadcast_stationary(40), kernel)
+    v1 = check_fair_on_cylinders(mu)
     assert isinstance(v1, Fraction) and v1 == 0
 
     shift = full_shift(2)
     k2 = build_backward_kernel(shift)
-    mu2 = fair_measure_from(full_shift_stationary(2), k2, 2)
-    v2 = check_fair_on_cylinders(mu2, window=2)
+    mu2 = fair_measure_from(full_shift_stationary(2), k2)
+    v2 = check_fair_on_cylinders(mu2)
     assert isinstance(v2, Fraction) and v2 == 0
 
     bern = StationaryVector(weights={0: F(1, 3), 1: F(2, 3)}, total=F(1),
                             provenance="closed-form")
-    mu3 = fair_measure_from(bern, k2, 2)
-    v3 = check_fair_on_cylinders(mu3, window=2)
+    mu3 = fair_measure_from(bern, k2)
+    v3 = check_fair_on_cylinders(mu3)
     assert v3 == F(1, 6)
     report(4, f"broadcast = {v1}, 2-shift = {v2}, "
               f"Bernoulli(1/3) defect = {v3} (all exact)")
@@ -181,7 +181,7 @@ def test_criterion_5_backward_trajectory_statistics():
 
 def test_criterion_6_lebesgue_fair_models():
     kernel = build_backward_kernel(factorial_chain())
-    mu = fair_measure_from(factorial_stationary(30), kernel, 30)
+    mu = fair_measure_from(factorial_stationary(30), kernel)
     model = lebesgue_fair_model(staircase_map(), mu, window=30)
     assert all(p.cmag == p.dst + 1 for p in model.pieces)
     v = check_lebesgue_fair(model)
@@ -190,7 +190,7 @@ def test_criterion_6_lebesgue_fair_models():
     assert abs(h - SIX_DIGIT_ENTROPY) <= 1e-3
 
     k2 = build_backward_kernel(full_shift(2))
-    mu2 = fair_measure_from(full_shift_stationary(2), k2, 2)
+    mu2 = fair_measure_from(full_shift_stationary(2), k2)
     tent = lebesgue_fair_model(tent_map(), mu2)
     segs = merged_segments(tent)
     assert segs == [(0.0, 0.5, 2), (0.5, 1.0, -2)]
@@ -230,7 +230,7 @@ def test_criterion_8_five_three_has_no_fair_measure():
     profile = five_three_profile(24)
     pi = StationaryVector(weights=profile, total=sum(profile.values()),
                           provenance="closed-form")
-    residual = verify_stationary(pi, kernel, 20)
+    residual = verify_stationary(fair_measure_from(pi, kernel))
     assert residual == 0                       # exact, interior states
 
     out = solve_stationary(kernel)

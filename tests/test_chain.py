@@ -301,14 +301,15 @@ def test_chain_by_name_full_shift_parsing():
             chain_by_name(name)
     with pytest.raises(TypeError):
         chain_by_name("full-shift-3", bogus=7)
-    # every column holds all k states, so k stops at the enumeration bound
-    # (the bound itself reaches full_shift, which refuses the parameter
-    # before building a row); a name of 4301 digits is refused before
-    # int() meets it
+    # the kernel has k^2 entries, so k stops at 1414, the largest k with
+    # k^2 within the enumeration bound (1414 reaches full_shift, which
+    # refuses the parameter before building a row); a name of 4301 digits
+    # is refused before int() meets it
+    assert 1414 ** 2 <= _ENUM_LIMIT < 1415 ** 2
     with pytest.raises(TypeError):
-        chain_by_name(f"full-shift-{_ENUM_LIMIT}", bogus=7)
-    for k in (str(_ENUM_LIMIT + 1), "1" * 4301):
-        with pytest.raises(SchemaError, match=f"k <= {_ENUM_LIMIT}"):
+        chain_by_name("full-shift-1414", bogus=7)
+    for k in ("1415", str(_ENUM_LIMIT + 1), "1" * 4301):
+        with pytest.raises(SchemaError, match="k <= 1414,"):
             chain_by_name(f"full-shift-{k}")
 
 

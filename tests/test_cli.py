@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from fairshift import (CHAIN_FAMILIES, build_backward_kernel, chain_to_dict,
                        check_irreducible, dump_json, entropy_tail_estimate,
@@ -21,6 +21,7 @@ from fairshift import (CHAIN_FAMILIES, build_backward_kernel, chain_to_dict,
 from fairshift import chain, cli, families, measure
 from fairshift.io import ParseError, load_spec
 from fairshift.cli import main
+from test_chain import finite_chains
 from test_measure import graph_specs
 
 
@@ -86,6 +87,52 @@ def test_analyze_reducible_finite_chain(tmp_path):
     assert len(rep["per_class"]["classes"]) == 2
     # two full 2-shifts side by side; supremum entropy is log 2
     assert rep["fair_entropy"] == pytest.approx(math.log(2), abs=1e-9)
+
+
+def test_analyze_sums_the_entropy_over_the_whole_measure(tmp_path,
+                                                         monkeypatch):
+    # the 100 symbols lie beyond the default window of 64, which sets only
+    # the rows shown: h and the integral of log c are read off the measure
+    # (the report keeps 12 significant digits, the spies every digit)
+    got = {}
+    for key in ("fair_entropy", "integral_log_c"):
+        def spy(mu, key=key, read=getattr(measure, key)):
+            got[key] = read(mu)
+            return got[key]
+        monkeypatch.setattr(cli, key, spy)
+    code, out = run(tmp_path, "analyze", "full-shift-100")
+    assert code == 0
+    rep = read(out, "analyze.json")
+    for key in ("fair_entropy", "integral_log_c"):
+        assert abs(got[key] - math.log(100)) <= 1e-12, key
+        assert rep[key] == 4.60517018599, key
+
+
+def test_a_narrow_window_leaves_the_entropy_within_its_tail_bound(tmp_path):
+    code, out = run(tmp_path, "analyze", "factorial-chain", "--window", "4")
+    assert code == 0
+    rep = read(out, "analyze.json")
+    code, out = run(tmp_path, "verify", "factorial-chain")
+    assert code == 0
+    want = read(out, "verify.json")["fair_entropy"]
+    assert abs(rep["fair_entropy"] - want) <= rep["entropy_tail_bound"] + 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_chains(), st.integers(1, 4))
+def test_analyze_and_verify_agree_on_the_entropy_at_any_window(
+        chain_and_window, window):
+    m, _ = chain_and_window
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = pathlib.Path(tmp) / "spec.json"
+        write_json(spec, chain_to_dict(m))
+        argv = [str(spec), "--window", str(window)]
+        code, out = run(pathlib.Path(tmp), "analyze", *argv)
+        rep = read(out, "analyze.json")
+        if code == 0 and rep["verdict"] == "PositiveRecurrent":
+            _, out = run(pathlib.Path(tmp), "verify", *argv)
+            assert read(out, "verify.json")["fair_entropy"] \
+                == rep["fair_entropy"]
 
 
 # -- classify ----------------------------------------------------------------
@@ -356,10 +403,10 @@ def test_generated_graph_specs_run_end_to_end(spec):
     assert chain_doc.same_matrix(m)
     kernel = build_backward_kernel(chain_doc)
     pi = solve_stationary(kernel)
-    mu = fair_measure_from(pi, kernel, window=pi.window)
-    h = fair_entropy(mu, window=pi.window)
+    mu = fair_measure_from(pi, kernel)
+    h = fair_entropy(mu)
     assert h == pytest.approx(rep["fair_entropy_shift_side"], rel=1e-11)
-    assert abs(h - integral_log_c(mu, window=pi.window)) <= (
+    assert abs(h - integral_log_c(mu)) <= (
         entropy_tail_estimate(mu) + 1e-6)
 
 
@@ -644,10 +691,11 @@ def test_a_tolerance_that_is_no_finite_positive_number_is_rejected(
         assert not out.exists()
 
 
-@pytest.mark.parametrize("k", ["2000001", "1" * 4301])
+@pytest.mark.parametrize("k", ["1415", "2000001", "1" * 4301])
 def test_a_full_shift_beyond_the_enumeration_bound_is_refused(
         tmp_path, capsys, monkeypatch, k):
-    # the bound is read off the digits: no int() of 4301 digits, no rows
+    # the kernel's k^2 entries stay within the bound, which is read off
+    # the digits: no int() of 4301 digits, no rows
     def build(*args, **kw):
         raise AssertionError("full_shift was called")
     monkeypatch.setattr(families, "full_shift", build)
@@ -660,8 +708,30 @@ def test_a_full_shift_beyond_the_enumeration_bound_is_refused(
         err = capsys.readouterr().err
         assert err.startswith("fairshift: ")
         assert len(err.splitlines()) == 1
-        assert f"full-shift-<k> takes k <= {chain._ENUM_LIMIT}" in err
+        assert "full-shift-<k> takes k <= 1414" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "verify",
+                                     "simulate"])
+def test_a_domain_too_wide_to_list_ends_in_one_error_line(tmp_path, command):
+    # a walk on [0, 10^12] is solved whole, so its states would be listed;
+    # the child caps its own address space, so a listing fails fast
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from fairshift.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))")
+    spec = pathlib.Path(__file__).parent / "specs" / "trillion-state-walk.json"
+    proc = subprocess.run([sys.executable, "-c", code, command, str(spec),
+                          "--out", str(tmp_path / "o")],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("fairshift: SchemaError: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert f"at most {chain._ENUM_LIMIT} are listed" in proc.stderr
 
 
 def test_windows_that_mean_nothing_are_rejected(tmp_path, capsys):
@@ -824,9 +894,9 @@ def test_windows_shift_to_a_domain_away_from_zero(tmp_path, capsys,
     write_json(spec, BEYOND[name])
     windows = []        # the cylinder check's windows, which ran on states
 
-    def recording(mu, window):
-        windows.append(len(mu.base.states(window)))
-        return measure.check_fair_on_cylinders(mu, window)
+    def recording(mu):
+        windows.append(len(mu.base.states(mu.window)))
+        return measure.check_fair_on_cylinders(mu)
     monkeypatch.setattr(cli, "check_fair_on_cylinders", recording)
     code, out = run(tmp_path, "analyze", str(spec))
     assert code == 0

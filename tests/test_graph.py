@@ -196,8 +196,7 @@ def dendrite_fair_model(window):
     m = refined_transition_matrix(spec)
     kernel = build_backward_kernel(m)
     pi = solve_stationary(kernel)
-    bound = max(abs(s) for s in m.states(10 ** 9))
-    mu = fair_measure_from(pi, kernel, window=pi.window or bound)
+    mu = fair_measure_from(pi, kernel)
     return lebesgue_fair_model(cut_and_paste(spec).interval_map, mu)
 
 

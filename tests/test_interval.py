@@ -194,14 +194,14 @@ def test_point_from_itinerary_round_trips():
 def tent_model():
     m = full_shift(2)
     kernel = build_backward_kernel(m)
-    mu = fair_measure_from(full_shift_stationary(2), kernel, 2)
+    mu = fair_measure_from(full_shift_stationary(2), kernel)
     return lebesgue_fair_model(tent_map(), mu)
 
 
 def staircase_model(window=30, ratio=F(1, 2)):
     m = factorial_chain()
     kernel = build_backward_kernel(m)
-    mu = fair_measure_from(factorial_stationary(window), kernel, window)
+    mu = fair_measure_from(factorial_stationary(window), kernel)
     return lebesgue_fair_model(staircase_map(ratio), mu, window=window)
 
 
@@ -390,7 +390,7 @@ def triangle_model(n):
     kernel = build_backward_kernel(transition_matrix(imap))
     pi = StationaryVector(weights={j: F(n - j) for j in range(n)},
                           total=F(n * (n + 1), 2), window=n)
-    return lebesgue_fair_model(imap, fair_measure_from(pi, kernel, n))
+    return lebesgue_fair_model(imap, fair_measure_from(pi, kernel))
 
 
 rationals = st.builds(F, st.integers(-3, 40), st.integers(1, 8))
@@ -448,7 +448,7 @@ def generated_model(imap, scale=None):
         weights[scale[0]] *= scale[1]
     pi = StationaryVector(weights=weights, total=sum(weights.values()),
                           window=k)
-    return lebesgue_fair_model(imap, fair_measure_from(pi, kernel, k))
+    return lebesgue_fair_model(imap, fair_measure_from(pi, kernel))
 
 
 @st.composite
@@ -527,7 +527,7 @@ def bernoulli_tent_model():
     kernel = build_backward_kernel(full_shift(2))
     pi = StationaryVector(weights={0: F(1, 3), 1: F(2, 3)}, total=F(1),
                           window=2)
-    return lebesgue_fair_model(tent_map(), fair_measure_from(pi, kernel, 2))
+    return lebesgue_fair_model(tent_map(), fair_measure_from(pi, kernel))
 
 
 def floated(model):
@@ -570,7 +570,7 @@ def test_generated_maps_round_trip_and_build_fair_models(imap, data):
     # the float model of the solved weights is fair within rounding
     kernel = build_backward_kernel(transition_matrix(imap))
     k = imap.partition.n_intervals
-    mu = fair_measure_from(solve_stationary(kernel), kernel, k)
+    mu = fair_measure_from(solve_stationary(kernel), kernel)
     defect = check_lebesgue_fair(lebesgue_fair_model(imap, mu))
     assert isinstance(defect, float) and defect < 1e-12
     # a weight scaled by 3/2 is no longer stationary: some slot's pieces

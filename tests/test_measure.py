@@ -9,6 +9,7 @@ import itertools
 import math
 import pathlib
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -35,11 +36,10 @@ from test_chain import finite_chains, outcome, rule_set_params
 FACTORIAL_ENTROPY = 1.0475026451453382
 
 
-def measure_of(m, window=None):
+def measure_of(m):
     kernel = build_backward_kernel(m)
     pi = solve_stationary(kernel)
-    wnd = window if window is not None else pi.window
-    return fair_measure_from(pi, kernel, wnd), kernel, pi
+    return fair_measure_from(pi, kernel), kernel, pi
 
 
 # -- solver against closed forms -------------------------------------------
@@ -94,9 +94,10 @@ def test_verify_stationary_residuals():
                       (factorial_chain(), factorial_stationary(40)),
                       (full_shift(3), full_shift_stationary(3))):
         kernel = build_backward_kernel(m)
-        assert verify_stationary(closed, kernel, 24) == 0   # exact weights
-        solved = solve_stationary(kernel)
-        assert float(verify_stationary(solved, kernel, 24)) <= 1e-9
+        # exact weights
+        assert verify_stationary(fair_measure_from(closed, kernel)) == 0
+        solved = fair_measure_from(solve_stationary(kernel), kernel)
+        assert float(verify_stationary(solved)) <= 1e-9
 
 
 def test_five_three_profile_is_exactly_stationary():
@@ -106,7 +107,7 @@ def test_five_three_profile_is_exactly_stationary():
     pi = StationaryVector(weights=profile, total=sum(profile.values()),
                           provenance="closed-form")
     kernel = build_backward_kernel(five_three_chain())
-    assert verify_stationary(pi, kernel, 20) == 0
+    assert verify_stationary(fair_measure_from(pi, kernel)) == 0
 
 
 # -- the window solve against the ones-row solve -----------------------------
@@ -296,13 +297,13 @@ def test_fairness_exact_zero_for_closed_forms():
     for m, closed in ((origin_broadcast(), origin_broadcast_stationary(40)),
                       (factorial_chain(), factorial_stationary(40))):
         kernel = build_backward_kernel(m)
-        mu = fair_measure_from(closed, kernel, 40)
-        v = check_fair_on_cylinders(mu, window=10)
+        mu = fair_measure_from(closed, kernel)
+        v = check_fair_on_cylinders(mu)
         assert v == 0
     # with an exact total the violation stays a Fraction
     mu = fair_measure_from(origin_broadcast_stationary(40),
-                           build_backward_kernel(origin_broadcast()), 40)
-    v = check_fair_on_cylinders(mu, window=8)
+                           build_backward_kernel(origin_broadcast()))
+    v = check_fair_on_cylinders(mu)
     assert isinstance(v, Fraction) and v == 0
 
 
@@ -311,10 +312,25 @@ def test_a_fair_measure_derives_its_forward_matrix():
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
     with pytest.raises(TypeError):
-        FairMeasure(origin_broadcast_stationary(30), kernel, 30, rows={})
-    mu = FairMeasure(origin_broadcast_stationary(30), kernel, 30)
+        FairMeasure(origin_broadcast_stationary(30), kernel, rows={})
+    mu = FairMeasure(origin_broadcast_stationary(30), kernel)
     assert mu.row(3) == ((2, Fraction(1)),)
     assert mu.row(0)[:2] == ((0, Fraction(1, 2)), (1, Fraction(1, 4)))
+
+
+def test_a_fair_measure_reads_its_window_off_its_vector():
+    # the window the vector names, else its farthest state from 0; the
+    # solver's window, and not a caller's, bounds every read
+    kernel = build_backward_kernel(origin_broadcast())
+    pi = origin_broadcast_stationary(30)
+    assert fair_measure_from(pi, kernel).window == 30
+    assert fair_measure_from(replace(pi, window=None), kernel).window == 30
+    bern = StationaryVector(weights={-3: 0.5, 2: 0.5})
+    assert fair_measure_from(bern, build_backward_kernel(unbiased_walk())
+                             ).window == 3
+    solved = fair_measure_from(solve_stationary(kernel), kernel)
+    assert solved.window == solved.pi.window
+    assert max(solved.rows) <= solved.window
 
 
 def test_a_zero_weight_state_counts_in_the_residual_but_not_the_max():
@@ -326,10 +342,10 @@ def test_a_zero_weight_state_counts_in_the_residual_but_not_the_max():
     kernel = build_backward_kernel(m)
     pi = StationaryVector(weights={1: Fraction(1)}, total=Fraction(1),
                           provenance="closed-form")
-    assert verify_stationary(pi, kernel, 1) == 1
-    mu = fair_measure_from(pi, kernel, 1)
+    mu = fair_measure_from(pi, kernel)
+    assert verify_stationary(mu) == 1
     assert mu.row(0) == ()
-    assert check_fair_on_cylinders(mu, window=1) == Fraction(1, 2)
+    assert check_fair_on_cylinders(mu) == Fraction(1, 2)
     assert reference_check(pi, kernel, 1) == Fraction(1, 2)
     assert reference_residual(pi, kernel, 1) == 1
 
@@ -341,20 +357,19 @@ def test_two_symbol_shift_uniform_is_fair_but_bernoulli_third_is_not():
     m = full_shift(2)
     kernel = build_backward_kernel(m)
     uniform = full_shift_stationary(2)
-    assert check_fair_on_cylinders(
-        fair_measure_from(uniform, kernel, 4), window=4) == 0
+    assert check_fair_on_cylinders(fair_measure_from(uniform, kernel)) == 0
 
     bern = StationaryVector(weights={0: Fraction(1, 3), 1: Fraction(2, 3)},
                             total=Fraction(1), provenance="closed-form")
-    mu = fair_measure_from(bern, kernel, 4)
-    assert check_fair_on_cylinders(mu, window=4) == Fraction(1, 6)
+    mu = fair_measure_from(bern, kernel)
+    assert check_fair_on_cylinders(mu) == Fraction(1, 6)
 
 
 def test_an_inadmissible_word_has_measure_exactly_zero():
     # origin-broadcast's row of 3 is {2}: [3 2] is a cylinder of measure
     # pi_3 = 1/16, and [3 5] and [3 2 5] are empty
     mu = fair_measure_from(origin_broadcast_stationary(40),
-                           build_backward_kernel(origin_broadcast()), 40)
+                           build_backward_kernel(origin_broadcast()))
     assert cylinder_measure(mu, (3, 2)) == Fraction(1, 16)
     for word in ((3, 5), (3, 2, 5), (-1,)):
         got = cylinder_measure(mu, word)
@@ -370,7 +385,7 @@ def test_cylinder_measure_is_the_product_along_the_rows(m, pi):
     # w_last / (total * prod c) against pi_{w0} * prod p_{w_k w_{k+1}}
     # read off the rows of P, on every word of length 3 over the states
     # 0..5, admissible or not
-    mu = fair_measure_from(pi, build_backward_kernel(m), 12)
+    mu = fair_measure_from(pi, build_backward_kernel(m))
     exact = isinstance(pi.total, Fraction)
     for word in itertools.product(range(6), repeat=3):
         want = pi.weight(word[0])
@@ -445,11 +460,11 @@ def reference_residual(pi, kernel, window):
     return float(residual) / float(pi.total)
 
 
-def assert_check_matches_reference(mu, window):
-    for got, want in ((check_fair_on_cylinders(mu, window),
-                       reference_check(mu.pi, mu.kernel, window)),
-                      (verify_stationary(mu.pi, mu.kernel, window),
-                       reference_residual(mu.pi, mu.kernel, window))):
+def assert_check_matches_reference(mu):
+    for got, want in ((check_fair_on_cylinders(mu),
+                       reference_check(mu.pi, mu.kernel, mu.window)),
+                      (verify_stationary(mu),
+                       reference_residual(mu.pi, mu.kernel, mu.window))):
         if isinstance(want, Fraction):
             assert isinstance(got, Fraction) and got == want
         else:
@@ -467,8 +482,9 @@ def test_cylinder_check_matches_the_reference_on_finite_chains(
     except (ArithmeticError, ValueError, RuntimeError):
         assume(False)
     assume(isinstance(pi, StationaryVector))
-    mu = fair_measure_from(pi, kernel, window)
-    assert_check_matches_reference(mu, window)
+    # a window narrower than the domain leaves rows that cross its edge
+    mu = fair_measure_from(replace(pi, window=window), kernel)
+    assert_check_matches_reference(mu)
 
 
 @pytest.mark.parametrize("m, pi", [
@@ -481,8 +497,8 @@ def test_cylinder_check_matches_the_reference_on_finite_chains(
         "factorial-chain", "factorial-chain-solved"])
 def test_cylinder_check_matches_the_reference_on_builtins(m, pi):
     kernel = build_backward_kernel(m)
-    mu = fair_measure_from(pi or solve_stationary(kernel), kernel, 40)
-    assert_check_matches_reference(mu, 12)
+    mu = fair_measure_from(pi or solve_stationary(kernel), kernel)
+    assert_check_matches_reference(mu)
 
 
 def test_cylinder_check_matches_the_reference_where_it_fails():
@@ -493,16 +509,16 @@ def test_cylinder_check_matches_the_reference_where_it_fails():
     skew = {i: Fraction(1, 3 ** (i + 1)) for i in range(41)}
     skew_pi = StationaryVector(weights=skew, total=sum(skew.values()),
                                provenance="closed-form")
-    mu = fair_measure_from(skew_pi, kernel, 40)
-    assert_check_matches_reference(mu, 12)
-    assert check_fair_on_cylinders(mu, 12) > 0
+    mu = fair_measure_from(skew_pi, kernel)
+    assert_check_matches_reference(mu)
+    assert check_fair_on_cylinders(mu) > 0
     solved = solve_stationary(kernel)
     weights = dict(solved.weights)
     weights[3] *= 1.01
     doctored = StationaryVector(weights, solved.total, window=solved.window)
-    mu = fair_measure_from(doctored, kernel, solved.window)
-    assert_check_matches_reference(mu, solved.window)
-    assert check_fair_on_cylinders(mu, solved.window) > 1e-4
+    mu = fair_measure_from(doctored, kernel)
+    assert_check_matches_reference(mu)
+    assert check_fair_on_cylinders(mu) > 1e-4
 
 
 def test_cylinder_check_fails_a_vector_that_is_not_stationary():
@@ -513,37 +529,37 @@ def test_cylinder_check_fails_a_vector_that_is_not_stationary():
     pi = StationaryVector(weights={i: Fraction(1, 3 ** (i + 1))
                                    for i in range(41)},
                           total=Fraction(1, 2), provenance="closed-form")
-    assert verify_stationary(pi, kernel, 40) > 0
-    mu = fair_measure_from(pi, kernel, 40)
-    assert check_fair_on_cylinders(mu, 12) == Fraction(1, 9)
+    mu = fair_measure_from(pi, kernel)
+    assert verify_stationary(mu) > 0
+    assert check_fair_on_cylinders(mu) == Fraction(1, 9)
 
 
 # -- entropy -----------------------------------------------------------------
 
 def test_entropy_of_broadcast_chain_is_log_two():
     mu, _, _ = measure_of(origin_broadcast())
-    assert abs(fair_entropy(mu, 60) - math.log(2)) <= 1e-9
+    assert abs(fair_entropy(mu) - math.log(2)) <= 1e-9
 
 
 def test_entropy_of_factorial_chain():
     mu, _, _ = measure_of(factorial_chain())
-    h = fair_entropy(mu, 40)
+    h = fair_entropy(mu)
     assert abs(h - FACTORIAL_ENTROPY) <= 1e-6
-    got = integral_log_c(mu, 40)
+    got = integral_log_c(mu)
     assert abs(got - h) <= 1e-9
 
 
 def test_entropy_of_full_shift_is_log_k():
     for k in (2, 4):
         mu, _, _ = measure_of(full_shift(k))
-        assert abs(fair_entropy(mu, 4) - math.log(k)) <= 1e-12
+        assert abs(fair_entropy(mu) - math.log(k)) <= 1e-12
 
 
 def test_entropy_equals_integral_of_log_column_count():
     """The two entropy formulas agree on every positive-recurrent family."""
     for m in (origin_broadcast(), factorial_chain(), full_shift(3)):
         mu, _, _ = measure_of(m)
-        assert abs(fair_entropy(mu, 32) - integral_log_c(mu, 32)) <= 1e-7
+        assert abs(fair_entropy(mu) - integral_log_c(mu)) <= 1e-7
 
 
 # -- atomic fair measures ------------------------------------------------------

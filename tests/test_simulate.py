@@ -36,7 +36,7 @@ def kernel_of(m):
 def measure_of(m):
     kernel = kernel_of(m)
     pi = solve_stationary(kernel)
-    return fair_measure_from(pi, kernel, pi.window)
+    return fair_measure_from(pi, kernel)
 
 
 # -- legality and determinism --------------------------------------------------
