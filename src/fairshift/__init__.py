@@ -20,8 +20,8 @@ from .families import (CHAIN_FAMILIES, biased_walk, chain_by_name,
                        five_three_profile, full_shift, full_shift_stationary,
                        origin_broadcast, origin_broadcast_stationary,
                        unbiased_walk)
-from .graph import (CutAndPasteModel, TameGraphMapSpec, cut_and_paste,
-                    dendrite_example, refined_transition_matrix)
+from .graph import (TameGraphMapSpec, cut_and_paste, dendrite_example,
+                    refined_transition_matrix)
 from .io import (ParseError, chain_from_dict, chain_to_dict, dump_json,
                  graph_from_dict, graph_to_dict, interval_map_from_dict,
                  interval_map_to_dict, load_json, load_spec, write_csv,

@@ -217,6 +217,15 @@ def _emit(args, name: str, report: dict, line: str) -> None:
     print(f"{line} -> {path}")
 
 
+def _irreducible(m: TransitionRuleSet, window: int) -> tuple:
+    """``check_irreducible`` over every state of a finite domain, and on an
+    infinite one, where no window holds every state, over the states
+    within ``min(window, 24)`` of 0, widened to reach the domain."""
+    bound = (max(abs(m.lo), abs(m.hi)) if m.domain_finite()
+             else m.reaching(min(window, 24)))
+    return check_irreducible(m, bound)
+
+
 def _solve(args, name: str, report: dict, kernel, no_solution,
            **kw) -> FairMeasure:
     """The fair measure of the kernel's stationary vector, or the end of
@@ -262,7 +271,7 @@ def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
     classes = []
     best = None
     for comp in strongly_connected_components(states, succ):
-        closed = all(j in comp for i in comp for j in succ[i])
+        closed = set(comp).issuperset(j for i in comp for j in succ[i])
         entry: dict = {"states": comp, "closed": closed}
         if closed:
             relabel = {s: k for k, s in enumerate(comp)}
@@ -297,7 +306,7 @@ def cmd_analyze(args) -> int:
         _emit(args, "analyze.json", report, "verdict NoFairMeasure")
         return EXIT_OK
 
-    irr, pair = check_irreducible(m, m.reaching(min(window, 24)))
+    irr, pair = _irreducible(m, window)
     report["irreducible_on_window"] = irr
     if not irr:
         report["disconnected_pair"] = list(pair)
@@ -398,6 +407,18 @@ def cmd_simulate(args) -> int:
     elif not m.contains(start):
         raise fio.ParseError(f"start state {start} outside the domain "
                              f"of {m.name}", field="--start")
+    # solve before sampling, so that a solve that fails leaves no path file
+    try:
+        pi = solve_stationary(kernel, tolerance=args.tolerance,
+                              max_window=2 ** 14 if args.window is None
+                              else args.window)
+        note = ("no summable stationary vector; discrepancies against a "
+                "fair measure are not defined")
+    except WindowExhausted:
+        pi = None
+        note = ("solver window budget ran out before a stationary vector "
+                "was found; discrepancies against a fair measure were not "
+                "computed")
     paths = sample_paths(kernel, start, args.length, args.paths, args.seed)
 
     out = _outdir(args)
@@ -421,17 +442,6 @@ def cmd_simulate(args) -> int:
                      length=args.length, paths=args.paths, seed=args.seed,
                      depth=args.depth)
     report["per_path"] = per_path
-    try:
-        pi = solve_stationary(kernel, tolerance=args.tolerance,
-                              max_window=2 ** 14 if args.window is None
-                              else args.window)
-        note = ("no summable stationary vector; discrepancies against a "
-                "fair measure are not defined")
-    except WindowExhausted:
-        pi = None
-        note = ("solver window budget ran out before a stationary vector "
-                "was found; discrepancies against a fair measure were not "
-                "computed")
     if isinstance(pi, StationaryVector):
         mu = fair_measure_from(pi, kernel)
         report["equidistribution"] = equidistribution_report(
@@ -548,28 +558,19 @@ def cmd_graph(args) -> int:
         if not isinstance(spec, TameGraphMapSpec):
             raise fio.ParseError("graph needs a graph spec", field="kind")
 
-    model = cut_and_paste(spec)
-    imap = model.interval_map
-    m_interval = transition_matrix(imap)
-    m_refined = refined_transition_matrix(spec)
+    imap = cut_and_paste(spec)
+    m = refined_transition_matrix(spec)
 
     out = _outdir(args)
     fio.write_json(os.path.join(out, "interval_map.json"),
                    fio.interval_map_to_dict(imap))
-    fio.write_json(os.path.join(out, "chain.json"),
-                   fio.chain_to_dict(m_refined))
-
-    # the refined states are 0..hi, the partition's intervals in order
-    bound = m_refined.hi
-    agree = all(m_interval.successors(i, within=bound)
-                == m_refined.successors(i, within=bound)
-                for i in m_refined.states(bound))
+    fio.write_json(os.path.join(out, "chain.json"), fio.chain_to_dict(m))
 
     report = _report(args, ("graph", spec.name),
                      input=args.input or "dendrite", window=args.window)
-    report.update({"arcs": len(spec.arcs), "refined_states": bound + 1,
-                   "pipelines_agree": agree})
-    kernel = build_backward_kernel(m_refined)
+    # the refined states are 0..hi, the partition's intervals in order
+    report.update({"arcs": len(spec.arcs), "refined_states": m.hi + 1})
+    kernel = build_backward_kernel(m)
     mu = _solve(args, "graph.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution",
          "diagnostics": sol.diagnostics.as_dict()},
@@ -579,6 +580,9 @@ def cmd_graph(args) -> int:
     h_rohlin = rohlin_entropy(fair)
     report.update({
         "verdict": "PositiveRecurrent",
+        # a measure that is not stationary leaves holes or overlaps in
+        # the slots, so Lebesgue measure on its model is not fair
+        "pipelines_agree": check_lebesgue_fair(fair) == 0,
         "fair_entropy_shift_side": h_shift,
         "fair_entropy_rohlin_side": h_rohlin,
         "pipeline_entropy_gap": abs(h_rohlin - h_shift),
@@ -621,7 +625,7 @@ def cmd_verify(args) -> int:
             succ.keys() & set(preds) == {i for i in probe if j in succ[i]})
     check("kernel_matches_rules", rules_ok, rules_ok, "exact")
 
-    irr, pair = check_irreducible(m, m.reaching(min(window, 24)))
+    irr, pair = _irreducible(m, window)
     check("irreducible_on_window", irr,
           irr if irr else f"disconnected pair {pair}", "true")
 

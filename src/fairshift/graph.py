@@ -4,9 +4,11 @@ A graph map is described combinatorially: finitely many free arcs, and
 for each arc the ordered list of arcs its image traverses, each with an
 orientation flag.  ``cut_and_paste`` places arc k on the dyadic slot
 (2^-(k+1), 2^-k), subdivides it into one subarc per traversed target,
-and produces an ordinary Markov interval map; ``refined_transition_matrix``
-builds the same transition structure directly from the combinatorics.
-The two must agree exactly, which is the cross-check used by the tests.
+and returns an ordinary Markov interval map whose i-th interval is the
+i-th refined (arc, leg) state; ``refined_transition_matrix`` builds the
+same chain directly from the combinatorics.  The tests cross-check the
+two; the CLI compiles only the refined chain and certifies its measure
+by the Lebesgue check of the fair model built on the map.
 
 ``dendrite_example`` is a star of infinitely many blades, truncated to a
 window: the n-th pair of arcs on blade i wraps once around blade
@@ -25,7 +27,7 @@ from .chain import Abs, TransitionRuleSet
 from .interval import (Branch, FinitePartition, MarkovIntervalMap, NotMarkov)
 
 __all__ = [
-    "TameGraphMapSpec", "CutAndPasteModel", "cut_and_paste",
+    "TameGraphMapSpec", "cut_and_paste",
     "refined_transition_matrix", "dendrite_example",
 ]
 
@@ -73,50 +75,27 @@ class TameGraphMapSpec:
         return out
 
 
-@dataclass(frozen=True)
-class CutAndPasteModel:
-    spec: TameGraphMapSpec
-    interval_map: MarkovIntervalMap
-    placements: dict[int, tuple[Fraction, Fraction]]
-    state_of: dict[tuple[int, int], int]     # (arc, leg) -> partition id
-    pair_of: dict[int, tuple[int, int]]
-
-
-def cut_and_paste(spec: TameGraphMapSpec) -> CutAndPasteModel:
+def cut_and_paste(spec: TameGraphMapSpec) -> MarkovIntervalMap:
     """Place the arcs on dyadic slots and compile the interval map.
 
-    Each slot is split evenly into one subinterval per leg of the arc's
-    image; the leg maps affinely onto the full slot of its target arc,
-    flipped when the orientation is reversed.
+    Arc k of ``spec.arcs`` sits on the slot (2^-(k+1), 2^-k).  Each slot
+    is split evenly into one subinterval per leg of the arc's image; the
+    leg maps affinely onto the full slot of its target arc, flipped when
+    the orientation is reversed.  Interval i of the partition is the
+    refined state ``spec.refined_states()[i]``.
     """
-    placements: dict[int, tuple[Fraction, Fraction]] = {}
-    for k, a in enumerate(spec.arcs):
-        placements[a] = (Fraction(1, 2 ** (k + 1)), Fraction(1, 2 ** k))
-
-    state_of: dict[tuple[int, int], int] = {}
-    pair_of: dict[int, tuple[int, int]] = {}
-    for sid, pair in enumerate(spec.refined_states()):
-        state_of[pair] = sid
-        pair_of[sid] = pair
-
-    pts: list[Fraction] = [placements[spec.arcs[-1]][0]]
-    for a in reversed(spec.arcs):
-        lo, hi = placements[a]
-        parts = len(spec.covers[a])
-        width = (hi - lo) / parts
-        for t in range(1, parts):
-            pts.append(lo + t * width)
-        pts.append(hi)
-    partition = FinitePartition(tuple(pts))
-
+    slot = {a: (Fraction(1, 2 ** (k + 1)), Fraction(1, 2 ** k))
+            for k, a in enumerate(spec.arcs)}
+    width = {a: (hi - lo) / len(spec.covers[a])
+             for a, (lo, hi) in slot.items()}
+    pts: list[Fraction] = [slot[spec.arcs[-1]][0]]
     table: dict[int, Branch] = {}
-    for (a, t), sid in state_of.items():
+    for sid, (a, t) in enumerate(spec.refined_states()):
+        pts.append(slot[a][0] + (t + 1) * width[a])
         target, orient = spec.covers[a][t]
-        tlo, thi = placements[target]
-        table[sid] = Branch(sid, tlo, thi, orient)
-    imap = MarkovIntervalMap(partition, table=table,
+        table[sid] = Branch(sid, *slot[target], orient)
+    return MarkovIntervalMap(FinitePartition(tuple(pts)), table=table,
                              name=f"{spec.name}-cut-paste")
-    return CutAndPasteModel(spec, imap, placements, state_of, pair_of)
 
 
 def refined_transition_matrix(spec: TameGraphMapSpec) -> TransitionRuleSet:

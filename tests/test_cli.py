@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fairshift import (CHAIN_FAMILIES, build_backward_kernel, chain_to_dict,
+from fairshift import (CHAIN_FAMILIES, Abs, TransitionRuleSet,
+                       build_backward_kernel, chain_to_dict,
                        check_irreducible, dump_json, entropy_tail_estimate,
                        fair_entropy, fair_measure_from, graph_to_dict,
                        integral_log_c, refined_transition_matrix,
@@ -23,6 +24,9 @@ from fairshift.io import ParseError, load_spec
 from fairshift.cli import main
 from test_chain import finite_chains
 from test_measure import graph_specs
+
+
+SPECS = pathlib.Path(__file__).parent / "specs"
 
 
 def run(tmp_path, *argv):
@@ -133,6 +137,50 @@ def test_analyze_and_verify_agree_on_the_entropy_at_any_window(
             _, out = run(pathlib.Path(tmp), "verify", *argv)
             assert read(out, "verify.json")["fair_entropy"] \
                 == rep["fair_entropy"]
+
+
+def test_a_finite_chain_is_judged_transitive_over_every_state(tmp_path):
+    # the chord 20 -> 0 leaves 21 out of reach of 0 on the 24-state probe,
+    # but the cycle passes through every one of the 40 states
+    spec = str(SPECS / "chorded-40-cycle.json")
+    code, out = run(tmp_path, "analyze", spec)
+    assert code == 0
+    rep = read(out, "analyze.json")
+    assert rep["verdict"] == "PositiveRecurrent"
+    assert rep["irreducible_on_window"] is True
+    code, out = run(tmp_path, "verify", spec)
+    assert code == 0
+    assert read(out, "verify.json")["verdict"] == "pass"
+
+
+@st.composite
+def chorded_cycles(draw):
+    """A cycle through every state of a shifted finite domain, with chords."""
+    n = draw(st.integers(26, 80))
+    lo = draw(st.integers(-40, 40))
+    hi = lo + n - 1
+    rows = {i: {i + 1} for i in range(lo, hi)}
+    rows[hi] = {lo}
+    for i, j in draw(st.lists(st.tuples(st.integers(lo, hi),
+                                        st.integers(lo, hi)), max_size=6)):
+        rows[i].add(j)
+    return TransitionRuleSet(
+        lo=lo, hi=hi, head=max(abs(lo), abs(hi)) + 1, name="chorded-cycle",
+        explicit={i: tuple(Abs(j) for j in sorted(r))
+                  for i, r in rows.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(chorded_cycles())
+def test_a_transitive_finite_chain_is_never_called_reducible(m):
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = pathlib.Path(tmp) / "spec.json"
+        write_json(spec, chain_to_dict(m))
+        _, out = run(pathlib.Path(tmp), "analyze", str(spec))
+        assert read(out, "analyze.json")["verdict"] != "Reducible"
+        _, out = run(pathlib.Path(tmp), "verify", str(spec))
+        checks = {c["name"]: c for c in read(out, "verify.json")["checks"]}
+    assert checks["irreducible_on_window"]["pass"] is True
 
 
 # -- classify ----------------------------------------------------------------
@@ -255,6 +303,14 @@ def test_simulate_reruns_identically(tmp_path):
     assert (a / "simulate.json").read_bytes() == (b / "simulate.json").read_bytes()
 
 
+def test_simulate_writes_nothing_when_the_solve_fails(tmp_path, capsys):
+    code, out = run(tmp_path, "simulate",
+                    str(SPECS / "trillion-state-walk.json"))
+    assert code == 1
+    assert capsys.readouterr().err.startswith("fairshift: SchemaError: ")
+    assert list(out.iterdir()) == []
+
+
 # -- fairmodel ----------------------------------------------------------------
 
 def test_fairmodel_staircase(tmp_path):
@@ -363,6 +419,26 @@ def test_graph_solves_once_when_the_pipelines_agree(tmp_path, monkeypatch):
     assert rep["pipelines_agree"] is True
     assert "fair_model_pieces" in rep
     assert len(calls) == 1
+
+
+def test_graph_pipelines_disagree_on_a_measure_that_is_not_stationary(
+        tmp_path, monkeypatch):
+    # a tenth of the last state's weight moved onto the first keeps the
+    # total, but the pieces out of the last state's slot, which tiled it,
+    # now overflow it
+    def doctored(kernel, **kw):
+        pi = measure.solve_stationary(kernel, **kw)
+        weights = dict(pi.weights)
+        a, b = pi.support()[-1], pi.support()[0]
+        moved = weights[a] / 10
+        weights[a] -= moved
+        weights[b] += moved
+        return measure.StationaryVector(weights, pi.total, pi.provenance,
+                                        pi.window, pi.tolerance)
+    monkeypatch.setattr(cli, "solve_stationary", doctored)
+    code, out = run(tmp_path, "graph", "--window", "4")
+    assert code == 0
+    assert read(out, "graph.json")["pipelines_agree"] is False
 
 
 def test_graph_exchange_spec(tmp_path):

@@ -54,31 +54,34 @@ def test_spec_rejects_covers_of_an_arc_it_does_not_list():
 
 def test_arcs_are_placed_on_disjoint_dyadic_slots():
     spec = dendrite_example(4)
-    model = cut_and_paste(spec)
+    part = cut_and_paste(spec).partition
+    # an arc's slot runs from the left end of its first leg's interval to
+    # the right end of its last one's
+    slots = {}
+    for sid, (a, _t) in enumerate(spec.refined_states()):
+        lo, hi = part.bounds(sid)
+        slots[a] = (slots[a][0] if a in slots else lo, hi)
     for k, a in enumerate(spec.arcs):
-        assert model.placements[a] == (F(1, 2 ** (k + 1)), F(1, 2 ** k))
-    slots = sorted(model.placements.values())
-    assert all(lo_hi[1] == nxt[0] for lo_hi, nxt in zip(slots, slots[1:]))
+        assert slots[a] == (F(1, 2 ** (k + 1)), F(1, 2 ** k))
+    spans = sorted(slots.values())
+    assert all(lo_hi[1] == nxt[0] for lo_hi, nxt in zip(spans, spans[1:]))
 
 
 def test_refined_state_enumeration_is_spatial():
     spec = exchange_spec()
-    model = cut_and_paste(spec)
+    imap = cut_and_paste(spec)
     # arc 2 sits on (1/4, 1/2), left of arc 1 on (1/2, 1)
-    assert model.pair_of[0] == (2, 0)
-    assert model.pair_of[1] == (1, 0)
-    lo0, _ = model.interval_map.partition.bounds(0)
-    lo1, _ = model.interval_map.partition.bounds(1)
-    assert lo0 < lo1
+    assert spec.refined_states() == [(2, 0), (1, 0)]
+    assert imap.partition.bounds(0) == (F(1, 4), F(1, 2))
+    assert imap.partition.bounds(1) == (F(1, 2), F(1))
 
 
 def test_legs_split_a_slot_evenly():
     spec = TameGraphMapSpec(arcs=(1,), covers={1: ((1, True), (1, False))},
                             name="fold")
-    model = cut_and_paste(spec)
-    part = model.interval_map.partition
-    assert part.points == (F(1, 2), F(3, 4), F(1))
-    b0, b1 = model.interval_map.branch(0), model.interval_map.branch(1)
+    imap = cut_and_paste(spec)
+    assert imap.partition.points == (F(1, 2), F(3, 4), F(1))
+    b0, b1 = imap.branch(0), imap.branch(1)
     assert (b0.img_lo, b0.img_hi) == (F(1, 2), F(1))
     assert b0.increasing and not b1.increasing
 
@@ -99,7 +102,7 @@ def test_refined_matrix_matches_interval_matrix_on_small_graphs():
     ]
     for spec in specs:
         refined = refined_transition_matrix(spec)
-        compiled = transition_matrix(cut_and_paste(spec).interval_map)
+        compiled = transition_matrix(cut_and_paste(spec))
         n = sum(len(spec.covers[a]) for a in spec.arcs)
         assert len(refined.states(10 ** 6)) == n
         assert entries_equal(refined, compiled, 10 ** 6), spec.name
@@ -109,7 +112,7 @@ def test_refined_matrix_matches_interval_matrix_on_dendrites():
     for window in (2, 3, 4, 6):
         spec = dendrite_example(window)
         refined = refined_transition_matrix(spec)
-        compiled = transition_matrix(cut_and_paste(spec).interval_map)
+        compiled = transition_matrix(cut_and_paste(spec))
         assert entries_equal(refined, compiled, 10 ** 6), window
 
 
@@ -128,7 +131,7 @@ def successors_from_covers(spec):
 
 
 def assert_rows_are_shared(spec):
-    imap = cut_and_paste(spec).interval_map
+    imap = cut_and_paste(spec)
     targets = {spec.covers[a][t][0] for a, t in spec.refined_states()}
     images = {(br.img_lo, br.img_hi) for br in imap.table.values()}
     want = successors_from_covers(spec)
@@ -197,7 +200,7 @@ def dendrite_fair_model(window):
     kernel = build_backward_kernel(m)
     pi = solve_stationary(kernel)
     mu = fair_measure_from(pi, kernel)
-    return lebesgue_fair_model(cut_and_paste(spec).interval_map, mu)
+    return lebesgue_fair_model(cut_and_paste(spec), mu)
 
 
 def test_float_check_passes_the_model_and_catches_a_moved_piece():

@@ -244,11 +244,11 @@ def test_interval_map_round_trips():
 
 
 def test_finite_interval_map_documents_are_explicit():
-    model = cut_and_paste(dendrite_example(2))
-    doc = interval_map_to_dict(model.interval_map)
+    imap = cut_and_paste(dendrite_example(2))
+    doc = interval_map_to_dict(imap)
     back = interval_map_from_dict(doc)
-    assert doc["partition"]["points"][0] == str(model.interval_map.partition.points[0])
-    assert entries_equal(transition_matrix(model.interval_map),
+    assert doc["partition"]["points"][0] == str(imap.partition.points[0])
+    assert entries_equal(transition_matrix(imap),
                          transition_matrix(back), 10 ** 6)
 
 
