@@ -43,10 +43,8 @@ from .measure import (AtomicOrbit, FairMeasure, NoSummableSolution,
 from .recurrence import (Classification, ClassifyPolicy, ReturnEstimate,
                          SeriesResult, classify,
                          monte_carlo_return, series_test)
-from .simulate import (BackwardPath, GeoMeanReport, PathStats,
-                       equidistribution_report, equidistribution_test,
-                       geo_mean_convergence, geo_mean_series,
-                       geo_mean_target, path_statistics, sample_backward,
+from .simulate import (BackwardPath, equidistribution_report,
+                       geo_mean_series, geo_mean_target, sample_backward,
                        sample_paths)
 
 __version__ = "1.0.0"

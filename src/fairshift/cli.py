@@ -327,9 +327,10 @@ def cmd_analyze(args) -> int:
     mu = _solve(args, "analyze.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution", "reason": sol.note,
          "diagnostics": sol.diagnostics.as_dict(),
-         "note": ("no summable stationary vector, hence no fair "
-                  "probability measure; run `classify` for the "
-                  "null-recurrent / transient split")},
+         "note": "; ".join(filter(None, [report.get("note"), (
+             "no summable stationary vector, hence no fair "
+             "probability measure; run `classify` for the "
+             "null-recurrent / transient split")]))},
         "verdict NoSummableSolution", EXIT_OK),
         max_window=max(window, 2 ** 14))
     pi = mu.pi

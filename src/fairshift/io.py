@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any, Collection, Mapping
 
 import numpy as np
 
@@ -259,6 +259,29 @@ def _check_version(doc: Mapping, field: str = "schema_version") -> None:
                          field=field)
 
 
+# the keys every family document may hold (a name is read over: the family
+# names what it builds), and the one parameter a map or graph family takes
+_SELECTOR_KEYS = ("family", "kind", "schema_version", "name")
+_FAMILY_PARAMS = {"staircase": "ratio", "dendrite": "window"}
+
+
+def _family_name(doc: Mapping, kind: str, known: Collection[str]) -> str:
+    """The ``known`` family a document names, once its version (when it
+    has one) is checked and every key besides the selector's and the
+    family's parameter is rejected on its field."""
+    name = _get(doc, "family", str, "family")
+    if name not in known:
+        raise ParseError(f"unknown {kind} family {name!r}; known: "
+                         f"{sorted(known)}", field="family")
+    if "schema_version" in doc:
+        _check_version(doc)
+    for key in doc:
+        if key not in _SELECTOR_KEYS and key != _FAMILY_PARAMS.get(name):
+            raise ParseError(f"family {name!r} takes no key {key!r}",
+                             field=key)
+    return name
+
+
 def _spec_reader(read):
     """``read``, rejecting a document that is no object and turning every
     ``ValueError`` it or the constructors it calls raise into a ParseError."""
@@ -370,12 +393,11 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
     if "family" in doc:
         if "schema_version" in doc:
             _check_version(doc)
-        params = {k: v for k, v in doc.items()
-                  if k not in ("family", "kind", "schema_version")}
+        params = {k: v for k, v in doc.items() if k not in _SELECTOR_KEYS}
         try:
             return chain_by_name(_get(doc, "family", str, "family"), **params)
         except KeyError as exc:
-            raise ParseError(str(exc), field="family") from None
+            raise ParseError(exc.args[0], field="family") from None
         except TypeError as exc:
             raise ParseError(f"bad family parameters: {exc}",
                              field="family") from None
@@ -410,7 +432,7 @@ def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
 # interval-map documents
 
 def interval_map_to_dict(imap: MarkovIntervalMap) -> dict:
-    """Explicit partition and branches, or the builtin family with its ratio."""
+    """Explicit partition and branches, or the family that built the map."""
     part = imap.partition
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -430,27 +452,39 @@ def interval_map_to_dict(imap: MarkovIntervalMap) -> dict:
              "orientation": "increasing" if br.increasing else "decreasing"}
             for i, br in sorted(imap.table.items())
         ]
-    elif imap.name in MAP_FAMILIES:
-        doc["family"] = imap.name
-        if imap.name == "staircase":
-            doc["ratio"] = str(part.ratio)
+    elif (family := _family_of(imap)) is not None:
+        doc.update(family)
     else:
         raise SchemaError(f"map {imap.name!r} has rule-generated branches "
-                          "and no family name; cannot serialize losslessly")
+                          "of no builtin family; cannot serialize losslessly")
     return doc
+
+
+def _family_of(imap: MarkovIntervalMap) -> dict | None:
+    """The document of the builtin family that built a rule map, or None.
+
+    A family builds its rule from one code object: the map is the
+    family's when the family, given the map's ratio, builds the same
+    partition and a rule of that code over the same captured values."""
+    part, rule = imap.partition, imap.rule
+    doc, fam = (({"family": "staircase", "ratio": str(part.ratio)},
+                 staircase_map(part.ratio))
+                if isinstance(part, GeometricPartition)
+                else ({"family": "five-three-map"}, five_three_map()))
+    # closure cells compare by their contents
+    same = (imap.table is None and fam.partition == part
+            and fam.rule.__code__ is getattr(rule, "__code__", None)
+            and fam.rule.__closure__ == rule.__closure__)
+    return doc if same else None
 
 
 @_spec_reader
 def interval_map_from_dict(doc: Mapping) -> MarkovIntervalMap:
-    if "family" in doc and "branches" not in doc:
-        name = _get(doc, "family", str, "family")
-        if name not in MAP_FAMILIES:
-            raise ParseError(f"unknown map family {name!r}; known: "
-                             f"{sorted(MAP_FAMILIES)}", field="family")
-        kwargs = {}
-        if name == "staircase" and "ratio" in doc:
-            kwargs["ratio"] = _frac(doc["ratio"], "ratio")
-        return MAP_FAMILIES[name](**kwargs)
+    if "family" in doc:
+        name = _family_name(doc, "map", MAP_FAMILIES)
+        if "ratio" in doc:          # only the staircase takes one
+            return MAP_FAMILIES[name](_frac(doc["ratio"], "ratio"))
+        return MAP_FAMILIES[name]()
     _check_version(doc)
     part_doc = _get(doc, "partition", dict, "partition")
     if "points" in part_doc:
@@ -507,9 +541,7 @@ def graph_to_dict(spec: TameGraphMapSpec) -> dict:
 @_spec_reader
 def graph_from_dict(doc: Mapping) -> TameGraphMapSpec:
     if "family" in doc:
-        if doc["family"] != "dendrite":
-            raise ParseError(f"unknown graph family {doc['family']!r}; "
-                             "known: ['dendrite']", field="family")
+        _family_name(doc, "graph", ["dendrite"])
         return dendrite_example(_get(doc, "window", int, "window", 12))
     _check_version(doc)
     arcs = tuple(_typed(a, int, "arcs")
@@ -539,7 +571,10 @@ def graph_from_dict(doc: Mapping) -> TameGraphMapSpec:
 def _spec_from_dict(doc: Mapping):
     kind = doc.get("kind")
     if kind is None and "family" in doc:
-        kind = "chain"
+        # a builtin's own kind; ``in`` on a tuple hashes no family value
+        family = doc["family"]
+        kind = ("interval-map" if family in tuple(MAP_FAMILIES)
+                else "graph" if family == "dendrite" else "chain")
     if kind == "chain":
         return chain_from_dict(doc)
     if kind == "interval-map":

@@ -1,4 +1,4 @@
-"""Seeded sampling of backward trajectories and their path statistics.
+"""Seeded backward trajectories, their geometric means and equidistribution.
 
 A backward path y_0, y_1, ... follows the kernel Q: each step moves to a
 uniformly chosen predecessor of the current state.  Reading a window of
@@ -10,6 +10,7 @@ are counted.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +19,8 @@ from .chain import BackwardKernel, StuckWalk
 from .measure import FairMeasure, cylinder_measure, integral_log_c
 
 __all__ = [
-    "BackwardPath", "sample_backward", "sample_paths", "path_statistics",
-    "PathStats", "geo_mean_series", "geo_mean_target", "geo_mean_convergence",
-    "GeoMeanReport", "equidistribution_test", "equidistribution_report",
+    "BackwardPath", "sample_backward", "sample_paths", "geo_mean_series",
+    "geo_mean_target", "equidistribution_report",
 ]
 
 _BLOCK = 1 << 14    # uniforms per draw; no block size changes the stream
@@ -31,14 +31,9 @@ class BackwardPath:
     states: np.ndarray          # length n+1, states[0] == start
     start: int
     seed: int
-    chain: str = "custom"
 
-    def __len__(self) -> int:
-        return int(self.states.size)
-
-    def origin_visits(self, origin: int | None = None) -> np.ndarray:
-        target = self.start if origin is None else origin
-        return np.nonzero(self.states == target)[0]
+    def origin_visits(self) -> np.ndarray:
+        return np.nonzero(self.states == self.start)[0]
 
 
 def sample_backward(kernel: BackwardKernel, start: int, length: int,
@@ -75,7 +70,7 @@ def sample_backward(kernel: BackwardKernel, start: int, length: int,
         t += n
         u = u[n:]
     _step(kernel, out, t, u, rng)
-    return BackwardPath(out, start, seed, kernel.base.name)
+    return BackwardPath(out, start, seed)
 
 
 def _column_law(kernel: BackwardKernel, s: int):
@@ -188,18 +183,6 @@ def sample_paths(kernel: BackwardKernel, start: int, length: int,
             for k in range(n_paths)]
 
 
-@dataclass(frozen=True)
-class PathStats:
-    length: int
-    visit_frequencies: dict[int, float]
-    cylinder_frequencies: dict[tuple[int, ...], float]
-    geo_mean_c: float                  # final running geometric mean of c
-    last_visit: dict[int, int]         # state -> last index along the path
-
-    def frequency(self, word: tuple[int, ...]) -> float:
-        return self.cylinder_frequencies.get(tuple(word), 0.0)
-
-
 def _ranked(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The path's distinct states, ascending, and each step's index among them.
 
@@ -255,27 +238,6 @@ def _word_counts(states: np.ndarray, depth: int) -> dict[tuple[int, ...], int]:
     return counts
 
 
-def path_statistics(path: BackwardPath, kernel: BackwardKernel,
-                    depth: int = 1) -> PathStats:
-    """Visit and cylinder frequencies along one path.
-
-    A length-m word's frequency is its count over the n-m+1 windows
-    divided by that window count.  ``kernel`` is the backward kernel of
-    the sampled chain, whose column counts enter the geometric mean.
-    """
-    states = path.states
-    n = states.size
-    vals, cnts = np.unique(states, return_counts=True)
-    visits = {int(v): int(c) / n for v, c in zip(vals, cnts)}
-    counts = _word_counts(states, depth)
-    freqs = {w: c / (n - len(w) + 1) for w, c in counts.items()}
-    logs = sum(math.log2(len(kernel.preds(int(v)))) * int(c)
-               for v, c in zip(vals, cnts))
-    rev_vals, rev_first = np.unique(states[::-1], return_index=True)
-    last = {int(v): int(n - 1 - i) for v, i in zip(rev_vals, rev_first)}
-    return PathStats(n - 1, visits, freqs, float(2.0 ** (logs / n)), last)
-
-
 def geo_mean_series(path: BackwardPath, kernel: BackwardKernel) -> np.ndarray:
     """Running geometric mean of the column counts along the path.
 
@@ -294,45 +256,20 @@ def geo_mean_series(path: BackwardPath, kernel: BackwardKernel) -> np.ndarray:
 
 
 def _admissible_words(mu: FairMeasure, depth: int) -> list[tuple[int, ...]]:
-    base = mu.base
-    support = sorted(mu.pi.support())
-    bound = max(abs(support[0]), abs(support[-1]))
+    """The words of 1..depth symbols that follow the rows of the measure."""
     words: list[tuple[int, ...]] = []
-    stack = [(s,) for s in support]
-    supp = set(support)
+    stack = [(s,) for s in mu.pi.support()]
     while stack:
         w = stack.pop()
         words.append(w)
         if len(w) < depth:
-            for j in base.successors(w[-1], within=bound):
-                if j in supp:
-                    stack.append(w + (j,))
+            stack.extend(w + (j,) for j, _ in mu.row(w[-1]))
     return words
-
-
-def equidistribution_test(paths: list[BackwardPath], mu: FairMeasure,
-                          depth: int = 1) -> float:
-    """Max discrepancy |empirical - mu| over admissible words up to depth."""
-    return equidistribution_report(paths, mu, depth)["max_discrepancy"]
-
-
-@dataclass(frozen=True)
-class GeoMeanReport:
-    means: np.ndarray
-    target: float
-
-    def final(self) -> float:
-        return float(self.means[-1])
 
 
 def geo_mean_target(mu: FairMeasure) -> float:
     """Limit of the running geometric means: exp of the integral of log c."""
     return math.exp(integral_log_c(mu))
-
-
-def geo_mean_convergence(path: BackwardPath, mu: FairMeasure) -> GeoMeanReport:
-    """Running geometric means of c along the path plus their limit target."""
-    return GeoMeanReport(geo_mean_series(path, mu.kernel), geo_mean_target(mu))
 
 
 def equidistribution_report(paths: list[BackwardPath], mu: FairMeasure,
@@ -345,17 +282,15 @@ def equidistribution_report(paths: list[BackwardPath], mu: FairMeasure,
     the paths never visit still contribute their measure, so a short or
     stuck sample shows up as a large discrepancy rather than a silent pass.
     """
-    pooled: dict[tuple[int, ...], int] = {}
-    windows = [0] * (depth + 1)
+    pooled: Counter[tuple[int, ...]] = Counter()
     for p in paths:
-        for w, c in _word_counts(p.states, depth).items():
-            pooled[w] = pooled.get(w, 0) + c
-        for m in range(1, depth + 1):
-            windows[m] += max(p.states.size - m + 1, 0)
+        pooled.update(_word_counts(p.states, depth))
+    windows = [sum(max(p.states.size - m + 1, 0) for p in paths)
+               for m in range(depth + 1)]
     worst = 0.0
     table = []
     for w in _admissible_words(mu, depth):
-        emp = pooled.get(w, 0) / max(windows[len(w)], 1)   # 0 if no windows
+        emp = pooled[w] / max(windows[len(w)], 1)   # 0 if no windows
         ref = float(cylinder_measure(mu, w))
         worst = max(worst, abs(emp - ref))
         table.append({"word": list(w), "empirical": emp, "measure": ref})

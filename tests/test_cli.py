@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from fairshift import (CHAIN_FAMILIES, Abs, TransitionRuleSet,
                        build_backward_kernel, chain_to_dict,
-                       check_irreducible, dump_json, entropy_tail_estimate,
-                       fair_entropy, fair_measure_from, graph_to_dict,
+                       check_irreducible, dendrite_example, dump_json,
+                       entropy_tail_estimate, fair_entropy,
+                       fair_measure_from, graph_to_dict,
                        integral_log_c, refined_transition_matrix,
                        solve_stationary, unbiased_walk, write_json)
 from fairshift import chain, cli, families, measure
@@ -91,6 +92,45 @@ def test_analyze_reducible_finite_chain(tmp_path):
     assert len(rep["per_class"]["classes"]) == 2
     # two full 2-shifts side by side; supremum entropy is log 2
     assert rep["fair_entropy"] == pytest.approx(math.log(2), abs=1e-9)
+
+
+def test_analyze_keeps_the_reducibility_note_of_an_infinite_chain(tmp_path,
+                                                                capsys):
+    # 0 maps only onto itself and every other state onto its neighbours,
+    # so 1 is out of reach from 0; the domain is infinite, so no classes
+    spec = tmp_path / "absorbed.json"
+    write_json(spec, {"schema_version": 1, "kind": "chain",
+                      "name": "absorbed-walk", "domain": [0, None],
+                      "window": 1, "states": {"0": [0]},
+                      "tail_rules": {"period": 1, "rules": {"0": [-1, 1]}}})
+    code, out = run(tmp_path, "analyze", str(spec))
+    assert code in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    rep = read(out, "analyze.json")
+    assert rep["irreducible_on_window"] is False
+    assert len(rep["disconnected_pair"]) == 2
+    assert rep["note"].startswith("chain is reducible on the window")
+    if rep["verdict"] == "NoSummableSolution":
+        assert "; no summable stationary vector" in rep["note"]
+
+
+@pytest.mark.parametrize("graph", ["dendrite", "file"])
+def test_analyze_reads_a_graph_as_its_refined_chain(tmp_path, monkeypatch,
+                                                    graph):
+    spec = dendrite_example(12 if graph == "dendrite" else 3)
+    arg = graph
+    if graph == "file":
+        arg = str(tmp_path / "graph.json")
+        write_json(arg, graph_to_dict(spec))
+    seen = []
+    as_chain = cli._as_chain
+    monkeypatch.setattr(cli, "_as_chain",
+                        lambda obj: seen.append(as_chain(obj)) or seen[-1])
+    code, out = run(tmp_path, "analyze", arg)
+    assert code in (0, 2)
+    [m] = seen
+    assert chain_to_dict(m) == chain_to_dict(refined_transition_matrix(spec))
+    assert read(out, "analyze.json")["chain"] == m.name
 
 
 def test_analyze_sums_the_entropy_over_the_whole_measure(tmp_path,
@@ -336,6 +376,30 @@ def test_fairmodel_tent_reproduces_the_tent_map(tmp_path):
     assert rep["rohlin_entropy"] == pytest.approx(math.log(2), abs=1e-12)
 
 
+def test_fairmodel_reads_a_kind_less_family_document(tmp_path):
+    code, out = run(tmp_path, "fairmodel", str(SPECS / "bare-tent.json"))
+    assert code == 0
+    assert read(out, "fairmodel.json")["fairness_exact_zero"] is True
+
+
+def assert_one_error_line(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fairshift: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_fairmodel_takes_one_interval_map(tmp_path, capsys):
+    chain_spec = str(SPECS / "chorded-40-cycle.json")
+    for argv in (["fairmodel"],
+                 ["fairmodel", str(SPECS / "bare-tent.json"),
+                  "--map-family", "tent"],
+                 ["fairmodel", chain_spec]):
+        assert_one_error_line(tmp_path, capsys, argv)
+
+
 def test_fairmodel_accepts_a_map_with_float_weights(tmp_path):
     # golden-mean map 0 -> {0, 1}, 1 -> {0}: no closed form, so the model
     # is built from float weights and only a float fairness check applies
@@ -402,6 +466,36 @@ def test_graph_dendrite_pipeline(tmp_path):
     assert rep["pipeline_entropy_gap"] < 1e-2
     assert (out / "chain.json").exists()
     assert (out / "interval_map.json").exists()
+
+
+def test_graph_reads_a_kind_less_dendrite_document(tmp_path):
+    spec = tmp_path / "bare-dendrite.json"
+    write_json(spec, {"family": "dendrite", "window": 4})
+    (tmp_path / "file").mkdir()
+    (tmp_path / "flag").mkdir()
+    code, by_file = run(tmp_path / "file", "graph", str(spec))
+    assert code == 0
+    code, by_flag = run(tmp_path / "flag", "graph", "--family", "dendrite",
+                        "--window", "4")
+    assert code == 0
+    names = sorted(p.name for p in by_flag.iterdir())
+    assert sorted(p.name for p in by_file.iterdir()) == names
+    for name in names:
+        if name == "graph.json":
+            a, b = read(by_file, name), read(by_flag, name)
+            assert a.pop("config") != b.pop("config")
+            assert a == b
+        else:
+            assert (by_file / name).read_bytes() == \
+                (by_flag / name).read_bytes(), name
+
+
+def test_graph_takes_one_graph_spec(tmp_path, capsys):
+    graph_spec = tmp_path / "graph.json"
+    write_json(graph_spec, graph_to_dict(dendrite_example(2)))
+    for argv in (["graph", str(graph_spec), "--family", "dendrite"],
+                 ["graph", str(SPECS / "chorded-40-cycle.json")]):
+        assert_one_error_line(tmp_path, capsys, argv)
 
 
 def test_graph_solves_once_when_the_pipelines_agree(tmp_path, monkeypatch):
@@ -665,6 +759,13 @@ def test_unknown_family_exits_one(tmp_path, capsys):
     assert main(["analyze", "not-a-chain", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "not-a-chain" in err
+    # in a document, the family's own message, with no quotes around it
+    spec = tmp_path / "unknown.json"
+    write_json(spec, {"family": "not-a-chain"})
+    assert main(["analyze", str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fairshift: unknown family 'not-a-chain'")
+    assert len(err.splitlines()) == 1
 
 
 def test_broken_json_exits_one(tmp_path):
@@ -748,7 +849,8 @@ def test_bad_counts_are_rejected_at_parse_time(tmp_path, capsys, argv, flag):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-400"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1e-400",
+                                   "abc"])
 def test_a_tolerance_that_is_no_finite_positive_number_is_rejected(
         tmp_path, capsys, value):
     # a nan or inf tolerance would reach the JSON writer, which refuses
@@ -765,6 +867,13 @@ def test_a_tolerance_that_is_no_finite_positive_number_is_rejected(
         assert "argument --tolerance: must be a finite number above 0" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+def test_a_valid_tolerance_is_recorded_in_the_report(tmp_path):
+    code, out = run(tmp_path, "analyze", "origin-broadcast",
+                    "--tolerance", "1e-12")
+    assert code == 0
+    assert read(out, "analyze.json")["config"]["tolerance"] == 1e-12
 
 
 @pytest.mark.parametrize("k", ["1415", "2000001", "1" * 4301])

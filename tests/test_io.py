@@ -1,5 +1,6 @@
 """Serialization: canonical JSON, round-trips, and parse errors."""
 
+import dataclasses
 import json
 import math
 import random
@@ -10,14 +11,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
-    Branch, FinitePartition, IntegerPartition, MarkovIntervalMap,
-    TameGraphMapSpec, TransitionRuleSet, biased_walk, chain_from_dict,
+    Branch, FinitePartition, GeometricPartition, IntegerPartition,
+    MarkovIntervalMap, SchemaError, TameGraphMapSpec, TransitionRuleSet,
+    biased_walk, chain_from_dict,
     chain_to_dict, cut_and_paste, dendrite_example, dump_json, factorial_chain, five_three_chain,
     five_three_map, full_shift, graph_from_dict, graph_to_dict,
     interval_map_from_dict, interval_map_to_dict, load_spec,
     origin_broadcast, staircase_map, tent_map, transition_matrix,
     unbiased_walk, write_json,
 )
+from fairshift.cli import main
 from fairshift.io import (CSV_CHUNK_ROWS, ParseError, SCHEMA_VERSION,
                           canonical, fmt, write_csv)
 from test_chain import outcome, rule_set_params
@@ -243,6 +246,33 @@ def test_interval_map_round_trips():
     assert dump_json(doc) == dump_json(interval_map_to_dict(back))
 
 
+def test_a_rule_map_is_a_family_document_only_when_the_family_built_it():
+    r = Fraction(1, 3)
+
+    def rule(n):            # decreasing onto (0, r^(n-1)): not a staircase
+        if n < 1:
+            raise KeyError(n)
+        return Branch(n, 0, r ** (n - 1), False)
+
+    # the name alone once wrote {"family": "staircase", "ratio": "1/3"},
+    # which reloads with branch 5 onto (0, 1/27), increasing
+    with pytest.raises(SchemaError):
+        interval_map_to_dict(MarkovIntervalMap(GeometricPartition(r),
+                                               rule=rule, name="staircase"))
+    # the family's code over another ratio than the partition's
+    with pytest.raises(SchemaError):
+        interval_map_to_dict(MarkovIntervalMap(
+            GeometricPartition(r), rule=staircase_map().rule,
+            name="staircase"))
+    # each family builds its rule from one code object, whatever the name
+    assert staircase_map().rule.__code__ is staircase_map(r).rule.__code__
+    doc = interval_map_to_dict(dataclasses.replace(staircase_map(r),
+                                                   name="steps"))
+    assert (doc["family"], doc["ratio"], doc["name"]) == \
+        ("staircase", "1/3", "steps")
+    assert interval_map_from_dict(doc).branch(5) == Branch(5, 0, r ** 3, True)
+
+
 def test_finite_interval_map_documents_are_explicit():
     imap = cut_and_paste(dendrite_example(2))
     doc = interval_map_to_dict(imap)
@@ -293,6 +323,22 @@ def test_load_spec_dispatch(tmp_path):
     bare = tmp_path / "bare.json"
     write_json(bare, {"schema_version": 1, "family": "unbiased-walk"})
     assert isinstance(load_spec(bare), TransitionRuleSet)
+
+
+def test_a_kind_less_family_document_reads_as_its_builtin(tmp_path):
+    spec = tmp_path / "bare.json"
+    for doc, want in (({"family": "tent"}, tent_map()),
+                      ({"family": "staircase", "ratio": "1/3"},
+                       staircase_map(Fraction(1, 3))),
+                      ({"family": "dendrite", "window": 4},
+                       dendrite_example(4)),
+                      ({"family": "full-shift-3", "name": "three"},
+                       full_shift(3))):
+        write_json(spec, doc)
+        got = load_spec(spec)
+        # the family names what it builds
+        assert type(got) is type(want) and got.name == want.name, doc
+    assert load_spec(spec).same_matrix(full_shift(3))
 
 
 # -- parse errors ----------------------------------------------------------------
@@ -380,6 +426,45 @@ def test_interval_map_parse_errors():
         interval_map_from_dict({"schema_version": 1, "kind": "interval-map",
                                 "partition": {"points": ["0", "zebra"]},
                                 "branches": []})
+
+
+# family documents, each with a key its family does not read, and that key
+FAMILY_DOCUMENTS = {
+    "dendrite-windw": ({"kind": "graph", "family": "dendrite", "windw": 4},
+                       "windw"),
+    "dendrite-version-7": ({"kind": "graph", "family": "dendrite",
+                            "schema_version": 7}, "schema_version"),
+    "tent-ratio": ({"kind": "interval-map", "family": "tent",
+                    "ratio": "1/3"}, "ratio"),
+    "staircase-version-7": ({"kind": "interval-map", "family": "staircase",
+                             "ratio": "1/3", "schema_version": 7},
+                            "schema_version"),
+    "five-three-window": ({"kind": "interval-map",
+                           "family": "five-three-map", "window": 4},
+                          "window"),
+    "kind-less-tent-ratio": ({"family": "tent", "ratio": "1/3"}, "ratio"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_DOCUMENTS))
+def test_a_family_document_rejects_a_key_it_does_not_read(tmp_path, capsys,
+                                                          case):
+    doc, field = FAMILY_DOCUMENTS[case]
+    spec = tmp_path / f"{case}.json"
+    write_json(spec, doc)
+    with pytest.raises(ParseError) as exc:
+        load_spec(spec)
+    assert exc.value.field == field
+    command = "graph" if doc["family"] == "dendrite" else "fairmodel"
+    out = tmp_path / "o"
+    assert main([command, str(spec), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fairshift: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+    # the keys it does read, with the version it reads
+    kept = {k: v for k, v in doc.items() if k != field}
+    write_json(spec, {**kept, "schema_version": 1, "name": case})
+    load_spec(spec)
 
 
 def test_a_file_that_is_not_utf8_is_rejected_by_name(tmp_path):

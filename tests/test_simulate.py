@@ -17,10 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 import fairshift.simulate as simulate
 from fairshift import (
     Abs, AbsRay, BackwardPath, Rel, SchemaError, StuckWalk, TransitionRuleSet,
-    build_backward_kernel, biased_walk, equidistribution_test, factorial_chain, fair_measure_from,
-    five_three_chain, full_shift, geo_mean_convergence, geo_mean_series,
-    origin_broadcast, path_statistics, sample_backward, sample_paths,
-    solve_stationary, unbiased_walk,
+    build_backward_kernel, biased_walk, equidistribution_report,
+    factorial_chain, fair_measure_from, five_three_chain, full_shift,
+    geo_mean_series, geo_mean_target, origin_broadcast, sample_backward,
+    sample_paths, solve_stationary, unbiased_walk,
 )
 from fairshift.simulate import _word_counts
 from test_chain import finite_chains
@@ -274,9 +274,8 @@ def test_deterministic_cycle_path():
     k = kernel_of(m)
     path = sample_backward(k, start=0, length=9, seed=0)
     assert path.states.tolist() == [0, 2, 1, 0, 2, 1, 0, 2, 1, 0]
-    stats = path_statistics(path, k)
-    assert stats.geo_mean_c == 1.0
-    assert stats.visit_frequencies[0] == pytest.approx(0.4)
+    assert geo_mean_series(path, k)[-1] == 1.0
+    assert path.origin_visits().size / path.states.size == pytest.approx(0.4)
 
 
 # -- marginal statistics ---------------------------------------------------------
@@ -317,17 +316,19 @@ def test_visit_frequency_of_first_state_factorial():
     assert abs(freq - 1.0 / math.e) < 0.005
 
 
-def test_path_statistics_shapes():
-    k = kernel_of(origin_broadcast())
+def test_word_counts_and_report_shapes():
+    m = origin_broadcast()
+    k = kernel_of(m)
     path = sample_backward(k, 0, 10_000, seed=1)
-    stats = path_statistics(path, k, depth=2)
-    assert stats.length == 10_000
-    assert abs(sum(stats.visit_frequencies.values()) - 1.0) < 1e-12
-    assert abs(sum(v for w, v in stats.cylinder_frequencies.items()
-                   if len(w) == 2) - 1.0) < 1e-12
-    for s, t in stats.last_visit.items():
-        assert int(path.states[t]) == s
-    assert stats.frequency((99, 99)) == 0.0
+    report = equidistribution_report([path], measure_of(m), depth=2)
+    assert (report["paths"], report["length"], report["depth"]) == \
+        (1, 10_000, 2)
+    assert 0 < len(report["worst_words"]) <= min(report["words"], 10)
+    # every window of each length holds one word
+    counts = _word_counts(path.states, 2)
+    for size, windows in ((1, 10_001), (2, 10_000)):
+        assert sum(c for w, c in counts.items() if len(w) == size) == windows
+    assert (99, 99) not in counts
     visits = path.origin_visits()
     assert visits[0] == 0
     assert all(path.states[i] == 0 for i in visits)
@@ -429,10 +430,10 @@ def test_geo_mean_is_exactly_two_on_constant_column_chains():
 def test_geo_mean_tracks_the_entropy_target():
     mu = measure_of(factorial_chain())
     path = sample_backward(kernel_of(factorial_chain()), 1, 100_000, seed=0)
-    report = geo_mean_convergence(path, mu)
-    assert report.target == pytest.approx(2.85052, abs=2e-4)
-    assert abs(report.final() - report.target) / report.target < 0.02
-    assert report.means.size == path.states.size
+    means, target = geo_mean_series(path, mu.kernel), geo_mean_target(mu)
+    assert target == pytest.approx(2.85052, abs=2e-4)
+    assert abs(means[-1] - target) / target < 0.02
+    assert means.size == path.states.size
 
 
 def test_geo_mean_series_is_bit_identical_to_a_per_step_lookup():
@@ -445,12 +446,11 @@ def test_geo_mean_series_is_bit_identical_to_a_per_step_lookup():
     assert geo_mean_series(path, k).tobytes() == want.tobytes()
 
 
-def test_geo_mean_convergence_on_broadcast():
+def test_geo_mean_converges_on_broadcast():
     mu = measure_of(origin_broadcast())
     path = sample_backward(kernel_of(origin_broadcast()), 0, 50_000, seed=2)
-    report = geo_mean_convergence(path, mu)
-    assert report.target == pytest.approx(2.0, abs=1e-9)
-    assert report.final() == pytest.approx(2.0, abs=1e-9)
+    assert geo_mean_target(mu) == pytest.approx(2.0, abs=1e-9)
+    assert geo_mean_series(path, mu.kernel)[-1] == pytest.approx(2.0, abs=1e-9)
 
 
 # -- equidistribution -----------------------------------------------------------
@@ -459,20 +459,20 @@ def test_paths_equidistribute_for_broadcast_chain():
     mu = measure_of(origin_broadcast())
     paths = sample_paths(kernel_of(origin_broadcast()), 0, 50_000,
                          n_paths=4, seed=0)
-    assert equidistribution_test(paths, mu, depth=1) < 0.02
+    assert equidistribution_report(paths, mu, 1)["max_discrepancy"] < 0.02
 
 
 def test_paths_equidistribute_on_pairs_of_full_shift():
     mu = measure_of(full_shift(2))
     paths = sample_paths(kernel_of(full_shift(2)), 0, 40_000, n_paths=2, seed=3)
-    assert equidistribution_test(paths, mu, depth=2) < 0.01
+    assert equidistribution_report(paths, mu, 2)["max_discrepancy"] < 0.01
 
 
 def test_short_stuck_sample_has_large_discrepancy():
     # a length-1 path cannot equidistribute; unseen words keep their mass
     mu = measure_of(origin_broadcast())
     paths = [sample_backward(kernel_of(origin_broadcast()), 5, 1, seed=0)]
-    assert equidistribution_test(paths, mu, depth=1) > 0.2
+    assert equidistribution_report(paths, mu, 1)["max_discrepancy"] > 0.2
 
 
 def test_transient_paths_abandon_the_origin():
