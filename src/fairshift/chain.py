@@ -129,22 +129,20 @@ class TransitionRuleSet:
         for i in self.explicit:
             if not self.contains(i):
                 raise SchemaError(f"explicit row {i} outside domain")
-        for i in self._head_states():
+        head = self._clipped(1 - self.head, self.head - 1)
+        for i in head:
             if i not in self.explicit:
                 raise SchemaError(f"state {i} is inside the head but has no explicit row")
-        # every state must resolve to a nonempty row; the probes next to
-        # the ends of the tail, up and down, meet every residue it uses
+        # every state must resolve to a nonempty row; the probes within two
+        # periods of the ends of the tail meet every residue it uses, and
+        # each is checked as it is made, so a huge period fails at once
         up = self.head if self.lo is None else max(self.head, self.lo)
         down = -self.head if self.hi is None else min(-self.head, self.hi)
-        probes = list(self._head_states())
-        for base in (self.lo, self.hi, 0, up, down):
-            if base is None:
-                continue
-            for d in range(-2 * self.period, 2 * self.period + 1):
-                s = base + d
-                if self.contains(s):
-                    probes.append(s)
-        for s in probes:
+        reach = 2 * self.period
+        probes = [head] + [
+            self._clipped(base - reach, base + reach)
+            for base in (self.lo, self.hi, 0, up, down) if base is not None]
+        for s in itertools.chain.from_iterable(probes):
             if not self._row_nonempty(s):
                 raise SchemaError(f"state {s} has an empty row")
 
@@ -161,10 +159,10 @@ class TransitionRuleSet:
         if not self.contains(i):
             raise UnresolvableState(f"state {i} outside domain of {self.name}")
 
-    def _head_states(self) -> range:
-        """States with |i| < head, ascending, clipped to the domain."""
-        lo = 1 - self.head if self.lo is None else max(self.lo, 1 - self.head)
-        hi = self.head - 1 if self.hi is None else min(self.hi, self.head - 1)
+    def _clipped(self, lo: int, hi: int) -> range:
+        """States from lo to hi, ascending, clipped to the domain."""
+        lo = lo if self.lo is None else max(self.lo, lo)
+        hi = hi if self.hi is None else min(self.hi, hi)
         return range(lo, hi + 1)
 
     def _is_tail_state(self, i: int) -> bool:

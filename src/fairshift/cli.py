@@ -23,10 +23,9 @@ from . import io as fio
 from .chain import (Abs, InfinitePreimages, SchemaError, StuckWalk,
                     TransitionRuleSet, UnresolvableState, build_backward_kernel,
                     check_irreducible, strongly_connected_components)
-from .families import (CHAIN_FAMILIES, chain_by_name, factorial_chain,
-                       factorial_stationary, full_shift_stationary)
-from .graph import (TameGraphMapSpec, cut_and_paste, dendrite_example,
-                    refined_transition_matrix)
+from .families import (factorial_chain, factorial_stationary,
+                       full_shift_stationary)
+from .graph import TameGraphMapSpec, cut_and_paste, refined_transition_matrix
 from .interval import (MarkovIntervalMap, NotMarkov, check_lebesgue_fair,
                        lebesgue_fair_model, merged_segments, rohlin_entropy,
                        transition_matrix)
@@ -102,9 +101,7 @@ def _build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="stationary vector, fair entropy and "
                                        "measure diagnostics of a chain")
     a.add_argument("input", help="spec file or builtin name "
-                                 f"({', '.join(sorted(CHAIN_FAMILIES))}, "
-                                 "full-shift-<k>, tent, staircase, "
-                                 "five-three-map, dendrite)")
+                                 f"({', '.join(fio.BUILTINS)})")
     common(a, "window of the rows shown and of the probes (default 64)")
     a.add_argument("--depth", type=_count(1), default=2,
                    help=depth_help)
@@ -139,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     f = sub.add_parser("fairmodel", help="build the piecewise affine model "
                                          "for which Lebesgue measure is fair")
     f.add_argument("input", nargs="?", default=None,
-                   help="interval-map spec file")
-    f.add_argument("--map-family", choices=sorted(fio.MAP_FAMILIES),
+                   help="interval-map spec file or builtin name")
+    f.add_argument("--map-family", choices=fio.builtins_of("interval-map"),
                    help="builtin map instead of a spec file")
     common(f, "bound on emitted pieces for infinite partitions (default 30)")
     f.add_argument("--depth", type=_count(1), default=2,
@@ -152,8 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("graph", help="cut-and-paste a graph map into an "
                                      "interval model and a refined chain")
-    g.add_argument("input", nargs="?", default=None, help="graph spec file")
-    g.add_argument("--family", choices=["dendrite"],
+    g.add_argument("input", nargs="?", default=None,
+                   help="graph spec file or builtin name")
+    g.add_argument("--family", choices=fio.builtins_of("graph"),
                    help="builtin graph map instead of a spec file")
     common(g, "blade window of the builtin dendrite map (default 12)")
     g.set_defaults(func=cmd_graph)
@@ -174,17 +172,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_input(arg: str):
     if os.path.exists(arg):
         return fio.load_spec(arg)
-    if arg in fio.MAP_FAMILIES:
-        return fio.MAP_FAMILIES[arg]()
-    if arg == "dendrite":
-        return dendrite_example()
     try:
-        return chain_by_name(arg)
-    except KeyError:
-        raise fio.ParseError(
-            f"{arg!r} is neither a file nor a builtin name; builtins: "
-            f"{', '.join(sorted(CHAIN_FAMILIES))}, full-shift-<k> (k >= 1), "
-            f"{', '.join(sorted(fio.MAP_FAMILIES))}, dendrite") from None
+        return fio.family({"family": arg})
+    except fio.ParseError:
+        raise fio.ParseError(f"{arg!r} is neither a file nor a builtin name; "
+                             f"builtins: {', '.join(fio.BUILTINS)}") from None
 
 
 def _as_chain(obj) -> TransitionRuleSet:
@@ -477,13 +469,11 @@ def cmd_fairmodel(args) -> int:
     if (args.input is None) == (args.map_family is None):
         raise fio.ParseError("pass exactly one of a spec file or "
                              "--map-family", field="--map-family")
-    if args.map_family:
-        imap = fio.MAP_FAMILIES[args.map_family]()
-    else:
-        imap = fio.load_spec(args.input)
-        if not isinstance(imap, MarkovIntervalMap):
-            raise fio.ParseError("fairmodel needs an interval-map spec",
-                                 field="kind")
+    imap = (fio.family({"family": args.map_family}) if args.map_family
+            else _load_input(args.input))
+    if not isinstance(imap, MarkovIntervalMap):
+        raise fio.ParseError("fairmodel needs an interval-map spec",
+                             field="kind")
     m = transition_matrix(imap)
     kernel = build_backward_kernel(m)
     report = _report(args, ("map", imap.name),
@@ -550,12 +540,12 @@ def cmd_graph(args) -> int:
                              "dendrite; a graph spec is solved whole",
                              field="--window")
     if args.input is None:
-        if args.window == 0:
-            raise fio.ParseError("the dendrite needs a blade window of at "
-                                 "least 1", field="--window")
-        spec = dendrite_example(args.window if args.window is not None else 12)
+        doc = {"family": args.family or "dendrite"}
+        if args.window is not None:
+            doc["window"] = args.window
+        spec = fio.family(doc, "graph", flags=True)
     else:
-        spec = fio.load_spec(args.input)
+        spec = _load_input(args.input)
         if not isinstance(spec, TameGraphMapSpec):
             raise fio.ParseError("graph needs a graph spec", field="kind")
 
@@ -679,15 +669,15 @@ def main(argv=None) -> int:
             print(exc.code, file=sys.stderr)
             return EXIT_SPEC
         return exc.code if exc.code is not None else EXIT_OK
-    except fio.ParseError as exc:
+    except (fio.ParseError, OSError) as exc:
         print(f"fairshift: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except (SchemaError, NotMarkov, UnresolvableState,
             InfinitePreimages, SingularWindow, StuckWalk) as exc:
         print(f"fairshift: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except OSError as exc:
-        print(f"fairshift: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"fairshift: out of memory: {exc}", file=sys.stderr)
         return EXIT_SPEC
 
 

@@ -104,13 +104,12 @@ CHAIN_FAMILIES = {
 }
 
 
-def chain_by_name(name: str, **params) -> TransitionRuleSet:
+def chain_by_name(name: str) -> TransitionRuleSet:
     """The named family, ``full-shift-<k>`` for a decimal k >= 1.
 
-    An unknown name raises KeyError, and a parameter that the family does
-    not take raises TypeError.  A full shift's kernel has k^2 entries, so
-    a k with k^2 above the enumeration bound raises SchemaError; it is
-    compared as digits first, before ``int`` meets a long string.
+    An unknown name raises KeyError.  A full shift's kernel has k^2
+    entries, so a k with k^2 above the enumeration bound raises
+    SchemaError, compared as digits before ``int`` meets a long string.
     """
     k = re.fullmatch(r"full-shift-([1-9][0-9]*)", name)
     if k:
@@ -118,9 +117,9 @@ def chain_by_name(name: str, **params) -> TransitionRuleSet:
         if len(digits) > len(str(most)) or int(digits) > most:
             raise SchemaError(f"full-shift-<k> takes k <= {most}, as its "
                               "kernel has k^2 entries")
-        return full_shift(int(digits), **params)
+        return full_shift(int(digits))
     try:
-        return CHAIN_FAMILIES[name](**params)
+        return CHAIN_FAMILIES[name]()
     except KeyError:
         raise KeyError(f"unknown family {name!r}; known: "
                        f"{sorted(CHAIN_FAMILIES)} or full-shift-<k> "

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .chain import Abs, TransitionRuleSet
+from .chain import _ENUM_LIMIT, Abs, TransitionRuleSet
 from .interval import (Branch, FinitePartition, MarkovIntervalMap, NotMarkov)
 
 __all__ = [
@@ -117,6 +117,12 @@ def refined_transition_matrix(spec: TameGraphMapSpec) -> TransitionRuleSet:
                              name=f"{spec.name}-refined")
 
 
+def _refined_count(w: int) -> int:
+    """Refined states of the dendrite at window w: 2(m + 1) arcs cover each
+    blade m <= w and list its 2(w + 2 - m) legs (2w on blade 1)."""
+    return 2 * (w + 2) * (w + 3) * (w + 4) // 3 - 8 * (w + 3)
+
+
 def dendrite_example(window: int = 12) -> TameGraphMapSpec:
     """Star of blades truncated to a window, doubling the staircase chain.
 
@@ -124,10 +130,15 @@ def dendrite_example(window: int = 12) -> TameGraphMapSpec:
     blade m = max(1, i-1) + n, the even arc forwards and the odd arc
     backwards.  Pairs whose target blade exceeds the window are dropped;
     blades up to window+1 are kept so that every in-window blade keeps
-    its full preimage count 2(m+1).
+    its full preimage count 2(m+1); a window above 141 raises ValueError.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    if _refined_count(window) > _ENUM_LIMIT:
+        most = next(w for w in range(window)
+                    if _refined_count(w + 1) > _ENUM_LIMIT)
+        raise ValueError(f"the dendrite takes a window <= {most}, as its "
+                         "refined chain has about 2w^3/3 states")
     arcs: list[int] = []
     blade_of: dict[int, int] = {}
     pair_of_arc: dict[int, tuple[int, int]] = {}   # arc -> (pair index, parity)

@@ -2,8 +2,8 @@
 
 Three document kinds are understood, dispatched on their ``kind`` field:
 ``chain`` (transition rule sets), ``interval-map`` (Markov interval
-maps) and ``graph`` (tame graph map specs).  Builtin families may be
-referenced by name instead of spelling the data out.  All emitters are
+maps) and ``graph`` (tame graph map specs).  Any of them may name one
+of the ``BUILTINS`` instead, read by ``family``.  All emitters are
 canonical — keys sorted, floats rounded to 12 significant digits,
 exact rationals as ``"p/q"`` strings — so identical inputs produce
 byte-identical files.
@@ -14,12 +14,12 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Any, Collection, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
 from .chain import Abs, AbsRay, Rel, RelRay, SchemaError, TransitionRuleSet
-from .families import chain_by_name
+from .families import CHAIN_FAMILIES, chain_by_name
 from .graph import TameGraphMapSpec, dendrite_example
 from .interval import (Branch, FinitePartition, GeometricPartition,
                        IntegerPartition, MarkovIntervalMap, five_three_map,
@@ -31,16 +31,10 @@ __all__ = [
     "chain_to_dict", "chain_from_dict",
     "interval_map_to_dict", "interval_map_from_dict",
     "graph_to_dict", "graph_from_dict",
-    "load_spec", "MAP_FAMILIES",
+    "family", "builtins_of", "BUILTINS", "load_spec",
 ]
 
 SCHEMA_VERSION = 1
-
-MAP_FAMILIES = {
-    "tent": tent_map,
-    "staircase": staircase_map,
-    "five-three-map": five_three_map,
-}
 
 
 class ParseError(ValueError):
@@ -259,44 +253,71 @@ def _check_version(doc: Mapping, field: str = "schema_version") -> None:
                          field=field)
 
 
-# the keys every family document may hold (a name is read over: the family
-# names what it builds), and the one parameter a map or graph family takes
+# every builtin but the chain families: its kind, its builder and the one
+# parameter the builder takes, with that parameter's reader (the dendrite's
+# builder is looked up at each call, so a wrapper bound to its name sees it)
+_BUILDERS = {
+    "tent": ("interval-map", tent_map, None, None),
+    "staircase": ("interval-map", staircase_map, "ratio", _frac),
+    "five-three-map": ("interval-map", five_three_map, None, None),
+    "dendrite": ("graph", lambda *window: dendrite_example(*window),
+                 "window", functools.partial(_typed, kind=int)),
+}
+_CHAIN = ("chain", None, None, None)
+BUILTINS = (*sorted(CHAIN_FAMILIES), "full-shift-<k>", *_BUILDERS)
+# a family document's keys besides the parameter; a name is read over
 _SELECTOR_KEYS = ("family", "kind", "schema_version", "name")
-_FAMILY_PARAMS = {"staircase": "ratio", "dendrite": "window"}
 
 
-def _family_name(doc: Mapping, kind: str, known: Collection[str]) -> str:
-    """The ``known`` family a document names, once its version (when it
-    has one) is checked and every key besides the selector's and the
-    family's parameter is rejected on its field."""
+def builtins_of(kind: str) -> list[str]:
+    return [n for n in BUILTINS if _BUILDERS.get(n, _CHAIN)[0] == kind]
+
+
+def family(doc: Mapping, kind: str | None = None, flags: bool = False):
+    """The builtin a family document names, once its kind, its version
+    and its keys are checked; a parameter the builder refuses fails on
+    its field, or on its flag (``--window``) when ``flags`` is set."""
     name = _get(doc, "family", str, "family")
-    if name not in known:
-        raise ParseError(f"unknown {kind} family {name!r}; known: "
-                         f"{sorted(known)}", field="family")
+    own, build, key, read = _BUILDERS.get(name, _CHAIN)
+    for want in (doc.get("kind"), kind):
+        if want not in (None, own):
+            raise ParseError(f"{name!r} is no {want} builtin", field="kind")
     if "schema_version" in doc:
         _check_version(doc)
-    for key in doc:
-        if key not in _SELECTOR_KEYS and key != _FAMILY_PARAMS.get(name):
-            raise ParseError(f"family {name!r} takes no key {key!r}",
-                             field=key)
-    return name
-
-
-def _spec_reader(read):
-    """``read``, rejecting a document that is no object and turning every
-    ``ValueError`` it or the constructors it calls raise into a ParseError."""
-    @functools.wraps(read)
-    def reader(doc):
-        if not isinstance(doc, dict):
-            raise ParseError(f"a spec document must be an object, got "
-                             f"{type(doc).__name__}")
+    for k in doc:
+        if k not in _SELECTOR_KEYS and k != key:
+            raise ParseError(f"family {name!r} takes no key {k!r}", field=k)
+    if build is None:
         try:
-            return read(doc)
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
-    return reader
+            return chain_by_name(name)
+        except KeyError as exc:
+            raise ParseError(exc.args[0], field="family") from None
+    args = [read(doc[key], field=key)] if key in doc else []
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), field="--" + key if flags else key) \
+            from None
+
+
+def _spec_reader(kind: str | None):
+    """Decorator: ``read`` as the reader of ``kind`` documents, which
+    rejects a document that is no object, hands one that names a builtin
+    to ``family`` and turns every ``ValueError`` raised into a ParseError."""
+    def wrap(read):
+        @functools.wraps(read)
+        def reader(doc):
+            if not isinstance(doc, dict):
+                raise ParseError(f"a spec document must be an object, got "
+                                 f"{type(doc).__name__}")
+            try:
+                return family(doc, kind) if "family" in doc else read(doc)
+            except ParseError:
+                raise
+            except ValueError as exc:
+                raise ParseError(str(exc)) from exc
+        return reader
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -388,19 +409,8 @@ def _terms_from_json(value, table, field: str) -> tuple:
     return tuple(terms)
 
 
-@_spec_reader
+@_spec_reader("chain")
 def chain_from_dict(doc: Mapping) -> TransitionRuleSet:
-    if "family" in doc:
-        if "schema_version" in doc:
-            _check_version(doc)
-        params = {k: v for k, v in doc.items() if k not in _SELECTOR_KEYS}
-        try:
-            return chain_by_name(_get(doc, "family", str, "family"), **params)
-        except KeyError as exc:
-            raise ParseError(exc.args[0], field="family") from None
-        except TypeError as exc:
-            raise ParseError(f"bad family parameters: {exc}",
-                             field="family") from None
     _check_version(doc)
     dom = _get(doc, "domain", list, "domain", [None, None])
     if len(dom) != 2:
@@ -478,13 +488,8 @@ def _family_of(imap: MarkovIntervalMap) -> dict | None:
     return doc if same else None
 
 
-@_spec_reader
+@_spec_reader("interval-map")
 def interval_map_from_dict(doc: Mapping) -> MarkovIntervalMap:
-    if "family" in doc:
-        name = _family_name(doc, "map", MAP_FAMILIES)
-        if "ratio" in doc:          # only the staircase takes one
-            return MAP_FAMILIES[name](_frac(doc["ratio"], "ratio"))
-        return MAP_FAMILIES[name]()
     _check_version(doc)
     part_doc = _get(doc, "partition", dict, "partition")
     if "points" in part_doc:
@@ -538,11 +543,8 @@ def graph_to_dict(spec: TameGraphMapSpec) -> dict:
     }
 
 
-@_spec_reader
+@_spec_reader("graph")
 def graph_from_dict(doc: Mapping) -> TameGraphMapSpec:
-    if "family" in doc:
-        _family_name(doc, "graph", ["dendrite"])
-        return dendrite_example(_get(doc, "window", int, "window", 12))
     _check_version(doc)
     arcs = tuple(_typed(a, int, "arcs")
                  for a in _get(doc, "arcs", list, "arcs"))
@@ -567,14 +569,9 @@ def graph_from_dict(doc: Mapping) -> TameGraphMapSpec:
 # ---------------------------------------------------------------------------
 # dispatch
 
-@_spec_reader
+@_spec_reader(None)
 def _spec_from_dict(doc: Mapping):
     kind = doc.get("kind")
-    if kind is None and "family" in doc:
-        # a builtin's own kind; ``in`` on a tuple hashes no family value
-        family = doc["family"]
-        kind = ("interval-map" if family in tuple(MAP_FAMILIES)
-                else "graph" if family == "dendrite" else "chain")
     if kind == "chain":
         return chain_from_dict(doc)
     if kind == "interval-map":

@@ -1,6 +1,7 @@
 """Rule resolution, row/column queries and the backward kernel."""
 
 import json
+import signal
 import time
 from collections import deque
 from fractions import Fraction
@@ -16,6 +17,7 @@ from fairshift import (
     origin_broadcast, staircase_map, strongly_connected_components,
     tent_map, transition_matrix, unbiased_walk,
 )
+from fairshift import families
 from fairshift.chain import _ENUM_LIMIT, Term
 from fairshift.io import (SCHEMA_VERSION, _tail_rule_to_json, chain_from_dict,
                           chain_to_dict)
@@ -200,6 +202,24 @@ def test_a_huge_head_is_checked_only_up_to_its_first_missing_row():
     assert m.successors(3) == list(range(6))
 
 
+def test_the_probes_of_a_huge_period_are_clipped_to_the_domain():
+    # four states need four probes per base, not a pass over 4 * 10^12
+    # offsets; the alarm ends a pass that does not stop.  An unbounded
+    # domain's probes run in a capped child in test_cli.py
+    def stuck(signum, frame):
+        raise TimeoutError("the probes are not clipped to the domain")
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        m = TransitionRuleSet(lo=0, hi=3, period=10 ** 12, tail={
+            0: (Rel(1),), 1: (Rel(1), Rel(2)), 2: (Rel(1),),
+            3: (Rel(-3), Rel(-2))})
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert m.successors(1) == [2, 3] and m.successors(3) == [0, 1]
+
+
 def test_domain_and_spiral():
     m = origin_broadcast()
     assert m.contains(0) and m.contains(10) and not m.contains(-1)
@@ -290,7 +310,7 @@ def test_reducible_pair_is_reported():
     assert pair is not None and 0 in pair
 
 
-def test_chain_by_name_full_shift_parsing():
+def test_chain_by_name_full_shift_parsing(monkeypatch):
     m = chain_by_name("full-shift-5")
     assert m.states(99) == [0, 1, 2, 3, 4]
     # k is decimal, at least 1 and without a sign or leading zeros
@@ -299,15 +319,16 @@ def test_chain_by_name_full_shift_parsing():
                  "full-shift-"):
         with pytest.raises(KeyError):
             chain_by_name(name)
+    # a family takes no parameter
     with pytest.raises(TypeError):
         chain_by_name("full-shift-3", bogus=7)
     # the kernel has k^2 entries, so k stops at 1414, the largest k with
-    # k^2 within the enumeration bound (1414 reaches full_shift, which
-    # refuses the parameter before building a row); a name of 4301 digits
-    # is refused before int() meets it
+    # k^2 within the enumeration bound (1414 reaches full_shift, here a
+    # stub that builds no row); a name of 4301 digits is refused before
+    # int() meets it
     assert 1414 ** 2 <= _ENUM_LIMIT < 1415 ** 2
-    with pytest.raises(TypeError):
-        chain_by_name("full-shift-1414", bogus=7)
+    monkeypatch.setattr(families, "full_shift", lambda k: k)
+    assert chain_by_name("full-shift-1414") == 1414
     for k in ("1415", str(_ENUM_LIMIT + 1), "1" * 4301):
         with pytest.raises(SchemaError, match="k <= 1414,"):
             chain_by_name(f"full-shift-{k}")

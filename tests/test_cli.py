@@ -21,9 +21,10 @@ from fairshift import (CHAIN_FAMILIES, Abs, TransitionRuleSet,
                        integral_log_c, refined_transition_matrix,
                        solve_stationary, unbiased_walk, write_json)
 from fairshift import chain, cli, families, measure
-from fairshift.io import ParseError, load_spec
+from fairshift.io import BUILTINS, ParseError, load_spec
 from fairshift.cli import main
 from test_chain import finite_chains
+from test_golden import read_golden, run_case
 from test_measure import graph_specs
 
 
@@ -753,6 +754,33 @@ def test_the_uniform_measure_of_a_wide_full_shift_is_fair(tmp_path, k):
 
 # -- error handling ----------------------------------------------------------------
 
+def test_the_analyze_help_and_an_unknown_name_list_every_builtin(
+        tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")      # no line breaks in the help
+    assert main(["analyze", "--help"]) == 0
+    listed = f"({', '.join(BUILTINS)})"
+    assert listed in capsys.readouterr().out
+    assert main(["analyze", "no-such-builtin", "--out",
+                 str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("fairshift: 'no-such-builtin' is neither a file nor a "
+                   f"builtin name; builtins: {listed[1:-1]}\n")
+    assert set(BUILTINS) >= set(CHAIN_FAMILIES) | {
+        "full-shift-<k>", "tent", "staircase", "five-three-map", "dendrite"}
+
+
+@pytest.mark.parametrize("argv, flags, golden", [
+    (["fairmodel", "tent"], ["fairmodel", "--map-family", "tent"],
+     "fairmodel-tent"),
+    (["graph", "dendrite"], ["graph", "--family", "dendrite"], None),
+], ids=["fairmodel-tent", "graph-dendrite"])
+def test_every_command_reads_a_builtin_name(tmp_path, argv, flags, golden):
+    by_name = run_case(argv, tmp_path / "name")
+    assert by_name == run_case(flags, tmp_path / "flag")
+    if golden is not None:
+        assert by_name == read_golden(golden)
+
+
 def test_unknown_family_exits_one(tmp_path, capsys):
     out = tmp_path / "o"
     out.mkdir()
@@ -897,11 +925,10 @@ def test_a_full_shift_beyond_the_enumeration_bound_is_refused(
         assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["analyze", "classify", "verify",
-                                     "simulate"])
-def test_a_domain_too_wide_to_list_ends_in_one_error_line(tmp_path, command):
-    # a walk on [0, 10^12] is solved whole, so its states would be listed;
-    # the child caps its own address space, so a listing fails fast
+def run_capped(tmp_path, *argv) -> str:
+    """The stderr of ``main(argv)`` in a child that caps its own address
+    space at 1 GiB, so work that would list or allocate too much fails
+    fast; the run must exit 1 in one ``fairshift:`` line, writing nothing."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")]))
@@ -909,14 +936,53 @@ def test_a_domain_too_wide_to_list_ends_in_one_error_line(tmp_path, command):
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from fairshift.cli import main\n"
             "sys.exit(main(sys.argv[1:]))")
-    spec = pathlib.Path(__file__).parent / "specs" / "trillion-state-walk.json"
-    proc = subprocess.run([sys.executable, "-c", code, command, str(spec),
-                          "--out", str(tmp_path / "o")],
-                         env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("fairshift: SchemaError: ")
+    out = tmp_path / "o"
+    proc = subprocess.run([sys.executable, "-c", code, *argv,
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("fairshift: ")
     assert len(proc.stderr.splitlines()) == 1
-    assert f"at most {chain._ENUM_LIMIT} are listed" in proc.stderr
+    assert not out.exists()
+    return proc.stderr
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "verify",
+                                     "simulate"])
+def test_a_domain_too_wide_to_list_ends_in_one_error_line(tmp_path, command):
+    # a walk on [0, 10^12] is solved whole, so its states would be listed
+    err = run_capped(tmp_path, command, str(SPECS / "trillion-state-walk.json"))
+    assert err.startswith("fairshift: SchemaError: ")
+    assert f"at most {chain._ENUM_LIMIT} are listed" in err
+
+
+@pytest.mark.parametrize("argv, tail", [
+    # the probes of a tail period of 10^12 are checked as they are made,
+    # so the first residue without a rule ends the read
+    (["analyze", str(SPECS / "trillion-period-walk.json")],
+     "no tail rule for residue 1 in trillion-period-walk"),
+    # the dendrite's refined states are counted from its window before
+    # any arc is built; 141 is the largest window within the bound
+    (["graph", str(SPECS / "dendrite-window-100000.json")],
+     "(field 'window')"),
+    (["analyze", str(SPECS / "dendrite-window-100000.json")],
+     "(field 'window')"),
+    (["graph", "--family", "dendrite", "--window", "100000"],
+     "(field '--window')"),
+    (["graph", "--window", "142"], "(field '--window')"),
+    # numpy is asked for 7.28 TiB before any file is written
+    (["simulate", "origin-broadcast", "--length", "1000000000000"],
+     "Unable to allocate"),
+    (["classify", "origin-broadcast", "--trials", "1000000000000"],
+     "Unable to allocate"),
+], ids=["tail-period-1e12", "graph-dendrite-doc-100000",
+        "analyze-dendrite-doc-100000", "graph-family-window-100000",
+        "graph-window-142", "simulate-length-1e12", "classify-trials-1e12"])
+def test_work_beyond_memory_ends_in_one_error_line(tmp_path, argv, tail):
+    err = run_capped(tmp_path, *argv)
+    assert tail in err
+    if "window" in tail:
+        assert "takes a window <= 141," in err
 
 
 def test_windows_that_mean_nothing_are_rejected(tmp_path, capsys):
@@ -990,10 +1056,16 @@ MALFORMED = {
     "branch-missing": ({**MAP, "partition": {"points": ["0", "1/2", "1"]}},
                        None),
     "dendrite-window-0": ({"kind": "graph", "family": "dendrite",
-                           "window": 0}, None),
+                           "window": 0}, "window"),
+    # a parameter the builder refuses fails on its own field
+    "staircase-ratio-2": ({"family": "staircase", "ratio": "2"}, "ratio"),
+    # a builtin of another kind than the document's
+    "tent-as-chain": ({"kind": "chain", "family": "tent"}, "kind"),
+    "full-shift-as-graph": ({"kind": "graph", "family": "full-shift-3"},
+                            "kind"),
     "head-1e12": ({**CHAIN, "window": 10 ** 12, "tail_rules": WALK}, None),
     "full-shift-extra-key": ({**CHAIN, "family": "full-shift-3", "bogus": 7},
-                             "family"),
+                             "bogus"),
     "not-utf8": (b'\xff{"kind": "chain"}', None),
 }
 

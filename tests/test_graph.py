@@ -12,6 +12,8 @@ from fairshift import (
     full_shift, lebesgue_fair_model, refined_transition_matrix,
     solve_stationary, transition_matrix,
 )
+from fairshift import graph
+from fairshift.chain import _ENUM_LIMIT
 from test_measure import graph_specs
 
 F = Fraction
@@ -178,6 +180,21 @@ def test_dendrite_refinement_grows_with_the_window():
         sizes.append(len(spec.refined_states()))
         assert all(len(spec.covers[a]) >= 1 for a in spec.arcs)
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+def test_the_dendrite_window_is_bounded_by_its_refined_states():
+    # the count read off the window is the one the built spec has
+    for window in range(1, 17):
+        assert graph._refined_count(window) == \
+            len(dendrite_example(window).refined_states())
+    # 141 is the largest window within the enumeration bound, so 142 is
+    # refused before any arc is built
+    assert graph._refined_count(141) == 1_989_408 <= _ENUM_LIMIT
+    assert graph._refined_count(142) == 2_031_160 > _ENUM_LIMIT
+    with pytest.raises(ValueError, match="takes a window <= 141,"):
+        dendrite_example(142)
+    with pytest.raises(ValueError, match="window must be >= 1"):
+        dendrite_example(0)
 
 
 def test_dendrite_refined_chain_has_boundary_states():

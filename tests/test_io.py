@@ -22,7 +22,7 @@ from fairshift import (
 )
 from fairshift.cli import main
 from fairshift.io import (CSV_CHUNK_ROWS, ParseError, SCHEMA_VERSION,
-                          canonical, fmt, write_csv)
+                          builtins_of, canonical, fmt, write_csv)
 from test_chain import outcome, rule_set_params
 from test_measure import graph_specs
 
@@ -443,6 +443,11 @@ FAMILY_DOCUMENTS = {
                            "family": "five-three-map", "window": 4},
                           "window"),
     "kind-less-tent-ratio": ({"family": "tent", "ratio": "1/3"}, "ratio"),
+    # a chain family takes no parameter at all
+    "unbiased-walk-window": ({"family": "unbiased-walk", "window": 4},
+                             "window"),
+    "full-shift-k": ({"kind": "chain", "family": "full-shift-3", "k": 3},
+                     "k"),
 }
 
 
@@ -455,7 +460,9 @@ def test_a_family_document_rejects_a_key_it_does_not_read(tmp_path, capsys,
     with pytest.raises(ParseError) as exc:
         load_spec(spec)
     assert exc.value.field == field
-    command = "graph" if doc["family"] == "dendrite" else "fairmodel"
+    command = ("graph" if doc["family"] in builtins_of("graph")
+               else "fairmodel" if doc["family"] in builtins_of("interval-map")
+               else "analyze")
     out = tmp_path / "o"
     assert main([command, str(spec), "--out", str(out)]) == 1
     err = capsys.readouterr().err
