@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Six subcommands share one convention: every run writes a JSON report
-(plus CSV artifacts) into --out and prints a one-line summary.  Exit
-code 0 means the analysis finished with a definite answer — including
-negative answers such as "no fair measure exists"; 2 means the evidence
-was inconclusive (window or horizon budgets exhausted); 1 means the
-input or flags were rejected.  Reports embed the full configuration and
+Six subcommands share one convention: each returns its JSON report
+(after writing any CSV artifacts into --out), and ``main`` writes the
+report, prints a one-line summary and exits with the code ``EXIT`` gives
+the report's verdict: 0 for a definite answer, negative ones included,
+2 for inconclusive evidence and 1 for a failed verify check, as for
+rejected input or flags.  Reports embed the full configuration and
 never include timestamps, so identical invocations produce identical
 bytes.
 """
@@ -40,9 +40,12 @@ from .simulate import (equidistribution_report, geo_mean_series,
 
 __all__ = ["main"]
 
-EXIT_OK = 0
 EXIT_SPEC = 1
-EXIT_UNKNOWN = 2
+# the exit code of every verdict a report can carry; simulate has none yet
+EXIT = {None: 0, "PositiveRecurrent": 0, "NoFairMeasure": 0, "Reducible": 0,
+        "NoSummableSolution": 0, "NoFairModel": 0, "ModelBuilt": 0,
+        "positive-recurrent": 0, "null-recurrent": 0, "transient": 0,
+        "pass": 0, "Unknown": 2, "unknown": 2, "fail": EXIT_SPEC}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -169,14 +172,31 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # input handling
 
-def _load_input(arg: str):
-    if os.path.exists(arg):
-        return fio.load_spec(arg)
-    try:
-        return fio.family({"family": arg})
-    except fio.ParseError:
-        raise fio.ParseError(f"{arg!r} is neither a file nor a builtin name; "
-                             f"builtins: {', '.join(fio.BUILTINS)}") from None
+def _load_input(arg: str, kind: str | None = None, window: int | None = None,
+                files: bool = True):
+    """The spec file or builtin ``arg`` names (only a builtin unless
+    ``files``), of ``kind`` when one is given; ``window`` is a builtin's
+    parameter, which a spec file refuses."""
+    if not (files and os.path.exists(arg)):
+        doc = {"family": arg, **({} if window is None else {"window": window})}
+        try:
+            return fio.family(doc, kind, flags=True)
+        except fio.ParseError as exc:
+            if exc.field not in ("family", "kind"):
+                raise
+            of = f" of kind {kind}" if kind else ""
+            names = fio.builtins_of(kind) if kind else fio.BUILTINS
+            raise fio.ParseError(f"{arg!r} is neither a file nor a builtin "
+                                 f"name{of}; builtins{of}: "
+                                 f"{', '.join(names)}") from None
+    if window is not None:
+        raise fio.ParseError("--window sets a builtin's parameter; a spec "
+                             "file is solved whole", field="--window")
+    spec = fio.load_spec(arg)
+    want = {"interval-map": MarkovIntervalMap, "graph": TameGraphMapSpec}
+    if kind is not None and not isinstance(spec, want[kind]):
+        raise fio.ParseError(f"{arg!r} is no {kind} spec", field="kind")
+    return spec
 
 
 def _as_chain(obj) -> TransitionRuleSet:
@@ -203,10 +223,8 @@ def _report(args, subject: tuple[str, str], **config) -> dict:
             key: name}
 
 
-def _emit(args, name: str, report: dict, line: str) -> None:
-    path = os.path.join(_outdir(args), name)
-    fio.write_json(path, report)
-    print(f"{line} -> {path}")
+class _Stop(Exception):
+    """Ends a command early with its report file, report and summary line."""
 
 
 def _irreducible(m: TransitionRuleSet, window: int) -> tuple:
@@ -221,26 +239,20 @@ def _irreducible(m: TransitionRuleSet, window: int) -> tuple:
 def _solve(args, name: str, report: dict, kernel, no_solution,
            **kw) -> FairMeasure:
     """The fair measure of the kernel's stationary vector, or the end of
-    the run, by ``SystemExit`` with its exit code.
-
-    When the window budget runs out the report is emitted with verdict
-    ``Unknown`` (exit 2).  When no summable solution exists,
-    ``no_solution(sol)`` returns the command's own report fields, summary
-    line and exit code, and the report is emitted with those.
-    """
+    the command by ``_Stop`` with its report file ``name``: with verdict
+    ``Unknown`` when the window budget runs out, or with the fields and
+    summary line ``no_solution(sol)`` returns when no summable one exists."""
     try:
         pi = solve_stationary(kernel, tolerance=args.tolerance, **kw)
     except WindowExhausted as exc:
         report["verdict"] = "Unknown"
         report["diagnostics"] = exc.diagnostics.as_dict()
-        _emit(args, name, report, "verdict Unknown")
-        raise SystemExit(EXIT_UNKNOWN)
+        raise _Stop(name, report, "verdict Unknown")
     if isinstance(pi, StationaryVector):
         return fair_measure_from(pi, kernel)
-    fields, line, code = no_solution(pi)
+    fields, line = no_solution(pi)
     report.update(fields)
-    _emit(args, name, report, line)
-    raise SystemExit(code)
+    raise _Stop(name, report, line)
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +294,7 @@ def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
     return {"classes": classes, "supremum_entropy": best}
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> tuple:
     m = _as_chain(_load_input(args.input))
     window = args.window if args.window is not None else 64
     # each window around 0 is widened to reach a domain away from 0
@@ -295,8 +307,7 @@ def cmd_analyze(args) -> int:
         report["reason"] = (f"state {witness} has infinitely many "
                             "preimages, so no backward transition row "
                             "exists there and no fair measure can be built")
-        _emit(args, "analyze.json", report, "verdict NoFairMeasure")
-        return EXIT_OK
+        return "analyze.json", report, "verdict NoFairMeasure"
 
     irr, pair = _irreducible(m, window)
     report["irreducible_on_window"] = irr
@@ -306,9 +317,8 @@ def cmd_analyze(args) -> int:
             report["per_class"] = _analyze_classes(m, args.tolerance)
             report["verdict"] = "Reducible"
             report["fair_entropy"] = report["per_class"]["supremum_entropy"]
-            _emit(args, "analyze.json", report,
-                  "verdict Reducible (per-class entropies reported)")
-            return EXIT_OK
+            return ("analyze.json", report,
+                    "verdict Reducible (per-class entropies reported)")
         report["note"] = ("chain is reducible on the window; verdicts "
                           "below describe the component of the origin")
 
@@ -323,8 +333,7 @@ def cmd_analyze(args) -> int:
              "no summable stationary vector, hence no fair "
              "probability measure; run `classify` for the "
              "null-recurrent / transient split")]))},
-        "verdict NoSummableSolution", EXIT_OK),
-        max_window=max(window, 2 ** 14))
+        "verdict NoSummableSolution"), max_window=max(window, 2 ** 14))
     pi = mu.pi
     h = fair_entropy(mu)
     tail = entropy_tail_estimate(mu)
@@ -346,15 +355,14 @@ def cmd_analyze(args) -> int:
                   ["state", "weight", "probability"],
                   [support, [pi.weight(i) for i in support],
                    [pi.entry(i) for i in support]])
-    _emit(args, "analyze.json", report,
-          f"verdict PositiveRecurrent fair_entropy {h:.12g}")
-    return EXIT_OK
+    return ("analyze.json", report,
+            f"verdict PositiveRecurrent fair_entropy {h:.12g}")
 
 
 # ---------------------------------------------------------------------------
 # classify
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple:
     m = _as_chain(_load_input(args.input))
     kernel = build_backward_kernel(m)
     kw: dict = {"tolerance": args.tolerance, "seed": args.seed,
@@ -384,14 +392,13 @@ def cmd_classify(args) -> int:
         "has_fair_measure": verdict.has_fair_measure,
         "evidence": verdict.evidence,
     }
-    _emit(args, "classify.json", report, f"verdict {verdict.verdict}")
-    return EXIT_OK if verdict.verdict != "unknown" else EXIT_UNKNOWN
+    return "classify.json", report, f"verdict {verdict.verdict}"
 
 
 # ---------------------------------------------------------------------------
 # simulate
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     m = _as_chain(_load_input(args.input))
     kernel = build_backward_kernel(m)
     start = args.start
@@ -443,9 +450,8 @@ def cmd_simulate(args) -> int:
     else:
         report["equidistribution"] = None
         report["note"] = note
-    _emit(args, "simulate.json", report,
-          f"{args.paths} path(s) of length {args.length} from {start}")
-    return EXIT_OK
+    return ("simulate.json", report,
+            f"{args.paths} path(s) of length {args.length} from {start}")
 
 
 # ---------------------------------------------------------------------------
@@ -465,15 +471,12 @@ def _closed_form(m: TransitionRuleSet, window: int | None):
     return None
 
 
-def cmd_fairmodel(args) -> int:
+def cmd_fairmodel(args) -> tuple:
     if (args.input is None) == (args.map_family is None):
         raise fio.ParseError("pass exactly one of a spec file or "
                              "--map-family", field="--map-family")
-    imap = (fio.family({"family": args.map_family}) if args.map_family
-            else _load_input(args.input))
-    if not isinstance(imap, MarkovIntervalMap):
-        raise fio.ParseError("fairmodel needs an interval-map spec",
-                             field="kind")
+    imap = _load_input(args.map_family or args.input, "interval-map",
+                       files=args.map_family is None)
     m = transition_matrix(imap)
     kernel = build_backward_kernel(m)
     report = _report(args, ("map", imap.name),
@@ -494,7 +497,7 @@ def cmd_fairmodel(args) -> int:
              "reason": ("no summable stationary vector, so no fair "
                         "probability measure and no Lebesgue fair "
                         "model exists for this map")},
-            "verdict NoFairModel", EXIT_OK))
+            "verdict NoFairModel"))
     report["stationary_provenance"] = mu.pi.provenance
     model = lebesgue_fair_model(imap, mu, window=window)
     total = float(model.total)
@@ -523,31 +526,20 @@ def cmd_fairmodel(args) -> int:
         "entropy_gap": abs(h_rohlin - h_fair),
         "merged_segments": len(merged_segments(model)),
     })
-    _emit(args, "fairmodel.json", report,
-          f"{model.piece_count()} pieces, rohlin_entropy {h_rohlin:.12g}")
-    return EXIT_OK
+    return ("fairmodel.json", report,
+            f"{model.piece_count()} pieces, rohlin_entropy {h_rohlin:.12g}")
 
 
 # ---------------------------------------------------------------------------
 # graph
 
-def cmd_graph(args) -> int:
+def cmd_graph(args) -> tuple:
     if args.input is not None and args.family is not None:
         raise fio.ParseError("pass a spec file or --family, not both",
                              field="--family")
-    if args.input is not None and args.window is not None:
-        raise fio.ParseError("--window sets the blade window of --family "
-                             "dendrite; a graph spec is solved whole",
-                             field="--window")
-    if args.input is None:
-        doc = {"family": args.family or "dendrite"}
-        if args.window is not None:
-            doc["window"] = args.window
-        spec = fio.family(doc, "graph", flags=True)
-    else:
-        spec = _load_input(args.input)
-        if not isinstance(spec, TameGraphMapSpec):
-            raise fio.ParseError("graph needs a graph spec", field="kind")
+    named = args.input is None      # --family, or the dendrite by default
+    spec = _load_input((args.family or "dendrite") if named else args.input,
+                       "graph", args.window, files=not named)
 
     imap = cut_and_paste(spec)
     m = refined_transition_matrix(spec)
@@ -565,7 +557,7 @@ def cmd_graph(args) -> int:
     mu = _solve(args, "graph.json", report, kernel, lambda sol: (
         {"verdict": "NoSummableSolution",
          "diagnostics": sol.diagnostics.as_dict()},
-        "verdict NoSummableSolution", EXIT_OK))
+        "verdict NoSummableSolution"))
     h_shift = fair_entropy(mu)
     fair = lebesgue_fair_model(imap, mu)
     h_rohlin = rohlin_entropy(fair)
@@ -579,15 +571,14 @@ def cmd_graph(args) -> int:
         "pipeline_entropy_gap": abs(h_rohlin - h_shift),
         "fair_model_pieces": fair.piece_count(),
     })
-    _emit(args, "graph.json", report,
-          f"fair_entropy {h_shift:.12g} over {len(spec.arcs)} arcs")
-    return EXIT_OK
+    return ("graph.json", report,
+            f"fair_entropy {h_shift:.12g} over {len(spec.arcs)} arcs")
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple:
     m = _as_chain(_load_input(args.input))
     kernel = build_backward_kernel(m)
     window = args.window if args.window is not None else 64
@@ -625,17 +616,15 @@ def cmd_verify(args) -> int:
     structure_ok = all(c["pass"] for c in checks)
     try:
         mu = _solve(args, "verify.json", report, kernel, lambda sol: (
-            {"verdict": "NoSummableSolution",
+            {"verdict": "NoSummableSolution" if structure_ok else "fail",
              "note": ("no summable stationary vector; measure checks "
                       "are not applicable")},
-            "pass" if structure_ok else "FAIL (structure checks)",
-            EXIT_OK if structure_ok else EXIT_SPEC),
+            "pass" if structure_ok else "FAIL (structure checks)"),
             max_window=max(window, 2 ** 14))
     except SingularWindow as exc:
         check("stationary_solve", False, str(exc), "unique solution")
         report["verdict"] = "fail"
-        _emit(args, "verify.json", report, f"FAIL ({len(checks)} checks)")
-        return EXIT_SPEC
+        return "verify.json", report, f"FAIL ({len(checks)} checks)"
 
     residual = float(verify_stationary(mu))
     check("stationary_residual", residual <= args.tolerance * 10,
@@ -652,9 +641,8 @@ def cmd_verify(args) -> int:
     ok = all(c["pass"] for c in checks)
     report["verdict"] = "pass" if ok else "fail"
     report["fair_entropy"] = h
-    _emit(args, "verify.json", report,
-          ("pass" if ok else "FAIL") + f" ({len(checks)} checks)")
-    return EXIT_OK if ok else EXIT_SPEC
+    return ("verify.json", report,
+            ("pass" if ok else "FAIL") + f" ({len(checks)} checks)")
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +651,19 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            name, report, line = args.func(args)
+        except _Stop as stop:
+            name, report, line = stop.args
+        path = os.path.join(_outdir(args), name)
+        fio.write_json(path, report)
+        print(f"{line} -> {path}")
+        return EXIT[report.get("verdict")]
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
             return EXIT_SPEC
-        return exc.code if exc.code is not None else EXIT_OK
+        return exc.code or 0
     except (fio.ParseError, OSError) as exc:
         print(f"fairshift: {exc}", file=sys.stderr)
         return EXIT_SPEC

@@ -11,6 +11,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from fractions import Fraction
@@ -265,7 +266,7 @@ _BUILDERS = {
 }
 _CHAIN = ("chain", None, None, None)
 BUILTINS = (*sorted(CHAIN_FAMILIES), "full-shift-<k>", *_BUILDERS)
-# a family document's keys besides the parameter; a name is read over
+# a family document's keys besides the parameter; a name renames the result
 _SELECTOR_KEYS = ("family", "kind", "schema_version", "name")
 
 
@@ -274,9 +275,9 @@ def builtins_of(kind: str) -> list[str]:
 
 
 def family(doc: Mapping, kind: str | None = None, flags: bool = False):
-    """The builtin a family document names, once its kind, its version
-    and its keys are checked; a parameter the builder refuses fails on
-    its field, or on its flag (``--window``) when ``flags`` is set."""
+    """The builtin a family document names, under its ``name`` if given,
+    once its kind, version and keys are checked; a parameter the builder
+    refuses fails on its field, or on its flag when ``flags`` is set."""
     name = _get(doc, "family", str, "family")
     own, build, key, read = _BUILDERS.get(name, _CHAIN)
     for want in (doc.get("kind"), kind):
@@ -289,15 +290,18 @@ def family(doc: Mapping, kind: str | None = None, flags: bool = False):
             raise ParseError(f"family {name!r} takes no key {k!r}", field=k)
     if build is None:
         try:
-            return chain_by_name(name)
+            built = chain_by_name(name)
         except KeyError as exc:
             raise ParseError(exc.args[0], field="family") from None
-    args = [read(doc[key], field=key)] if key in doc else []
-    try:
-        return build(*args)
-    except ValueError as exc:
-        raise ParseError(str(exc), field="--" + key if flags else key) \
-            from None
+    else:
+        args = [read(doc[key], field=key)] if key in doc else []
+        try:
+            built = build(*args)
+        except ValueError as exc:
+            raise ParseError(str(exc), field="--" + key if flags else key) \
+                from None
+    return (dataclasses.replace(built, name=str(doc["name"]))
+            if "name" in doc else built)
 
 
 def _spec_reader(kind: str | None):

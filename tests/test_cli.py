@@ -637,6 +637,24 @@ def test_verify_names_failing_checks_on_stderr(tmp_path, capsys):
     assert [c["name"] for c in failing] == ["irreducible_on_window"]
 
 
+def test_a_failed_structure_check_is_a_failed_verify(tmp_path, capsys):
+    # state -1 feeds the walk on 0, 1, ... and nothing returns to it: no
+    # summable solution exists, and the transitivity check fails
+    spec = str(SPECS / "leaky-half-walk.json")
+    code, out = run(tmp_path, "verify", spec)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("FAIL (structure checks) -> ")
+    assert "Traceback" not in captured.err
+    rep = read(out, "verify.json")
+    assert rep["verdict"] == "fail"
+    assert rep["note"] == ("no summable stationary vector; measure checks "
+                           "are not applicable")
+    code, out = run(tmp_path, "analyze", spec)
+    assert code == 0
+    assert read(out, "analyze.json")["verdict"] == "NoSummableSolution"
+
+
 def test_verify_reports_a_singular_solve_as_a_failing_check(tmp_path, capsys):
     # two closed classes and nothing between them: the window solve has
     # no unique solution, which is a failed check, not a crash
@@ -773,12 +791,43 @@ def test_the_analyze_help_and_an_unknown_name_list_every_builtin(
     (["fairmodel", "tent"], ["fairmodel", "--map-family", "tent"],
      "fairmodel-tent"),
     (["graph", "dendrite"], ["graph", "--family", "dendrite"], None),
-], ids=["fairmodel-tent", "graph-dendrite"])
+    # a builtin name takes its parameter from the command line
+    (["graph", "dendrite", "--window", "4"],
+     ["graph", "--family", "dendrite", "--window", "4"], "graph-dendrite-4"),
+], ids=["fairmodel-tent", "graph-dendrite", "graph-dendrite-window"])
 def test_every_command_reads_a_builtin_name(tmp_path, argv, flags, golden):
     by_name = run_case(argv, tmp_path / "name")
     assert by_name == run_case(flags, tmp_path / "flag")
     if golden is not None:
         assert by_name == read_golden(golden)
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["graph", "tent", "--window", "4"], "graph"),
+    (["graph", "no-such-builtin"], "graph"),
+    (["fairmodel", "unbiased-walk"], "interval-map"),
+])
+def test_a_name_of_no_builtin_of_the_kind_ends_in_one_error_line(
+        tmp_path, capsys, argv, kind):
+    # a --window for the graph builtin does not hide a name of another kind
+    out = tmp_path / "o"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"fairshift: {argv[1]!r} is neither a file nor a "
+                          f"builtin name of kind {kind}; ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_a_builtin_flag_reads_no_file_of_its_name(tmp_path, monkeypatch):
+    # the flags name builtins only, so a file named like one is not read
+    monkeypatch.chdir(tmp_path)
+    for name in ("dendrite", "tent"):
+        (tmp_path / name).write_text("not a spec")
+    assert main(["graph", "--family", "dendrite", "--window", "2",
+                 "--out", "g"]) == 0
+    assert main(["fairmodel", "--map-family", "tent", "--out", "f"]) == 0
+    assert main(["fairmodel", "tent", "--out", "f"]) == 1
 
 
 def test_unknown_family_exits_one(tmp_path, capsys):

@@ -14,14 +14,18 @@ After an intended output change, regenerate the goldens with
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
+import json
 import os
 import pathlib
+import re
 import sys
 import tempfile
 
 import pytest
 
+from fairshift import cli, recurrence
 from fairshift.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -86,6 +90,24 @@ def test_cli_output_matches_golden(case, tmp_path, monkeypatch):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], f"{case}/{name} differs"
+
+
+def test_each_golden_exit_code_is_the_code_of_its_verdict():
+    # reads the committed reports only: the report a command writes is
+    # <command>.json, and simulate's has no verdict
+    for case in sorted(CASES):
+        report = json.loads((GOLDEN / case / f"{CASES[case][0]}.json")
+                            .read_text())
+        code = (GOLDEN / case / STDOUT).read_text().splitlines()[0]
+        assert f"exit {cli.EXIT[report.get('verdict')]}" == code, case
+
+
+def test_every_classify_verdict_has_an_exit_code():
+    returned = re.findall(r'verdict = "([^"]+)"',
+                          inspect.getsource(recurrence.classify))
+    assert sorted(returned) == ["null-recurrent", "positive-recurrent",
+                                "transient", "unknown"]
+    assert set(returned) <= set(cli.EXIT)
 
 
 def regenerate() -> None:

@@ -271,6 +271,8 @@ def test_a_rule_map_is_a_family_document_only_when_the_family_built_it():
     assert (doc["family"], doc["ratio"], doc["name"]) == \
         ("staircase", "1/3", "steps")
     assert interval_map_from_dict(doc).branch(5) == Branch(5, 0, r ** 3, True)
+    # and the document's name names the map it reads back
+    assert interval_map_from_dict(doc).name == "steps"
 
 
 def test_finite_interval_map_documents_are_explicit():
@@ -336,8 +338,9 @@ def test_a_kind_less_family_document_reads_as_its_builtin(tmp_path):
                        full_shift(3))):
         write_json(spec, doc)
         got = load_spec(spec)
-        # the family names what it builds
-        assert type(got) is type(want) and got.name == want.name, doc
+        # the family names what it builds, unless the document names it
+        assert type(got) is type(want), doc
+        assert got.name == doc.get("name", want.name), doc
     assert load_spec(spec).same_matrix(full_shift(3))
 
 
