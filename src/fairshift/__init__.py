@@ -29,7 +29,7 @@ from .io import (ParseError, chain_from_dict, chain_to_dict, dump_json,
 from .interval import (Branch, Enclosure, FinitePartition,
                        GeometricPartition, HitsPartitionPoint,
                        InadmissibleWord, IntegerPartition,
-                       MarkovIntervalMap, NotMarkov, Piece, PiecewiseAffineMap,
+                       MarkovIntervalMap, NotMarkov, PiecewiseAffineMap,
                        check_lebesgue_fair, cylinder_interval, five_three_map,
                        itinerary, lebesgue_fair_model, merged_segments,
                        point_from_itinerary, rohlin_entropy, staircase_map,

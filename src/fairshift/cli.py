@@ -19,6 +19,8 @@ import os
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import io as fio
 from .chain import (Abs, InfinitePreimages, SchemaError, StuckWalk,
                     TransitionRuleSet, UnresolvableState, build_backward_kernel,
@@ -501,13 +503,12 @@ def cmd_fairmodel(args) -> tuple:
     report["stationary_provenance"] = mu.pi.provenance
     model = lebesgue_fair_model(imap, mu, window=window)
     total = float(model.total)
-    xs = [piece.x_interval(total) for piece in model.pieces]
-    ys = [piece.y_interval(total) for piece in model.pieces]
+    # rho t is the coordinate 1 - t/total; rho_left gives the left end
+    x, y = (1.0 - a.astype(float) / total for a in (model.x, model.y))
     fio.write_csv(os.path.join(_outdir(args), "fairmodel.csv"),
                   ["x", "x_right", "y", "y_right", "slope"],
-                  [[x for x, _ in xs], [x for _, x in xs],
-                   [y for y, _ in ys], [y for _, y in ys],
-                   [int(piece.slope()) for piece in model.pieces]])
+                  [x[:, 1], x[:, 0], y[:, 1], y[:, 0],
+                   np.where(model.increasing, model.cmag, -model.cmag)])
 
     violation = check_lebesgue_fair(model)
     h_rohlin = rohlin_entropy(model)

@@ -77,7 +77,8 @@ def origin_broadcast_stationary(window: int) -> StationaryVector:
 def factorial_stationary(window: int) -> StationaryVector:
     """Weights 1/(j-1)! for j = 1..window; the full total is e."""
     w = {j: Fraction(1, math.factorial(j - 1)) for j in range(1, window + 1)}
-    tail = 2.0 / math.factorial(window)      # crude: sum_{j>W} 1/(j-1)! < 2/W!
+    # crude: sum_{j>W} 1/(j-1)! < 2/W!, and W! is no float from W = 171 on
+    tail = 2 / math.factorial(window)
     return StationaryVector(weights=w, total=math.e, provenance="closed-form",
                             window=window, tail_mass_bound=tail)
 

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .chain import Abs, AbsRay, Rel, RelRay, TransitionRuleSet
 from .measure import FairMeasure
 
@@ -34,7 +36,7 @@ __all__ = [
     "tent_map", "staircase_map", "five_three_map",
     "transition_matrix", "itinerary", "cylinder_interval",
     "Enclosure", "point_from_itinerary",
-    "Piece", "PiecewiseAffineMap", "lebesgue_fair_model",
+    "PiecewiseAffineMap", "lebesgue_fair_model",
     "check_lebesgue_fair", "rohlin_entropy", "merged_segments",
 ]
 
@@ -431,44 +433,34 @@ def point_from_itinerary(imap: MarkovIntervalMap, word: tuple[int, ...],
 
 # -- Lebesgue fair models ---------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class Piece:
-    """One affine piece, in right-anchored weight coordinates.
+@dataclass(frozen=True, eq=False)
+class PiecewiseAffineMap:
+    """Piecewise affine interval map carrying its own fair bookkeeping.
 
-    ``xr`` and ``yr`` are (rho_right, rho_left) pairs, rho being the
-    weight-distance from the right end of [0, 1]; the actual coordinate
-    of a rho value t is 1 - t/total.
+    One row per affine piece, left to right along x: piece k maps the
+    x-range ``x[k]`` in the slot of interval ``src[k]`` onto the whole
+    slot ``y[k]`` of interval ``dst[k]``, with slope magnitude ``cmag[k]``
+    (the column count of ``dst[k]`` for built models), increasing when
+    ``increasing[k]``.  Ranges are (rho_right, rho_left) rows, rho being
+    the weight-distance from the right end of [0, 1]; the actual coordinate
+    of a rho value t is 1 - t/total.  ``x`` and ``y`` hold Fractions
+    (dtype object) for exact weights and float64 otherwise, and that dtype
+    alone decides whether the fairness check is exact.
     """
 
-    src: int
-    dst: int
-    xr: tuple[Number, Number]
-    yr: tuple[Number, Number]
-    increasing: bool
-    cmag: Number                       # integer column count for built models
-
-    def x_interval(self, total: float) -> tuple[float, float]:
-        return 1.0 - float(self.xr[1]) / total, 1.0 - float(self.xr[0]) / total
-
-    def y_interval(self, total: float) -> tuple[float, float]:
-        return 1.0 - float(self.yr[1]) / total, 1.0 - float(self.yr[0]) / total
-
-    def slope(self) -> Number:
-        return self.cmag if self.increasing else -self.cmag
-
-
-@dataclass(frozen=True)
-class PiecewiseAffineMap:
-    """Piecewise affine interval map carrying its own fair bookkeeping."""
-
-    pieces: tuple[Piece, ...]          # sorted left to right along x
+    src: np.ndarray
+    dst: np.ndarray
+    x: np.ndarray                      # n x 2
+    y: np.ndarray                      # n x 2
+    increasing: np.ndarray
+    cmag: np.ndarray
     total: Number                      # full weight mass including any tail
     emitted: Number                    # weight mass covered by interval slots
     gap: Number                        # slot mass lost to window truncation
     name: str = "fair-model"
 
     def piece_count(self) -> int:
-        return len(self.pieces)
+        return len(self.src)
 
 
 def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
@@ -490,55 +482,56 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
         ids = [s for s in ids if s in allowed]
     if not ids:
         raise ValueError("empty stationary support")
-    ids.sort(key=lambda s: part.bounds(s)[0])
-    rank = {s: r for r, s in enumerate(ids)}      # left-to-right order
+    # row r of every per-slot array is the r-th interval from the right
+    ids.sort(key=lambda s: part.bounds(s)[0], reverse=True)
+    row = {s: r for r, s in enumerate(ids)}
+    weights = [pi.weight(s) for s in ids]
+    dtype = object if all(isinstance(w, Fraction) for w in weights) else float
+    w = np.array(weights, dtype)
+    acc = np.cumsum(np.append(0, w))
+    starts, ends = acc[:-1], acc[1:]
+    inc = np.array([imap.branch(s).increasing for s in ids], bool)
+    counts = np.array([len(mu.kernel.preds(s)) for s in ids])
 
-    weights = {s: pi.weight(s) for s in ids}
-    slots: dict[int, tuple[Number, Number]] = {}
-    acc: Number = 0
-    for s in reversed(ids):           # rightmost interval first
-        w = weights[s]
-        slots[s] = (acc, acc + w)
-        acc = acc + w
-    emitted = acc
+    # the entries of P inside the model, ordered right to left along x
+    # within each slot: an increasing branch lays its targets out left to
+    # right, so its rightmost target comes first
+    rows = [mu.row(s) for s in ids]
+    src = np.repeat(np.arange(len(ids)), [len(r) for r in rows])
+    dst = np.fromiter((row.get(j, -1) for r in rows for j, _ in r), np.intp)
+    p = np.fromiter((q for r in rows for _, q in r), dtype, len(src))
+    order = np.lexsort((np.where(inc[src], dst, -dst), src))
+    order = order[dst[order] >= 0]
+    src, dst, p = src[order], dst[order], p[order]
 
-    counts = {s: len(mu.kernel.preds(s)) for s in ids}
-    pieces: list[Piece] = []
-    gap: Number = 0
-    accx: Number = 0
-    for s in reversed(ids):
-        br = imap.branch(s)
-        succ = [(j, p) for j, p in mu.row(s) if j in rank]
-        # successor pieces ordered right-to-left along x: an increasing
-        # branch lays targets out left-to-right, so reverse its spatial order
-        succ.sort(key=lambda jp: rank[jp[0]], reverse=br.increasing)
-        placed: Number = 0
-        for j, p in succ:
-            length = weights[s] * p
-            x_hi = accx + length
-            # with float weights a far-tail length can be absorbed by the
-            # accumulator (or a whole slot can collapse); such a piece has
-            # no Lebesgue mass and only degenerate affine data, skip it
-            if x_hi > accx and slots[j][1] > slots[j][0]:
-                pieces.append(Piece(src=s, dst=j,
-                                    xr=(accx, x_hi),
-                                    yr=slots[j],
-                                    increasing=br.increasing,
-                                    cmag=counts[j]))
-            accx = x_hi
-            placed = placed + length
-        short = weights[s] - placed
-        accx = slots[s][1]            # the next slot's x-range starts here
-        # a float shortfall of a few eps * w_s per term of this slot's own
-        # sum is rounding and solve residual, no loss: on the dendrite it
-        # stays under 2 per term, while a truncated slot lacks 1e13 times more
-        if isinstance(short, float) and abs(short) <= (
-                8 * (len(succ) + 1) * math.ulp(1.0) * abs(weights[s])):
-            short = 0.0
-        gap = gap + short
-    pieces.reverse()                  # ascending x
-    return PiecewiseAffineMap(tuple(pieces), total=pi.total, emitted=emitted,
-                              gap=gap, name=f"{imap.name}-fair-model")
+    # each slot's pieces start at the slot's own start and follow one
+    # running sum, left to right along its row of the grid, so x-ranges
+    # and slots agree to the last bit in floats
+    deg = np.bincount(src, minlength=len(ids))
+    col = np.arange(len(src)) - (np.cumsum(deg) - deg)[src] + 1
+    grid = np.zeros((len(ids), deg.max() + 1), dtype)
+    grid[src, col] = w[src] * p
+    xs = np.cumsum(grid, axis=1)
+    short = w - xs[:, -1]
+    grid[:, 0] = starts
+    np.cumsum(grid, axis=1, out=xs)
+    lo, hi = xs[src, col - 1], xs[src, col]
+    if dtype is float:
+        # a float shortfall of a few eps * w_s per term of a slot's own sum
+        # is rounding and solve residual, no loss: on the dendrite it stays
+        # under 2 per term, while a truncated slot lacks 1e13 times more
+        short[np.abs(short) <= 8 * (deg + 1) * math.ulp(1.0) * np.abs(w)] = 0.0
+    # with float weights a far-tail length can be absorbed by the running
+    # sum (or a whole slot can collapse); such a piece has no Lebesgue mass
+    # and only degenerate affine data, so it is left out.  Rows run right
+    # to left, so the kept pieces, reversed, run left to right along x
+    keep = np.flatnonzero((hi > lo) & (ends[dst] > starts[dst]))[::-1]
+    src, dst, ids = src[keep], dst[keep], np.array(ids)
+    return PiecewiseAffineMap(
+        src=ids[src], dst=ids[dst], x=np.stack((lo[keep], hi[keep]), axis=1),
+        y=np.stack((starts, ends), axis=1)[dst], increasing=inc[src],
+        cmag=counts[dst], total=pi.total, emitted=ends.tolist()[-1],
+        gap=np.cumsum(short).tolist()[-1], name=f"{imap.name}-fair-model")
 
 
 def check_lebesgue_fair(model: PiecewiseAffineMap) -> Number:
@@ -568,61 +561,67 @@ def check_lebesgue_fair(model: PiecewiseAffineMap) -> Number:
     deeper cell.
 
     Pieces onto one slot must share one y-range, and slots must not
-    overlap; otherwise NotMarkov is raised.  When every piece coordinate
-    is an int or a Fraction the defect is an exact Fraction, zero for
+    overlap; otherwise NotMarkov is raised.  When the model's coordinates
+    are Fractions (dtype object) the defect is an exact Fraction, zero for
     models built by ``lebesgue_fair_model`` from exact weights.  Otherwise
     it is a float, and a defect within the rounding of the coordinate sums
     it compares counts as zero.
     """
-    ends = [t for p in model.pieces for t in (*p.xr, *p.yr)]
-    num = Fraction if all(isinstance(t, (int, Fraction)) for t in ends) \
-        else float
+    x, y = model.x, model.y
+    num = Fraction if x.dtype == object else float
     # coordinates are running sums, rounded relative to their magnitude;
     # a defect made of k differences of them may be off by about k units
     unit = 0 if num is Fraction else \
-        8 * math.ulp(1.0) * max(map(abs, ends), default=0.0)
+        8 * math.ulp(1.0) * float(abs(np.concatenate((x, y))).max(initial=0))
     truncated = model.gap != 0 or model.emitted != model.total
-    onto: dict[int, list[Piece]] = {}
-    out_of: dict[int, list[tuple[Number, Number]]] = {}
-    for p in model.pieces:
-        onto.setdefault(p.dst, []).append(p)
-        out_of.setdefault(p.src, []).append(p.xr)
-    slots = {}
-    for j, ps in onto.items():
-        if any(p.yr != ps[0].yr for p in ps):
-            raise NotMarkov(f"the pieces onto slot {j} differ in y-range")
-        slots[j] = ps[0].yr
-    ys = sorted(slots.values())
-    if any(c < d for (_, d), (c, _) in zip(ys, ys[1:])):
+    # slot j is (c[j], d[j]), the y-range of every piece onto it, and
+    # n[k] pieces go onto the slot of piece k
+    slots, first, onto = np.unique(model.dst, return_index=True,
+                                   return_inverse=True)
+    c, d = y[first, 0], y[first, 1]
+    split = (y[:, 0] != c[onto]) | (y[:, 1] != d[onto])
+    if split.any():
+        raise NotMarkov(f"the pieces onto slot {slots[onto[split.argmax()]]} "
+                        f"differ in y-range")
+    by_y = np.lexsort((d, c))
+    if np.any(c[by_y[1:]] < d[by_y[:-1]]):
         raise NotMarkov("two slots overlap")
 
-    worst = num(0)
-    for j, (c, d) in slots.items():
-        ps, xs = onto[j], sorted(out_of.get(j, ()))
-        n = len(ps)
-        if not truncated or all(p.cmag == n for p in ps):
-            for p in ps:
-                off = abs(n * (p.xr[1] - p.xr[0]) - (d - c))
-                if off > (n + 1) * unit:
-                    worst = max(worst, num(off) / n)
-        # the signed gaps start -> x_1, x_1 -> x_2, ..., x_k -> end
-        marks = [c, *(t for x in xs for t in x), d]
-        gaps = [marks[k + 1] - marks[k] for k in range(0, len(marks), 2)]
-        if truncated and gaps[-1] > 0:
-            gaps.pop()
-        off = sum(map(abs, gaps), num(0))
-        if off > (len(xs) + 1) * unit:
-            worst = max(worst, off)
-    return worst
+    n = np.bincount(onto)[onto]
+    counted = np.ones(len(slots), bool)
+    if truncated:
+        counted[onto[model.cmag != n]] = False
+    off = np.abs(n * (x[:, 1] - x[:, 0]) - (d - c)[onto])
+    fails = counted[onto] & (off > (n + 1) * unit)
+    defects = [off[fails] / n[fails]]
+
+    # the pieces out of each slot along x leave one row of signed gaps:
+    # start -> x_1, x_1 -> x_2, ..., x_k -> end
+    home = np.minimum(np.searchsorted(slots, model.src), len(slots) - 1)
+    out = np.flatnonzero(slots[home] == model.src)
+    out = out[np.lexsort((x[out, 1], x[out, 0], home[out]))]
+    h, lo, hi = home[out], x[out, 0], x[out, 1]
+    k = np.bincount(h, minlength=len(slots))
+    col = np.arange(len(out)) - (np.cumsum(k) - k)[h]
+    grid = np.zeros((len(slots), k.max(initial=0) + 1), x.dtype)
+    grid[h, col] = lo - np.where(col == 0, c[h], np.roll(hi, 1))
+    end = c.copy()
+    end[k > 0] = hi[(np.cumsum(k) - 1)[k > 0]]
+    tail = d - end
+    tail[truncated & (tail > 0)] = 0          # a truncated slot's end hole
+    grid[np.arange(len(slots)), k] = tail
+    off = np.cumsum(np.abs(grid), axis=1)[:, -1]
+    defects.append(off[off > (k + 1) * unit])
+    return num(np.concatenate(defects).max(initial=num(0)))
 
 
 def rohlin_entropy(model: PiecewiseAffineMap) -> float:
     """Integral of log|slope| over the emitted pieces, in [0,1] mass."""
-    total = float(model.total)
-    acc = 0.0
-    for p in model.pieces:
-        acc += float(p.xr[1] - p.xr[0]) / total * math.log(p.cmag)
-    return acc
+    slopes, at = np.unique(model.cmag, return_inverse=True)
+    logs = np.array([math.log(c) for c in slopes.tolist()])
+    terms = (model.x[:, 1] - model.x[:, 0]).astype(float) \
+        / float(model.total) * logs[at]
+    return float(np.cumsum(np.append(0.0, terms))[-1])
 
 
 def merged_segments(model: PiecewiseAffineMap) -> list[tuple[float, float, int]]:
@@ -631,24 +630,17 @@ def merged_segments(model: PiecewiseAffineMap) -> list[tuple[float, float, int]]
     Adjacent pieces merge when their slopes agree and the images meet
     continuously at the junction.
     """
+    x, y, inc = model.x, model.y, model.increasing
+    if not len(x):
+        return []
+    slope = np.where(inc, model.cmag, -model.cmag)
+    # the image of each piece's left and right end
+    left, right = np.where(inc, y.T[::-1], y.T)
+    joined = (x[:-1, 0] == x[1:, 1]) & (slope[:-1] == slope[1:]) \
+        & (right[:-1] == left[1:])
+    first = np.flatnonzero(np.append(True, ~joined))
+    last = np.append(first[1:], len(x)) - 1
     total = float(model.total)
-    segs: list[list] = []
-    prev: Piece | None = None
-    for p in model.pieces:            # ascending x = descending rho
-        joined = False
-        if prev is not None and segs:
-            adjacent = prev.xr[0] == p.xr[1]
-            if adjacent and prev.slope() == p.slope():
-                left_y = prev.yr[0] if prev.increasing else prev.yr[1]
-                right_y = p.yr[1] if p.increasing else p.yr[0]
-                if left_y == right_y:
-                    segs[-1][1] = p.xr[0]
-                    joined = True
-        if not joined:
-            segs.append([p.xr[1], p.xr[0], p.slope()])
-        prev = p
-    out = []
-    for rho_left, rho_right, slope in segs:
-        out.append((1.0 - float(rho_left) / total,
-                    1.0 - float(rho_right) / total, slope))
-    return out
+    x_lo = 1.0 - x[first, 1].astype(float) / total
+    x_hi = 1.0 - x[last, 0].astype(float) / total
+    return list(zip(x_lo.tolist(), x_hi.tolist(), slope[first].tolist()))

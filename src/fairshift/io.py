@@ -276,10 +276,15 @@ def builtins_of(kind: str) -> list[str]:
 
 def family(doc: Mapping, kind: str | None = None, flags: bool = False):
     """The builtin a family document names, under its ``name`` if given,
-    once its kind, version and keys are checked; a parameter the builder
-    refuses fails on its field, or on its flag when ``flags`` is set."""
+    once its name, kind, version and keys are checked (an unknown name on
+    field ``family``); a parameter the builder refuses fails on its field,
+    or on its flag when ``flags`` is set."""
     name = _get(doc, "family", str, "family")
     own, build, key, read = _BUILDERS.get(name, _CHAIN)
+    if name not in BUILTINS and not name.startswith("full-shift-"):
+        names = ", ".join(builtins_of(doc.get("kind") or kind) or BUILTINS)
+        raise ParseError(f"unknown family {name!r}; known: {names}",
+                         field="family")
     for want in (doc.get("kind"), kind):
         if want not in (None, own):
             raise ParseError(f"{name!r} is no {want} builtin", field="kind")

@@ -845,6 +845,33 @@ def test_unknown_family_exits_one(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("doc, names", [
+    ({"kind": "graph", "family": "no-such"}, ["dendrite"]),
+    ({"family": "no-such", "window": 3}, list(BUILTINS)),
+    ({"family": "no-such"}, list(BUILTINS)),
+])
+def test_an_unknown_family_in_a_document_fails_on_its_name(tmp_path, capsys,
+                                                           doc, names):
+    spec = tmp_path / "unknown.json"
+    write_json(spec, doc)
+    message = (f"unknown family 'no-such'; known: {', '.join(names)} "
+               f"(field 'family')")
+    with pytest.raises(ParseError) as exc:
+        load_spec(spec)
+    assert exc.value.field == "family" and str(exc.value) == message
+    command = "graph" if "kind" in doc else "analyze"
+    assert main([command, str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"fairshift: {message}\n"
+
+
+def test_a_staircase_window_past_the_float_range_of_its_factorial(tmp_path):
+    # 171! is no float; the tail bound 2 / 171! is one, far below 1e-300
+    code, out = run(tmp_path, "fairmodel", "--map-family", "staircase",
+                    "--window", "171")
+    assert code == 0
+    assert read(out, "fairmodel.json")["fairness_exact_zero"] is True
+
+
 def test_broken_json_exits_one(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{this is not json")

@@ -222,13 +222,13 @@ def dendrite_fair_model(window):
 
 def test_float_check_passes_the_model_and_catches_a_moved_piece():
     model = dendrite_fair_model(4)
-    assert isinstance(model.pieces[0].xr[0], float)
+    assert model.x.dtype == float
     assert check_lebesgue_fair(model) < 1e-12
     # one piece's x end moved by a seventh of its length changes its slope
-    pieces = list(model.pieces)
-    a, b = pieces[100].xr
-    pieces[100] = replace(pieces[100], xr=(a, b - (b - a) / 7))
-    doctored = replace(model, pieces=tuple(pieces))
+    x = model.x.copy()
+    a, b = x[100]
+    x[100, 1] = b - (b - a) / 7
+    doctored = replace(model, x=x)
     assert check_lebesgue_fair(doctored) > 1e-6
 
 

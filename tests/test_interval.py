@@ -1,25 +1,29 @@
 """Interval maps: compilation to rule sets, symbolic dynamics, fair models."""
 
+import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fairshift import (
     Abs, Branch, FinitePartition, GeometricPartition, HitsPartitionPoint,
-    InadmissibleWord, IntegerPartition, MarkovIntervalMap, NotMarkov, Piece,
+    InadmissibleWord, IntegerPartition, MarkovIntervalMap, NotMarkov,
     PiecewiseAffineMap, Rel, StationaryVector, build_backward_kernel,
-    check_lebesgue_fair,
-    cylinder_interval, dump_json, factorial_chain, factorial_stationary,
+    check_lebesgue_fair, cylinder_interval, dump_json, factorial_chain,
+    factorial_stationary,
     fair_measure_from, five_three_chain, five_three_map, full_shift,
     full_shift_stationary, interval_map_from_dict, interval_map_to_dict,
     itinerary, lebesgue_fair_model, merged_segments, point_from_itinerary,
     rohlin_entropy, solve_stationary, staircase_map, tent_map,
     transition_matrix,
 )
+from test_graph import dendrite_fair_model
 
 F = Fraction
 FACTORIAL_ENTROPY = 1.0475026451453382        # sum_k log(k+2)/(e k!)
@@ -191,6 +195,35 @@ def test_point_from_itinerary_round_trips():
 
 # -- Lebesgue fair models --------------------------------------------------------
 
+# one model row, named as the reference loops below read it
+Row = namedtuple("Row", "src dst xr yr increasing cmag")
+
+
+def rows_of(model):
+    """The model's pieces as Python rows, left to right along x."""
+    return [Row(*r) for r in zip(model.src.tolist(), model.dst.tolist(),
+                                 map(tuple, model.x.tolist()),
+                                 map(tuple, model.y.tolist()),
+                                 model.increasing.tolist(),
+                                 model.cmag.tolist())]
+
+
+def model_of(rows, name):
+    """A model of total mass 1 whose pieces are ``rows`` sorted along x."""
+    rows = sorted(rows, key=lambda r: r.xr[0], reverse=True)
+    src, dst, x, y, increasing, cmag = map(np.array, zip(*rows))
+    return PiecewiseAffineMap(src, dst, x, y, increasing, cmag, total=F(1),
+                              emitted=F(1), gap=F(0), name=name)
+
+
+def with_rows(model, column, rows):
+    """The model with the rows ``{k: value}`` of one column replaced."""
+    edited = getattr(model, column).copy()
+    for k, value in rows.items():
+        edited[k] = value
+    return replace(model, **{column: edited})
+
+
 def tent_model():
     m = full_shift(2)
     kernel = build_backward_kernel(m)
@@ -216,13 +249,12 @@ def test_tent_model_reproduces_the_tent_map():
 def test_staircase_model_slopes_are_column_counts():
     model = staircase_model()
     assert model.piece_count() > 100
-    for p in model.pieces:
-        assert p.cmag == p.dst + 1
-    assert min(p.cmag for p in model.pieces) == 2
+    assert (model.cmag == model.dst + 1).all()
+    assert model.cmag.min() == 2
     # x-pieces within one source interval are ordered left to right and
-    # map onto whole slots: every piece onto one slot has the same yr
+    # map onto whole slots: every piece onto one slot has the same y-range
     slots: dict = {}
-    assert all(slots.setdefault(p.dst, p.yr) == p.yr for p in model.pieces)
+    assert all(slots.setdefault(p.dst, p.yr) == p.yr for p in rows_of(model))
 
 
 def test_staircase_model_is_exactly_fair():
@@ -256,31 +288,27 @@ def test_unequal_branch_split_breaks_fairness():
     def rho(a, b):
         return (1 - b, 1 - a)
 
-    pieces = []
+    rows = []
     for i, (ilo, ihi) in enumerate(slots):
         width = ihi - ilo
         for j, (jlo, jhi) in enumerate(slots):
             a = ilo + width * jlo
             b = ilo + width * jhi
-            pieces.append(Piece(src=i, dst=j, xr=rho(a, b),
-                                yr=rho(*slots[j]), increasing=True, cmag=3))
-    pieces.sort(key=lambda p: p.xr[0], reverse=True)
-    model = PiecewiseAffineMap(tuple(pieces), total=F(1), emitted=F(1),
-                               gap=F(0), name="skew")
+            rows.append(Row(src=i, dst=j, xr=rho(a, b), yr=rho(*slots[j]),
+                            increasing=True, cmag=3))
+    model = model_of(rows, "skew")
     assert check_lebesgue_fair(model) == F(1, 12)
 
     # the balanced variant of the same construction is exactly fair
     slots = [(F(0), F(1, 3)), (F(1, 3), F(2, 3)), (F(2, 3), F(1))]
-    pieces = []
+    rows = []
     for i, (ilo, ihi) in enumerate(slots):
         for j, (jlo, jhi) in enumerate(slots):
             a = ilo + (ihi - ilo) * jlo
             b = ilo + (ihi - ilo) * jhi
-            pieces.append(Piece(src=i, dst=j, xr=rho(a, b),
-                                yr=rho(*slots[j]), increasing=True, cmag=3))
-    pieces.sort(key=lambda p: p.xr[0], reverse=True)
-    balanced = PiecewiseAffineMap(tuple(pieces), total=F(1), emitted=F(1),
-                                  gap=F(0), name="thirds")
+            rows.append(Row(src=i, dst=j, xr=rho(a, b), yr=rho(*slots[j]),
+                            increasing=True, cmag=3))
+    balanced = model_of(rows, "thirds")
     assert check_lebesgue_fair(balanced) == 0
     assert rohlin_entropy(balanced) == pytest.approx(math.log(3), abs=1e-12)
 
@@ -303,12 +331,13 @@ def _reference_violation(model, depth):
     each preimage length from its fair share len(B) / c(B).  Kept as the
     floor the slot check must be at least as strict as.
     """
+    pieces = rows_of(model)
     by_dst = {}
-    for p in model.pieces:
+    for p in pieces:
         by_dst.setdefault(p.dst, []).append(p)
     truncated = model.gap != 0 or model.emitted != model.total
     worst = F(0)
-    frontier = [(F(p.xr[0]), F(p.xr[1]), p.src) for p in model.pieces]
+    frontier = [(F(p.xr[0]), F(p.xr[1]), p.src) for p in pieces]
     for _ in range(depth):
         nxt = []
         for u, v, home in frontier:
@@ -345,8 +374,9 @@ def _reference_defect(model):
     out of it, walked from the slot's start to its end.
     """
     truncated = model.gap != 0 or model.emitted != model.total
+    pieces = rows_of(model)
     ys = {}
-    for p in model.pieces:
+    for p in pieces:
         if ys.setdefault(p.dst, p.yr) != p.yr:
             raise NotMarkov("one slot, two y-ranges")
     worst, reached = F(0), None
@@ -354,19 +384,53 @@ def _reference_defect(model):
         if reached is not None and c < reached:
             raise NotMarkov("overlapping slots")
         reached = d
-        onto = [p for p in model.pieces if p.dst == j]
+        onto = [p for p in pieces if p.dst == j]
         share = F(d - c) / len(onto)
         if not truncated or all(p.cmag == len(onto) for p in onto):
             for p in onto:
                 worst = max(worst, abs(F(p.xr[1] - p.xr[0]) - share))
         at, loss = F(c), F(0)
-        for u, v in sorted(p.xr for p in model.pieces if p.src == j):
+        for u, v in sorted(p.xr for p in pieces if p.src == j):
             loss += abs(u - at)
             at = F(v)
         if at > d or not truncated:
             loss += abs(d - at)
         worst = max(worst, loss)
     return worst
+
+
+def _reference_rohlin(model):
+    """The per-piece loop that ``rohlin_entropy`` replaced."""
+    total = float(model.total)
+    acc = 0.0
+    for p in rows_of(model):
+        acc += float(p.xr[1] - p.xr[0]) / total * math.log(p.cmag)
+    return acc
+
+
+def _reference_segments(model):
+    """The per-piece loop that ``merged_segments`` replaced."""
+    def slope(p):
+        return p.cmag if p.increasing else -p.cmag
+
+    total = float(model.total)
+    segs: list[list] = []
+    prev = None
+    for p in rows_of(model):          # ascending x = descending rho
+        joined = False
+        if prev is not None and segs:
+            adjacent = prev.xr[0] == p.xr[1]
+            if adjacent and slope(prev) == slope(p):
+                left_y = prev.yr[0] if prev.increasing else prev.yr[1]
+                right_y = p.yr[1] if p.increasing else p.yr[0]
+                if left_y == right_y:
+                    segs[-1][1] = p.xr[0]
+                    joined = True
+        if not joined:
+            segs.append([p.xr[1], p.xr[0], slope(p)])
+        prev = p
+    return [(1.0 - float(rho_left) / total, 1.0 - float(rho_right) / total,
+             s) for rho_left, rho_right, s in segs]
 
 
 def _outcome(fn, *args):
@@ -475,27 +539,26 @@ def doctored_models(draw):
     skip with such a mixed slot.
     """
     model = draw(built_models())
-    pieces = list(model.pieces)
-    for k in draw(st.lists(st.integers(0, len(pieces) - 1), min_size=1,
-                           max_size=6)):
-        p = pieces[k]
+    columns = {name: getattr(model, name).copy()
+               for name in ("x", "y", "increasing", "cmag")}
+    for k in draw(st.lists(st.integers(0, model.piece_count() - 1),
+                           min_size=1, max_size=6)):
         # x ends give defects, y ends mostly split a slot's y-range
-        which = draw(st.sampled_from(["xr", "xr", "yr", "increasing",
-                                      "cmag"]))
+        which = draw(st.sampled_from(["x", "x", "y", "increasing", "cmag"]))
         if which == "increasing":
-            pieces[k] = replace(p, increasing=not p.increasing)
+            columns[which][k] = not columns[which][k]
             continue
         if which == "cmag":
-            pieces[k] = replace(p, cmag=p.cmag + draw(st.sampled_from([-1, 1])))
+            columns[which][k] += draw(st.sampled_from([-1, 1]))
             continue
-        lo, hi = getattr(p, which)
+        lo, hi = columns[which][k]
         span = hi - lo
         # each end moves by under a third of the span: the piece stays
         # nonempty
         lo += span * F(draw(st.integers(-5, 5)), draw(st.integers(16, 40)))
         hi += span * F(draw(st.integers(-5, 5)), draw(st.integers(16, 40)))
-        pieces[k] = replace(p, **{which: (lo, hi)})
-    return replace(model, pieces=tuple(pieces))
+        columns[which][k] = (lo, hi)
+    return replace(model, **columns)
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,6 +585,40 @@ def test_integer_check_matches_fraction_reference_on_doctored_models(model,
         assert got != 0
 
 
+dendrite_model = functools.cache(dendrite_fair_model)
+
+
+@st.composite
+def weighed_models(draw):
+    """A model and whether its weights are exact.
+
+    Built models have exact weights: closed forms, or Fraction elimination
+    on generated maps.  The solver's weights, on a generated map or on the
+    dendrite, are floats.
+    """
+    kind = draw(st.sampled_from(["built", "solved", "dendrite"]))
+    if kind == "built":
+        return draw(built_models()), True
+    if kind == "dendrite":
+        return dendrite_model(draw(st.sampled_from([4, 8]))), False
+    imap = draw(interval_maps())
+    kernel = build_backward_kernel(transition_matrix(imap))
+    mu = fair_measure_from(solve_stationary(kernel), kernel)
+    return lebesgue_fair_model(imap, mu), False
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighed_models())
+def test_columns_match_the_piece_loops(case):
+    model, exact = case
+    assert (model.x.dtype == object) == (model.y.dtype == object) == exact
+    assert type(check_lebesgue_fair(model)) is (Fraction if exact else float)
+    assert rohlin_entropy(model).hex() == _reference_rohlin(model).hex()
+    segments = merged_segments(model)
+    assert segments == _reference_segments(model)
+    assert {tuple(map(type, seg)) for seg in segments} == {(float, float, int)}
+
+
 def bernoulli_tent_model():
     """The tent map's model for the weights (1/3, 2/3), not stationary."""
     kernel = build_backward_kernel(full_shift(2))
@@ -534,9 +631,7 @@ def floated(model):
     """The model with every coordinate and mass rounded to a float."""
     return replace(model, total=float(model.total),
                    emitted=float(model.emitted), gap=float(model.gap),
-                   pieces=tuple(replace(p, xr=tuple(map(float, p.xr)),
-                                        yr=tuple(map(float, p.yr)))
-                                for p in model.pieces))
+                   x=model.x.astype(float), y=model.y.astype(float))
 
 
 def test_bernoulli_weights_leave_a_hole_and_an_overflow():
@@ -581,15 +676,12 @@ def test_generated_maps_round_trip_and_build_fair_models(imap, data):
 
 def test_doctored_models_reach_violations_and_straddles():
     model = tent_model()
-    p = model.pieces[0]
-    a, b = p.xr
-    shifted = replace(model, pieces=(replace(p, xr=(a, b - (b - a) / 7)),
-                                     *model.pieces[1:]))
+    a, b = model.x[0]
+    shifted = with_rows(model, "x", {0: (a, b - (b - a) / 7)})
     assert check_lebesgue_fair(shifted) == _reference_defect(shifted)
     assert check_lebesgue_fair(shifted) > 0
-    c, d = p.yr
-    straddling = replace(model, pieces=(replace(p, yr=(c, d - (d - c) / 3)),
-                                        *model.pieces[1:]))
+    c, d = model.y[0]
+    straddling = with_rows(model, "y", {0: (c, d - (d - c) / 3)})
     with pytest.raises(NotMarkov):
         check_lebesgue_fair(straddling)
     # triangle(4) has weights 4, 3, 2, 1 and every piece of length 1; its
@@ -598,11 +690,10 @@ def test_doctored_models_reach_violations_and_straddles():
     # lose the top fifth of their rho range.  Each piece defect is 1/5, but
     # slot 0 is left with holes (34/5, 7) and (49/5, 10): 2/5 in all
     model = triangle_model(4)
-    pieces = list(model.pieces)
+    shrunk = model
     for k in (0, 3):
-        a, b = pieces[k].xr
-        pieces[k] = replace(pieces[k], xr=(a, b - (b - a) / 5))
-    shrunk = replace(model, pieces=tuple(pieces))
+        a, b = model.x[k]
+        shrunk = with_rows(shrunk, "x", {k: (a, b - (b - a) / 5)})
     assert check_lebesgue_fair(shrunk) == _reference_defect(shrunk)
     assert check_lebesgue_fair(shrunk) == F(2, 5)
 
@@ -611,40 +702,33 @@ def test_a_mixed_slot_on_a_truncation_boundary_is_skipped():
     # the 6-state staircase window is truncated; pieces 13, 18 and 24 all
     # map onto slot 2, rho (1, 2), whose column count is 3
     model = staircase_model(6)
-    pieces = list(model.pieces)
-    assert [pieces[k].dst for k in (13, 18, 24)] == [2, 2, 2]
+    assert model.dst[[13, 18, 24]].tolist() == [2, 2, 2]
     # piece 24 is 1 -> 2 on (1/2, 5/6); cut to (1/2, 23/30) it is 1/15
     # short of its share 1/3 and leaves a hole of 1/15 before piece 23
     # on (5/6, 23/24), inside slot 1; a flipped orientation changes no
     # length and adds nothing
-    a, b = pieces[24].xr
-    pieces[24] = replace(pieces[24], xr=(a, b - (b - a) / 5))
-    pieces[18] = replace(pieces[18], increasing=False)
-    mixed = replace(model, pieces=tuple(pieces))
+    a, b = model.x[24]
+    mixed = with_rows(with_rows(model, "x", {24: (a, b - (b - a) / 5)}),
+                      "increasing", {18: False})
     assert check_lebesgue_fair(mixed) == _reference_defect(mixed)
     assert check_lebesgue_fair(mixed) == F(1, 15)
     # one piece onto the slot claims a fourth preimage: the slot becomes a
     # truncation boundary and its piece defect is not counted, but the
     # hole that piece 24 leaves in slot 1 still is
     for k in (13, 24):
-        bumped = list(pieces)
-        bumped[k] = replace(pieces[k], cmag=4)
-        bumped = replace(model, pieces=tuple(bumped))
+        bumped = with_rows(mixed, "cmag", {k: 4})
         assert check_lebesgue_fair(bumped) == _reference_defect(bumped)
         assert check_lebesgue_fair(bumped) == F(1, 15)
     # piece 20 is 1 -> 6 on (719/720, 5039/5040), the last piece of slot
     # 1 = (0, 1); the truncation hole 1/5040 after it is excused, but an
     # overflow by as much is not
-    over = list(model.pieces)
-    over[20] = replace(pieces[20], xr=(pieces[20].xr[0], 1 + F(1, 5040)))
-    over = replace(model, pieces=tuple(over))
+    over = with_rows(model, "x", {20: (model.x[20, 0], 1 + F(1, 5040))})
     assert check_lebesgue_fair(over) == _reference_defect(over)
     assert check_lebesgue_fair(over) == F(1, 5040)
     # slot 6 = (65/24, 163/60) has 6 of its 7 preimages in the window, so
     # the built model skips it; claimed complete, its pieces of length
     # 1/840 miss the share (1/120) / 6 by 1/5040
-    complete = replace(model, pieces=tuple(
-        replace(p, cmag=6) if p.dst == 6 else p for p in model.pieces))
+    complete = replace(model, cmag=np.where(model.dst == 6, 6, model.cmag))
     assert check_lebesgue_fair(model) == 0
     assert check_lebesgue_fair(complete) == F(1, 5040)
 
