@@ -261,12 +261,8 @@ def _solve(args, name: str, report: dict, kernel, no_solution,
 # analyze
 
 def _forward_rows(mu, states) -> dict:
-    rows = {}
-    for i in states:
-        row = mu.row(i)
-        if row:
-            rows[str(i)] = {str(j): float(p) for j, p in row}
-    return rows
+    return {str(i): {str(j): float(p) for j, p in row}
+            for i in states if (row := mu.row(i))}
 
 
 def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:

@@ -474,49 +474,46 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     count of j.  Slots are laid out right-anchored so that the windowed
     weight tail only pushes the leftmost slots, never shifts the layout.
     """
-    pi = mu.pi
     part = imap.partition
-    ids = [s for s in pi.support() if pi.weight(s) != 0]
+    ids = mu.states[mu.weights != 0]
     if window is not None:
-        allowed = set(part.ids_within(window))
-        ids = [s for s in ids if s in allowed]
-    if not ids:
+        ids = ids[np.isin(ids, part.ids_within(window))]
+    if not len(ids):
         raise ValueError("empty stationary support")
-    # row r of every per-slot array is the r-th interval from the right
-    ids.sort(key=lambda s: part.bounds(s)[0], reverse=True)
-    row = {s: r for r, s in enumerate(ids)}
-    weights = [pi.weight(s) for s in ids]
-    dtype = object if all(isinstance(w, Fraction) for w in weights) else float
-    w = np.array(weights, dtype)
+    # row r of every per-slot array is the r-th interval from the right;
+    # the map's intervals and branches are read one slot at a time
+    ids = sorted(ids.tolist(), key=lambda s: part.bounds(s)[0], reverse=True)
+    at = np.array(ids) - mu.states[0]
+    w = mu.weights[at]
     acc = np.cumsum(np.append(0, w))
     starts, ends = acc[:-1], acc[1:]
     inc = np.array([imap.branch(s).increasing for s in ids], bool)
-    counts = np.array([len(mu.kernel.preds(s)) for s in ids])
+    counts = mu.c[at]
 
     # the entries of P inside the model, ordered right to left along x
     # within each slot: an increasing branch lays its targets out left to
     # right, so its rightmost target comes first
-    rows = [mu.row(s) for s in ids]
-    src = np.repeat(np.arange(len(ids)), [len(r) for r in rows])
-    dst = np.fromiter((row.get(j, -1) for r in rows for j, _ in r), np.intp)
-    p = np.fromiter((q for r in rows for _, q in r), dtype, len(src))
+    slot = np.full(len(mu.states), -1)         # of each window state
+    slot[at] = np.arange(len(ids))
+    src = slot[np.repeat(np.arange(len(mu.states)), np.diff(mu.indptr))]
+    dst = slot[mu.succ - mu.states[0]]
     order = np.lexsort((np.where(inc[src], dst, -dst), src))
-    order = order[dst[order] >= 0]
-    src, dst, p = src[order], dst[order], p[order]
+    order = order[(src[order] >= 0) & (dst[order] >= 0)]
+    src, dst, p = src[order], dst[order], mu.p[order]
 
     # each slot's pieces start at the slot's own start and follow one
     # running sum, left to right along its row of the grid, so x-ranges
     # and slots agree to the last bit in floats
     deg = np.bincount(src, minlength=len(ids))
     col = np.arange(len(src)) - (np.cumsum(deg) - deg)[src] + 1
-    grid = np.zeros((len(ids), deg.max() + 1), dtype)
+    grid = np.zeros((len(ids), deg.max() + 1), w.dtype)
     grid[src, col] = w[src] * p
     xs = np.cumsum(grid, axis=1)
     short = w - xs[:, -1]
     grid[:, 0] = starts
     np.cumsum(grid, axis=1, out=xs)
     lo, hi = xs[src, col - 1], xs[src, col]
-    if dtype is float:
+    if w.dtype == float:
         # a float shortfall of a few eps * w_s per term of a slot's own sum
         # is rounding and solve residual, no loss: on the dendrite it stays
         # under 2 per term, while a truncated slot lacks 1e13 times more
@@ -530,7 +527,7 @@ def lebesgue_fair_model(imap: MarkovIntervalMap, mu: FairMeasure,
     return PiecewiseAffineMap(
         src=ids[src], dst=ids[dst], x=np.stack((lo[keep], hi[keep]), axis=1),
         y=np.stack((starts, ends), axis=1)[dst], increasing=inc[src],
-        cmag=counts[dst], total=pi.total, emitted=ends.tolist()[-1],
+        cmag=counts[dst], total=mu.pi.total, emitted=ends.tolist()[-1],
         gap=np.cumsum(short).tolist()[-1], name=f"{imap.name}-fair-model")
 
 

@@ -7,13 +7,15 @@ Exact arithmetic convention: a stationary vector is stored as positive
 fractions while the total is only known numerically (the factorial chain
 has rational weights 1/(j-1)! with total e); every identity that matters
 for fairness is a ratio of weights, so those checks stay exact whenever
-the weights are exact.
+the weights are exact.  A ``FairMeasure`` holds P in CSR arrays, and its
+checks and sums are array reductions that add floats left to right.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -108,31 +110,40 @@ class WindowExhausted(RuntimeError):
 DENSE_SOLVE_MAX = 512
 
 
+def _window_columns(kernel: BackwardKernel, states: list[int]):
+    """The window's consecutive states as one slice of the kernel's column
+    table, where a predecessor's offset, less the window's, is its position
+    in the window.  Returns the positions of j and of i of the entries
+    (i, j) inside the window, ascending by j and then i, and the column
+    count c_j of each window state."""
+    if not states:
+        return (np.zeros(0, np.int64),) * 3
+    table = kernel.columns(states[0], states[-1])
+    first = states[0] - table.lo
+    ptr = table.indptr[first:first + len(states) + 1]
+    c = np.diff(ptr)
+    pos = table.indices[ptr[0]:ptr[-1]] - first
+    inside = (pos >= 0) & (pos < len(states))
+    return np.repeat(np.arange(len(states)), c)[inside], pos[inside], c
+
+
 def _window_chain(kernel: BackwardKernel, states: list[int]):
     """Transposed window chain Q^T, clipped to the window and renormalised.
 
     Every kernel row is uniform over the predecessors of its state, so a
     clipped row is uniform over the predecessors inside the window:
     column j of Q^T holds 1/c at each of the c window predecessors of j.
-    The window's consecutive states are one slice of the kernel's column
-    table, where a predecessor's offset, less the window's, is its
-    position in the window.  States whose clipped row is empty are
-    dropped (with cascade) so the window chain is well defined.  Returns
-    the kept states, ascending, and Q^T over them as numpy CSC column
-    arrays ``(indptr, indices, data)``: column j has its rows, ascending,
-    in ``indices[indptr[j]:indptr[j+1]]``.
+    States whose clipped row is empty are dropped (with cascade) so the
+    window chain is well defined.  Returns the kept states, ascending,
+    and Q^T over them as numpy CSC column arrays ``(indptr, indices,
+    data)``: column j has its rows, ascending, in
+    ``indices[indptr[j]:indptr[j+1]]``.
     """
-    table = kernel.columns(states[0], states[-1])
-    first = states[0] - table.lo
-    ptr = table.indptr[first:first + len(states) + 1]
-    pos = table.indices[ptr[0]:ptr[-1]] - first
-    owner = np.repeat(np.arange(len(states)), np.diff(ptr))
-    inside = (pos >= 0) & (pos < len(states))
-    pos[~inside] = 0
+    owner, pos, _ = _window_columns(kernel, states)
     window = np.asarray(states, dtype=np.int64)
     alive = np.ones(len(states), dtype=bool)
     while True:
-        live = inside & alive[pos] & alive[owner]
+        live = alive[pos] & alive[owner]
         c = np.bincount(owner[live], minlength=len(states))
         empty = alive & (c == 0)
         if not empty.any():
@@ -268,17 +279,16 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         n = base.reaching(n)
     while True:
         whole = base.domain_finite() and base.lo >= -n and base.hi <= n
-        states, qt = _window_chain(kernel, base.states(n))
+        window = base.states(n)
+        states, qt = _window_chain(kernel, window)
         x = _stationary_of_window(states, qt)
         sol = {s: v for s, v in zip(states.tolist(), x.tolist()) if v > 0.0}
-        boundary = sum(v for s, v in sol.items() if abs(s) > n // 2)
+        boundary = _sum(x[(x > 0.0) & (np.abs(states) > n // 2)])
         if whole:
             boundary = 0.0
-        if prev is None:
-            change = math.inf
-        else:
-            keys = set(prev) | set(sol)
-            change = sum(abs(sol.get(s, 0.0) - prev.get(s, 0.0)) for s in keys)
+        # the window holds the last one, so its states hold both supports
+        change = math.inf if prev is None else _sum(np.abs(np.array(
+            [sol.get(s, 0.0) - prev.get(s, 0.0) for s in window])))
         indptr, indices, data = qt
         qx = np.bincount(indices, data * np.repeat(x, np.diff(indptr)),
                          minlength=len(x))
@@ -307,12 +317,39 @@ def solve_stationary(kernel: BackwardKernel, tolerance: float = 1e-10,
         n = min(2 * n, max_window)
 
 
-def _per_total(pi: StationaryVector, x: Number, count: int = 1) -> Number:
-    """x / (total * count): a Fraction when the weights and the total are
-    exact, else a float."""
-    if pi.ratios_exact and isinstance(pi.total, (Fraction, int)):
-        return Fraction(x) / (pi.total * count)
-    return float(x) / (float(pi.total) * count)
+def _per_total(mu: FairMeasure, x: Number, count: int = 1) -> Number:
+    """x / (total * count): a Fraction when the measure's weights and its
+    total are exact, else a float."""
+    total = mu.pi.total
+    if mu.weights.dtype == object and isinstance(total, (Fraction, int)):
+        return Fraction(x) / (total * count)
+    return float(x) / (float(total) * count)
+
+
+def _sum(values: np.ndarray):
+    """The sum of ``values`` added from the left, or int 0 for none: numpy's
+    ``sum`` pairs terms, Python 3.12's compensates, either moves last bits."""
+    return np.cumsum(values).tolist()[-1] if len(values) else 0
+
+
+def _row_sums(terms: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum of ``terms`` from 0, added from the left: one
+    step per position of the longest row, over the rows that reach it,
+    so one long row costs no grid of rows x longest row."""
+    lens = np.diff(indptr)
+    order = np.argsort(-lens, kind="stable")
+    sums = np.zeros(len(lens), terms.dtype)
+    reach = np.searchsorted(-lens[order], -np.arange(lens.max(initial=0)))
+    for k, n in enumerate(reach.tolist()):
+        sums[order[:n]] += terms[indptr[order[:n]] + k]
+    return sums
+
+
+def _logs(values: np.ndarray) -> np.ndarray:
+    """``math.log`` (not ``np.log``, which can differ in the last bit) of
+    each value, taken once per distinct value."""
+    distinct, at = np.unique(values, return_inverse=True)
+    return np.array(list(map(math.log, distinct.tolist())), float)[at]
 
 
 @dataclass(frozen=True)
@@ -322,44 +359,56 @@ class FairMeasure:
     support.  ``pi.tail_mass_bound`` covers the tail beyond, so every read
     of the measure (rows, cylinders, checks, sums) is over that window.
 
-    The forward matrix P is derived, never passed: ``rows`` holds
-    p_ij = w_j / (w_i c_j) = pi_j q_ji / pi_i on the window, for states i
-    and successors j of nonzero weight.  It depends only on weight
-    ratios, so no normaliser enters, and it is exact whenever the weights
-    are exact.  Rows of states whose successors leave the window are
-    truncated accordingly (their sums fall short by the tail mass).
+    The forward matrix P is derived, never passed: p_ij = w_j / (w_i c_j)
+    = pi_j q_ji / pi_i is the window's slice of the kernel's column table,
+    transposed and weighted, for the states i and j of nonzero weight.
+    It is kept in CSR arrays over the window's ``states``, ascending:
+    state k has weight ``weights[k]`` (0 off the support) and column count
+    ``c[k]``, and its row holds the successors ``succ``, ascending, and
+    the entries ``p`` from ``indptr[k]`` to ``indptr[k + 1]``.  P depends
+    only on weight ratios, so no normaliser enters.  The dtype of
+    ``weights`` and ``p`` decides exactness: Fractions (object) when every
+    weight is a Fraction or an int, else float64.  Rows whose successors
+    leave the window fall short of one by the tail mass.
     """
 
     pi: StationaryVector
     kernel: BackwardKernel
     window: int = field(init=False, compare=False)
-    rows: Mapping[int, tuple[tuple[int, Number], ...]] = field(
-        init=False, repr=False, compare=False)
+    states: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    c: np.ndarray = field(init=False, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    succ: np.ndarray = field(init=False, repr=False, compare=False)
+    p: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pi, base = self.pi, self.kernel.base
+        pi = self.pi
         window = pi.window
         if window is None:
             window = max(map(abs, pi.weights), default=0)
-        object.__setattr__(self, "window", window)
-        rows: dict[int, tuple[tuple[int, Number], ...]] = {}
-        for i in base.states(window):
-            wi = pi.weight(i)
-            if wi == 0:
-                continue
-            row = []
-            for j in base.successors(i, within=window):
-                wj = pi.weight(j)
-                if wj == 0:
-                    continue
-                c = len(self.kernel.preds(j))
-                if isinstance(wi, Fraction) and isinstance(wj, Fraction):
-                    p = wj / (wi * c)
-                else:
-                    p = float(wj) / (float(wi) * c)
-                row.append((j, p))
-            rows[i] = tuple(row)
-        object.__setattr__(self, "rows", rows)
+        states = self.base.states(window)
+        lo, n = (states[0] if states else 0), len(states)
+        exact = pi.ratios_exact
+        values = list(pi.weights.values())
+        values = np.array(list(map(Fraction, values)) if exact else values,
+                          object if exact else float)
+        keys = np.fromiter(pi.weights, np.int64, len(values)) - lo
+        inside = (keys >= 0) & (keys < n)
+        w = np.full(n, Fraction(0) if exact else 0.0, values.dtype)
+        w[keys[inside]] = values[inside]
+        # the table transposed: its entries ascending by i and then j
+        j, i, c = _window_columns(self.kernel, states)
+        order = np.argsort(i, kind="stable")
+        i, j = i[order], j[order]
+        live = (w[i] != 0) & (w[j] != 0)
+        i, j = i[live], j[live]
+        for name, value in (("window", window),
+                            ("states", np.arange(lo, lo + n)),
+                            ("weights", w), ("c", c),
+                            ("indptr", np.searchsorted(i, np.arange(n + 1))),
+                            ("succ", j + lo), ("p", w[j] / (w[i] * c[j]))):
+            object.__setattr__(self, name, value)
 
     @property
     def base(self) -> TransitionRuleSet:
@@ -367,39 +416,49 @@ class FairMeasure:
 
     def row(self, i: int) -> tuple[tuple[int, Number], ...]:
         """Row i of P as (j, p_ij) pairs, j ascending; empty off the rows."""
-        return self.rows.get(i, ())
+        k = int(np.searchsorted(self.states, i))
+        if k == len(self.states) or self.states[k] != i:
+            return ()
+        a, b = self.indptr[k], self.indptr[k + 1]
+        return tuple(zip(self.succ[a:b].tolist(), self.p[a:b].tolist()))
+
+    @cached_property
+    def _defects(self) -> tuple[np.ndarray, np.ndarray]:
+        """Weight w_i and defect |(pi Q)_i - w_i| of each interior state of
+        the window, found once per measure.
+
+        A state is interior when its row is finite and inside the window,
+        so the whole mass that pi Q puts on it, the sum of w_j / c_j over
+        its successors j, is visible; the column table holds no rows, so
+        that takes one rule-set query per state.  Exact when the weights
+        are exact; in floats each w_j is scaled by the float 1 / c_j.
+        """
+        w, states, base = self.weights, self.states.tolist(), self.base
+
+        def interior(i: int) -> bool:
+            if base.row_unbounded(i):
+                return False
+            succ = base.successors(i)
+            return not succ or states[0] <= succ[0] and succ[-1] <= states[-1]
+        j, i, c = _window_columns(self.kernel, states)
+        order = np.argsort(i, kind="stable")
+        i, j = i[order], j[order]
+        flow = _row_sums(w[j] / c[j] if w.dtype == object
+                         else w[j] * (1.0 / c[j]),
+                         np.searchsorted(i, np.arange(len(w) + 1)))
+        inner = np.fromiter(map(interior, states), bool, len(states))
+        return w[inner], np.abs(flow - w)[inner]
 
 
 def fair_measure_from(pi: StationaryVector, kernel: BackwardKernel) -> FairMeasure:
     return FairMeasure(pi, kernel)
 
 
-def _defects(mu: FairMeasure):
-    """Weight w_i and defect |(pi Q)_i - w_i| of each interior state of
-    the measure's window.
-
-    A state is interior when its row is finite and inside the window, so
-    the whole mass that pi Q puts on it, the sum of w_j / c_j over its
-    successors j, is visible.  Exact when the weights are exact.
-    """
-    pi, base = mu.pi, mu.base
-    states = base.states(mu.window)
-    for i in states:
-        if base.row_unbounded(i):
-            continue
-        succ = base.successors(i)
-        if succ and (succ[0] < states[0] or succ[-1] > states[-1]):
-            continue
-        flow = sum((pi.weight(j) * Fraction(1, len(mu.kernel.preds(j)))
-                    for j in succ), 0)
-        yield pi.weight(i), abs(flow - pi.weight(i))
-
-
 def verify_stationary(mu: FairMeasure) -> Number:
     """l1 residual of pi Q = pi over the interior states of the measure's
     window, those whose whole incoming mass is visible; a state of zero
     weight counts too.  Exact when the weights are exact."""
-    return _per_total(mu.pi, sum(d for _, d in _defects(mu)))
+    return _per_total(mu, _sum(mu._defects[1]))
 
 
 def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
@@ -421,7 +480,7 @@ def cylinder_measure(mu: FairMeasure, word: Sequence[int]) -> Number:
         if max(abs(a), abs(b)) > mu.window or a not in preds:
             return 0
         count *= len(preds)
-    return _per_total(mu.pi, mu.pi.weight(word[-1]), count)
+    return _per_total(mu, mu.pi.weight(word[-1]), count)
 
 
 def check_fair_on_cylinders(mu: FairMeasure) -> Number:
@@ -437,52 +496,46 @@ def check_fair_on_cylinders(mu: FairMeasure) -> Number:
     multiple of the defect of its last row, so no deeper word is checked.
     Exact for exact weights.
     """
-    return _per_total(mu.pi, max(
-        (d for w, d in _defects(mu) if w != 0),
-        default=0))
+    w, d = mu._defects
+    return _per_total(mu, d[w != 0].max(initial=0))
 
 
 def fair_entropy(mu: FairMeasure) -> float:
-    """Truncated -sum pi_i p_ij log p_ij over the measure's window.
+    """Truncated -sum pi_i p_ij log p_ij over the measure's window, added
+    along the rows of P from the left.
 
     The tail beyond the window is bounded by ``entropy_tail_estimate``;
     callers report it alongside.
     """
-    h = 0.0
-    for i in mu.pi.support():
-        pi_i = mu.pi.entry(i)
-        if pi_i == 0.0:
-            continue
-        for j, p in mu.row(i):
-            pf = float(p)
-            if pf > 0.0:
-                h -= pi_i * pf * math.log(pf)
-        if h > 1e12:
-            raise EntropyDiverges("partial sums exceed any plausible entropy")
-    return h
+    pi = np.repeat(mu.weights.astype(float) / float(mu.pi.total),
+                   np.diff(mu.indptr))
+    p = mu.p.astype(float)
+    live = (pi != 0.0) & (p > 0.0)
+    terms = np.zeros(len(p))
+    terms[live] = pi[live] * p[live] * _logs(p[live])
+    h = np.cumsum(np.append(0.0, -terms))
+    if (h[mu.indptr] > 1e12).any():
+        raise EntropyDiverges("partial sums exceed any plausible entropy")
+    return h.tolist()[-1]
 
 
 def entropy_tail_estimate(mu: FairMeasure) -> float:
     """Heuristic bound on the entropy mass outside the measure's window:
     the stationary tail mass times the largest row entropy, at least 1."""
-    row_h = 0.0
-    for i in mu.pi.support():
-        s = 0.0
-        for _, p in mu.row(i):
-            pf = float(p)
-            if pf > 0.0:
-                s -= pf * math.log(pf)
-        row_h = max(row_h, s)
-    return mu.pi.tail_mass_bound * max(row_h, 1.0)
+    p = mu.p.astype(float)
+    live = p > 0.0
+    terms = np.zeros(len(p))
+    terms[live] = p[live] * _logs(p[live])
+    row_h = np.append(_row_sums(-terms, mu.indptr), 1.0).max()
+    return mu.pi.tail_mass_bound * float(row_h)
 
 
 def integral_log_c(mu: FairMeasure) -> float:
     """Integral of log c over the measure, truncated to its window."""
-    total = 0.0
-    for i in mu.pi.support():
-        if abs(i) <= mu.window:
-            total += mu.pi.entry(i) * math.log(len(mu.kernel.preds(i)))
-    return total
+    live = mu.weights != 0
+    terms = mu.weights[live].astype(float) / float(mu.pi.total) \
+        * _logs(mu.c[live])
+    return np.cumsum(np.append(0.0, terms)).tolist()[-1]
 
 
 @dataclass(frozen=True)
@@ -502,23 +555,25 @@ class AtomicOrbit:
 
 def find_atomic_fair_measures(kernel: BackwardKernel, max_period: int,
                               window: int) -> list[AtomicOrbit]:
-    unique_pred: dict[int, int] = {}
-    for s in kernel.base.states(window):
-        preds = kernel.preds(s)
-        if len(preds) == 1:
-            unique_pred[s] = preds[0]
-    orbits: set[tuple[int, ...]] = set()
-    for s in unique_pred:
-        path = [s]
-        t = s
-        for _ in range(max_period):
-            if t not in unique_pred:
-                break
-            t = unique_pred[t]
-            if t == s:
-                cycle = tuple(reversed(path))      # forward order
-                k = cycle.index(min(cycle))
-                orbits.add(cycle[k:] + cycle[:k])
-                break
-            path.append(t)
-    return [AtomicOrbit(c) for c in sorted(orbits)]
+    """The cycles of at most ``max_period`` window states with one
+    predecessor each, the previous cycle state, in forward order from
+    their least state."""
+    states = kernel.base.states(window)
+    col, pos, c = _window_columns(kernel, states)
+    # a state whose one predecessor is in the window steps back to it,
+    # any other into the sink len(states)
+    back = np.full(len(states) + 1, len(states))
+    back[col[c[col] == 1]] = pos[c[col] == 1]
+    at = walk = low = np.arange(len(states))
+    period = np.zeros(len(states), np.int64)
+    for k in range(1, max_period + 1):
+        walk = back[walk]
+        low = np.minimum(low, walk)
+        period[(walk == at) & (period == 0)] = k
+    cycles = []
+    for s in np.flatnonzero((period > 0) & (low == at)).tolist():
+        path = [s]                          # backward from the least state
+        for _ in range(period[s] - 1):
+            path.append(back[path[-1]])
+        cycles.append(tuple(states[t] for t in path[:1] + path[:0:-1]))
+    return [AtomicOrbit(cycle) for cycle in sorted(cycles)]

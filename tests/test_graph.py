@@ -243,6 +243,20 @@ def test_float_model_reports_the_dendrite_truncation():
     assert check_lebesgue_fair(model) == 0.0
 
 
+def test_float_slot_sums_that_miss_by_rounding_lose_no_mass():
+    # a four-arc graph map whose solved float weights leave its slots'
+    # running sums 1e-17 off their weights: rounding, so no gap
+    spec = TameGraphMapSpec((1, 2, 3, 4), {
+        1: ((3, True),), 2: ((1, False),),
+        3: ((2, False), (1, False), (4, False), (2, True)),
+        4: ((4, False), (1, True))}, name="four-arcs")
+    kernel = build_backward_kernel(refined_transition_matrix(spec))
+    mu = fair_measure_from(solve_stationary(kernel), kernel)
+    model = lebesgue_fair_model(cut_and_paste(spec), mu)
+    assert model.x.dtype == float
+    assert model.gap == 0.0
+
+
 @pytest.mark.parametrize("window", [8, 16])
 def test_float_dendrite_models_check_exactly_fair(window):
     assert check_lebesgue_fair(dendrite_fair_model(window)) == 0.0

@@ -238,6 +238,19 @@ def staircase_model(window=30, ratio=F(1, 2)):
     return lebesgue_fair_model(staircase_map(ratio), mu, window=window)
 
 
+def test_a_model_window_narrower_than_the_measure_keeps_its_slots():
+    # the measure's rows run to 30; slots and pieces stop at 5, one piece
+    # per entry of P between two slots, and the truncation is excused
+    kernel = build_backward_kernel(factorial_chain())
+    mu = fair_measure_from(factorial_stationary(30), kernel)
+    model = lebesgue_fair_model(staircase_map(), mu, window=5)
+    assert set(model.src.tolist()) | set(model.dst.tolist()) == set(range(1, 6))
+    assert model.piece_count() == sum(
+        j <= 5 for i in range(1, 6) for j, _ in mu.row(i))
+    assert check_lebesgue_fair(model) == 0
+    assert model.x.dtype == object
+
+
 def test_tent_model_reproduces_the_tent_map():
     model = tent_model()
     assert model.piece_count() == 4

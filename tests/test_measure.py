@@ -21,7 +21,7 @@ from fairshift import (
     Abs, FairMeasure, InfinitePreimages, NoSummableSolution,
     SingularWindow, StationaryVector, TransitionRuleSet, biased_walk,
     build_backward_kernel, check_fair_on_cylinders, cylinder_measure,
-    dendrite_example,
+    dendrite_example, entropy_tail_estimate,
     factorial_chain, factorial_stationary, fair_entropy, fair_measure_from,
     find_atomic_fair_measures, five_three_chain, five_three_profile,
     full_shift, full_shift_stationary, integral_log_c, origin_broadcast,
@@ -312,7 +312,7 @@ def test_a_fair_measure_derives_its_forward_matrix():
     m = origin_broadcast()
     kernel = build_backward_kernel(m)
     with pytest.raises(TypeError):
-        FairMeasure(origin_broadcast_stationary(30), kernel, rows={})
+        FairMeasure(origin_broadcast_stationary(30), kernel, p=())
     mu = FairMeasure(origin_broadcast_stationary(30), kernel)
     assert mu.row(3) == ((2, Fraction(1)),)
     assert mu.row(0)[:2] == ((0, Fraction(1, 2)), (1, Fraction(1, 4)))
@@ -330,7 +330,8 @@ def test_a_fair_measure_reads_its_window_off_its_vector():
                              ).window == 3
     solved = fair_measure_from(solve_stationary(kernel), kernel)
     assert solved.window == solved.pi.window
-    assert max(solved.rows) <= solved.window
+    assert np.abs(solved.states).max() <= solved.window
+    assert np.abs(solved.succ).max() <= solved.window
 
 
 def test_a_zero_weight_state_counts_in_the_residual_but_not_the_max():
@@ -414,6 +415,168 @@ def test_forward_rows_are_stochastic_and_balanced():
                 assert i in kernel.preds(j)
                 q = 1 / len(kernel.preds(j))
                 assert abs(pi.entry(i) * float(p) - pi.entry(j) * float(q)) <= 1e-10
+
+
+# -- the forward matrix and its sums against per-state references -------------
+
+def reference_rows(pi, kernel, window):
+    """The rows of P built one state at a time from the rule set's
+    successors, kept verbatim from the measure before it read them off
+    the column table: a Fraction pair of weights gives a Fraction, any
+    other pair a float."""
+    base = kernel.base
+    rows = {}
+    for i in base.states(window):
+        wi = pi.weight(i)
+        if wi == 0:
+            continue
+        row = []
+        for j in base.successors(i, within=window):
+            wj = pi.weight(j)
+            if wj == 0:
+                continue
+            c = len(kernel.preds(j))
+            if isinstance(wi, Fraction) and isinstance(wj, Fraction):
+                p = wj / (wi * c)
+            else:
+                p = float(wj) / (float(wi) * c)
+            row.append((j, p))
+        rows[i] = tuple(row)
+    return rows
+
+
+def reference_fair_entropy(pi, rows):
+    h = 0.0
+    for i in pi.support():
+        pi_i = pi.entry(i)
+        if pi_i == 0.0:
+            continue
+        for j, p in rows.get(i, ()):
+            pf = float(p)
+            if pf > 0.0:
+                h -= pi_i * pf * math.log(pf)
+    return h
+
+
+def reference_entropy_tail_estimate(pi, rows):
+    row_h = 0.0
+    for i in pi.support():
+        s = 0.0
+        for _, p in rows.get(i, ()):
+            pf = float(p)
+            if pf > 0.0:
+                s -= pf * math.log(pf)
+        row_h = max(row_h, s)
+    return pi.tail_mass_bound * max(row_h, 1.0)
+
+
+def reference_integral_log_c(pi, kernel, window):
+    total = 0.0
+    for i in pi.support():
+        if abs(i) <= window:
+            total += pi.entry(i) * math.log(len(kernel.preds(i)))
+    return total
+
+
+def reference_defects(pi, kernel, window):
+    """(w_i, |(pi Q)_i - w_i|) of each window state whose row is finite
+    and inside the window, the flow added one successor at a time: the
+    defects before they were array reductions."""
+    base = kernel.base
+    states = base.states(window)
+    defects = []
+    for i in states:
+        if base.row_unbounded(i):
+            continue
+        succ = base.successors(i)
+        if succ and (succ[0] < states[0] or succ[-1] > states[-1]):
+            continue
+        flow = 0
+        for j in succ:
+            flow += pi.weight(j) * Fraction(1, len(kernel.preds(j)))
+        defects.append((pi.weight(i), abs(flow - pi.weight(i))))
+    return defects
+
+
+def reference_per_total(pi, x):
+    if pi.ratios_exact and isinstance(pi.total, (Fraction, int)):
+        return Fraction(x) / pi.total
+    return float(x) / float(pi.total)
+
+
+def typed_rows(rows):
+    return {i: [(j, p, type(p)) for j, p in row] for i, row in rows.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(finite_chains(),
+                 graph_specs().map(lambda spec: (
+                     refined_transition_matrix(spec), None))),
+       st.data())
+def test_forward_matrix_and_its_sums_match_the_per_state_reference(
+        chain_and_window, data):
+    # the same weights as Fractions, as floats, and the solved floats; a
+    # window of None is the support's farthest state, so rows that cross
+    # it are truncated.  Floats must agree to the last bit
+    m, window = chain_and_window
+    kernel = build_backward_kernel(m)
+    states = m.states(max(abs(m.lo), abs(m.hi)))
+    counts = data.draw(st.lists(st.integers(0, 9), min_size=len(states),
+                                max_size=len(states)))
+    assume(any(counts))
+    exact = {s: Fraction(k, sum(counts)) for s, k in zip(states, counts) if k}
+    vectors = [StationaryVector(exact, Fraction(1), window=window,
+                                tail_mass_bound=0.5),
+               StationaryVector({s: float(w) for s, w in exact.items()}, 1.0,
+                                window=window, tail_mass_bound=0.5)]
+    solved = outcome(solve_stationary, kernel)
+    if isinstance(solved, StationaryVector):
+        vectors.append(replace(solved, window=window))
+    for pi in vectors:
+        mu = fair_measure_from(pi, kernel)
+        rows = reference_rows(pi, kernel, mu.window)
+        got = {i: mu.row(i) for i in m.states(mu.window)}
+        assert typed_rows(got) == typed_rows(
+            {i: rows.get(i, ()) for i in got})
+        assert mu.p.dtype == (object if pi is vectors[0] else float)
+        defects = reference_defects(pi, kernel, mu.window)
+        residual = 0
+        for _, d in defects:
+            residual += d
+        worst = max((d for w, d in defects if w != 0), default=0)
+        for got, want in ((verify_stationary(mu), residual),
+                          (check_fair_on_cylinders(mu), worst)):
+            want = reference_per_total(pi, want)
+            assert got == want and type(got) is type(want)
+        for f, want in ((fair_entropy, reference_fair_entropy(pi, rows)),
+                        (entropy_tail_estimate,
+                         reference_entropy_tail_estimate(pi, rows)),
+                        (integral_log_c, outcome(reference_integral_log_c,
+                                                 pi, kernel, mu.window))):
+            got = outcome(f, mu)
+            assert got == want and type(got) is type(want), f.__name__
+
+
+def test_weights_mixing_ints_and_fractions_give_an_exact_forward_matrix():
+    # every weight a Fraction or an int makes P exact: the per-state rows
+    # gave a float for each pair with an int in it
+    kernel = build_backward_kernel(full_shift(2))
+    pi = StationaryVector(weights={0: 1, 1: Fraction(1, 2)},
+                          total=Fraction(3, 2), provenance="closed-form")
+    mu = fair_measure_from(pi, kernel)
+    assert mu.p.dtype == object
+    assert typed_rows({i: mu.row(i) for i in (0, 1)}) == {
+        0: [(0, Fraction(1, 2), Fraction), (1, Fraction(1, 4), Fraction)],
+        1: [(0, Fraction(1), Fraction), (1, Fraction(1, 2), Fraction)]}
+    assert typed_rows(reference_rows(pi, kernel, mu.window)) == {
+        0: [(0, 0.5, float), (1, 0.25, float)],
+        1: [(0, 1.0, float), (1, Fraction(1, 2), Fraction)]}
+    # pi Q puts 3/4 on each state against the weights 1 and 1/2
+    assert verify_stationary(mu) == Fraction(1, 3)
+    assert check_fair_on_cylinders(mu) == Fraction(1, 6)
+    ints = StationaryVector(weights={0: 1, 1: 1}, total=2)
+    assert fair_measure_from(ints, kernel).row(1) == (
+        (0, Fraction(1, 2)), (1, Fraction(1, 2)))
 
 
 # -- the interior defects against kernel-side references ----------------------
@@ -592,9 +755,63 @@ def test_recurrent_families_have_no_atoms():
             build_backward_kernel(m), max_period=8, window=12) == []
 
 
+def test_a_three_cycle_comes_out_in_forward_order():
+    # 0 -> 1 -> 2 -> 0 forward, so the walk back from 0 meets 2 first
+    m = TransitionRuleSet(lo=0, hi=3, head=4,
+                          explicit={0: (Abs(1),), 1: (Abs(2),), 2: (Abs(0),),
+                                    3: (Abs(3),)}, name="three-cycle")
+    kernel = build_backward_kernel(m)
+    orbits = find_atomic_fair_measures(kernel, max_period=6, window=3)
+    assert [o.states for o in orbits] == [(0, 1, 2), (3,)]
+    assert reference_atomic_orbits(kernel, 6, 3) == [(0, 1, 2), (3,)]
+    assert find_atomic_fair_measures(kernel, max_period=2, window=3)[0] \
+        .states == (3,)
+
+
 def test_self_loop_is_a_period_one_atom():
     m = TransitionRuleSet(lo=0, hi=0, head=1, explicit={0: (Abs(0),)},
                           name="loop")
     orbits = find_atomic_fair_measures(
         build_backward_kernel(m), max_period=4, window=2)
     assert [o.states for o in orbits] == [(0,)]
+
+
+def reference_atomic_orbits(kernel, max_period, window):
+    """Cycles of states with one predecessor each, followed one state at
+    a time, kept verbatim from the search before it read the column
+    table."""
+    unique_pred = {}
+    for s in kernel.base.states(window):
+        preds = kernel.preds(s)
+        if len(preds) == 1:
+            unique_pred[s] = preds[0]
+    orbits = set()
+    for s in unique_pred:
+        path = [s]
+        t = s
+        for _ in range(max_period):
+            if t not in unique_pred:
+                break
+            t = unique_pred[t]
+            if t == s:
+                cycle = tuple(reversed(path))      # forward order
+                k = cycle.index(min(cycle))
+                orbits.add(cycle[k:] + cycle[:k])
+                break
+            path.append(t)
+    return sorted(orbits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(finite_chains(), finite_chains(max_row=1),
+                 finite_chains(max_row=2)),
+       st.integers(0, 6))
+def test_atomic_orbits_match_the_per_state_search(chain_and_window,
+                                                  max_period):
+    # rows of one or two states give many states a single predecessor; a
+    # window narrower than the domain cuts cycles through its edge
+    m, window = chain_and_window
+    kernel = build_backward_kernel(m)
+    got = find_atomic_fair_measures(kernel, max_period, window)
+    assert [o.states for o in got] == reference_atomic_orbits(
+        kernel, max_period, window)
