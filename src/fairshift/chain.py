@@ -414,11 +414,13 @@ class TransitionRuleSet:
     # -- structure hints --------------------------------------------------
 
     def pure_offsets(self) -> tuple[int, ...] | None:
-        """Offsets o with row(i) = {i+o} for every state, else None.
+        """The distinct offsets o with row(i) = {i+o} for every state, else None.
 
         Only reported for one tail rule covering all of Z (a bound clips
-        the rows next to it); used by the vectorised pass of
-        ``sample_backward`` and the drift estimate of ``classify``.
+        the rows next to it); a rule that names an offset twice names one
+        successor, so each offset is reported once.  Read by the offset
+        law of ``sample_backward``, ``series_test`` and
+        ``monte_carlo_return``, and by the drift estimate of ``classify``.
         """
         if self.explicit or self.head != 0 or not self.tail:
             return None
@@ -430,7 +432,7 @@ class TransitionRuleSet:
             return None
         if any(not rel or ray for rel, _, ray in rules[0]):
             return None
-        return tuple(sorted(a for _, a, _ in rules[0]))
+        return tuple(sorted({a for _, a, _ in rules[0]}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -462,7 +464,9 @@ class BackwardKernel:
     it.  ``columns`` fills a range of entries and compiles it into one
     ``ColumnTable``, which the window solve, Monte Carlo returns and the
     sampler's column laws read.  The exact return series and the stepping
-    sampler index ``cols`` itself.
+    sampler index ``cols`` itself.  When the rules certify one offset law
+    on Z (``step_offsets``), the sampler, the exact return series and
+    Monte Carlo returns read that law instead, and no column.
     """
 
     base: TransitionRuleSet
@@ -506,7 +510,8 @@ class BackwardKernel:
         return t
 
     def step_offsets(self) -> tuple[int, ...] | None:
-        """Backward step offsets when every Q row is the same offset law."""
+        """Backward step offsets, ascending and distinct, when every Q row
+        is the same offset law: row j is uniform on j + o for each o."""
         offs = self.base.pure_offsets()
         if offs is None:
             return None

@@ -61,18 +61,51 @@ def series_test(kernel: BackwardKernel, n_max: int = 40,
     """Evolve delta_origin exactly through Q and record the diagonal.
 
     The vector is carried as integer numerators over one common
-    denominator.  Each step multiplies the denominator by the lcm L of
-    the column counts on the support and sends num_j * L / c_j to every
-    predecessor of j.  When every count is the same c, as on the walk
-    families, L = c, which keeps large n_max cheap.  The columns and
-    their counts are read from the kernel's ``cols``, filled over the
-    support's range when the support reaches a state not yet in it.  The
-    support is tracked exactly, so the terms never depend on any
-    truncation.  A support state without predecessors raises StuckWalk.
+    denominator, so the terms are exact and never depend on a truncation.
+    When the rules certify one offset law on Z (``step_offsets``), every
+    count is c = len(offsets) and the term at step t is the number of
+    t-step offset sequences that sum to 0, over c^t.  This law route
+    packs the numerators into one int, one slot per state of the
+    support's residue class mod g, the gcd of the offsets' differences;
+    a slot is wide enough for c^n_max, so a step is one shift per offset
+    and a sum, and the slots that cannot reach the origin in the steps
+    left are cut off.  Any other kernel takes the column route: each step
+    multiplies the denominator by the lcm L of the column counts on the
+    support and sends num_j * L / c_j to every predecessor of j, reading
+    the columns from the kernel's ``cols``, filled over the support's
+    range when the support reaches a state not yet in it.  Both routes
+    give the same terms.  A support state without predecessors raises
+    StuckWalk.
     """
     if not kernel.contains(origin):
         raise ValueError(f"origin {origin} outside domain")
     terms: list[Fraction] = [Fraction(1)]
+    offs = kernel.step_offsets()
+    if offs is not None:
+        c, least, most = len(offs), offs[0], offs[-1]
+        g = math.gcd(*(o - least for o in offs)) or 1
+        width = (c ** n_max).bit_length() + 1
+        slot = (1 << width) - 1
+        shifts = [width * ((o - least) // g) for o in offs[1:]]
+        packed, lo, denom = 1, origin, 1    # slot k holds state lo + g * k
+        for t in range(1, n_max + 1):
+            packed = sum((packed << s for s in shifts), packed)
+            lo += least
+            denom *= c
+            # only the states from origin - left * most to origin - left *
+            # least can still reach the origin in the steps left
+            left = n_max - t
+            cut = -((lo - origin + left * most) // g)
+            if cut > 0:
+                packed >>= width * cut
+                lo += g * cut
+            keep = width * ((origin - left * least - lo) // g + 1)
+            if packed.bit_length() > keep:
+                packed &= (1 << max(keep, 0)) - 1
+            at, off = divmod(origin - lo, g)
+            num = 0 if off or at < 0 else (packed >> width * at) & slot
+            terms.append(Fraction(num, denom))
+        return SeriesResult(origin, tuple(terms), tuple(accumulate(terms)))
     cols = kernel.cols
     vec: dict[int, int] = {origin: 1}       # numerators over denom
     denom = 1
@@ -133,13 +166,19 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
                        ) -> list[ReturnEstimate]:
     """Estimate the probability of returning to the origin within each horizon.
 
-    All trials step together as one batch of walkers, held as offsets
-    into the kernel's column table (``BackwardKernel.columns``), which
-    grows as they spread.  Each step draws one uniform u per walker and
-    moves the walker at offset k to ``indices[indptr[k] + int(u * c_k)]``:
-    the draw ``preds[int(u * c)]`` of ``sample_backward``.  One walk runs
-    to the largest horizon and is read off at each horizon, in the order
-    given.  A walker on a state without predecessors raises StuckWalk.
+    All trials step together as one batch of walkers.  Each step draws
+    one uniform u per walker and takes the draw ``preds[int(u * c)]`` of
+    ``sample_backward``.  When the rules certify one offset law on Z
+    (``step_offsets``), the law route holds the walkers as offsets from
+    the origin and moves each by ``offsets[int(u * c)]``, with no column
+    table.  Any other kernel takes the column route: the walkers are
+    offsets into the kernel's column table (``BackwardKernel.columns``),
+    which grows as they spread, and the walker at offset k moves to
+    ``indices[indptr[k] + int(u * c_k)]``.  Both routes take the same
+    steps, so a seeded estimate does not depend on the route.  One walk
+    runs to the largest horizon and is read off at each horizon, in the
+    order given.  A walker on a state without predecessors raises
+    StuckWalk.
     ``escape_radius`` abandons trials that wander further than the radius
     from the origin, counting them as non-returns; callers enable it only
     for walks with a clear drift, where that return mass is negligible.
@@ -149,41 +188,48 @@ def monte_carlo_return(kernel: BackwardKernel, trials: int,
     if any(h < 1 for h in horizons):
         raise ValueError(f"horizons must be at least 1, got {list(horizons)}")
     rng = np.random.default_rng(seed)
+    offs = kernel.step_offsets()
+    law = None if offs is None else np.array(offs, np.int64)
     table, zero = None, origin          # zero: the state at offset 0
     alive = np.zeros(trials, dtype=np.int64)
     r = escape_radius or 0
+    home, near, far = 0, -r, r      # the origin and escape bounds, from zero
     returned = escaped = time_sum = t = 0
     unchecked = 0       # steps left before the walkers' range is checked
     done: dict[int, ReturnEstimate] = {}
     for horizon in sorted(set(horizons)):
         while t < horizon and alive.size:
             t += 1
-            if not unchecked:
-                lo, hi = int(alive.min()) + zero, int(alive.max()) + zero
-                grown = kernel.columns(lo, hi)
-                if grown is not table:
-                    alive += zero - grown.lo
-                    table, zero = grown, grown.lo
-                    starts, indices = table.indptr[:-1], table.indices
-                    c = np.diff(table.indptr)
-                    counts, stuck = c.astype(np.float64), not c.all()
-                    # the longest one-step move, at least 1
-                    reach = int(np.abs(indices - np.repeat(
-                        np.arange(c.size), c)).max(initial=1))
-                    home, near, far = (origin + d - zero for d in (0, -r, r))
-                unchecked = min(lo - table.lo, table.hi - hi) // reach + 1
-            unchecked -= 1
-            if stuck:       # walkers are never outside the domain
-                at = (counts.take(alive) == 0).nonzero()[0]
-                if at.size:
-                    raise StuckWalk(f"state {alive[at[0]] + zero} has no "
-                                    "predecessors; backward walk is stuck")
+            if law is None:     # the column route
+                if not unchecked:
+                    lo, hi = int(alive.min()) + zero, int(alive.max()) + zero
+                    grown = kernel.columns(lo, hi)
+                    if grown is not table:
+                        alive += zero - grown.lo
+                        table, zero = grown, grown.lo
+                        starts, indices = table.indptr[:-1], table.indices
+                        c = np.diff(table.indptr)
+                        counts, stuck = c.astype(np.float64), not c.all()
+                        # the longest one-step move, at least 1
+                        reach = int(np.abs(indices - np.repeat(
+                            np.arange(c.size), c)).max(initial=1))
+                        home, near, far = (origin + d - zero for d in (0, -r, r))
+                    unchecked = min(lo - table.lo, table.hi - hi) // reach + 1
+                unchecked -= 1
+                if stuck:       # walkers are never outside the domain
+                    at = (counts.take(alive) == 0).nonzero()[0]
+                    if at.size:
+                        raise StuckWalk(f"state {alive[at[0]] + zero} has no "
+                                        "predecessors; backward walk is stuck")
             u = rng.random(alive.size)
-            u *= counts.take(alive)
+            u *= law.size if law is not None else counts.take(alive)
             at = u.astype(np.int64)
             del u       # at most three walker-sized arrays at once: peak RSS
-            at += starts.take(alive)
-            alive = indices.take(at)
+            if law is not None:
+                alive += law.take(at)
+            else:
+                at += starts.take(alive)
+                alive = indices.take(at)
             back = alive == home
             hits = int(np.count_nonzero(back))
             if hits:
@@ -264,8 +310,10 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
             evidence["solver"]["note"] = sol.note
     evidence["solver"]["outcome"] = solver_out
 
-    probe_c = {len(kernel.preds(s)) for s in base.spiral(32)}
-    n_max = policy.series_nmax if len(probe_c) == 1 else policy.series_nmax_mixed
+    offs = kernel.step_offsets()
+    uniform = offs is not None or len(
+        {len(kernel.preds(s)) for s in base.spiral(32)}) == 1
+    n_max = policy.series_nmax if uniform else policy.series_nmax_mixed
     series = series_test(kernel, n_max=n_max, origin=origin)
     evidence["series"] = series.as_dict()
     # zero growth over a last quarter that is empty or holds only zero
@@ -276,7 +324,6 @@ def classify(kernel: BackwardKernel, policy: ClassifyPolicy = ClassifyPolicy()) 
                         and bool(quarter)
                         and (any(quarter) or not any(series.terms[1:])))
 
-    offs = kernel.step_offsets()
     drift = None if offs is None else sum(offs) / len(offs)
     radius = ESCAPE_RADIUS if (drift is not None and abs(drift) > 0.1) else None
     estimates = monte_carlo_return(kernel, policy.trials, policy.horizons,

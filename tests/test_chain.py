@@ -1,6 +1,7 @@
 """Rule resolution, row/column queries and the backward kernel."""
 
 import json
+import pathlib
 import signal
 import time
 from collections import deque
@@ -20,7 +21,7 @@ from fairshift import (
 from fairshift import families
 from fairshift.chain import _ENUM_LIMIT, Term
 from fairshift.io import (SCHEMA_VERSION, _tail_rule_to_json, chain_from_dict,
-                          chain_to_dict)
+                          chain_to_dict, load_spec)
 
 ALL_FAMILIES = [unbiased_walk(), biased_walk(), origin_broadcast(),
                 factorial_chain(), five_three_chain(), full_shift(3)]
@@ -266,6 +267,13 @@ def test_kernel_offsets():
     assert build_backward_kernel(unbiased_walk()).step_offsets() == (-1, 1)
     assert build_backward_kernel(biased_walk()).step_offsets() == (-2, 1)
     assert build_backward_kernel(origin_broadcast()).step_offsets() is None
+    # a rule naming offset 1 twice is the unbiased walk: one offset each
+    spec = pathlib.Path(__file__).parent / "specs" / "repeated-offset-walk.json"
+    twice = load_spec(str(spec))
+    assert twice.pure_offsets() == (-1, 1)
+    k = build_backward_kernel(twice)
+    assert k.step_offsets() == (-1, 1)
+    assert all(tuple(p - j for p in k.preds(j)) == (-1, 1) for j in range(-3, 4))
     # the same walk on the half-line 10, 11, ...: the bound clips row 10
     # to {11}, so no offset law holds for every state
     far = chain_from_dict({"schema_version": 1, "kind": "chain",
@@ -620,11 +628,11 @@ class ReferenceRuleSet(TransitionRuleSet):
             return None
         if self.period > 1 and set(self.tail) != set(range(self.period)):
             return None
-        offs = []
+        offs = set()
         for t in rules[0]:
             if not isinstance(t, Rel):
                 return None
-            offs.append(t.offset)
+            offs.add(t.offset)
         return tuple(sorted(offs))
 
 
@@ -741,8 +749,10 @@ def test_rule_set_queries_match_the_term_by_term_reference(params, data):
     assert offs == (ref.pure_offsets() if m.lo is None and m.hi is None
                     else None)
     if offs is not None:
+        kernel = build_backward_kernel(m)
         for i in probe:
             assert set(m.successors(i)) == {i + o for o in offs}
+            assert kernel.step_offsets() == tuple(p - i for p in kernel.preds(i))
     assert outcome(chain_to_dict, m) == reference_chain_to_dict(ref)
     # a second rule set on the same domain and tail, with its own head rows
     other = dict(params, **data.draw(st.fixed_dictionaries({

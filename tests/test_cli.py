@@ -344,6 +344,28 @@ def test_simulate_reruns_identically(tmp_path):
     assert (a / "simulate.json").read_bytes() == (b / "simulate.json").read_bytes()
 
 
+def test_a_repeated_offset_walks_as_the_plain_walk(tmp_path):
+    # rule [-1, 1, 1] names successor i + 1 once: the unbiased walk, so
+    # the sampler and classify take its steps, not -1 two times in three
+    spec = str(SPECS / "repeated-offset-walk.json")
+    outs = {}
+    for name in (spec, "unbiased-walk"):
+        out = outs[name] = tmp_path / pathlib.Path(name).stem
+        assert main(["simulate", name, "--length", "100000",
+                     "--out", str(out / "sim")]) == 0
+        assert main(["classify", name, "--trials", "2000",
+                     "--out", str(out / "cls")]) == 0
+    twice, plain = outs.values()
+    for f in ("sim/path_0.csv", "cls/series.csv"):
+        assert (twice / f).read_bytes() == (plain / f).read_bytes()
+    assert read(twice / "sim", "simulate.json")["per_path"] == \
+        read(plain / "sim", "simulate.json")["per_path"]
+    a, b = read(twice / "cls", "classify.json"), read(plain / "cls",
+                                                      "classify.json")
+    assert a["evidence"] == b["evidence"] and a["verdict"] == b["verdict"]
+    assert a["evidence"]["monte_carlo"]["escape_radius"] is None
+
+
 def test_simulate_writes_nothing_when_the_solve_fails(tmp_path, capsys):
     code, out = run(tmp_path, "simulate",
                     str(SPECS / "trillion-state-walk.json"))

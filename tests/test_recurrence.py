@@ -8,7 +8,8 @@ program over the backward offset laws:
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from functools import cache
+from math import comb, factorial, lcm
 
 import numpy as np
 import pytest
@@ -410,6 +411,73 @@ def test_monte_carlo_refuses_empty_samples_and_horizons(trials, horizons,
                                                         name):
     with pytest.raises(ValueError, match=f"{name} must be at least 1"):
         monte_carlo_return(kernel_of(unbiased_walk()), trials, horizons, 0)
+
+
+# -- the offset-law routes ------------------------------------------------------
+
+# one tail rule on Z whose terms are offsets: 1-4 of them, repeats allowed
+OFFSET_LAWS = st.lists(st.integers(-4, 4), min_size=1, max_size=4)
+
+
+def offset_walk(offsets):
+    return TransitionRuleSet(tail={0: tuple(map(Rel, offsets))},
+                             name="offset-walk")
+
+
+def hidden_law(offsets):
+    """The same chain with its offset law hidden: row 0 is given as an
+    explicit head row equal to the tail rule, so the rules certify no law
+    and every route reads the kernel's columns."""
+    terms = tuple(map(Rel, offsets))
+    return TransitionRuleSet(head=1, explicit={0: terms}, tail={0: terms},
+                             name="hidden-offset-walk")
+
+
+def reference_series(m, origin, n_max):
+    """Diagonal terms of delta_origin evolved through Q by a dict walk over
+    the rule set's columns: integer numerators over the product of the
+    lcms of the counts on the support."""
+    preds = cache(m.predecessors)
+    vec, denom, terms = {origin: 1}, 1, [Fraction(1)]
+    for _ in range(n_max):
+        step = lcm(*(len(preds(j)) for j in vec))
+        nxt = {}
+        for j, num in vec.items():
+            for i in preds(j):
+                nxt[i] = nxt.get(i, 0) + num * (step // len(preds(j)))
+        vec, denom = nxt, denom * step
+        terms.append(Fraction(vec.get(origin, 0), denom))
+    return terms
+
+
+@settings(max_examples=200, deadline=None)
+@given(OFFSET_LAWS, st.integers(0, 80), st.integers(-3, 3))
+def test_law_series_matches_the_reference_dict_walk(offsets, n_max, origin):
+    m = offset_walk(offsets)
+    kernel = kernel_of(m)
+    assert kernel.step_offsets() == tuple(sorted({-o for o in offsets}))
+    got = series_test(kernel, n_max=n_max, origin=origin)
+    assert list(got.terms) == reference_series(m, origin, n_max)
+    assert got.partial_sums[-1] == sum(got.terms)
+    assert kernel.cols == {}        # the law route reads no column
+
+
+@settings(max_examples=200, deadline=None)
+@given(OFFSET_LAWS, st.integers(1, 60), HORIZON_SETS,
+       st.integers(0, 2 ** 32 - 1), st.sampled_from([None, 0, 2, 9]),
+       st.integers(-3, 3))
+def test_law_walkers_match_the_column_route(offsets, trials, horizons,
+                                            seed, radius, origin):
+    law, columns = kernel_of(offset_walk(offsets)), \
+        kernel_of(hidden_law(offsets))
+    assert columns.step_offsets() is None
+    got = monte_carlo_return(law, trials, horizons, seed, origin=origin,
+                             escape_radius=radius)
+    want = monte_carlo_return(columns, trials, horizons, seed,
+                              origin=origin, escape_radius=radius)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert law.cols == {}
 
 
 # -- combined classification ---------------------------------------------------
