@@ -14,19 +14,22 @@ Term kinds used in a row description, for a row at state ``i``:
 * ``RelRay(o)``  -- every successor ``j >= i + o``
 * ``AbsRay(s)``  -- every successor ``j >= s``
 
-Inside the declared domain, states with ``|i| < head`` must carry
-explicit rows; all other states are governed by the tail rule of their
-residue class mod ``period``.  Every query reads a term through its
-normal form ``(relative, anchor, ray)``, computed once by ``_span``.
+Inside the declared domain, exactly the states with ``|i| < head``
+carry explicit rows; all other states are governed by the tail rule of
+their residue class mod ``period``.  Every query reads a term through
+its normal form ``(relative, anchor, ray)``, computed once by ``_span``.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "Rel", "Abs", "RelRay", "AbsRay", "Term",
@@ -129,6 +132,9 @@ class TransitionRuleSet:
         for i in self.explicit:
             if not self.contains(i):
                 raise SchemaError(f"explicit row {i} outside domain")
+            if abs(i) >= self.head:
+                raise SchemaError(f"explicit row {i} outside the head "
+                                  f"|i| < {self.head}")
         head = self._clipped(1 - self.head, self.head - 1)
         for i in head:
             if i not in self.explicit:
@@ -294,13 +300,6 @@ class TransitionRuleSet:
             return False
         return any(ray for _, _, ray in self._row(i))
 
-    def rows_full(self) -> bool:
-        """True when the domain is finite and every row covers every state."""
-        if not self.domain_finite():
-            return False
-        all_states = set(self.states(max(abs(self.lo), abs(self.hi))))
-        return all(set(self.successors(i)) == all_states for i in all_states)
-
     def same_matrix(self, other: TransitionRuleSet) -> bool:
         """True when both rule sets describe the same matrix.
 
@@ -351,8 +350,9 @@ class TransitionRuleSet:
         return False
 
     @cached_property
-    def _explicit_reverse(self) -> tuple[dict[int, tuple[int, ...]], tuple[tuple[int, int], ...]]:
-        """Reverse index of the explicit rows: hits by target, plus rays.
+    def _explicit_reverse(self) -> tuple[dict[int, tuple[int, ...]], tuple[int, ...], tuple[int, ...]]:
+        """Reverse index of the explicit rows: hits by target, plus the
+        starts of the rays, ascending, and the state of each ray's row.
 
         Large compiled rule sets (graph models) have thousands of explicit
         rows; scanning them per column query would be quadratic.  They
@@ -367,24 +367,24 @@ class TransitionRuleSet:
         for row, *states in groups.values():
             for rel, a, ray in row:
                 if ray:
-                    rays += [(i, i + a if rel else a) for i in states]
+                    rays += [(i + a if rel else a, i) for i in states]
                 elif rel:
                     for i in states:
                         direct.setdefault(i + a, set()).add(i)
                 else:
                     direct.setdefault(a, set()).update(states)
-        return {j: tuple(s) for j, s in direct.items()}, tuple(rays)
+        rays.sort()
+        return ({j: tuple(s) for j, s in direct.items()},
+                tuple(s for s, _ in rays), tuple(i for _, i in rays))
 
     def predecessors(self, j: int) -> list[int]:
         """Column support of ``j``.  Raises InfinitePreimages when infinite."""
         self._require(j)
         if self._column_divergent(j):
             raise InfinitePreimages(j)
-        direct, rays = self._explicit_reverse
+        direct, starts, owners = self._explicit_reverse
         preds: set[int] = set(direct.get(j, ()))
-        for i, start in rays:
-            if j >= start:
-                preds.add(i)
+        preds.update(owners[:bisect.bisect_right(starts, j)])
         for r, spans in self._rules[1].items():
             for rel, a, ray in spans:
                 if not rel:
@@ -462,11 +462,13 @@ class BackwardKernel:
     and their count.  ``preds`` fills one entry, and is the only reader
     of the rule set's columns; every other module reads a column through
     it.  ``columns`` fills a range of entries and compiles it into one
-    ``ColumnTable``, which the window solve, Monte Carlo returns and the
-    sampler's column laws read.  The exact return series and the stepping
-    sampler index ``cols`` itself.  When the rules certify one offset law
-    on Z (``step_offsets``), the sampler, the exact return series and
-    Monte Carlo returns read that law instead, and no column.
+    ``ColumnTable``, which Monte Carlo returns and the sampler's column
+    laws read; the window solve, the fair measure, atomic orbits, the
+    transitivity check and the class split read a window's slice of it
+    through ``window_columns``, or in row order ``window_rows``, alone.
+    The exact return series and the stepping sampler index ``cols``.
+    When the rules certify one offset law on Z (``step_offsets``), the
+    sampler, the series and Monte Carlo read that law, and no column.
     """
 
     base: TransitionRuleSet
@@ -499,8 +501,6 @@ class BackwardKernel:
             span = t.hi - t.lo + 1
             lo = min(lo, t.lo - span // 2)
             hi = max(hi, t.hi + span - span // 2)
-        import numpy as np
-
         preds = [self.preds(s) if self.base.contains(s) else ()
                  for s in range(lo, hi + 1)]
         indptr = np.cumsum([0, *map(len, preds)], dtype=np.int64)
@@ -508,6 +508,32 @@ class BackwardKernel:
         t = ColumnTable(lo, hi, indptr, indices - lo)
         object.__setattr__(self, "_table", t)
         return t
+
+    def window_columns(self, states: list[int]):
+        """The window's consecutive states as one slice of the column
+        table, where a predecessor's offset, less the window's, is its
+        position in the window.  Returns the positions of j and of i of
+        the entries (i, j) inside the window, ascending by j and then i,
+        and the column count c_j of each window state."""
+        if not states:
+            return (np.zeros(0, np.int64),) * 3
+        table = self.columns(states[0], states[-1])
+        first = states[0] - table.lo
+        ptr = table.indptr[first:first + len(states) + 1]
+        c = np.diff(ptr)
+        pos = table.indices[ptr[0]:ptr[-1]] - first
+        inside = (pos >= 0) & (pos < len(states))
+        return np.repeat(np.arange(len(states)), c)[inside], pos[inside], c
+
+    def window_rows(self, states: list[int]):
+        """The entries of ``window_columns`` in row order, as CSR arrays
+        ``(indptr, succ)``: the row at position i holds the positions of
+        its j, ascending, in ``succ[indptr[i]:indptr[i + 1]]``.  Returns
+        those and the column count c_j of each window state."""
+        j, i, c = self.window_columns(states)
+        order = np.argsort(i, kind="stable")
+        return (np.searchsorted(i[order], np.arange(len(states) + 1)),
+                j[order], c)
 
     def step_offsets(self) -> tuple[int, ...] | None:
         """Backward step offsets, ascending and distinct, when every Q row
@@ -529,75 +555,65 @@ def build_backward_kernel(m: TransitionRuleSet) -> BackwardKernel:
     return BackwardKernel(m)
 
 
-def strongly_connected_components(states: list[int],
-                                  succ: Mapping[int, list[int]]) -> list[list[int]]:
-    """Tarjan's strongly connected components, each sorted.
+def strongly_connected_components(indptr, succ) -> np.ndarray:
+    """Tarjan's strongly connected components of the graph on the nodes
+    0..n-1 whose node v steps to ``succ[indptr[v]:indptr[v + 1]]``.
 
-    Depth-first searches start from ``states`` in order, and components
-    come out in the order they complete: first every component the search
-    from ``states[0]`` reaches, ending with the component of ``states[0]``.
+    Depth-first searches start from the nodes in order, and each node gets
+    the number of its component in the order they complete: first every
+    component the search from node 0 reaches, ending with node 0's own.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    for root in states:
-        if root in index:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(succ[w])))
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            else:
-                # every successor of v is done
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    if low[v] < low[pv]:
-                        low[pv] = low[v]
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(sorted(comp))
-    return sccs
+    ptr, out = np.asarray(indptr).tolist(), np.asarray(succ).tolist()
+    n = len(ptr) - 1
+    # a search from an extra node n, stepping to each node in turn, is one
+    # search from each node not yet found; ``rank`` is a node's discovery
+    # number while it is on the stack, -1 before and n + 1 once it is done
+    rank, low, label = [-1] * n + [0], [0] * (n + 1), [0] * (n + 1)
+    stack, work = [n], [(n, iter(range(n)))]
+    found, done = 1, 0
+    while work:
+        v, it = work[-1]
+        for w in it:
+            r = rank[w]
+            if r < 0:
+                rank[w] = low[w] = found
+                found += 1
+                stack.append(w)
+                work.append((w, iter(out[ptr[w]:ptr[w + 1]])))
+                break
+            if r < low[v]:
+                low[v] = r
+        else:
+            # every successor of v is done
+            work.pop()
+            if work and low[v] < low[work[-1][0]]:
+                low[work[-1][0]] = low[v]
+            if low[v] == rank[v]:
+                while True:
+                    w = stack.pop()
+                    rank[w], label[w] = n + 1, done
+                    if w == v:
+                        break
+                done += 1
+    return np.array(label[:n], np.int64)
 
 
-def check_irreducible(m: TransitionRuleSet, window: int) -> tuple[bool, tuple[int, int] | None]:
-    """Strong connectivity through the states with |i| <= window.
+def check_irreducible(kernel: BackwardKernel, window: int) -> tuple[bool, tuple[int, int] | None]:
+    """Strong connectivity through the states with |i| <= window, read off
+    the kernel's column table.
 
     Returns (True, None) or (False, (a, b)) where no directed path a -> b
     exists inside the window: b is the least state the first window state
     cannot reach, or else the least state that cannot reach it.
     """
-    states = m.states(window)
+    states = kernel.base.states(window)
     if not states:
         raise UnresolvableState("empty window")
-    idx = set(states)
-    succ = {i: [j for j in m.successors(i, within=window) if j in idx] for i in states}
-    sccs = strongly_connected_components(states, succ)
-    if len(sccs) == 1:
-        return True, None
+    label = strongly_connected_components(*kernel.window_rows(states)[:2])
     # the components up to the root's own are exactly what the root reaches
-    root = states[0]
-    k = next(n for n, comp in enumerate(sccs) if root in comp)
-    rest = [s for comp in sccs[k + 1:] for s in comp]
-    if rest:
-        return False, (root, min(rest))
-    return False, (min(s for s in states if s not in sccs[k]), root)
+    k = label[0]
+    if label.max() > k:
+        return False, (states[0], states[int(np.argmax(label > k))])
+    if k > 0:
+        return False, (states[int(np.argmax(label != k))], states[0])
+    return True, None

@@ -229,13 +229,14 @@ class _Stop(Exception):
     """Ends a command early with its report file, report and summary line."""
 
 
-def _irreducible(m: TransitionRuleSet, window: int) -> tuple:
+def _irreducible(kernel, window: int) -> tuple:
     """``check_irreducible`` over every state of a finite domain, and on an
     infinite one, where no window holds every state, over the states
     within ``min(window, 24)`` of 0, widened to reach the domain."""
+    m = kernel.base
     bound = (max(abs(m.lo), abs(m.hi)) if m.domain_finite()
              else m.reaching(min(window, 24)))
-    return check_irreducible(m, bound)
+    return check_irreducible(kernel, bound)
 
 
 def _solve(args, name: str, report: dict, kernel, no_solution,
@@ -265,27 +266,33 @@ def _forward_rows(mu, states) -> dict:
             for i in states if (row := mu.row(i))}
 
 
-def _analyze_classes(m: TransitionRuleSet, tolerance: float) -> dict:
-    """Per-class entropies of a reducible finite chain, plus their supremum."""
-    bound = max(abs(m.lo), abs(m.hi))
-    states = m.states(bound)
-    succ = {i: m.successors(i) for i in states}
+def _analyze_classes(kernel, tolerance: float) -> dict:
+    """Per-class entropies of a reducible finite chain, plus their
+    supremum; the classes and their steps are read off the column table."""
+    m = kernel.base
+    states = m.states(max(abs(m.lo), abs(m.hi)))
+    ptr, to, _ = kernel.window_rows(states)
+    label = strongly_connected_components(ptr, to).tolist()
+    ptr, to = ptr.tolist(), to.tolist()
+    succ = [to[a:b] for a, b in zip(ptr, ptr[1:])]
+    comps: list[list[int]] = [[] for _ in range(max(label) + 1)]
+    for s, k in enumerate(label):
+        comps[k].append(s)
     classes = []
     best = None
-    for comp in strongly_connected_components(states, succ):
+    for comp in comps:
         closed = set(comp).issuperset(j for i in comp for j in succ[i])
-        entry: dict = {"states": comp, "closed": closed}
+        entry: dict = {"states": [states[s] for s in comp], "closed": closed}
         if closed:
             relabel = {s: k for k, s in enumerate(comp)}
-            sub = TransitionRuleSet(
+            sub = build_backward_kernel(TransitionRuleSet(
                 lo=0, hi=len(comp) - 1, head=len(comp),
                 explicit={relabel[i]: tuple(Abs(relabel[j]) for j in succ[i])
                           for i in comp},
-                name=f"{m.name}-class")
-            kernel = build_backward_kernel(sub)
-            pi = solve_stationary(kernel, tolerance=tolerance)
+                name=f"{m.name}-class"))
+            pi = solve_stationary(sub, tolerance=tolerance)
             if isinstance(pi, StationaryVector):
-                h = fair_entropy(fair_measure_from(pi, kernel))
+                h = fair_entropy(fair_measure_from(pi, sub))
                 entry["fair_entropy"] = h
                 best = h if best is None else max(best, h)
         classes.append(entry)
@@ -307,12 +314,13 @@ def cmd_analyze(args) -> tuple:
                             "exists there and no fair measure can be built")
         return "analyze.json", report, "verdict NoFairMeasure"
 
-    irr, pair = _irreducible(m, window)
+    kernel = build_backward_kernel(m)
+    irr, pair = _irreducible(kernel, window)
     report["irreducible_on_window"] = irr
     if not irr:
         report["disconnected_pair"] = list(pair)
         if m.domain_finite():
-            report["per_class"] = _analyze_classes(m, args.tolerance)
+            report["per_class"] = _analyze_classes(kernel, args.tolerance)
             report["verdict"] = "Reducible"
             report["fair_entropy"] = report["per_class"]["supremum_entropy"]
             return ("analyze.json", report,
@@ -320,7 +328,6 @@ def cmd_analyze(args) -> tuple:
         report["note"] = ("chain is reducible on the window; verdicts "
                           "below describe the component of the origin")
 
-    kernel = build_backward_kernel(m)
     report["atomic_orbits"] = [
         list(o.states) for o in
         find_atomic_fair_measures(kernel, 6, m.reaching(min(window, 64)))]
@@ -455,14 +462,17 @@ def cmd_simulate(args) -> tuple:
 # ---------------------------------------------------------------------------
 # fairmodel
 
-def _closed_form(m: TransitionRuleSet, window: int | None):
+def _closed_form(kernel, window: int | None):
     """Exact stationary weights when the compiled rules have a closed form.
 
     Full shifts and the factorial chain are recognised by their rules, not
-    by the map's name; exact weights make the emitted model and its
+    by the map's name: a full shift on 0..n-1 by its columns, which each
+    hold all n states.  Exact weights make the emitted model and its
     fairness check exact instead of float-close.
     """
-    if m.rows_full() and m.lo == 0:
+    m = kernel.base
+    if m.domain_finite() and m.lo == 0 and (kernel.window_columns(
+            m.states(m.hi))[2] == m.hi + 1).all():
         return full_shift_stationary(m.hi + 1)
     if m.same_matrix(factorial_chain()):
         return factorial_stationary(max(window or 0, 30))
@@ -487,7 +497,7 @@ def cmd_fairmodel(args) -> tuple:
         raise fio.ParseError("a model needs a piece bound of at least 1",
                              field="--window")
 
-    pi = _closed_form(m, window)
+    pi = _closed_form(kernel, window)
     mu = fair_measure_from(pi, kernel) if pi is not None else _solve(
         args, "fairmodel.json", report, kernel, lambda sol: (
             {"verdict": "NoFairModel",
@@ -604,7 +614,7 @@ def cmd_verify(args) -> tuple:
             succ.keys() & set(preds) == {i for i in probe if j in succ[i]})
     check("kernel_matches_rules", rules_ok, rules_ok, "exact")
 
-    irr, pair = _irreducible(m, window)
+    irr, pair = _irreducible(kernel, window)
     check("irreducible_on_window", irr,
           irr if irr else f"disconnected pair {pair}", "true")
 

@@ -110,23 +110,6 @@ class WindowExhausted(RuntimeError):
 DENSE_SOLVE_MAX = 512
 
 
-def _window_columns(kernel: BackwardKernel, states: list[int]):
-    """The window's consecutive states as one slice of the kernel's column
-    table, where a predecessor's offset, less the window's, is its position
-    in the window.  Returns the positions of j and of i of the entries
-    (i, j) inside the window, ascending by j and then i, and the column
-    count c_j of each window state."""
-    if not states:
-        return (np.zeros(0, np.int64),) * 3
-    table = kernel.columns(states[0], states[-1])
-    first = states[0] - table.lo
-    ptr = table.indptr[first:first + len(states) + 1]
-    c = np.diff(ptr)
-    pos = table.indices[ptr[0]:ptr[-1]] - first
-    inside = (pos >= 0) & (pos < len(states))
-    return np.repeat(np.arange(len(states)), c)[inside], pos[inside], c
-
-
 def _window_chain(kernel: BackwardKernel, states: list[int]):
     """Transposed window chain Q^T, clipped to the window and renormalised.
 
@@ -139,7 +122,7 @@ def _window_chain(kernel: BackwardKernel, states: list[int]):
     data)``: column j has its rows, ascending, in
     ``indices[indptr[j]:indptr[j+1]]``.
     """
-    owner, pos, _ = _window_columns(kernel, states)
+    owner, pos, _ = kernel.window_columns(states)
     window = np.asarray(states, dtype=np.int64)
     alive = np.ones(len(states), dtype=bool)
     while True:
@@ -196,11 +179,7 @@ def _stationary_of_window(states: np.ndarray, qt) -> np.ndarray:
     indptr, indices, data = qt
     n = len(states)
     col = np.repeat(np.arange(n), np.diff(indptr))
-    rows, ptr = indices.tolist(), indptr.tolist()
-    succ = [rows[ptr[j]:ptr[j + 1]] for j in range(n)]
-    label = np.empty(n, dtype=np.int64)
-    for k, comp in enumerate(strongly_connected_components(range(n), succ)):
-        label[comp] = k
+    label = strongly_connected_components(indptr, indices)
     # q_ji > 0 is a step j -> i; a class with a step out is not closed
     closed = np.setdiff1d(label, label[col[label[indices] != label[col]]])
     if len(closed) > 1:
@@ -397,10 +376,8 @@ class FairMeasure:
         inside = (keys >= 0) & (keys < n)
         w = np.full(n, Fraction(0) if exact else 0.0, values.dtype)
         w[keys[inside]] = values[inside]
-        # the table transposed: its entries ascending by i and then j
-        j, i, c = _window_columns(self.kernel, states)
-        order = np.argsort(i, kind="stable")
-        i, j = i[order], j[order]
+        ptr, j, c = self.kernel.window_rows(states)
+        i = np.repeat(np.arange(n), np.diff(ptr))
         live = (w[i] != 0) & (w[j] != 0)
         i, j = i[live], j[live]
         for name, value in (("window", window),
@@ -440,12 +417,9 @@ class FairMeasure:
                 return False
             succ = base.successors(i)
             return not succ or states[0] <= succ[0] and succ[-1] <= states[-1]
-        j, i, c = _window_columns(self.kernel, states)
-        order = np.argsort(i, kind="stable")
-        i, j = i[order], j[order]
+        ptr, j, c = self.kernel.window_rows(states)
         flow = _row_sums(w[j] / c[j] if w.dtype == object
-                         else w[j] * (1.0 / c[j]),
-                         np.searchsorted(i, np.arange(len(w) + 1)))
+                         else w[j] * (1.0 / c[j]), ptr)
         inner = np.fromiter(map(interior, states), bool, len(states))
         return w[inner], np.abs(flow - w)[inner]
 
@@ -559,7 +533,7 @@ def find_atomic_fair_measures(kernel: BackwardKernel, max_period: int,
     predecessor each, the previous cycle state, in forward order from
     their least state."""
     states = kernel.base.states(window)
-    col, pos, c = _window_columns(kernel, states)
+    col, pos, c = kernel.window_columns(states)
     # a state whose one predecessor is in the window steps back to it,
     # any other into the sink len(states)
     back = np.full(len(states) + 1, len(states))

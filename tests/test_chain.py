@@ -1,5 +1,6 @@
 """Rule resolution, row/column queries and the backward kernel."""
 
+import itertools
 import json
 import pathlib
 import signal
@@ -18,7 +19,7 @@ from fairshift import (
     origin_broadcast, staircase_map, strongly_connected_components,
     tent_map, transition_matrix, unbiased_walk,
 )
-from fairshift import families
+from fairshift import cli, families
 from fairshift.chain import _ENUM_LIMIT, Term
 from fairshift.io import (SCHEMA_VERSION, _tail_rule_to_json, chain_from_dict,
                           chain_to_dict, load_spec)
@@ -80,8 +81,13 @@ def test_full_shift_rows_full():
     assert m.states(10) == [0, 1, 2]
     for i in range(3):
         assert m.successors(i) == [0, 1, 2]
-    assert m.rows_full()
-    assert not unbiased_walk().rows_full()
+    # the closed form reads a full shift off its columns, all three full
+    pi = cli._closed_form(build_backward_kernel(m), None)
+    assert pi.weights == {i: Fraction(1, 3) for i in range(3)}
+    assert cli._closed_form(build_backward_kernel(unbiased_walk()), None) is None
+    one_short = TransitionRuleSet(lo=0, hi=2, head=3, explicit={
+        0: (Abs(0), Abs(1)), 1: (AbsRay(0),), 2: (AbsRay(0),)})
+    assert cli._closed_form(build_backward_kernel(one_short), None) is None
 
 
 # -- columns ---------------------------------------------------------------
@@ -303,9 +309,10 @@ def test_kernel_preds_are_the_memoised_columns():
 
 def test_irreducibility_on_windows():
     for m in ALL_FAMILIES:
-        ok, pair = check_irreducible(m, 5)
+        kernel = build_backward_kernel(m)
+        ok, pair = check_irreducible(kernel, 5)
         assert ok and pair is None
-        ok, _ = check_irreducible(m, 7)
+        ok, _ = check_irreducible(kernel, 7)
         assert ok
 
 
@@ -313,7 +320,7 @@ def test_reducible_pair_is_reported():
     m = TransitionRuleSet(lo=0, hi=1, head=2,
                           explicit={0: (Abs(1),), 1: (Abs(1),)},
                           name="orphan")
-    ok, pair = check_irreducible(m, 5)
+    ok, pair = check_irreducible(build_backward_kernel(m), 5)
     assert not ok
     assert pair is not None and 0 in pair
 
@@ -401,6 +408,14 @@ def _bfs_disconnected_pair(states, succ):
     return None
 
 
+def csr(states, succ):
+    """The lists ``succ`` of ``states`` as CSR arrays of positions in
+    ``states``, the input of ``strongly_connected_components``."""
+    at = {s: k for k, s in enumerate(states)}
+    rows = [[at[j] for j in succ[i]] for i in states]
+    return [0, *itertools.accumulate(map(len, rows))], sum(rows, [])
+
+
 @st.composite
 def finite_chains(draw, max_row=None):
     n = draw(st.integers(1, 9))
@@ -422,14 +437,17 @@ def test_irreducibility_matches_breadth_first_reference(chain_and_window):
     states = m.states(window)
     succ = {i: [j for j in m.successors(i) if j in states] for i in states}
     pair = _bfs_disconnected_pair(states, succ)
-    assert check_irreducible(m, window) == (pair is None, pair)
+    assert check_irreducible(build_backward_kernel(m), window) == \
+        (pair is None, pair)
     reach = {i: _reach(i, succ) for i in states}
     if pair is not None:
         a, b = pair
         assert b not in reach[a]
-    sccs = strongly_connected_components(states, succ)
-    assert sorted(s for comp in sccs for s in comp) == states
-    comp_of = {s: k for k, comp in enumerate(sccs) for s in comp}
+    label = strongly_connected_components(*csr(states, succ))
+    assert len(label) == len(states)
+    comp_of = dict(zip(states, label.tolist()))
+    # components complete in order: none reaches a later one
+    assert all(comp_of[j] <= comp_of[i] for i in states for j in succ[i])
     for a in states:
         for b in states:
             mutual = b in reach[a] and a in reach[b]
@@ -696,6 +714,11 @@ def rule_set_params(draw):
     head_states = [i for i in range(1 - head, head)
                    if (lo is None or i >= lo) and (hi is None or i <= hi)]
     explicit = {i: draw(term_rows()) for i in head_states}
+    # now and then a row outside the head, which every rule set refuses
+    outside = [i for i in range(-head - 2, head + 3) if abs(i) >= head
+               and (lo is None or i >= lo) and (hi is None or i <= hi)]
+    if outside and draw(st.integers(0, 7)) == 0:
+        explicit[draw(st.sampled_from(outside))] = draw(term_rows())
     tail = {r: draw(term_rows()) for r in range(period)}
     if draw(st.integers(0, 3)) == 0:
         del tail[draw(st.integers(0, period - 1))]
@@ -724,6 +747,10 @@ def outcome(f, *args, **kwargs):
 @given(rule_set_params(), st.data())
 def test_rule_set_queries_match_the_term_by_term_reference(params, data):
     got = outcome(TransitionRuleSet, **params)
+    if any(abs(i) >= params["head"] for i in params["explicit"]):
+        assert got[0] is SchemaError and "outside the head" in got[1]
+        assert outcome(ReferenceRuleSet, **params) == got
+        return
     if uses_missing_residue(params):
         assert got[0] is SchemaError
         return

@@ -23,7 +23,8 @@ from fairshift import (CHAIN_FAMILIES, Abs, TransitionRuleSet,
 from fairshift import chain, cli, families, measure
 from fairshift.io import BUILTINS, ParseError, load_spec
 from fairshift.cli import main
-from test_chain import finite_chains
+from test_chain import (_bfs_disconnected_pair, _reach, finite_chains,
+                        outcome)
 from test_golden import read_golden, run_case
 from test_measure import graph_specs
 
@@ -178,6 +179,89 @@ def test_analyze_and_verify_agree_on_the_entropy_at_any_window(
             _, out = run(pathlib.Path(tmp), "verify", *argv)
             assert read(out, "verify.json")["fair_entropy"] \
                 == rep["fair_entropy"]
+
+
+def reference_classes(states, succ):
+    """The classes of mutual reach, each sorted, in the order that Tarjan's
+    search completes them: by when a depth-first search from each state
+    in turn, along ascending successors, finishes a class's first-found
+    state."""
+    found, finished = [], []
+
+    def visit(v):
+        found.append(v)
+        for w in succ[v]:
+            if w not in found:
+                visit(w)
+        finished.append(v)
+    for s in states:
+        if s not in found:
+            visit(s)
+    reach = {s: _reach(s, succ) for s in states}
+    comps = {tuple(t for t in states if t in reach[s] and s in reach[t])
+             for s in states}
+    return sorted(map(list, comps),
+                  key=lambda c: finished.index(min(c, key=found.index)))
+
+
+def reference_analyze_classes(m, tolerance: float) -> dict:
+    """The class split of ``analyze`` as it read the rule set's rows, one
+    ``successors`` call per state, kept with its classes from
+    ``reference_classes``."""
+    bound = max(abs(m.lo), abs(m.hi))
+    states = m.states(bound)
+    succ = {i: m.successors(i) for i in states}
+    classes = []
+    best = None
+    for comp in reference_classes(states, succ):
+        closed = set(comp).issuperset(j for i in comp for j in succ[i])
+        entry: dict = {"states": comp, "closed": closed}
+        if closed:
+            relabel = {s: k for k, s in enumerate(comp)}
+            sub = TransitionRuleSet(
+                lo=0, hi=len(comp) - 1, head=len(comp),
+                explicit={relabel[i]: tuple(Abs(relabel[j]) for j in succ[i])
+                          for i in comp},
+                name=f"{m.name}-class")
+            kernel = build_backward_kernel(sub)
+            pi = solve_stationary(kernel, tolerance=tolerance)
+            if isinstance(pi, measure.StationaryVector):
+                h = fair_entropy(fair_measure_from(pi, kernel))
+                entry["fair_entropy"] = h
+                best = h if best is None else max(best, h)
+        classes.append(entry)
+    return {"classes": classes, "supremum_entropy": best}
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_chains(), st.integers(0, 30))
+def test_the_class_split_reads_the_columns_as_it_read_the_rows(
+        chain_and_window, window):
+    m, _ = chain_and_window
+    kernel = build_backward_kernel(m)
+    states = m.states(max(abs(m.lo), abs(m.hi)))
+    succ = {i: m.successors(i) for i in states}
+    assert cli._irreducible(kernel, window)[1] == \
+        _bfs_disconnected_pair(states, succ)
+    assert outcome(cli._analyze_classes, kernel, 1e-10) == \
+        outcome(reference_analyze_classes, m, 1e-10)
+
+
+def test_structure_questions_read_no_row(tmp_path, monkeypatch):
+    def no_row(self, i, *, within=None):
+        raise AssertionError(f"row {i} was read")
+    spec = str(SPECS.parent / "golden" / "specs" / "split.json")
+    split = load_spec(spec)
+    kernel = build_backward_kernel(split)
+    monkeypatch.setattr(TransitionRuleSet, "successors", no_row)
+    assert check_irreducible(kernel, 4) == (False, (0, 2))
+    classes = cli._analyze_classes(kernel, 1e-10)["classes"]
+    assert [c["states"] for c in classes] == [[0, 1], [2, 3], [4]]
+    assert check_irreducible(build_backward_kernel(unbiased_walk()), 24) \
+        == (True, None)
+    code, out = run(tmp_path, "analyze", spec)
+    assert code == 0
+    assert read(out, "analyze.json")["verdict"] == "Reducible"
 
 
 def test_a_finite_chain_is_judged_transitive_over_every_state(tmp_path):
@@ -574,7 +658,8 @@ def test_graph_exchange_spec(tmp_path):
 
 def refines_irreducibly(spec) -> bool:
     m = refined_transition_matrix(spec)
-    return check_irreducible(m, max(abs(m.lo), abs(m.hi)))[0]
+    return check_irreducible(build_backward_kernel(m),
+                             max(abs(m.lo), abs(m.hi)))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -1052,6 +1137,20 @@ def test_a_domain_too_wide_to_list_ends_in_one_error_line(tmp_path, command):
     err = run_capped(tmp_path, command, str(SPECS / "trillion-state-walk.json"))
     assert err.startswith("fairshift: SchemaError: ")
     assert f"at most {chain._ENUM_LIMIT} are listed" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify", "verify",
+                                     "simulate"])
+def test_an_explicit_row_outside_the_head_ends_in_one_error_line(
+        tmp_path, capsys, command):
+    # the columns would read state 5 by its tail rule, the rows by its own
+    # row, so 6 would have the predecessor 5 that 5 does not step to
+    code, out = run(tmp_path, command,
+                    str(SPECS / "explicit-row-outside-head.json"))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "fairshift: explicit row 5 outside the head |i| < 0\n"
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, tail", [

@@ -169,7 +169,7 @@ def test_exchange_refines_to_a_two_cycle():
     m = refined_transition_matrix(exchange_spec())
     assert m.successors(0) == [1]
     assert m.successors(1) == [0]
-    ok, _ = check_irreducible(m, 4)
+    ok, _ = check_irreducible(build_backward_kernel(m), 4)
     assert ok
 
 
@@ -202,7 +202,7 @@ def test_dendrite_refined_chain_has_boundary_states():
     predecessors, so the refined chain is reducible by construction; the
     fair analysis must run per closed class."""
     m = refined_transition_matrix(dendrite_example(4))
-    ok, _ = check_irreducible(m, 10 ** 6)
+    ok, _ = check_irreducible(build_backward_kernel(m), 10 ** 6)
     assert not ok
     orphans = [j for j in m.states(10 ** 6) if not m.predecessors(j)]
     assert orphans

@@ -30,7 +30,7 @@ from fairshift import (
     unbiased_walk, verify_stationary,
 )
 from fairshift import measure
-from test_chain import finite_chains, outcome, rule_set_params
+from test_chain import csr, finite_chains, outcome, rule_set_params
 
 # independent oracle: sum_k log(k+2) / (e k!)
 FACTORIAL_ENTROPY = 1.0475026451453382
@@ -173,10 +173,10 @@ def reference_stationary_of_window(states, rows):
 def closed_class_count(states, rows):
     """Closed classes of the window chain, whose step j -> i has q_ji > 0."""
     succ = {j: [i for i, _ in rows[j]] for j in states}
-    sccs = strongly_connected_components(states, succ)
-    comp = {s: k for k, c in enumerate(sccs) for s in c}
-    return sum(all(comp[i] == comp[c[0]] for j in c for i in succ[j])
-               for c in sccs)
+    comp = dict(zip(states, strongly_connected_components(
+        *csr(states, succ)).tolist()))
+    return len(set(comp.values())
+               - {comp[j] for j in states for i in succ[j] if comp[i] != comp[j]})
 
 
 @st.composite
